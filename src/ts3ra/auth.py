@@ -1,6 +1,7 @@
 """Device admission at the 5G access point.
 
-Implements iterated-HMAC key stretching (PBKDF2), simulated
+Implements PBKDF2 key stretching (parameter checks around the
+OpenSSL-backed :func:`hashlib.pbkdf2_hmac`), simulated
 challenge/response PUF enrollment and verification, the published Boolean
 admission gate, and the elastic virtual-authority pool that holds
 credential state.
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional, Union
@@ -64,38 +64,22 @@ class KeyDerivationParams:
         hashlib.new(self.prf)  # raises for unknown hash names
 
 
-def _prf_block_size(prf: str) -> int:
-    return hashlib.new(prf).digest_size
-
-
 def pbkdf2_bytes(
     password: bytes, salt: bytes, iteration_count: int, output_key_length: int, prf: str
 ) -> bytes:
-    """Low-level iterated-HMAC key stretching on raw arguments.
+    """Low-level PBKDF2 key stretching (RFC 8018 section 5.2) on raw arguments.
 
-    As many PRF blocks as needed to cover the output length, each block the
-    XOR of ``iteration_count`` chained HMAC invocations.  Deterministic.
+    Checks the iteration count and the PRF block-count limit, then calls the
+    OpenSSL-backed :func:`hashlib.pbkdf2_hmac`.  Deterministic.
     Interoperates with the published vector sets; prefer :func:`derive_key`
     (which enforces parameter hygiene) outside of cross-checks.
     """
     if iteration_count < 1:
         raise ValueError("iteration_count must be >= 1")
-    h_len = _prf_block_size(prf)
-    max_len = (2**32 - 1) * h_len
+    max_len = (2**32 - 1) * hashlib.new(prf).digest_size
     if output_key_length > max_len:
         raise ValueError("output_key_length exceeds the PRF block-count limit")
-
-    n_blocks = -(-output_key_length // h_len)  # ceil
-    out = bytearray()
-    for i in range(1, n_blocks + 1):
-        u = hmac.new(password, salt + struct.pack(">I", i), prf).digest()
-        t = bytearray(u)
-        for _ in range(iteration_count - 1):
-            u = hmac.new(password, u, prf).digest()
-            for j in range(h_len):
-                t[j] ^= u[j]
-        out.extend(t)
-    return bytes(out[:output_key_length])
+    return hashlib.pbkdf2_hmac(prf, password, salt, iteration_count, output_key_length)
 
 
 def derive_key(params: KeyDerivationParams) -> bytes:

@@ -29,6 +29,7 @@ from .domain import (
     Flow,
     Protocol,
     ServiceType,
+    SliceRequest,
     SwitchKind,
     SwitchProfile,
     qos_profile_of,
@@ -41,7 +42,7 @@ from .metrics import (
     derive_slice_metrics,
 )
 from .rng import RngHub
-from .scenario import Scenario
+from .scenario import Scenario, to_us
 
 # Event kinds, ranked for tie-breaking at equal timestamps.
 ARRIVAL = 0
@@ -86,8 +87,20 @@ class InvariantViolation(RuntimeError):
     """An engine-internal consistency rule was broken."""
 
 
-def _us(seconds: float) -> int:
-    return int(round(seconds * 1e6))
+def draw_packet_size(rng: np.random.Generator, length: int) -> int:
+    """Half, full or double ``length`` with probabilities 1/4, 1/2, 1/4.
+
+    Gives the same values and leaves ``rng`` in the same state as
+    ``rng.choice([length // 2, length, length * 2], p=[0.25, 0.5, 0.25])``,
+    which bisects the CDF with one ``random()`` draw, at a fraction of its
+    cost.
+    """
+    u = rng.random()
+    if u < 0.25:
+        return length // 2
+    if u < 0.75:
+        return length
+    return length * 2
 
 
 class _DeviceRt:
@@ -143,12 +156,9 @@ class _SwitchRt:
         "win_sizes",
         "win_interarrivals",
         "win_last_arrival_us",
-        "win_bits",
         "interval_bits",
         "per_flow_bits",
         "baseline_triples",
-        "usage_history",
-        "predicted_bps",
     )
 
     def __init__(self, profile: SwitchProfile):
@@ -160,18 +170,14 @@ class _SwitchRt:
         self.win_sizes: list[int] = []
         self.win_interarrivals: list[float] = []
         self.win_last_arrival_us: Optional[int] = None
-        self.win_bits = 0
         self.interval_bits = 0
         self.per_flow_bits: dict[int, int] = {}
         self.baseline_triples: list[tuple[float, float, float]] = []
-        self.usage_history: list[float] = []
-        self.predicted_bps = 0.0
 
     def reset_window(self) -> None:
         self.win_counts = {}
         self.win_sizes = []
         self.win_interarrivals = []
-        self.win_bits = 0
 
     def reset_interval(self) -> None:
         self.interval_bits = 0
@@ -197,7 +203,14 @@ class Engine:
         scenario.validate()
         self.sc = scenario
         self.hub = RngHub(scenario.seed)
-        self.end_us = _us(scenario.duration)
+        self.end_us = to_us(scenario.duration)
+        # Per-packet times, rounded once here instead of on every packet.
+        self.packet_interval_us = to_us(scenario.packet_interval)
+        self.flood_packet_interval_us = to_us(scenario.flood_packet_interval)
+        self.flood_start_us = to_us(scenario.flood_start)
+        self.queue_delay_bound_us = to_us(scenario.queue_delay_bound)
+        self.processing_latency_us = to_us(scenario.processing_latency)
+        self.retransmit_delay_us = to_us(scenario.retransmit_delay)
         self.clock_us = 0
         self.heap: list = []
         self.seq = 0
@@ -324,7 +337,7 @@ class Engine:
         sched_mod.validate_config(self.qconfig)
         self.qstate = sched_mod.DualQueueState()
         self.sched_active = False
-        self.slot_us = _us(sc.slot_duration)
+        self.slot_us = to_us(sc.slot_duration)
 
         # slice-selection model
         if model is not None:
@@ -379,14 +392,14 @@ class Engine:
         rng_arrivals = self.hub.substream("arrivals")
         window = sc.arrival_window * sc.duration
         for rt in self.dev:
-            t = _us(float(rng_arrivals.uniform(0.0, window)))
+            t = to_us(float(rng_arrivals.uniform(0.0, window)))
             self._push(t, ARRIVAL, rt.index)
         if sc.devices:
-            self._push(_us(sc.tick_interval), MOBILITY_TICK, None)
+            self._push(to_us(sc.tick_interval), MOBILITY_TICK, None)
         if sc.ddos_enabled:
-            self._push(_us(sc.window_duration), WINDOW_CLOSE, None)
+            self._push(to_us(sc.window_duration), WINDOW_CLOSE, None)
         if sc.offload_enabled:
-            self._push(_us(sc.rebalance_interval), REBALANCE, None)
+            self._push(to_us(sc.rebalance_interval), REBALANCE, None)
 
     # -- event plumbing --------------------------------------------------------
 
@@ -449,7 +462,7 @@ class Engine:
         rt = self.dev[di]
         rt.arrival_us = self.clock_us
         self._trace(ARRIVAL, rt.device.device_id, "", "", "request")
-        self._push(self.clock_us + _us(self.sc.auth_delay), AUTH, di)
+        self._push(self.clock_us + to_us(self.sc.auth_delay), AUTH, di)
 
     def _on_auth(self, di: int) -> None:
         rt = self.dev[di]
@@ -473,8 +486,6 @@ class Engine:
         rt.authenticated = True
         self.requests_seen += 1
         service = rt.claimed
-        from .domain import SliceRequest
-
         rt.request = SliceRequest(
             origin=rt.device.device_id,
             service_type=service,
@@ -508,7 +519,7 @@ class Engine:
             self.sched_trace_sink(sched_mod.trace_row(result))
         for request in result.completions:
             rt = self.dev_by_id[request.origin]
-            self._push(self.clock_us + _us(self.sc.decision_delay), SLICE_DECIDE, rt.index)
+            self._push(self.clock_us + to_us(self.sc.decision_delay), SLICE_DECIDE, rt.index)
         if self.qstate.n_in_system > 0 or self.qstate.phase == sched_mod.GAMMA_VACANT:
             self._push(self.clock_us + self.slot_us, SCHEDULE_SLOT, None)
         else:
@@ -557,7 +568,7 @@ class Engine:
             "",
             f"confidence={decision.confidence:.4f}",
         )
-        self._push(self.clock_us + _us(self.sc.decision_delay), ALLOCATE, di)
+        self._push(self.clock_us + to_us(self.sc.decision_delay), ALLOCATE, di)
 
     def _sinr_db(self, di: int) -> float:
         pos = self.positions[di]
@@ -598,7 +609,7 @@ class Engine:
         remaining_s = max(0.0, (self.end_us - self.clock_us) / 1e6)
         c.flow_active_bps_seconds += rt.flow.rate * remaining_s
         phase = float(self.hub.substream("phase").uniform(0.0, self.sc.packet_interval))
-        first = self.clock_us + _us(phase)
+        first = self.clock_us + to_us(phase)
         if first < self.end_us:
             self._push(first, TRANSMIT, (di, False, 0))
 
@@ -629,34 +640,28 @@ class Engine:
             gamma=self.sc.offload_gamma,
         )
 
-    def _flooding(self, rt: _DeviceRt) -> bool:
-        return (
-            not rt.device.legitimate
-            and not rt.forged
-            and self.clock_us >= _us(self.sc.flood_start)
-        )
-
     def _on_transmit(self, payload) -> None:
         di, is_retx, size = payload
         rt = self.dev[di]
         if rt.gave_up and not is_retx:
             return
         sc = self.sc
-        flooding = self._flooding(rt)
+        flooding = (
+            not rt.device.legitimate
+            and not rt.forged
+            and self.clock_us >= self.flood_start_us
+        )
 
         if not is_retx:
             self.generated += 1
             if flooding or not sc.size_jitter:
                 size = sc.packet_length
             else:
-                size = int(
-                    self._rng_sizes.choice(
-                        [sc.packet_length // 2, sc.packet_length, sc.packet_length * 2],
-                        p=[0.25, 0.5, 0.25],
-                    )
-                )
-            interval = sc.flood_packet_interval if flooding else sc.packet_interval
-            nxt = self.clock_us + _us(interval)
+                size = draw_packet_size(self._rng_sizes, sc.packet_length)
+            if flooding:
+                nxt = self.clock_us + self.flood_packet_interval_us
+            else:
+                nxt = self.clock_us + self.packet_interval_us
             if nxt < self.end_us and not rt.gave_up:
                 self._push(nxt, TRANSMIT, (di, False, 0))
 
@@ -684,7 +689,6 @@ class Engine:
             sw.win_interarrivals.append((self.clock_us - sw.win_last_arrival_us) / 1e6)
         sw.win_last_arrival_us = self.clock_us
         bits = size * 8
-        sw.win_bits += bits
         sw.interval_bits += bits
         sw.per_flow_bits[di] = sw.per_flow_bits.get(di, 0) + bits
 
@@ -692,22 +696,20 @@ class Engine:
         lost = self._rng_loss.random() < sw.profile.loss_rate
         if not lost:
             backlog_us = max(0, sw.busy_until_us - self.clock_us)
-            if backlog_us > _us(sc.queue_delay_bound):
+            if backlog_us > self.queue_delay_bound_us:
                 lost = True
                 reason = "overflow"
             else:
                 tx_us = int(round(bits / sw.profile.transmission_rate * 1e6))
                 sw.busy_until_us = max(sw.busy_until_us, self.clock_us) + tx_us
-                latency_us = _us(sc.processing_latency) + backlog_us + tx_us
+                latency_us = self.processing_latency_us + backlog_us + tx_us
                 self._push(self.clock_us + latency_us, DELIVER, (di, bits, latency_us))
                 return
         else:
             reason = "loss"
 
         if reliable and not is_retx:
-            self._push(
-                self.clock_us + _us(sc.retransmit_delay), TRANSMIT, (di, True, size)
-            )
+            self._push(self.clock_us + self.retransmit_delay_us, TRANSMIT, (di, True, size))
         else:
             self._push(self.clock_us, DROP, (di, reason, True))
 
@@ -721,13 +723,15 @@ class Engine:
             c.dropped += 1
             c.blocked += 1
             c.in_flight -= 1
-            self._trace(DROP, rt.device.device_id, service.slice_id, rt.switch_id or "", "quarantined")
+            if self.trace_sink:
+                self._trace(DROP, rt.device.device_id, service.slice_id, rt.switch_id or "", "quarantined")
             return
         c.delivered += 1
         c.in_flight -= 1
         c.delivered_bits += bits
         c.latency_sum += latency_us / 1e6
-        self._trace(DELIVER, rt.device.device_id, service.slice_id, rt.switch_id or "", "ok")
+        if self.trace_sink:
+            self._trace(DELIVER, rt.device.device_id, service.slice_id, rt.switch_id or "", "ok")
 
     def _on_drop(self, payload) -> None:
         di, reason, admitted = payload
@@ -741,7 +745,8 @@ class Engine:
         c.dropped += 1
         if reason == "quarantined":
             c.blocked += 1
-        self._trace(DROP, rt.device.device_id, service.slice_id, rt.switch_id or "", reason)
+        if self.trace_sink:
+            self._trace(DROP, rt.device.device_id, service.slice_id, rt.switch_id or "", reason)
 
     # -- detection -----------------------------------------------------------
 
@@ -752,12 +757,6 @@ class Engine:
         start_s = self.clock_us / 1e6 - sc.window_duration
         self.window_index += 1
         for sw in self.switches:
-            usage_bps = sw.win_bits / sc.window_duration
-            sw.usage_history.append(usage_bps)
-            sw.predicted_bps = ddos_mod.predict_bandwidth(
-                sw.usage_history[-64:], smoothing=0.3, switch_id=sw.profile.switch_id
-            ).predicted_usage
-
             window = ddos_mod.TrafficWindow(
                 window_id=self.window_index,
                 duration=sc.window_duration,
@@ -803,7 +802,7 @@ class Engine:
                     f"{verdict},{';'.join(blocked)}"
                 )
             sw.reset_window()
-        nxt = self.clock_us + _us(sc.window_duration)
+        nxt = self.clock_us + to_us(sc.window_duration)
         if nxt <= self.end_us:
             self._push(nxt, WINDOW_CLOSE, None)
 
@@ -865,7 +864,7 @@ class Engine:
                 self.rebalances += 1
         for sw in self.switches:
             sw.reset_interval()
-        nxt = self.clock_us + _us(interval)
+        nxt = self.clock_us + to_us(interval)
         if nxt <= self.end_us:
             self._push(nxt, REBALANCE, None)
 
@@ -927,7 +926,7 @@ class Engine:
             )
         np.clip(self.positions[:, 0], 0, sc.area_width, out=self.positions[:, 0])
         np.clip(self.positions[:, 1], 0, sc.area_height, out=self.positions[:, 1])
-        nxt = self.clock_us + _us(dt)
+        nxt = self.clock_us + to_us(dt)
         if nxt <= self.end_us:
             self._push(nxt, MOBILITY_TICK, None)
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .domain import Flow, SwitchProfile
 
@@ -95,6 +94,10 @@ class FlowAssignment:
 
 def _solve_uniform_rate(graph: OffloadGraph, rate: float) -> tuple[dict[int, int], float]:
     """Exact solve when every flow demands the same rate, via slot expansion."""
+    # Imported here, the only place SciPy is used: loading it costs more
+    # than half of the start-up time of the command-line tool.
+    from scipy.optimize import linear_sum_assignment
+
     n_flows = len(graph.flows)
     slot_owner: list[int] = []
     for sj, budget in enumerate(graph.budgets):

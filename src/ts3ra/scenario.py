@@ -8,6 +8,7 @@ it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Any
 
@@ -16,6 +17,23 @@ from .domain import Protocol, ServiceType
 
 class ScenarioError(ValueError):
     """Invalid scenario contents; the message names the offending key."""
+
+
+def to_us(seconds: float) -> int:
+    """Seconds on the engine's integer-microsecond clock."""
+    return int(round(seconds * 1e6))
+
+
+# Intervals the engine turns into recurring or chained events: one that
+# rounds to 0 us would re-schedule its event at the same instant forever.
+EVENT_INTERVAL_KEYS = (
+    "tick_interval",
+    "window_duration",
+    "slot_duration",
+    "rebalance_interval",
+    "packet_interval",
+    "flood_packet_interval",
+)
 
 
 @dataclass
@@ -127,12 +145,12 @@ class Scenario:
             raise ScenarioError(f"traffic mix fractions must sum to 1 (got {mix!r})")
         if self.packet_length <= 0:
             raise ScenarioError("packet_length must be > 0")
-        if self.packet_interval <= 0:
-            raise ScenarioError("packet_interval must be > 0")
-        if self.slot_duration <= 0:
-            raise ScenarioError("slot_duration must be > 0")
-        if self.window_duration <= 0:
-            raise ScenarioError("window_duration must be > 0")
+        for key in EVENT_INTERVAL_KEYS:
+            value = getattr(self, key)
+            if not math.isfinite(value) or to_us(value) < 1:
+                raise ScenarioError(
+                    f"{key} must be a finite time of at least 1 microsecond (got {value!r})"
+                )
         if self.baseline_windows < 10:
             raise ScenarioError("baseline_windows must be >= 10 benign windows")
         if min(self.demand_embb, self.demand_urllc, self.demand_mmtc) < 1:

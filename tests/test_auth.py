@@ -66,6 +66,10 @@ class TestDeriveKey:
     def test_default_iteration_count(self):
         assert KeyDerivationParams(b"pw", b"salty-salt").iteration_count == 1000
 
+    def test_zero_iterations_rejected(self):
+        with pytest.raises(ValueError, match="iteration_count"):
+            pbkdf2_bytes(b"p", b"s" * 8, 0, 20, "sha1")
+
     def test_output_length_limit(self):
         with pytest.raises(ValueError):
             pbkdf2_bytes(b"p", b"s" * 8, 1, (2**32) * 20, "sha1")

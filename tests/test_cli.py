@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ts3ra
 from ts3ra.cli import main
 from ts3ra.scenario import Scenario, ScenarioError
 from ts3ra.scenario_io import apply_override, parse_scenario, serialize_scenario
@@ -106,6 +110,24 @@ class TestRunCommand:
         bad.write_text("[network]\ndevices = -5\n")
         assert main(["run", "--scenario", str(bad)]) == 1
 
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("mobility", "tick_interval", "0"),
+            ("ddos", "window_duration", "0"),
+            ("scheduler", "slot_duration", "0"),
+            ("offload", "rebalance_interval", "0"),
+            ("packets", "packet_interval", "0"),
+            ("flows", "flood_packet_interval", "0"),
+            ("ddos", "window_duration", "4e-7"),  # rounds to 0 us
+        ],
+    )
+    def test_zero_event_interval_exit_one(self, tmp_path, capsys, section, key, value):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(SMALL + f"\n[{section}]\n{key} = {value}\n")
+        assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "out")]) == 1
+        assert key in capsys.readouterr().err
+
     def test_seed_sweep_stamps_files(self, tmp_path, scenario_file):
         out = tmp_path / "sweep"
         code = main(
@@ -117,6 +139,18 @@ class TestRunCommand:
         assert code == 0
         for seed in (1, 2, 3):
             assert (out / f"metrics_seed_{seed}.csv").exists()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # SciPy is loaded only on the uniform-rate rebalance path.
+    env = dict(os.environ)
+    src = str(Path(ts3ra.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = "import sys, ts3ra.cli; print('scipy.optimize' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 class TestSummarize:

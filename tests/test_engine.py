@@ -12,6 +12,7 @@ from ts3ra.engine import (
     Engine,
     InvariantViolation,
     TRANSMIT,
+    draw_packet_size,
     run_scenario,
 )
 from ts3ra.metrics import SliceCounters, derive_slice_metrics
@@ -57,6 +58,18 @@ class TestScenarioValidation:
     def test_error_raised_before_any_event(self):
         with pytest.raises(ScenarioError):
             run_scenario(Scenario(duration=-1.0))
+
+
+class TestPacketSizeDraw:
+    def test_matches_weighted_choice_value_for_value(self):
+        length = 512
+        mine, ref = np.random.default_rng(2024), np.random.default_rng(2024)
+        for _ in range(200_000):
+            expected = int(
+                ref.choice([length // 2, length, length * 2], p=[0.25, 0.5, 0.25])
+            )
+            assert draw_packet_size(mine, length) == expected
+        assert mine.bit_generator.state == ref.bit_generator.state
 
 
 class TestEmptyWorld:
