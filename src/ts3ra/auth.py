@@ -315,25 +315,6 @@ class VirtualAuthorityPool:
             self._assignment[device_id] = idx
         return self.authorities[idx]
 
-    def release_idle(self) -> int:
-        """Drop authorities with no registrations left; returns count removed.
-
-        At least one authority is retained while any device remains
-        assigned but unregistered.
-        """
-        keep: list[VirtualAuthority] = []
-        removed = 0
-        for idx, va in enumerate(self.authorities):
-            in_use = bool(va.registered) or any(
-                i == idx for i in self._assignment.values()
-            )
-            if in_use or (not keep and idx == len(self.authorities) - 1):
-                keep.append(va)
-            else:
-                removed += 1
-        self.authorities = keep
-        return removed
-
     def export_records(self) -> list[dict]:
         """Registration records in a serializable form for scenario files."""
         out = []

@@ -197,7 +197,6 @@ class Engine:
         trace_sink: Optional[Sink] = None,
         detection_sink: Optional[Sink] = None,
         migration_sink: Optional[Sink] = None,
-        sched_trace_sink: Optional[Sink] = None,
         model: Optional[sn_mod.SliceNetModel] = None,
     ):
         scenario.validate()
@@ -217,7 +216,6 @@ class Engine:
         self.trace_sink = trace_sink
         self.detection_sink = detection_sink
         self.migration_sink = migration_sink
-        self.sched_trace_sink = sched_trace_sink
         if trace_sink:
             trace_sink(TRACE_HEADER)
         if detection_sink:
@@ -515,8 +513,6 @@ class Engine:
 
     def _on_schedule_slot(self) -> None:
         result = sched_mod.step_slot(self.qstate, self.qconfig, self._rng_sched)
-        if self.sched_trace_sink:
-            self.sched_trace_sink(sched_mod.trace_row(result))
         for request in result.completions:
             rt = self.dev_by_id[request.origin]
             self._push(self.clock_us + to_us(self.sc.decision_delay), SLICE_DECIDE, rt.index)

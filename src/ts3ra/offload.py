@@ -2,12 +2,12 @@
 
 Each feasible (flow, switch) pair carries a weight built from the switch's
 spare capacity, transmission rate and loss rate; the solver picks a
-capacity-respecting assignment of maximum total weight.  Uniform-rate
-instances (the common case: every flow demands the same bandwidth) reduce
-exactly to rectangular assignment and are solved with SciPy's
-linear_sum_assignment on a slot expansion.  Mixed-rate instances are solved
-exactly by branch and bound up to a size budget, beyond which a greedy
-pass labeled non-optimal takes over.
+capacity-respecting assignment of maximum total weight.  The weight does not
+depend on the flow, so uniform-rate instances (the common case: every flow
+demands the same bandwidth) are solved exactly by filling the switches in
+descending weight order.  Mixed-rate instances are solved exactly by branch
+and bound up to a size budget, beyond which a greedy pass labeled
+non-optimal takes over.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .domain import Flow, SwitchProfile
 
 DEFAULT_EXACT_FLOW_BUDGET = 12
 DEFAULT_GREEDY_EDGE_BUDGET = 1000
-_NEG_INF = -1e18
 
 
 @dataclass(frozen=True)
@@ -35,7 +34,12 @@ class WeightCoefficients:
 
 
 def edge_weight(flow: Flow, switch: SwitchProfile, coeffs: WeightCoefficients) -> float:
-    """alpha*(remaining/capacity) + beta*(tx_rate/capacity) - gamma*loss_rate."""
+    """alpha*(remaining/capacity) + beta*(tx_rate/capacity) - gamma*loss_rate.
+
+    The weight depends on the switch alone, never on ``flow``; the
+    uniform-rate solver relies on that.  ``flow`` stays in the public
+    signature, which the tests and ``perfbench/child.py`` call.
+    """
     cap = switch.service_capacity
     return (
         coeffs.alpha * (switch.remaining_capacity / cap)
@@ -93,33 +97,26 @@ class FlowAssignment:
 
 
 def _solve_uniform_rate(graph: OffloadGraph, rate: float) -> tuple[dict[int, int], float]:
-    """Exact solve when every flow demands the same rate, via slot expansion."""
-    # Imported here, the only place SciPy is used: loading it costs more
-    # than half of the start-up time of the command-line tool.
-    from scipy.optimize import linear_sum_assignment
+    """Exact solve when every flow demands the same rate, by a sorted fill.
 
+    Every edge into a switch has the same weight (see :func:`edge_weight`)
+    and every flow takes one slot of ``rate``, so filling the switches of
+    positive weight in descending weight order is optimal.  Ties between
+    switches go to the lower switch index, and each switch takes the next
+    ``int(budget / rate + 1e-9)`` flows in flow-index order: of the flows
+    that fit, the lowest indices are placed, on the heaviest switches.
+    Switches of zero or negative weight take no flow.
+    """
     n_flows = len(graph.flows)
-    slot_owner: list[int] = []
-    for sj, budget in enumerate(graph.budgets):
-        n_slots = int(budget / rate + 1e-9)
-        slot_owner.extend([sj] * min(n_slots, n_flows))
-    n_slots_total = len(slot_owner)
-    # One zero-weight null column per flow keeps unassignment available.
-    cost = np.full((n_flows, n_slots_total + n_flows), _NEG_INF)
-    for col, sj in enumerate(slot_owner):
-        for fi in range(n_flows):
-            w = graph.weights.get((fi, sj))
-            if w is not None:
-                cost[fi, col] = w
-    for fi in range(n_flows):
-        cost[fi, n_slots_total + fi] = 0.0
-    rows, cols = linear_sum_assignment(cost, maximize=True)
+    weight_of = {sj: w for (_, sj), w in graph.weights.items() if w > 0}
     chosen: dict[int, int] = {}
     total = 0.0
-    for fi, col in zip(rows, cols):
-        if col < n_slots_total and cost[fi, col] > _NEG_INF / 2:
-            chosen[fi] = slot_owner[col]
-            total += cost[fi, col]
+    for sj in sorted(weight_of, key=lambda j: (-weight_of[j], j)):
+        first = len(chosen)
+        n_slots = min(int(graph.budgets[sj] / rate + 1e-9), n_flows - first)
+        for fi in range(first, first + n_slots):
+            chosen[fi] = sj
+            total += weight_of[sj]
     return chosen, total
 
 

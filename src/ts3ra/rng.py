@@ -33,8 +33,3 @@ class RngHub:
             gen = np.random.Generator(np.random.PCG64(seq))
             self._streams[label] = gen
         return gen
-
-    def fresh(self, label: str) -> np.random.Generator:
-        """Like :meth:`substream` but always restarts the stream."""
-        self._streams.pop(label, None)
-        return self.substream(label)

@@ -1,15 +1,15 @@
 """Scenario model: every knob of a simulation run, with defaults.
 
-The key registry below is the single source of truth for the scenario
-file format (``[section]`` headers, ``key = value`` lines): parsing,
-serialization, unknown-key rejection and round-tripping all derive from
-it.
+The key registry below, derived from the dataclass fields in declaration
+order, is the single source of truth for the scenario file format
+(``[section]`` headers, ``key = value`` lines): parsing, serialization,
+unknown-key rejection and round-tripping all derive from it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Any
 
 from .domain import Protocol, ServiceType
@@ -138,6 +138,19 @@ class Scenario:
             raise ScenarioError("at least one switch is required")
         if self.local_controllers < 1:
             raise ScenarioError("at least one local controller is required")
+        if not (0.0 <= self.switch_loss_rate <= 1.0):
+            raise ScenarioError(
+                f"switch_loss_rate must be in [0, 1] (got {self.switch_loss_rate!r})"
+            )
+        if not (self.switch_transmission_rate <= self.switch_service_capacity):
+            raise ScenarioError(
+                "switch_transmission_rate must not exceed switch_service_capacity "
+                f"(got {self.switch_transmission_rate!r} > {self.switch_service_capacity!r})"
+            )
+        for key in ("auth_delay", "decision_delay", "arrival_window"):
+            value = getattr(self, key)
+            if not (value >= 0.0):
+                raise ScenarioError(f"{key} must be >= 0 (got {value!r})")
         if self.area_width <= 0 or self.area_height <= 0:
             raise ScenarioError("area dimensions must be > 0")
         mix = self.mix_embb + self.mix_urllc + self.mix_mmtc
@@ -204,98 +217,33 @@ class Scenario:
         return self.packet_length * 8.0 / self.packet_interval
 
 
-# section -> key -> dataclass attribute
-SCENARIO_KEYS: dict[str, dict[str, str]] = {
-    "network": {
-        "seed": "seed",
-        "duration": "duration",
-        "area_width": "area_width",
-        "area_height": "area_height",
-        "devices": "devices",
-        "illegitimate_fraction": "illegitimate_fraction",
-        "forged_fraction": "forged_fraction",
-        "aps": "aps",
-        "switches": "switches",
-        "physical_switches": "physical_switches",
-        "local_controllers": "local_controllers",
-        "global_controllers": "global_controllers",
-        "switch_service_capacity": "switch_service_capacity",
-        "switch_transmission_rate": "switch_transmission_rate",
-        "switch_loss_rate": "switch_loss_rate",
-        "processing_latency": "processing_latency",
-        "auth_delay": "auth_delay",
-        "decision_delay": "decision_delay",
-        "freshness_window": "freshness_window",
-        "pool_headroom": "pool_headroom",
-    },
-    "flows": {
-        "mix_embb": "mix_embb",
-        "mix_urllc": "mix_urllc",
-        "mix_mmtc": "mix_mmtc",
-        "arrival_window": "arrival_window",
-        "demand_embb": "demand_embb",
-        "demand_urllc": "demand_urllc",
-        "demand_mmtc": "demand_mmtc",
-        "delay_bound_embb": "delay_bound_embb",
-        "delay_bound_urllc": "delay_bound_urllc",
-        "delay_bound_mmtc": "delay_bound_mmtc",
-        "flood_start": "flood_start",
-        "flood_packet_interval": "flood_packet_interval",
-        "flood_giveup": "flood_giveup",
-    },
-    "packets": {
-        "packet_length": "packet_length",
-        "packet_interval": "packet_interval",
-        "size_jitter": "size_jitter",
-        "retransmit_delay": "retransmit_delay",
-    },
-    "mobility": {
-        "speed_min": "speed_min",
-        "speed_max": "speed_max",
-        "tick_interval": "tick_interval",
-    },
-    "protocol": {
-        "embb": "protocol_embb",
-        "urllc": "protocol_urllc",
-        "mmtc": "protocol_mmtc",
-    },
-    "scheduler": {
-        "mu1": "mu1",
-        "mu2": "mu2",
-        "delta": "delta",
-        "steps_per_service": "steps_per_service",
-        "continue_prob": "continue_prob",
-        "hp_capacity": "hp_capacity",
-        "lp_capacity": "lp_capacity",
-        "slot_duration": "slot_duration",
-    },
-    "slicenet": {
-        "train_samples": "train_samples",
-        "epochs": "epochs",
-        "learning_rate": "learning_rate",
-        "d_model": "d_model",
-        "model_path": "model_path",
-    },
-    "offload": {
-        "enabled": "offload_enabled",
-        "alpha": "offload_alpha",
-        "beta": "offload_beta",
-        "gamma": "offload_gamma",
-        "rebalance_interval": "rebalance_interval",
-        "queue_delay_bound": "queue_delay_bound",
-    },
-    "ddos": {
-        "enabled": "ddos_enabled",
-        "alpha": "ddos_alpha",
-        "k_sigma": "k_sigma",
-        "window_duration": "window_duration",
-        "min_packets": "min_packets",
-        "baseline_windows": "baseline_windows",
-        "dominance_factor": "dominance_factor",
-    },
+# The first attribute of each file section, in file order; every attribute
+# up to the next one listed here belongs to the same section.
+_SECTION_STARTS = {
+    "seed": "network",
+    "mix_embb": "flows",
+    "packet_length": "packets",
+    "speed_min": "mobility",
+    "protocol_embb": "protocol",
+    "mu1": "scheduler",
+    "train_samples": "slicenet",
+    "offload_enabled": "offload",
+    "ddos_enabled": "ddos",
 }
 
-_FIELD_TYPES: dict[str, type] = {f.name: f.type for f in fields(Scenario)}  # type: ignore[misc]
+
+def _scenario_keys() -> dict[str, dict[str, str]]:
+    keys: dict[str, dict[str, str]] = {}
+    section = ""
+    for f in fields(Scenario):
+        section = _SECTION_STARTS.get(f.name, section)
+        keys.setdefault(section, {})[f.name.removeprefix(section + "_")] = f.name
+    return keys
+
+
+# section -> key -> dataclass attribute; a key is its attribute name without
+# the ``section_`` prefix (``[offload] enabled`` is ``offload_enabled``).
+SCENARIO_KEYS: dict[str, dict[str, str]] = _scenario_keys()
 
 
 def _coerce(attr: str, raw: str, where: str) -> Any:

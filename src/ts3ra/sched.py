@@ -262,8 +262,3 @@ def step_slot(
         len(state.lp),
         state.gamma_code,
     )
-
-
-def trace_row(result: SlotResult) -> str:
-    """CSV row for the optional per-slot scheduler trace."""
-    return f"{result.slot},{result.decision.value},{result.hp_len},{result.lp_len},{result.gamma}"

@@ -23,6 +23,8 @@ train_samples = 120
 epochs = 2
 """
 
+DEFAULT_CFG = Path(__file__).resolve().parent.parent / "scenarios" / "default.cfg"
+
 
 class TestParse:
     def test_empty_document_gives_defaults(self):
@@ -59,6 +61,9 @@ class TestParse:
         second = parse_scenario(text)
         assert first == second
         assert serialize_scenario(second) == text
+
+    def test_defaults_serialize_to_default_cfg(self):
+        assert serialize_scenario(Scenario()).encode() == DEFAULT_CFG.read_bytes()
 
     def test_comments_and_blank_lines_ignored(self):
         scenario = parse_scenario("# top\n\n[network]\ndevices = 7  # inline\n")
@@ -128,6 +133,22 @@ class TestRunCommand:
         assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "out")]) == 1
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("network", "auth_delay", "-1"),
+            ("network", "decision_delay", "-1"),
+            ("network", "switch_loss_rate", "2"),
+            ("network", "switch_transmission_rate", "3e6"),  # capacity is 2.2e6
+            ("flows", "arrival_window", "-1"),
+        ],
+    )
+    def test_out_of_range_value_exit_one(self, tmp_path, capsys, section, key, value):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(SMALL + f"\n[{section}]\n{key} = {value}\n")
+        assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "out")]) == 1
+        assert key in capsys.readouterr().err
+
     def test_seed_sweep_stamps_files(self, tmp_path, scenario_file):
         out = tmp_path / "sweep"
         code = main(
@@ -142,11 +163,21 @@ class TestRunCommand:
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # SciPy is loaded only on the uniform-rate rebalance path.
+    # SciPy is not a dependency: neither the CLI nor the uniform-rate
+    # offload solver may load it.
     env = dict(os.environ)
     src = str(Path(ts3ra.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    probe = "import sys, ts3ra.cli; print('scipy.optimize' in sys.modules)"
+    probe = (
+        "import sys, ts3ra.cli\n"
+        "from ts3ra.domain import Flow, ServiceType, SwitchKind, SwitchProfile\n"
+        "from ts3ra.offload import build_offload_graph, max_weight_assignment\n"
+        "flows = [Flow(f'f{i}', f'd{i}', ServiceType.EMBB, rate=1.0, packet_delay=0.1)"
+        " for i in range(3)]\n"
+        "switches = [SwitchProfile(f'SW{j}', SwitchKind.PHYSICAL, 4.0, 4.0, 0.1) for j in range(2)]\n"
+        "assert max_weight_assignment(build_offload_graph(flows, switches)).assignment\n"
+        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )

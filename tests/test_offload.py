@@ -158,6 +158,51 @@ class TestAssignment:
         assert all(v <= 6.0 + 1e-9 for v in used.values())
 
 
+class TestUniformRateFill:
+    """Uniform rates: switches fill in descending weight order."""
+
+    def solve(self, switches, n_flows, budgets):
+        flows = [make_flow(i, rate=1.0) for i in range(n_flows)]
+        return max_weight_assignment(build_offload_graph(flows, switches, budgets=budgets))
+
+    def test_fills_heaviest_switch_first(self):
+        # Lower load, higher weight: SW2 > SW0 > SW1, each with room for 2 flows.
+        switches = [
+            make_switch(0, capacity=10.0, load=8.0),
+            make_switch(1, capacity=10.0, load=9.0),
+            make_switch(2, capacity=10.0, load=0.0),
+        ]
+        result = self.solve(switches, 5, budgets=[2.0, 2.0, 2.0])
+        assert result.assignment == {
+            "f0": "SW2", "f1": "SW2", "f2": "SW0", "f3": "SW0", "f4": "SW1",
+        }
+        assert result.optimal
+
+    def test_equal_weights_fill_lower_index_first(self):
+        switches = [make_switch(j, capacity=10.0) for j in range(3)]
+        result = self.solve(switches, 3, budgets=[1.0, 1.0, 1.0])
+        assert result.assignment == {"f0": "SW0", "f1": "SW1", "f2": "SW2"}
+        result = self.solve(switches, 2, budgets=[1.0, 1.0, 1.0])
+        assert result.assignment == {"f0": "SW0", "f1": "SW1"}
+
+    def test_non_positive_weight_switches_get_nothing(self):
+        # weight = 0 + tx/cap - gamma*loss: SW0 is 0.5 - 0.5 = 0, SW1 is 0.5 - 1 < 0.
+        zero = make_switch(0, capacity=10.0, tx=5.0, loss=0.5, load=10.0)
+        negative = make_switch(1, capacity=10.0, tx=5.0, loss=1.0, load=10.0)
+        positive = make_switch(2, capacity=10.0, tx=10.0, loss=0.0, load=10.0)
+        result = self.solve([zero, negative, positive], 4, budgets=[5.0, 5.0, 1.0])
+        assert result.assignment == {"f0": "SW2"}
+        assert result.unassigned == ["f1", "f2", "f3"]
+        assert result.total_weight == pytest.approx(1.0)
+
+    def test_budget_just_under_whole_slots_keeps_them(self):
+        # int(budget / rate + 1e-9): a rounding error below 3 slots still gives 3.
+        switches = [make_switch(0, capacity=10.0)]
+        result = self.solve(switches, 4, budgets=[3 * 1.0 * (1 - 1e-12)])
+        assert result.assignment == {"f0": "SW0", "f1": "SW0", "f2": "SW0"}
+        assert result.unassigned == ["f3"]
+
+
 class TestRebalance:
     def test_overload_resolved_by_migration(self):
         overloaded = make_switch(0, capacity=4.0, load=6.0)
