@@ -175,9 +175,6 @@ class VirtualAuthority:
     crp_store: dict[str, dict[bytes, bytes]] = field(default_factory=dict)
     registered: dict[str, RegistrationRecord] = field(default_factory=dict)
 
-    def enrolled_devices(self) -> list[str]:
-        return list(self.crp_store)
-
 
 def puf_enroll(va: VirtualAuthority, crp: PufChallengeResponse) -> None:
     """Store one challenge/response pair; idempotent for identical pairs.

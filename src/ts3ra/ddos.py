@@ -91,10 +91,6 @@ class TrafficWindow:
     def packet_count(self) -> int:
         return sum(self.source_counts.values())
 
-    @property
-    def source_count(self) -> int:
-        return sum(1 for c in self.source_counts.values() if c > 0)
-
 
 @dataclass(frozen=True)
 class EntropyReport:
@@ -144,7 +140,13 @@ class BaselineStats:
     def from_windows(
         cls, windows: Iterable[TrafficWindow], alpha: float = DEFAULT_ALPHA
     ) -> "BaselineStats":
-        triples = [window_entropies(w, alpha) for w in windows]
+        return cls.from_triples([window_entropies(w, alpha) for w in windows])
+
+    @classmethod
+    def from_triples(
+        cls, triples: Sequence[tuple[float, float, float]]
+    ) -> "BaselineStats":
+        """Statistics of (source, inter-arrival, size) entropy triples."""
         if len(triples) < MIN_BASELINE_WINDOWS:
             raise ValueError(
                 f"baseline needs at least {MIN_BASELINE_WINDOWS} benign windows"

@@ -36,13 +36,6 @@ class ServiceType(Enum):
                 return st
         raise ValueError(f"no service class has indicator {indicator!r}")
 
-    @classmethod
-    def from_slice_id(cls, slice_id: str) -> "ServiceType":
-        for st, sid in _SLICE_IDS.items():
-            if sid == slice_id:
-                return st
-        raise ValueError(f"unknown slice id {slice_id!r}")
-
 
 _SLICE_IDS = {
     ServiceType.EMBB: "S1",
@@ -228,17 +221,11 @@ class SliceRequest:
             raise ValueError("fair_sla must be in [0, 1]")
 
 
-class SwitchKind(Enum):
-    PHYSICAL = "physical"
-    VIRTUAL = "virtual"
-
-
 @dataclass(frozen=True)
 class SwitchProfile:
     """Data-plane switch capabilities and current nominal load."""
 
     switch_id: str
-    kind: SwitchKind
     service_capacity: float
     transmission_rate: float
     loss_rate: float
@@ -255,7 +242,6 @@ class SwitchProfile:
     def with_load(self, load: float) -> "SwitchProfile":
         return SwitchProfile(
             switch_id=self.switch_id,
-            kind=self.kind,
             service_capacity=self.service_capacity,
             transmission_rate=self.transmission_rate,
             loss_rate=self.loss_rate,

@@ -30,7 +30,6 @@ from .domain import (
     Protocol,
     ServiceType,
     SliceRequest,
-    SwitchKind,
     SwitchProfile,
     qos_profile_of,
     stable_imsi,
@@ -210,6 +209,11 @@ class Engine:
         self.queue_delay_bound_us = to_us(scenario.queue_delay_bound)
         self.processing_latency_us = to_us(scenario.processing_latency)
         self.retransmit_delay_us = to_us(scenario.retransmit_delay)
+        self.coeffs = off_mod.WeightCoefficients(
+            alpha=scenario.offload_alpha,
+            beta=scenario.offload_beta,
+            gamma=scenario.offload_gamma,
+        )
         self.clock_us = 0
         self.heap: list = []
         self.seq = 0
@@ -302,10 +306,8 @@ class Engine:
         self.switches: list[_SwitchRt] = []
         self.sw_by_id: dict[str, _SwitchRt] = {}
         for j in range(sc.switches):
-            kind = SwitchKind.PHYSICAL if j < sc.physical_switches else SwitchKind.VIRTUAL
             profile = SwitchProfile(
                 switch_id=f"SW{j}",
-                kind=kind,
                 service_capacity=sc.switch_service_capacity,
                 transmission_rate=sc.switch_transmission_rate,
                 loss_rate=sc.switch_loss_rate,
@@ -323,16 +325,7 @@ class Engine:
         )
 
         # scheduler
-        self.qconfig = sched_mod.SchedulerConfig(
-            mu1=sc.mu1,
-            mu2=sc.mu2,
-            delta=sc.delta,
-            steps_per_service=sc.steps_per_service,
-            continue_prob=sc.continue_prob,
-            hp_capacity=sc.hp_capacity,
-            lp_capacity=sc.lp_capacity,
-        )
-        sched_mod.validate_config(self.qconfig)
+        self.qconfig = sc.scheduler_config()
         self.qstate = sched_mod.DualQueueState()
         self.sched_active = False
         self.slot_us = to_us(sc.slot_duration)
@@ -617,7 +610,7 @@ class Engine:
             if rt.flow.rate > budget:
                 continue
             profile = sw.profile.with_load(sw.nominal_load)
-            w = off_mod.edge_weight(rt.flow, profile, self._coeffs())
+            w = off_mod.edge_weight(rt.flow, profile, self.coeffs)
             if best_w is None or w > best_w:
                 best_w = w
                 best_id = sw.profile.switch_id
@@ -628,13 +621,6 @@ class Engine:
         sw.nominal_load += rt.flow.rate
         rt.switch_id = best_id
         return best_id
-
-    def _coeffs(self) -> off_mod.WeightCoefficients:
-        return off_mod.WeightCoefficients(
-            alpha=self.sc.offload_alpha,
-            beta=self.sc.offload_beta,
-            gamma=self.sc.offload_gamma,
-        )
 
     def _on_transmit(self, payload) -> None:
         di, is_retx, size = payload
@@ -760,23 +746,24 @@ class Engine:
                 interarrival_times=tuple(sw.win_interarrivals),
                 packet_sizes=tuple(sw.win_sizes),
             )
-            triple = ddos_mod.window_entropies(window, sc.ddos_alpha)
             blocked: list[str] = []
             if window.packet_count < sc.min_packets:
                 verdict = ddos_mod.VERDICT_INCONCLUSIVE
+                triple = ddos_mod.window_entropies(window, sc.ddos_alpha)
             elif len(sw.baseline_triples) < sc.baseline_windows:
                 verdict = "learning"
+                triple = ddos_mod.window_entropies(window, sc.ddos_alpha)
                 sw.baseline_triples.append(triple)
             else:
-                baseline = self._baseline_stats(sw)
                 report = ddos_mod.classify_window(
                     window,
-                    baseline,
+                    ddos_mod.BaselineStats.from_triples(sw.baseline_triples),
                     alpha=sc.ddos_alpha,
                     k_sigma=sc.k_sigma,
                     min_packets=sc.min_packets,
                 )
                 verdict = report.verdict
+                triple = (report.h_source, report.h_interarrival, report.h_size)
                 if verdict == ddos_mod.VERDICT_ATTACK:
                     self.attack_windows += 1
                     blocked = ddos_mod.quarantine(
@@ -802,20 +789,6 @@ class Engine:
         if nxt <= self.end_us:
             self._push(nxt, WINDOW_CLOSE, None)
 
-    def _baseline_stats(self, sw: _SwitchRt) -> ddos_mod.BaselineStats:
-        arr = np.asarray(sw.baseline_triples)
-        means = arr.mean(axis=0)
-        stds = arr.std(axis=0)
-        return ddos_mod.BaselineStats(
-            mean_source=float(means[0]),
-            std_source=float(stds[0]),
-            mean_interarrival=float(means[1]),
-            std_interarrival=float(stds[1]),
-            mean_size=float(means[2]),
-            std_size=float(stds[2]),
-            n_windows=len(sw.baseline_triples),
-        )
-
     # -- rebalancing -----------------------------------------------------------
 
     def _on_rebalance(self) -> None:
@@ -832,11 +805,12 @@ class Engine:
             if measured[sw.profile.switch_id] > sw.profile.service_capacity
         ]
         for trigger in overloaded:
-            plan = self._plan_rebalance(trigger, measured)
-            if plan is None:
+            planned = self._plan_rebalance(trigger, measured)
+            if planned is None:
                 continue
+            plan, device_of = planned
             for mig in plan.migrations:
-                drt = self.dev_by_id[mig.flow_id.rsplit("-f", 1)[0]]
+                drt = device_of[mig.flow_id]
                 src = self.sw_by_id[mig.from_switch]
                 dst = self.sw_by_id[mig.to_switch]
                 src.flows.discard(drt.index)
@@ -865,9 +839,11 @@ class Engine:
             self._push(nxt, REBALANCE, None)
 
     def _plan_rebalance(self, trigger: _SwitchRt, measured: dict[str, float]):
+        """The trigger's rebalance plan and each planned flow's device."""
         interval = self.sc.rebalance_interval
         flows = []
         current = {}
+        device_of: dict[str, _DeviceRt] = {}
         for di in sorted(trigger.flows):
             drt = self.dev[di]
             if drt.flow is None or drt.quarantined:
@@ -886,14 +862,16 @@ class Engine:
             )
             flows.append(flow)
             current[flow.flow_id] = trigger.profile.switch_id
+            device_of[flow.flow_id] = drt
         if not flows:
             return None
         profiles = [
             sw.profile.with_load(measured[sw.profile.switch_id]) for sw in self.switches
         ]
-        return off_mod.rebalance(
-            profiles, flows, current, trigger.profile.switch_id, self._coeffs()
+        plan = off_mod.rebalance(
+            profiles, flows, current, trigger.profile.switch_id, self.coeffs
         )
+        return plan, device_of
 
     # -- mobility ----------------------------------------------------------------
 

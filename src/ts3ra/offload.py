@@ -1,27 +1,28 @@
 """Flow-to-switch offloading as weighted bipartite assignment.
 
-Each feasible (flow, switch) pair carries a weight built from the switch's
-spare capacity, transmission rate and loss rate; the solver picks a
-capacity-respecting assignment of maximum total weight.  The weight does not
-depend on the flow, so uniform-rate instances (the common case: every flow
-demands the same bandwidth) are solved exactly by filling the switches in
-descending weight order.  Mixed-rate instances are solved exactly by branch
-and bound up to a size budget, beyond which a greedy pass labeled
-non-optimal takes over.
+Each switch carries one weight built from its spare capacity, transmission
+rate and loss rate, and placing any flow on it earns that weight; the
+solver picks a capacity-respecting assignment of maximum total weight.
+Uniform-rate instances (the common case: every flow demands the same
+bandwidth) are solved exactly by filling the switches in descending weight
+order.  Mixed-rate instances are solved exactly by branch and bound up to a
+size budget, beyond which a greedy pass labeled non-optimal takes over.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .domain import Flow, SwitchProfile
 
-DEFAULT_EXACT_FLOW_BUDGET = 12
-DEFAULT_GREEDY_EDGE_BUDGET = 1000
+# Mixed-rate instances go to branch and bound only up to this many flows
+# and feasible (flow, switch) pairs; larger ones take the greedy pass.
+EXACT_FLOW_BUDGET = 12
+GREEDY_EDGE_BUDGET = 1000
 
 
 @dataclass(frozen=True)
@@ -50,20 +51,21 @@ def edge_weight(flow: Flow, switch: SwitchProfile, coeffs: WeightCoefficients) -
 
 @dataclass
 class OffloadGraph:
-    """Feasible (flow, switch) edges with their weights and budgets.
+    """Flows and switches with one budget and one weight per switch.
 
-    ``budgets[j]`` is how much demand switch j may still take on; an edge
-    exists only when the flow's rate fits the budget.
+    ``budgets[j]`` is how much demand switch j may still take on and
+    ``weights[j]`` is what placing any flow there earns (empty when there
+    are no flows).  Flow i may use switch j only when its rate fits
+    ``budgets[j]`` (:meth:`fits`).
     """
 
     flows: list[Flow]
     switches: list[SwitchProfile]
     budgets: list[float]
-    weights: dict[tuple[int, int], float] = field(default_factory=dict)
+    weights: list[float]
 
-    @property
-    def n_edges(self) -> int:
-        return len(self.weights)
+    def fits(self, fi: int, sj: int) -> bool:
+        return self.flows[fi].rate <= self.budgets[sj]
 
 
 def build_offload_graph(
@@ -72,7 +74,8 @@ def build_offload_graph(
     coeffs: WeightCoefficients = WeightCoefficients(),
     budgets: Optional[Sequence[float]] = None,
 ) -> OffloadGraph:
-    """Connect every flow to every switch that can still carry it."""
+    """Price every switch once; any flow stands for all, as the weight
+    reads the switch alone."""
     flows = list(flows)
     switches = list(switches)
     if budgets is None:
@@ -80,12 +83,8 @@ def build_offload_graph(
     budgets = [float(b) for b in budgets]
     if len(budgets) != len(switches):
         raise ValueError("one budget per switch required")
-    graph = OffloadGraph(flows=flows, switches=switches, budgets=budgets)
-    for fi, flow in enumerate(flows):
-        for sj, sw in enumerate(switches):
-            if flow.rate <= budgets[sj]:
-                graph.weights[(fi, sj)] = edge_weight(flow, sw, coeffs)
-    return graph
+    weights = [edge_weight(flows[0], sw, coeffs) for sw in switches] if flows else []
+    return OffloadGraph(flows=flows, switches=switches, budgets=budgets, weights=weights)
 
 
 @dataclass(frozen=True)
@@ -99,43 +98,38 @@ class FlowAssignment:
 def _solve_uniform_rate(graph: OffloadGraph, rate: float) -> tuple[dict[int, int], float]:
     """Exact solve when every flow demands the same rate, by a sorted fill.
 
-    Every edge into a switch has the same weight (see :func:`edge_weight`)
-    and every flow takes one slot of ``rate``, so filling the switches of
-    positive weight in descending weight order is optimal.  Ties between
-    switches go to the lower switch index, and each switch takes the next
-    ``int(budget / rate + 1e-9)`` flows in flow-index order: of the flows
-    that fit, the lowest indices are placed, on the heaviest switches.
-    Switches of zero or negative weight take no flow.
+    Every flow earns its switch's weight and takes one slot of ``rate``, so
+    filling the switches of positive weight in descending weight order is
+    optimal.  Ties between switches go to the lower switch index, and each
+    switch that fits one flow takes the next ``int(budget / rate + 1e-9)``
+    flows in flow-index order: of the flows that fit, the lowest indices
+    are placed, on the heaviest switches.  Switches of zero or negative
+    weight take no flow.
     """
     n_flows = len(graph.flows)
-    weight_of = {sj: w for (_, sj), w in graph.weights.items() if w > 0}
+    weights = graph.weights
+    usable = [sj for sj, w in enumerate(weights) if w > 0 and graph.fits(0, sj)]
     chosen: dict[int, int] = {}
     total = 0.0
-    for sj in sorted(weight_of, key=lambda j: (-weight_of[j], j)):
+    for sj in sorted(usable, key=lambda j: (-weights[j], j)):
         first = len(chosen)
         n_slots = min(int(graph.budgets[sj] / rate + 1e-9), n_flows - first)
         for fi in range(first, first + n_slots):
             chosen[fi] = sj
-            total += weight_of[sj]
+            total += weights[sj]
     return chosen, total
 
 
 def _solve_branch_and_bound(graph: OffloadGraph) -> tuple[dict[int, int], float]:
     """Exact solve for mixed-rate instances by depth-first search with pruning."""
     n_flows = len(graph.flows)
-    per_flow_edges: list[list[tuple[float, int]]] = []
-    for fi in range(n_flows):
-        edges = [
-            (w, sj)
-            for (f, sj), w in graph.weights.items()
-            if f == fi
-        ]
-        edges.sort(key=lambda e: (-e[0], e[1]))
-        per_flow_edges.append(edges)
-    # Optimistic remaining value: best positive edge of each later flow.
+    weights = graph.weights
+    order = sorted(range(len(weights)), key=lambda j: (-weights[j], j))
+    per_flow_switches = [[sj for sj in order if graph.fits(fi, sj)] for fi in range(n_flows)]
+    # Optimistic remaining value: best positive weight open to each later flow.
     tail_bound = [0.0] * (n_flows + 1)
     for fi in range(n_flows - 1, -1, -1):
-        best = max((w for w, _ in per_flow_edges[fi] if w > 0), default=0.0)
+        best = max((weights[sj] for sj in per_flow_switches[fi] if weights[sj] > 0), default=0.0)
         tail_bound[fi] = tail_bound[fi + 1] + best
 
     best_total = -np.inf
@@ -153,11 +147,11 @@ def _solve_branch_and_bound(graph: OffloadGraph) -> tuple[dict[int, int], float]
                 best_choice = dict(choice)
             return
         rate = graph.flows[fi].rate
-        for w, sj in per_flow_edges[fi]:
+        for sj in per_flow_switches[fi]:
             if rate <= budgets[sj] + 1e-12:
                 budgets[sj] -= rate
                 choice[fi] = sj
-                dfs(fi + 1, total + w)
+                dfs(fi + 1, total + weights[sj])
                 del choice[fi]
                 budgets[sj] += rate
         dfs(fi + 1, total)  # leave this flow unassigned
@@ -167,34 +161,37 @@ def _solve_branch_and_bound(graph: OffloadGraph) -> tuple[dict[int, int], float]
 
 
 def _solve_greedy(graph: OffloadGraph) -> tuple[dict[int, int], float]:
-    """Fast non-optimal fallback: heaviest feasible edges first."""
-    edges = sorted(
-        graph.weights.items(), key=lambda kv: (-kv[1], kv[0][0], kv[0][1])
+    """Fast non-optimal fallback: heaviest feasible (flow, switch) pairs
+    first, ties by flow index, then switch index."""
+    weights = graph.weights
+    pairs = sorted(
+        (
+            (fi, sj)
+            for fi in range(len(graph.flows))
+            for sj in range(len(graph.switches))
+            if weights[sj] >= 0 and graph.fits(fi, sj)
+        ),
+        key=lambda p: (-weights[p[1]], p[0], p[1]),
     )
     budgets = list(graph.budgets)
     chosen: dict[int, int] = {}
     total = 0.0
-    for (fi, sj), w in edges:
-        if w < 0 or fi in chosen:
+    for fi, sj in pairs:
+        if fi in chosen:
             continue
         if graph.flows[fi].rate <= budgets[sj] + 1e-12:
             budgets[sj] -= graph.flows[fi].rate
             chosen[fi] = sj
-            total += w
+            total += weights[sj]
     return chosen, total
 
 
-def max_weight_assignment(
-    graph: OffloadGraph,
-    *,
-    exact_flow_budget: int = DEFAULT_EXACT_FLOW_BUDGET,
-    greedy_edge_budget: int = DEFAULT_GREEDY_EDGE_BUDGET,
-) -> FlowAssignment:
-    """Maximize total edge weight subject to per-switch demand budgets.
+def max_weight_assignment(graph: OffloadGraph) -> FlowAssignment:
+    """Maximize total weight subject to per-switch demand budgets.
 
-    Flows may stay unassigned (contributing zero), so negative-weight edges
-    are never forced.  The result's ``optimal`` flag is False only on the
-    greedy path.
+    Flows may stay unassigned (contributing zero), so negative-weight
+    switches are never forced.  The result's ``optimal`` flag is False only
+    on the greedy path.
     """
     n_flows = len(graph.flows)
     if n_flows == 0 or not graph.switches:
@@ -209,7 +206,9 @@ def max_weight_assignment(
     optimal = True
     if len(rates) == 1:
         chosen, total = _solve_uniform_rate(graph, next(iter(rates)))
-    elif n_flows <= exact_flow_budget and graph.n_edges <= greedy_edge_budget:
+    elif n_flows <= EXACT_FLOW_BUDGET and sum(
+        f.rate <= b for f in graph.flows for b in graph.budgets
+    ) <= GREEDY_EDGE_BUDGET:
         chosen, total = _solve_branch_and_bound(graph)
     else:
         chosen, total = _solve_greedy(graph)
@@ -245,12 +244,11 @@ def brute_force_assignment(graph: OffloadGraph) -> float:
         for fi, sj in enumerate(combo):
             if sj == n_switches:
                 continue
-            w = graph.weights.get((fi, sj))
-            if w is None or graph.flows[fi].rate > budgets[sj] + 1e-12:
+            if not graph.fits(fi, sj) or graph.flows[fi].rate > budgets[sj] + 1e-12:
                 feasible = False
                 break
             budgets[sj] -= graph.flows[fi].rate
-            total += w
+            total += graph.weights[sj]
         if feasible and total > best:
             best = total
     return best

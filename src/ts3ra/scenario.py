@@ -13,6 +13,7 @@ from dataclasses import dataclass, fields
 from typing import Any
 
 from .domain import Protocol, ServiceType
+from .sched import SchedulerConfig, SchedulerConfigError, validate_config
 
 
 class ScenarioError(ValueError):
@@ -48,9 +49,6 @@ class Scenario:
     forged_fraction: float = 0.1
     aps: int = 2
     switches: int = 8
-    physical_switches: int = 4
-    local_controllers: int = 3
-    global_controllers: int = 1
     switch_service_capacity: float = 2.2e6
     switch_transmission_rate: float = 2.0e6
     switch_loss_rate: float = 0.1
@@ -136,8 +134,6 @@ class Scenario:
             raise ScenarioError("forged_fraction must be in [0, 1]")
         if self.switches < 1:
             raise ScenarioError("at least one switch is required")
-        if self.local_controllers < 1:
-            raise ScenarioError("at least one local controller is required")
         if not (0.0 <= self.switch_loss_rate <= 1.0):
             raise ScenarioError(
                 f"switch_loss_rate must be in [0, 1] (got {self.switch_loss_rate!r})"
@@ -147,7 +143,13 @@ class Scenario:
                 "switch_transmission_rate must not exceed switch_service_capacity "
                 f"(got {self.switch_transmission_rate!r} > {self.switch_service_capacity!r})"
             )
-        for key in ("auth_delay", "decision_delay", "arrival_window"):
+        for key in (
+            "auth_delay",
+            "decision_delay",
+            "arrival_window",
+            "processing_latency",
+            "retransmit_delay",
+        ):
             value = getattr(self, key)
             if not (value >= 0.0):
                 raise ScenarioError(f"{key} must be >= 0 (got {value!r})")
@@ -178,8 +180,16 @@ class Scenario:
                 raise ScenarioError(
                     f"{key} must be one of {[p.value for p in Protocol]} (got {value!r})"
                 ) from None
+        try:
+            validate_config(self.scheduler_config())
+        except SchedulerConfigError as exc:
+            raise ScenarioError(str(exc)) from None
 
     # convenience accessors -------------------------------------------------
+
+    def scheduler_config(self) -> SchedulerConfig:
+        """The ``[scheduler]`` values; each config field has a same-named key."""
+        return SchedulerConfig(**{f.name: getattr(self, f.name) for f in fields(SchedulerConfig)})
 
     def mix_fraction(self, st: ServiceType) -> float:
         return {

@@ -60,7 +60,7 @@ def validate_config(config: SchedulerConfig) -> None:
     if not (0.0 <= config.continue_prob <= 1.0):
         raise SchedulerConfigError("continue_prob must be in [0, 1]")
     if config.hp_capacity < 1 or config.lp_capacity < 1:
-        raise SchedulerConfigError("queue capacities must be >= 1")
+        raise SchedulerConfigError("queue capacities hp_capacity and lp_capacity must be >= 1")
 
 
 class QueueClass(Enum):

@@ -43,6 +43,13 @@ class TestParse:
         with pytest.raises(ScenarioError, match="line 2.*warp_factor"):
             parse_scenario("[network]\nwarp_factor = 9\n")
 
+    @pytest.mark.parametrize(
+        "key", ["physical_switches", "local_controllers", "global_controllers"]
+    )
+    def test_removed_network_key_rejected(self, key):
+        with pytest.raises(ScenarioError, match=f"unknown key '{key}'"):
+            parse_scenario(f"[network]\n{key} = 1\n")
+
     def test_unknown_section_rejected(self):
         with pytest.raises(ScenarioError, match="unknown section"):
             parse_scenario("[quantum]\n")
@@ -141,6 +148,12 @@ class TestRunCommand:
             ("network", "switch_loss_rate", "2"),
             ("network", "switch_transmission_rate", "3e6"),  # capacity is 2.2e6
             ("flows", "arrival_window", "-1"),
+            ("scheduler", "continue_prob", "2"),
+            ("scheduler", "hp_capacity", "0"),
+            ("scheduler", "steps_per_service", "0"),
+            ("scheduler", "mu1", "0.5"),  # mu2 stays 0.4
+            ("packets", "retransmit_delay", "-1"),
+            ("network", "processing_latency", "-1"),
         ],
     )
     def test_out_of_range_value_exit_one(self, tmp_path, capsys, section, key, value):
@@ -170,11 +183,11 @@ def test_cli_import_leaves_scipy_unloaded():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     probe = (
         "import sys, ts3ra.cli\n"
-        "from ts3ra.domain import Flow, ServiceType, SwitchKind, SwitchProfile\n"
+        "from ts3ra.domain import Flow, ServiceType, SwitchProfile\n"
         "from ts3ra.offload import build_offload_graph, max_weight_assignment\n"
         "flows = [Flow(f'f{i}', f'd{i}', ServiceType.EMBB, rate=1.0, packet_delay=0.1)"
         " for i in range(3)]\n"
-        "switches = [SwitchProfile(f'SW{j}', SwitchKind.PHYSICAL, 4.0, 4.0, 0.1) for j in range(2)]\n"
+        "switches = [SwitchProfile(f'SW{j}', 4.0, 4.0, 0.1) for j in range(2)]\n"
         "assert max_weight_assignment(build_offload_graph(flows, switches)).assignment\n"
         "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
     )

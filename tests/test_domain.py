@@ -8,7 +8,6 @@ from ts3ra.domain import (
     QoSProfile,
     ServiceType,
     SlaRatios,
-    SwitchKind,
     SwitchProfile,
     compute_sla_ratios,
     fairness_weight,
@@ -128,7 +127,7 @@ class TestFairnessWeight:
 class TestValueObjects:
     def test_switch_rate_exceeding_capacity_rejected(self):
         with pytest.raises(ValueError):
-            SwitchProfile("s", SwitchKind.PHYSICAL, 1e6, 2e6, 0.1)
+            SwitchProfile("s", 1e6, 2e6, 0.1)
 
     def test_flow_invariants(self):
         with pytest.raises(ValueError):

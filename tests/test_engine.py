@@ -1,4 +1,7 @@
+import ast
 import heapq
+import importlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -283,3 +286,22 @@ class TestCollectMetrics:
         m = derive_slice_metrics("S1", SliceCounters(), duration=10.0, pool_comm=1.0)
         assert m.degenerate
         assert m.ptr == 0.0 and m.plr == 0.0
+
+
+def test_benchmark_plane_calls_resolve():
+    # The benchmark's traced runs wrap these (owner, attribute) pairs by
+    # name; a deleted or renamed one would break ``perfbench/run.py --trace 1``.
+    source = (Path(__file__).resolve().parent.parent / "perfbench" / "child.py").read_text()
+    assign = next(
+        node
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "PLANE_CALLS"
+    )
+    plane_calls = ast.literal_eval(assign.value)
+    assert plane_calls
+    for owner, attr, _ in plane_calls:
+        module, _, cls = owner.partition(".")
+        target = importlib.import_module(f"ts3ra.{module}")
+        if cls:
+            target = getattr(target, cls)
+        assert callable(getattr(target, attr, None)), f"{owner}.{attr}"

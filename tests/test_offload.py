@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ts3ra.domain import Flow, ServiceType, SwitchKind, SwitchProfile
+from ts3ra.domain import Flow, ServiceType, SwitchProfile
 from ts3ra.offload import (
     WeightCoefficients,
     brute_force_assignment,
@@ -15,7 +15,6 @@ from ts3ra.offload import (
 def make_switch(i, capacity=10.0, tx=None, loss=0.1, load=0.0):
     return SwitchProfile(
         switch_id=f"SW{i}",
-        kind=SwitchKind.PHYSICAL,
         service_capacity=capacity,
         transmission_rate=tx if tx is not None else capacity,
         loss_rate=loss,
@@ -46,7 +45,6 @@ def random_instance(rng, uniform_rates=False):
     for j, sw in enumerate(switches):
         switches[j] = SwitchProfile(
             sw.switch_id,
-            sw.kind,
             sw.service_capacity,
             sw.service_capacity * float(rng.uniform(0.3, 1.0)),
             sw.loss_rate,
@@ -148,7 +146,7 @@ class TestAssignment:
         flows = [make_flow(i, float(rng.uniform(0.5, 2.0))) for i in range(16)]
         switches = [make_switch(j, capacity=6.0) for j in range(4)]
         graph = build_offload_graph(flows, switches)
-        result = max_weight_assignment(graph, exact_flow_budget=8)
+        result = max_weight_assignment(graph)
         assert not result.optimal
         used = {s.switch_id: 0.0 for s in switches}
         for flow in flows:
@@ -201,6 +199,13 @@ class TestUniformRateFill:
         result = self.solve(switches, 4, budgets=[3 * 1.0 * (1 - 1e-12)])
         assert result.assignment == {"f0": "SW0", "f1": "SW0", "f2": "SW0"}
         assert result.unassigned == ["f3"]
+
+    def test_budget_just_under_one_slot_gets_none(self):
+        # A flow may use a switch only when rate <= budget, with no tolerance.
+        switches = [make_switch(0, capacity=10.0), make_switch(1, capacity=10.0, load=5.0)]
+        result = self.solve(switches, 2, budgets=[1.0 * (1 - 1e-12), 1.0])
+        assert result.assignment == {"f0": "SW1"}
+        assert result.unassigned == ["f1"]
 
 
 class TestRebalance:
