@@ -9,6 +9,7 @@ an attack shows up as an entropy collapse against a benign baseline.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -105,11 +106,20 @@ class EntropyReport:
             raise ValueError("alpha must be > 0 and != 1")
 
 
+@functools.lru_cache(maxsize=8)
+def _interarrival_edges(duration: float) -> np.ndarray:
+    """Geometric bin edges from 0.1 ms up to the window, built once per
+    window duration; read-only, since every caller shares the array."""
+    edges = np.geomspace(1e-4, max(duration, 1e-3), num=17)
+    edges.flags.writeable = False
+    return edges
+
+
 def _interarrival_histogram(times: Sequence[float], duration: float) -> np.ndarray:
     """Geometric binning of inter-arrival times from 0.1 ms up to the window."""
     if len(times) == 0:
         return np.array([1.0])
-    edges = np.geomspace(1e-4, max(duration, 1e-3), num=17)
+    edges = _interarrival_edges(duration)
     counts, _ = np.histogram(np.clip(times, edges[0], edges[-1]), bins=edges)
     return counts.astype(np.float64)
 

@@ -86,15 +86,29 @@ class InvariantViolation(RuntimeError):
     """An engine-internal consistency rule was broken."""
 
 
-def draw_packet_size(rng: np.random.Generator, length: int) -> int:
+# Values drawn per call of ``rng.random`` in :func:`uniforms`.
+UNIFORM_BLOCK = 4096
+
+
+def uniforms(rng: np.random.Generator):
+    """Endless ``rng.random()`` values, drawn ``UNIFORM_BLOCK`` at a time.
+
+    A block of n values equals n scalar calls, at a fraction of their cost;
+    ``rng`` runs up to one block ahead of the values taken.
+    """
+    while True:
+        yield from rng.random(UNIFORM_BLOCK).tolist()
+
+
+def packet_size(u: float, length: int) -> int:
     """Half, full or double ``length`` with probabilities 1/4, 1/2, 1/4.
 
-    Gives the same values and leaves ``rng`` in the same state as
+    ``packet_size(rng.random(), length)`` gives the same values and leaves
+    ``rng`` in the same state as
     ``rng.choice([length // 2, length, length * 2], p=[0.25, 0.5, 0.25])``,
     which bisects the CDF with one ``random()`` draw, at a fraction of its
     cost.
     """
-    u = rng.random()
     if u < 0.25:
         return length // 2
     if u < 0.75:
@@ -111,7 +125,9 @@ class _DeviceRt:
         "password",
         "puf",
         "claimed",
-        "decided",
+        "_decided",
+        "counters",
+        "_counters_of",
         "forged",
         "authenticated",
         "granted",
@@ -124,13 +140,23 @@ class _DeviceRt:
         "arrival_us",
     )
 
-    def __init__(self, index: int, device: Device, password: bytes, puf, claimed: ServiceType, forged: bool):
+    def __init__(
+        self,
+        index: int,
+        device: Device,
+        password: bytes,
+        puf,
+        claimed: ServiceType,
+        forged: bool,
+        counters_of: dict[ServiceType, SliceCounters],
+    ):
         self.index = index
         self.device = device
         self.password = password
         self.puf = puf
         self.claimed = claimed
-        self.decided: Optional[ServiceType] = None
+        self._counters_of = counters_of
+        self.decided = None
         self.forged = forged
         self.authenticated = False
         self.granted = False
@@ -141,6 +167,17 @@ class _DeviceRt:
         self.blocked_streak = 0
         self.gave_up = False
         self.arrival_us = 0
+
+    @property
+    def decided(self) -> Optional[ServiceType]:
+        """The slice the controller decided; None before the decision."""
+        return self._decided
+
+    @decided.setter
+    def decided(self, service: Optional[ServiceType]) -> None:
+        # ``counters`` serves the packet path without hashing an enum.
+        self._decided = service
+        self.counters = self._counters_of[service or self.claimed]
 
 
 class _SwitchRt:
@@ -227,8 +264,8 @@ class Engine:
         if migration_sink:
             migration_sink(MIGRATION_HEADER)
 
-        self._rng_loss = self.hub.substream("loss")
-        self._rng_sizes = self.hub.substream("sizes")
+        self._loss_draws = uniforms(self.hub.substream("loss"))
+        self._size_draws = uniforms(self.hub.substream("sizes"))
         self._rng_sched = self.hub.substream("sched")
         self._rng_auth = self.hub.substream("auth")
 
@@ -295,7 +332,7 @@ class Engine:
             )
             password = f"pw-{device_id}".encode()
             puf = auth_mod.SimulatedPuf(bytes(rng_puf.integers(0, 256, size=32, dtype=np.uint8)))
-            rt = _DeviceRt(i, device, password, puf, claimed, forged=i in forged)
+            rt = _DeviceRt(i, device, password, puf, claimed, i in forged, self.counters)
             if not rt.forged:
                 va = self.vap.authority_for(device_id)
                 auth_mod.register_device(va, device_id, password, puf, rng_puf)
@@ -407,6 +444,10 @@ class Engine:
             self.trace_sink(
                 f"{self.clock_us / 1e6:.6f},{KIND_NAMES[kind]},{device},{slice_id},{switch},{outcome}"
             )
+
+    def _trace_packet(self, kind: int, rt: _DeviceRt, outcome: str) -> None:
+        service = rt.decided or rt.claimed
+        self._trace(kind, rt.device.device_id, service.slice_id, rt.switch_id or "", outcome)
 
     def step_event(self, event: tuple) -> None:
         """Process a single (time_us, kind, seq, payload) event."""
@@ -547,7 +588,7 @@ class Engine:
         rt = self.dev[di]
         decision = sn_mod.select_slice(self.model, self._features_for(rt))
         rt.decided = ServiceType.from_indicator(decision.indicator)
-        self.counters[rt.decided].requests += 1
+        rt.counters.requests += 1
         if rt.decided is not rt.claimed:
             rt.flow = self._make_flow(rt, rt.decided)
         self._trace(
@@ -568,7 +609,7 @@ class Engine:
         rt = self.dev[di]
         service = rt.decided or rt.claimed
         elapsed = max(self.clock_us / 1e6, 1e-9)
-        c = self.counters[service]
+        c = rt.counters
         request = hop_mod.AllocationRequest(
             slice_indicator=service.indicator,
             sinr=self._sinr_db(di),
@@ -639,7 +680,7 @@ class Engine:
             if flooding or not sc.size_jitter:
                 size = sc.packet_length
             else:
-                size = draw_packet_size(self._rng_sizes, sc.packet_length)
+                size = packet_size(next(self._size_draws), sc.packet_length)
             if flooding:
                 nxt = self.clock_us + self.flood_packet_interval_us
             else:
@@ -647,7 +688,6 @@ class Engine:
             if nxt < self.end_us and not rt.gave_up:
                 self._push(nxt, TRANSMIT, (di, False, 0))
 
-        service = rt.decided or rt.claimed
         if rt.quarantined:
             rt.blocked_streak += 1
             if rt.blocked_streak >= sc.flood_giveup:
@@ -658,7 +698,7 @@ class Engine:
         rt.blocked_streak = 0
 
         sw = self.sw_by_id[rt.switch_id]
-        c = self.counters[service]
+        c = rt.counters
         if not is_retx:
             c.sent += 1
             c.in_flight += 1
@@ -675,7 +715,7 @@ class Engine:
         sw.per_flow_bits[di] = sw.per_flow_bits.get(di, 0) + bits
 
         reliable = rt.flow.protocol is Protocol.RELIABLE_STREAM
-        lost = self._rng_loss.random() < sw.profile.loss_rate
+        lost = next(self._loss_draws) < sw.profile.loss_rate
         if not lost:
             backlog_us = max(0, sw.busy_until_us - self.clock_us)
             if backlog_us > self.queue_delay_bound_us:
@@ -698,28 +738,26 @@ class Engine:
     def _on_deliver(self, payload) -> None:
         di, bits, latency_us = payload
         rt = self.dev[di]
-        service = rt.decided or rt.claimed
-        c = self.counters[service]
+        c = rt.counters
         if rt.quarantined:
             # the AP revokes in-flight traffic of a quarantined source
             c.dropped += 1
             c.blocked += 1
             c.in_flight -= 1
             if self.trace_sink:
-                self._trace(DROP, rt.device.device_id, service.slice_id, rt.switch_id or "", "quarantined")
+                self._trace_packet(DROP, rt, "quarantined")
             return
         c.delivered += 1
         c.in_flight -= 1
         c.delivered_bits += bits
         c.latency_sum += latency_us / 1e6
         if self.trace_sink:
-            self._trace(DELIVER, rt.device.device_id, service.slice_id, rt.switch_id or "", "ok")
+            self._trace_packet(DELIVER, rt, "ok")
 
     def _on_drop(self, payload) -> None:
         di, reason, admitted = payload
         rt = self.dev[di]
-        service = rt.decided or rt.claimed
-        c = self.counters[service]
+        c = rt.counters
         if not admitted:
             c.sent += 1  # offered traffic stopped at the AP, never in flight
         else:
@@ -728,7 +766,7 @@ class Engine:
         if reason == "quarantined":
             c.blocked += 1
         if self.trace_sink:
-            self._trace(DROP, rt.device.device_id, service.slice_id, rt.switch_id or "", reason)
+            self._trace_packet(DROP, rt, reason)
 
     # -- detection -----------------------------------------------------------
 

@@ -14,6 +14,7 @@ from typing import Any
 
 from .domain import Protocol, ServiceType
 from .sched import SchedulerConfig, SchedulerConfigError, validate_config
+from .slicenet import LEARNING_RATE_RANGE
 
 
 class ScenarioError(ValueError):
@@ -166,6 +167,19 @@ class Scenario:
                 raise ScenarioError(
                     f"{key} must be a finite time of at least 1 microsecond (got {value!r})"
                 )
+        if not (self.ddos_alpha > 0 and self.ddos_alpha != 1.0):
+            raise ScenarioError(
+                f"ddos_alpha must be > 0 and != 1 (got {self.ddos_alpha!r})"
+            )
+        for key in ("train_samples", "d_model"):
+            value = getattr(self, key)
+            if value < 1:
+                raise ScenarioError(f"{key} must be >= 1 (got {value!r})")
+        lo, hi = LEARNING_RATE_RANGE
+        if not (lo <= self.learning_rate <= hi):
+            raise ScenarioError(
+                f"learning_rate must be within [{lo}, {hi}] (got {self.learning_rate!r})"
+            )
         if self.baseline_windows < 10:
             raise ScenarioError("baseline_windows must be >= 10 benign windows")
         if min(self.demand_embb, self.demand_urllc, self.demand_mmtc) < 1:

@@ -31,6 +31,8 @@ ATTN_KERNEL = 5
 DEFAULT_D_MODEL = 8
 DEFAULT_N_FEATURES = 7
 LEARNING_RATE_RANGE = (0.001, 0.1)
+# Rows per forward pass in ``SliceNetModel.logits``.
+LOGITS_CHUNK_ROWS = 64
 
 
 class DivergedModelError(RuntimeError):
@@ -114,7 +116,6 @@ class ConvStepParams:
     pb: np.ndarray  # (c_out,)
     ln_gain: np.ndarray  # (c_out,)
     ln_bias: np.ndarray  # (c_out,)
-    dilation: int = 1
 
     @property
     def kernel(self) -> int:
@@ -124,26 +125,26 @@ class ConvStepParams:
         return [self.dw, self.pw, self.pb, self.ln_gain, self.ln_bias]
 
 
-def _depthwise_fwd(a: np.ndarray, dw: np.ndarray, dilation: int):
+def _depthwise_fwd(a: np.ndarray, dw: np.ndarray):
     b, length, c = a.shape
     k = dw.shape[0]
-    pad = (k - 1) * dilation // 2
+    pad = (k - 1) // 2
     a_pad = np.zeros((b, length + 2 * pad, c))
     a_pad[:, pad : pad + length, :] = a
     out = np.zeros((b, length, c))
     for tap in range(k):
-        out += dw[tap] * a_pad[:, tap * dilation : tap * dilation + length, :]
+        out += dw[tap] * a_pad[:, tap : tap + length, :]
     return out, a_pad
 
 
-def _depthwise_bwd(dout: np.ndarray, a_pad: np.ndarray, dw: np.ndarray, dilation: int):
+def _depthwise_bwd(dout: np.ndarray, a_pad: np.ndarray, dw: np.ndarray):
     b, length, c = dout.shape
     k = dw.shape[0]
-    pad = (k - 1) * dilation // 2
+    pad = (k - 1) // 2
     d_dw = np.zeros_like(dw)
     d_apad = np.zeros_like(a_pad)
     for tap in range(k):
-        seg = slice(tap * dilation, tap * dilation + length)
+        seg = slice(tap, tap + length)
         d_dw[tap] = np.einsum("blc,blc->c", dout, a_pad[:, seg, :])
         d_apad[:, seg, :] += dw[tap] * dout
     return d_apad[:, pad : pad + length, :], d_dw
@@ -152,7 +153,7 @@ def _depthwise_bwd(dout: np.ndarray, a_pad: np.ndarray, dw: np.ndarray, dilation
 def _conv_step_fwd(p: ConvStepParams, x: np.ndarray):
     """LN(pointwise(depthwise(relu(x)))) with everything cached for backward."""
     a = np.maximum(x, 0.0)
-    d, a_pad = _depthwise_fwd(a, p.dw, p.dilation)
+    d, a_pad = _depthwise_fwd(a, p.dw)
     s = d @ p.pw + p.pb
     mu = s.mean(axis=-1, keepdims=True)
     var = s.var(axis=-1, keepdims=True)
@@ -177,7 +178,7 @@ def _conv_step_bwd(p: ConvStepParams, cache, dout: np.ndarray, grads: dict, pref
     grads[prefix + "pw"] += np.einsum("blc,bld->cd", d, ds)
     grads[prefix + "pb"] += ds.sum(axis=(0, 1))
     dd = ds @ p.pw.T
-    da, d_dw = _depthwise_bwd(dd, a_pad, p.dw, p.dilation)
+    da, d_dw = _depthwise_bwd(dd, a_pad, p.dw)
     grads[prefix + "dw"] += d_dw
     dx = da * (x > 0.0)
     return dx
@@ -438,10 +439,23 @@ class SliceNetModel:
         return grads
 
     def logits(self, features: np.ndarray) -> np.ndarray:
-        """Inference-mode logits for a batch of feature rows."""
+        """Inference-mode logits for a batch of feature rows.
+
+        Rows are evaluated ``LOGITS_CHUNK_ROWS`` at a time: a forward pass
+        builds every layer's backward cache for every row it holds, so one
+        pass over all rows would take memory in proportion to them.  A last
+        chunk of one row is folded into the one before it: a one-row pass
+        takes a different BLAS path, and with every chunk at two rows or
+        more the result equals one full pass bit for bit.
+        """
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        out, _ = self._forward(features, None, training=False, rng=None)
-        return out
+        bounds = range(LOGITS_CHUNK_ROWS, len(features) - 1, LOGITS_CHUNK_ROWS)
+        return np.concatenate(
+            [
+                self._forward(chunk, None, training=False, rng=None)[0]
+                for chunk in np.split(features, bounds)
+            ]
+        )
 
     def loss_and_grads(
         self,

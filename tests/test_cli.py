@@ -154,6 +154,10 @@ class TestRunCommand:
             ("scheduler", "mu1", "0.5"),  # mu2 stays 0.4
             ("packets", "retransmit_delay", "-1"),
             ("network", "processing_latency", "-1"),
+            ("ddos", "alpha", "1"),
+            ("slicenet", "d_model", "0"),
+            ("slicenet", "learning_rate", "-1"),
+            ("slicenet", "train_samples", "0"),
         ],
     )
     def test_out_of_range_value_exit_one(self, tmp_path, capsys, section, key, value):

@@ -15,8 +15,9 @@ from ts3ra.engine import (
     Engine,
     InvariantViolation,
     TRANSMIT,
-    draw_packet_size,
+    packet_size,
     run_scenario,
+    uniforms,
 )
 from ts3ra.metrics import SliceCounters, derive_slice_metrics
 from ts3ra.scenario import Scenario, ScenarioError
@@ -71,8 +72,14 @@ class TestPacketSizeDraw:
             expected = int(
                 ref.choice([length // 2, length, length * 2], p=[0.25, 0.5, 0.25])
             )
-            assert draw_packet_size(mine, length) == expected
+            assert packet_size(mine.random(), length) == expected
         assert mine.bit_generator.state == ref.bit_generator.state
+
+    def test_block_draws_equal_scalar_draws(self):
+        blocks, ref = np.random.default_rng(7), np.random.default_rng(7)
+        draws = uniforms(blocks)
+        for _ in range(10_000):  # spans three blocks
+            assert next(draws) == ref.random()
 
 
 class TestEmptyWorld:

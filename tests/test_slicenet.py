@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ts3ra.domain import ServiceType
 from ts3ra.slicenet import (
+    LOGITS_CHUNK_ROWS,
     AttentionParams,
     ConvModuleParams,
     ConvStepParams,
@@ -17,6 +19,7 @@ from ts3ra.slicenet import (
     conv_module,
     conv_step,
     encode_mix_decode,
+    accuracy,
     make_separable_dataset,
     select_slice,
     softmax,
@@ -193,6 +196,37 @@ class TestModelForward:
         arr = fv.to_array()
         assert arr.shape == (7,)
         assert arr[:3].sum() == 1.0
+
+
+class TestChunkedLogits:
+    @pytest.mark.parametrize(
+        "extra", [0, 1, 2, LOGITS_CHUNK_ROWS - 1, LOGITS_CHUNK_ROWS, LOGITS_CHUNK_ROWS + 1]
+    )
+    def test_equal_to_one_full_pass(self, extra):
+        # extra = 1 would leave a one-row last chunk; logits folds it into
+        # the chunk before, so the result is still bit-equal.
+        model = SliceNetModel(rng=np.random.default_rng(21))
+        feats, _ = make_separable_dataset(
+            2 * LOGITS_CHUNK_ROWS + extra, np.random.default_rng(22)
+        )
+        full, _ = model._forward(feats, None, training=False, rng=None)
+        assert np.array_equal(model.logits(feats), full)
+
+    def test_accuracy_memory_does_not_grow_with_rows(self):
+        model = SliceNetModel(rng=np.random.default_rng(25))
+
+        def peak_bytes(n: int) -> int:
+            feats, labels = make_separable_dataset(n, np.random.default_rng(n))
+            tracemalloc.start()
+            try:
+                accuracy(model, feats, labels)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # An unchunked pass keeps every row's backward cache: about 8x more
+        # at 5000 rows than at 600.
+        assert peak_bytes(5000) < 1.5 * peak_bytes(600)
 
 
 class TestGradients:
