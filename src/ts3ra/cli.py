@@ -169,6 +169,16 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
 def _cmd_train_slicenet(args: argparse.Namespace) -> int:
     from . import slicenet as sn
 
+    lo, hi = sn.LEARNING_RATE_RANGE
+    for flag, value, ok, rule in (
+        ("--epochs", args.epochs, args.epochs >= 1, ">= 1"),
+        ("--lr", args.lr, lo <= args.lr <= hi, f"within [{lo}, {hi}]"),
+        ("--d-model", args.d_model, args.d_model >= 1, ">= 1"),
+        ("--seed", args.seed, args.seed >= 0, ">= 0"),
+    ):
+        if not ok:
+            print(f"error: {flag} must be {rule} (got {value!r})", file=sys.stderr)
+            return EXIT_USER_ERROR
     data_path = Path(args.data)
     if not data_path.exists():
         print(f"error: data file not found: {data_path}", file=sys.stderr)

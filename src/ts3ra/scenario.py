@@ -171,7 +171,7 @@ class Scenario:
             raise ScenarioError(
                 f"ddos_alpha must be > 0 and != 1 (got {self.ddos_alpha!r})"
             )
-        for key in ("train_samples", "d_model"):
+        for key in ("train_samples", "epochs", "d_model"):
             value = getattr(self, key)
             if value < 1:
                 raise ScenarioError(f"{key} must be >= 1 (got {value!r})")

@@ -16,10 +16,13 @@ checked.  Shapes are batched: (batch, length, channels).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass, field, fields
+from functools import lru_cache
+from itertools import accumulate
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .domain import ServiceType
 
@@ -97,13 +100,16 @@ def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
+@lru_cache(maxsize=8)
 def timing_signal(length: int, channels: int) -> np.ndarray:
-    """Sinusoidal position table added to the attention target."""
+    """Sinusoidal position table added to the attention target (read-only,
+    built once per shape)."""
     pos = np.arange(length, dtype=np.float64)[:, None]
     idx = np.arange(channels, dtype=np.float64)[None, :]
     rates = 1.0 / np.power(10000.0, (2.0 * (idx // 2)) / max(channels, 1))
     table = pos * rates
     signal = np.where(idx % 2 == 0, np.sin(table), np.cos(table))
+    signal.flags.writeable = False
     return signal
 
 
@@ -121,51 +127,60 @@ class ConvStepParams:
     def kernel(self) -> int:
         return self.dw.shape[0]
 
-    def tensors(self) -> list[np.ndarray]:
-        return [self.dw, self.pw, self.pb, self.ln_gain, self.ln_bias]
+
+@lru_cache(maxsize=8)
+def _tap_index(length: int, kernel: int) -> np.ndarray:
+    """``idx[l, m]``: the tap joining output ``l`` to input ``m`` in a
+    same-length convolution, or ``kernel`` (a zero row) outside the band."""
+    tap = np.arange(length)[None, :] - np.arange(length)[:, None] + (kernel - 1) // 2
+    idx = np.where((tap >= 0) & (tap < kernel), tap, kernel)
+    idx.flags.writeable = False
+    return idx
 
 
 def _depthwise_fwd(a: np.ndarray, dw: np.ndarray):
+    """Same-length depthwise convolution along axis 1 as one banded einsum.
+
+    ``band[l, m, c] = dw[m - l + pad, c]`` inside the band and 0 outside, so
+    each output sums its taps in tap order, as a loop over taps would.
+    """
+    k, c = dw.shape
+    band = np.concatenate((dw, np.zeros((1, c))))[_tap_index(a.shape[1], k)]
+    return np.einsum("lmc,bmc->blc", band, a), band
+
+
+def _depthwise_bwd(dout: np.ndarray, a: np.ndarray, band: np.ndarray, kernel: int):
+    """Gradients of ``_depthwise_fwd`` for its input and its kernel.
+
+    Reversing ``l`` sums each input gradient in tap order.
+    """
     b, length, c = a.shape
-    k = dw.shape[0]
-    pad = (k - 1) // 2
+    pad = (kernel - 1) // 2
+    da = np.einsum("lmc,blc->bmc", band[::-1], dout[:, ::-1])
     a_pad = np.zeros((b, length + 2 * pad, c))
-    a_pad[:, pad : pad + length, :] = a
-    out = np.zeros((b, length, c))
-    for tap in range(k):
-        out += dw[tap] * a_pad[:, tap : tap + length, :]
-    return out, a_pad
-
-
-def _depthwise_bwd(dout: np.ndarray, a_pad: np.ndarray, dw: np.ndarray):
-    b, length, c = dout.shape
-    k = dw.shape[0]
-    pad = (k - 1) // 2
-    d_dw = np.zeros_like(dw)
-    d_apad = np.zeros_like(a_pad)
-    for tap in range(k):
-        seg = slice(tap, tap + length)
-        d_dw[tap] = np.einsum("blc,blc->c", dout, a_pad[:, seg, :])
-        d_apad[:, seg, :] += dw[tap] * dout
-    return d_apad[:, pad : pad + length, :], d_dw
+    a_pad[:, pad : pad + length] = a
+    d_dw = np.einsum("blc,blct->tc", dout, sliding_window_view(a_pad, kernel, axis=1))
+    return da, d_dw
 
 
 def _conv_step_fwd(p: ConvStepParams, x: np.ndarray):
     """LN(pointwise(depthwise(relu(x)))) with everything cached for backward."""
     a = np.maximum(x, 0.0)
-    d, a_pad = _depthwise_fwd(a, p.dw)
+    d, band = _depthwise_fwd(a, p.dw)
     s = d @ p.pw + p.pb
-    mu = s.mean(axis=-1, keepdims=True)
-    var = s.var(axis=-1, keepdims=True)
+    c = s.shape[-1]
+    # the same operations as s.mean and s.var, with s - mean taken once
+    xc = s - s.sum(axis=-1, keepdims=True) / c
+    var = (xc * xc).sum(axis=-1, keepdims=True) / c
     inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (s - mu) * inv
+    xhat = xc * inv
     out = p.ln_gain * xhat + p.ln_bias
-    cache = (x, a_pad, d, xhat, inv)
+    cache = (x, a, band, d, xhat, inv)
     return out, cache
 
 
 def _conv_step_bwd(p: ConvStepParams, cache, dout: np.ndarray, grads: dict, prefix: str):
-    x, a_pad, d, xhat, inv = cache
+    x, a, band, d, xhat, inv = cache
     c = xhat.shape[-1]
     grads[prefix + "ln_gain"] += np.einsum("blc,blc->c", dout, xhat)
     grads[prefix + "ln_bias"] += dout.sum(axis=(0, 1))
@@ -178,7 +193,7 @@ def _conv_step_bwd(p: ConvStepParams, cache, dout: np.ndarray, grads: dict, pref
     grads[prefix + "pw"] += np.einsum("blc,bld->cd", d, ds)
     grads[prefix + "pb"] += ds.sum(axis=(0, 1))
     dd = ds @ p.pw.T
-    da, d_dw = _depthwise_bwd(dd, a_pad, p.dw)
+    da, d_dw = _depthwise_bwd(dd, a, band, p.kernel)
     grads[prefix + "dw"] += d_dw
     dx = da * (x > 0.0)
     return dx
@@ -358,30 +373,43 @@ class SliceNetModel:
         self.head_w = rng.uniform(-1, 1, size=(3 * c, N_CLASSES)) / math.sqrt(3 * c)
         self.head_b = np.zeros(N_CLASSES)
 
+        # Every tensor becomes a view of one flat array, so that gradients
+        # and the optimizer handle the whole model in a few array operations.
+        slots = list(self._slots())
+        tensors = [getattr(owner, attr) for _, owner, attr in slots]
+        ends = accumulate(t.size for t in tensors)
+        self._layout = [
+            (name, end - t.size, end, t.shape)
+            for (name, _, _), t, end in zip(slots, tensors, ends)
+        ]
+        self.flat = np.concatenate([t.ravel() for t in tensors])
+        for (_, owner, attr), view in zip(slots, self.tensor_views(self.flat).values()):
+            setattr(owner, attr, view)
+
     # -- parameter bookkeeping ------------------------------------------------
+
+    def _slots(self) -> Iterator[tuple[str, object, str]]:
+        """(name, owner, attribute) of every trainable tensor in declaration order."""
+        yield "lift_w", self, "lift_w"
+        yield "lift_b", self, "lift_b"
+        for prefix, steps in (
+            ("enc", self.encoder.steps),
+            ("dec", self.decoder.steps),
+            ("attn", (self.attention.proj1, self.attention.proj2)),
+        ):
+            for i, step in enumerate(steps, start=1):
+                for f in fields(step):
+                    yield f"{prefix}{i}_{f.name}", step, f.name
+        yield "head_w", self, "head_w"
+        yield "head_b", self, "head_b"
+
+    def tensor_views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Named views of a flat array laid out like ``self.flat``."""
+        return {name: flat[lo:hi].reshape(shape) for name, lo, hi, shape in self._layout}
 
     def parameters(self) -> dict[str, np.ndarray]:
         """All trainable tensors in fixed declaration order."""
-        params: dict[str, np.ndarray] = {
-            "lift_w": self.lift_w,
-            "lift_b": self.lift_b,
-        }
-        for prefix, module in (("enc", self.encoder), ("dec", self.decoder)):
-            for i, step in enumerate(module.steps, start=1):
-                params[f"{prefix}{i}_dw"] = step.dw
-                params[f"{prefix}{i}_pw"] = step.pw
-                params[f"{prefix}{i}_pb"] = step.pb
-                params[f"{prefix}{i}_ln_gain"] = step.ln_gain
-                params[f"{prefix}{i}_ln_bias"] = step.ln_bias
-        for i, step in enumerate((self.attention.proj1, self.attention.proj2), start=1):
-            params[f"attn{i}_dw"] = step.dw
-            params[f"attn{i}_pw"] = step.pw
-            params[f"attn{i}_pb"] = step.pb
-            params[f"attn{i}_ln_gain"] = step.ln_gain
-            params[f"attn{i}_ln_bias"] = step.ln_bias
-        params["head_w"] = self.head_w
-        params["head_b"] = self.head_b
-        return params
+        return {name: getattr(owner, attr) for name, owner, attr in self._slots()}
 
     def set_parameter(self, name: str, value: np.ndarray) -> None:
         current = self.parameters()[name]
@@ -417,9 +445,11 @@ class SliceNetModel:
         cache = (features, x, enc_cache, dec_cache, attn_cache, dec, attn, pooled)
         return logits, cache
 
-    def _backward(self, cache, dlogits: np.ndarray) -> dict[str, np.ndarray]:
+    def _backward(self, cache, dlogits: np.ndarray) -> np.ndarray:
+        """The gradient of every tensor, laid out like ``self.flat``."""
         features, x, enc_cache, dec_cache, attn_cache, dec, attn, pooled = cache
-        grads = {name: np.zeros_like(p) for name, p in self.parameters().items()}
+        flat_grad = np.zeros_like(self.flat)
+        grads = self.tensor_views(flat_grad)
         grads["head_w"] += pooled.T @ dlogits
         grads["head_b"] += dlogits.sum(axis=0)
         d_pooled = dlogits @ self.head_w.T
@@ -436,7 +466,7 @@ class SliceNetModel:
         d_x = _conv_module_bwd(self.encoder, enc_cache, d_enc, grads, "enc")
         grads["lift_w"] += np.einsum("blc,bl->lc", d_x, features)
         grads["lift_b"] += d_x.sum(axis=0)
-        return grads
+        return flat_grad
 
     def logits(self, features: np.ndarray) -> np.ndarray:
         """Inference-mode logits for a batch of feature rows.
@@ -457,14 +487,15 @@ class SliceNetModel:
             ]
         )
 
-    def loss_and_grads(
+    def loss_and_flat_grad(
         self,
         features: np.ndarray,
         labels: np.ndarray,
         training: bool = False,
         rng: Optional[np.random.Generator] = None,
-    ):
-        """Mean cross-entropy over a batch plus gradients for every tensor."""
+    ) -> tuple[float, np.ndarray]:
+        """Mean cross-entropy over a batch and its gradient, laid out like
+        ``self.flat``."""
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
         labels = np.asarray(labels, dtype=np.int64).ravel()
         logits, cache = self._forward(features, None, training, rng)
@@ -475,8 +506,18 @@ class SliceNetModel:
         dlogits = probs.copy()
         dlogits[np.arange(n), labels] -= 1.0
         dlogits /= n
-        grads = self._backward(cache, dlogits)
-        return loss, grads
+        return loss, self._backward(cache, dlogits)
+
+    def loss_and_grads(
+        self,
+        features: np.ndarray,
+        labels: np.ndarray,
+        training: bool = False,
+        rng: Optional[np.random.Generator] = None,
+    ) -> tuple[float, dict[str, np.ndarray]]:
+        """Mean cross-entropy over a batch plus gradients for every tensor."""
+        loss, flat_grad = self.loss_and_flat_grad(features, labels, training, rng)
+        return loss, self.tensor_views(flat_grad)
 
 
 def encode_mix_decode(
@@ -526,26 +567,28 @@ class LossCurve:
 
 
 class AdamOptimizer:
-    """Adaptive-moment gradient descent."""
+    """Adaptive-moment gradient descent on one flat parameter array.
 
-    def __init__(self, params: dict[str, np.ndarray], lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    Every operation is elementwise, so one update of ``SliceNetModel.flat``
+    equals a separate update of each tensor, bit for bit.
+    """
+
+    def __init__(self, params: np.ndarray, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
-        for k, p in params.items():
-            g = grads[k]
-            self.m[k] = self.beta1 * self.m[k] + (1 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1 - self.beta2) * g * g
-            p -= self.lr * (self.m[k] / b1c) / (np.sqrt(self.v[k] / b2c) + self.eps)
+        self.m = self.beta1 * self.m + (1 - self.beta1) * grads
+        self.v = self.beta2 * self.v + (1 - self.beta2) * grads * grads
+        params -= self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + self.eps)
 
 
 def accuracy(model: SliceNetModel, features: np.ndarray, labels: np.ndarray) -> float:
@@ -566,13 +609,14 @@ def train(
     lo, hi = LEARNING_RATE_RANGE
     if not (lo <= learning_rate <= hi):
         raise ValueError(f"learning_rate must be within [{lo}, {hi}]")
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1 (got {epochs!r})")
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64).ravel()
     if len(features) == 0:
         raise ValueError("dataset must be nonempty")
 
-    params = model.parameters()
-    opt = AdamOptimizer(params, learning_rate)
+    opt = AdamOptimizer(model.flat, learning_rate)
     curve = LossCurve()
     n = len(features)
     for epoch in range(1, epochs + 1):
@@ -580,14 +624,14 @@ def train(
         epoch_loss = 0.0
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
-            loss, grads = model.loss_and_grads(
+            loss, grad = model.loss_and_flat_grad(
                 features[idx], labels[idx], training=True, rng=rng
             )
             if not math.isfinite(loss):
                 raise TrainingDivergedError(
                     f"loss became non-finite at epoch {epoch}, batch offset {start}"
                 )
-            opt.step(params, grads)
+            opt.step(model.flat, grad)
             epoch_loss += loss * len(idx)
         curve.epochs.append(epoch)
         curve.losses.append(epoch_loss / n)

@@ -156,6 +156,7 @@ class TestRunCommand:
             ("network", "processing_latency", "-1"),
             ("ddos", "alpha", "1"),
             ("slicenet", "d_model", "0"),
+            ("slicenet", "epochs", "0"),
             ("slicenet", "learning_rate", "-1"),
             ("slicenet", "train_samples", "0"),
         ],
@@ -280,3 +281,30 @@ class TestTrainCommand:
 
     def test_missing_data_exit_one(self, tmp_path):
         assert main(["train-slicenet", "--data", str(tmp_path / "no.csv"), "--out", "m.bin"]) == 1
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--epochs", "0"),
+            ("--epochs", "-1"),
+            ("--lr", "0.5"),
+            ("--d-model", "0"),
+            ("--seed", "-1"),
+        ],
+    )
+    def test_bad_flag_exit_one(self, tmp_path, capsys, flag, value):
+        from ts3ra.slicenet import make_separable_dataset
+
+        feats, labels = make_separable_dataset(50, np.random.default_rng(0))
+        data = tmp_path / "data.csv"
+        data.write_text(
+            "\n".join(
+                ",".join(f"{v:.6f}" for v in row) + f",{label}"
+                for row, label in zip(feats, labels)
+            )
+        )
+        model_path = tmp_path / "model.bin"
+        args = ["train-slicenet", "--data", str(data), "--out", str(model_path), flag, value]
+        assert main(args) == 1
+        assert flag in capsys.readouterr().err
+        assert not model_path.exists()

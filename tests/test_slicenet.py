@@ -5,8 +5,14 @@ import numpy as np
 import pytest
 
 from ts3ra.domain import ServiceType
+from ts3ra.serialization import load_slicenet, save_slicenet
 from ts3ra.slicenet import (
+    ATTN_KERNEL,
+    DEFAULT_D_MODEL,
+    DEFAULT_N_FEATURES,
+    ENC_KERNELS,
     LOGITS_CHUNK_ROWS,
+    AdamOptimizer,
     AttentionParams,
     ConvModuleParams,
     ConvStepParams,
@@ -14,6 +20,8 @@ from ts3ra.slicenet import (
     SliceFeatureVector,
     SliceNetModel,
     TrainingDivergedError,
+    _depthwise_bwd,
+    _depthwise_fwd,
     attention_module,
     attention_weights,
     conv_module,
@@ -73,6 +81,53 @@ class TestConvStep:
         rng = np.random.default_rng(3)
         with pytest.raises(ValueError):
             conv_step(make_step(rng, c_in=4), rng.normal(size=(5, 7)))
+
+
+def tap_loop_fwd(a, dw):
+    """Reference: the depthwise convolution as a loop over taps."""
+    b, length, c = a.shape
+    k = dw.shape[0]
+    pad = (k - 1) // 2
+    a_pad = np.zeros((b, length + 2 * pad, c))
+    a_pad[:, pad : pad + length, :] = a
+    out = np.zeros((b, length, c))
+    for tap in range(k):
+        out += dw[tap] * a_pad[:, tap : tap + length, :]
+    return out, a_pad
+
+
+def tap_loop_bwd(dout, a_pad, dw):
+    """Reference: the gradients of ``tap_loop_fwd``, tap by tap."""
+    b, length, c = dout.shape
+    k = dw.shape[0]
+    pad = (k - 1) // 2
+    d_dw = np.zeros_like(dw)
+    d_apad = np.zeros_like(a_pad)
+    for tap in range(k):
+        seg = slice(tap, tap + length)
+        d_dw[tap] = np.einsum("blc,blc->c", dout, a_pad[:, seg, :])
+        d_apad[:, seg, :] += dw[tap] * dout
+    return d_apad[:, pad : pad + length, :], d_dw
+
+
+class TestDepthwiseBitIdentity:
+    @pytest.mark.parametrize("kernel", sorted(set(ENC_KERNELS) | {ATTN_KERNEL}))
+    @pytest.mark.parametrize("channels", [DEFAULT_D_MODEL, 2 * DEFAULT_D_MODEL])
+    @pytest.mark.parametrize("batch", [1, 2, 31, 32, 64])
+    def test_equal_to_tap_loop(self, kernel, channels, batch):
+        rng = np.random.default_rng([kernel, channels, batch])
+        shape = (batch, DEFAULT_N_FEATURES, channels)
+        for _ in range(10):
+            a = np.maximum(rng.normal(size=shape), 0.0)  # exact zeros, as after ReLU
+            dw = rng.uniform(-1, 1, size=(kernel, channels)) / math.sqrt(kernel)
+            dout = rng.normal(size=shape)
+            out, band = _depthwise_fwd(a, dw)
+            ref_out, a_pad = tap_loop_fwd(a, dw)
+            assert np.array_equal(out, ref_out)
+            da, d_dw = _depthwise_bwd(dout, a, band, kernel)
+            ref_da, ref_d_dw = tap_loop_bwd(dout, a_pad, dw)
+            assert np.array_equal(da, ref_da)
+            assert np.array_equal(d_dw, ref_d_dw)
 
 
 class TestConvModule:
@@ -229,6 +284,49 @@ class TestChunkedLogits:
         assert peak_bytes(5000) < 1.5 * peak_bytes(600)
 
 
+class TestFlatParameters:
+    def test_tensors_share_one_buffer(self):
+        model = SliceNetModel(rng=np.random.default_rng(30))
+        params = model.parameters()
+        assert sum(p.size for p in params.values()) == model.flat.size
+        for p in params.values():
+            assert p.base is model.flat
+
+    def test_adam_equals_per_tensor_update(self):
+        model = SliceNetModel(rng=np.random.default_rng(31))
+        feats, labels = make_separable_dataset(32, np.random.default_rng(32))
+        lr, beta1, beta2, eps = 0.01, 0.9, 0.999, 1e-8
+        ref = {k: p.copy() for k, p in model.parameters().items()}
+        m = {k: np.zeros_like(p) for k, p in ref.items()}
+        v = {k: np.zeros_like(p) for k, p in ref.items()}
+        opt = AdamOptimizer(model.flat, lr, beta1, beta2, eps)
+        for t in range(1, 4):
+            _, flat_grad = model.loss_and_flat_grad(feats, labels)
+            grads = model.tensor_views(flat_grad)
+            b1c = 1.0 - beta1**t
+            b2c = 1.0 - beta2**t
+            for k, p in ref.items():  # the per-tensor update, tensor by tensor
+                g = grads[k]
+                m[k] = beta1 * m[k] + (1 - beta1) * g
+                v[k] = beta2 * v[k] + (1 - beta2) * g * g
+                p -= lr * (m[k] / b1c) / (np.sqrt(v[k] / b2c) + eps)
+            opt.step(model.flat, flat_grad)
+            for k, p in model.parameters().items():
+                assert np.array_equal(p, ref[k]), (t, k)
+
+    def test_save_load_round_trip_after_set_parameter(self, tmp_path):
+        model = SliceNetModel(rng=np.random.default_rng(33))
+        rng = np.random.default_rng(34)
+        for name in ("lift_w", "enc3_dw", "attn2_pw", "head_b"):
+            model.set_parameter(name, rng.normal(size=model.parameters()[name].shape))
+        path = tmp_path / "model.bin"
+        save_slicenet(model, path)
+        loaded = load_slicenet(path)
+        for name, p in model.parameters().items():
+            assert np.array_equal(loaded.parameters()[name], p)
+        assert np.array_equal(loaded.flat, model.flat)
+
+
 class TestGradients:
     def test_analytic_matches_central_differences(self):
         rng = np.random.default_rng(7)
@@ -297,6 +395,13 @@ class TestTraining:
         for bad in (0.0005, 0.2):
             with pytest.raises(ValueError):
                 train(model, feats, labels, 1, bad, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_epochs_below_one_rejected(self, epochs):
+        model = SliceNetModel(rng=np.random.default_rng(5))
+        feats, labels = make_separable_dataset(10, np.random.default_rng(6))
+        with pytest.raises(ValueError, match="epochs"):
+            train(model, feats, labels, epochs, 0.01, np.random.default_rng(0))
 
     def test_empty_dataset_rejected(self):
         model = SliceNetModel(rng=np.random.default_rng(7))
