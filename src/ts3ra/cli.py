@@ -43,8 +43,7 @@ class _FileSink:
         self.fh = open(path, "w")
 
     def __call__(self, line: str) -> None:
-        self.fh.write(line)
-        self.fh.write("\n")
+        self.fh.write(line + "\n")
 
     def close(self) -> None:
         self.fh.close()
@@ -95,6 +94,9 @@ def _run_job(args: tuple) -> str:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        print(f"error: --jobs must be >= 1 (got {args.jobs})", file=sys.stderr)
+        return EXIT_USER_ERROR
     if args.scenario:
         path = Path(args.scenario)
         if not path.exists():
@@ -124,7 +126,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         jobs.append((scenario, args.out, "", args.trace))
 
     if len(jobs) > 1 and args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # A fork-started pool starts all its workers at the first submit.
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(jobs))) as pool:
             for path in pool.map(_run_job, jobs):
                 print(path)
     else:
@@ -184,12 +187,20 @@ def _cmd_train_slicenet(args: argparse.Namespace) -> int:
         print(f"error: data file not found: {data_path}", file=sys.stderr)
         return EXIT_USER_ERROR
     rows = []
-    for line in data_path.read_text().strip().splitlines():
+    for line_no, line in enumerate(data_path.read_text().splitlines(), 1):
         cells = line.split(",")
         try:
             rows.append([float(c) for c in cells])
         except ValueError:
             continue  # header row
+        label = rows[-1][-1]
+        if not (label.is_integer() and 0 <= label < sn.N_CLASSES):
+            print(
+                f"error: {data_path} line {line_no}: label {cells[-1].strip()!r} "
+                f"is not an integer in [0, {sn.N_CLASSES})",
+                file=sys.stderr,
+            )
+            return EXIT_USER_ERROR
     if not rows:
         print("error: no numeric rows in data file", file=sys.stderr)
         return EXIT_USER_ERROR

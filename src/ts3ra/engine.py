@@ -7,6 +7,10 @@ entropy-based flood detection with quarantine, and measured-overload flow
 rebalancing.  The clock is integer microseconds; events are processed in
 (time, kind rank, sequence) order, so a fixed scenario and seed reproduce
 the run bit for bit.
+
+Packet outcomes (deliveries and drops) wait on a heap of their own and are
+applied, in that same order, just before the next event that reads their
+effects or writes trace rows; the events that do neither pass them by.
 """
 
 from __future__ import annotations
@@ -82,6 +86,13 @@ DETECTION_HEADER = "window_start,switch_id,h_source,h_interarrival,h_size,verdic
 MIGRATION_HEADER = "time,flow_id,from_switch,to_switch,reason"
 
 
+# Kinds that neither read packet outcomes nor write trace rows: outcomes due
+# before them are left queued (see ``Engine.step_event``).
+_BLIND_KINDS = frozenset({SCHEDULE_SLOT, TRANSMIT, MOBILITY_TICK})
+# Queued outcomes applied before any event, whatever its kind.
+OUTCOME_BACKLOG = 4096
+
+
 class InvariantViolation(RuntimeError):
     """An engine-internal consistency rule was broken."""
 
@@ -129,11 +140,13 @@ class _DeviceRt:
         "counters",
         "_counters_of",
         "forged",
+        "floods",
         "authenticated",
         "granted",
         "request",
         "flow",
-        "switch_id",
+        "sw",
+        "tag",
         "quarantined",
         "blocked_streak",
         "gave_up",
@@ -156,13 +169,15 @@ class _DeviceRt:
         self.puf = puf
         self.claimed = claimed
         self._counters_of = counters_of
+        self.sw: Optional[_SwitchRt] = None
         self.decided = None
         self.forged = forged
+        # Sends at the flood interval once flooding starts.
+        self.floods = not device.legitimate and not forged
         self.authenticated = False
         self.granted = False
         self.request = None
         self.flow: Optional[Flow] = None
-        self.switch_id: Optional[str] = None
         self.quarantined = False
         self.blocked_streak = 0
         self.gave_up = False
@@ -178,6 +193,18 @@ class _DeviceRt:
         # ``counters`` serves the packet path without hashing an enum.
         self._decided = service
         self.counters = self._counters_of[service or self.claimed]
+        self._retag()
+
+    def place(self, sw: "_SwitchRt") -> None:
+        """Route this device's packets through ``sw``."""
+        self.sw = sw
+        self._retag()
+
+    def _retag(self) -> None:
+        # ``tag`` is the device,slice,switch part of this device's trace rows.
+        service = self._decided or self.claimed
+        switch_id = self.sw.profile.switch_id if self.sw else ""
+        self.tag = f"{self.device.device_id},{service.slice_id},{switch_id}"
 
 
 class _SwitchRt:
@@ -185,6 +212,7 @@ class _SwitchRt:
 
     __slots__ = (
         "profile",
+        "loss_rate",
         "nominal_load",
         "busy_until_us",
         "flows",
@@ -199,6 +227,7 @@ class _SwitchRt:
 
     def __init__(self, profile: SwitchProfile):
         self.profile = profile
+        self.loss_rate = profile.loss_rate
         self.nominal_load = 0.0
         self.busy_until_us = 0
         self.flows: set[int] = set()
@@ -246,6 +275,12 @@ class Engine:
         self.queue_delay_bound_us = to_us(scenario.queue_delay_bound)
         self.processing_latency_us = to_us(scenario.processing_latency)
         self.retransmit_delay_us = to_us(scenario.retransmit_delay)
+        # Link time of each packet size; every switch has the same rate.
+        length, rate = scenario.packet_length, scenario.switch_transmission_rate
+        self.tx_us = {
+            size: int(round(size * 8 / rate * 1e6))
+            for size in (length // 2, length, length * 2)
+        }
         self.coeffs = off_mod.WeightCoefficients(
             alpha=scenario.offload_alpha,
             beta=scenario.offload_beta,
@@ -253,6 +288,9 @@ class Engine:
         )
         self.clock_us = 0
         self.heap: list = []
+        # DELIVER and DROP entries, keyed like ``heap`` and numbered from the
+        # same ``seq``; see :meth:`step_event` for when they are applied.
+        self.outcomes: list = []
         self.seq = 0
         self.trace_sink = trace_sink
         self.detection_sink = detection_sink
@@ -281,6 +319,22 @@ class Engine:
         self.loss_curve = None
 
         self._build_world(model)
+        # Devices not yet rejected, dropped at the queue or allocated; once
+        # none is left no allocation follows, so nothing reads positions.
+        self.unfinished = len(self.dev)
+        self._handlers = (
+            self._on_arrival,
+            self._on_auth,
+            self._on_schedule_slot,
+            self._on_slice_decide,
+            self._on_allocate,
+            self._on_transmit,
+            self._outcome_on_event_heap,
+            self._outcome_on_event_heap,
+            self._on_window_close,
+            self._on_rebalance,
+            self._on_mobility_tick,
+        )
         self._seed_events()
 
     # -- construction --------------------------------------------------------
@@ -437,7 +491,8 @@ class Engine:
                 f"event {KIND_NAMES[kind]} scheduled at {time_us} before clock {self.clock_us}"
             )
         self.seq += 1
-        heapq.heappush(self.heap, (time_us, kind, self.seq, payload))
+        heap = self.outcomes if DELIVER <= kind <= DROP else self.heap
+        heapq.heappush(heap, (time_us, kind, self.seq, payload))
 
     def _trace(self, kind: int, device: str, slice_id: str, switch: str, outcome: str) -> None:
         if self.trace_sink:
@@ -445,50 +500,50 @@ class Engine:
                 f"{self.clock_us / 1e6:.6f},{KIND_NAMES[kind]},{device},{slice_id},{switch},{outcome}"
             )
 
-    def _trace_packet(self, kind: int, rt: _DeviceRt, outcome: str) -> None:
-        service = rt.decided or rt.claimed
-        self._trace(kind, rt.device.device_id, service.slice_id, rt.switch_id or "", outcome)
-
     def step_event(self, event: tuple) -> None:
-        """Process a single (time_us, kind, seq, payload) event."""
+        """Process a single (time_us, kind, seq, payload) event.
+
+        Queued outcomes that sort before the event are applied first, unless
+        the event is one of ``_BLIND_KINDS``, which neither read their effects
+        nor write trace rows; a backlog of ``OUTCOME_BACKLOG`` outcomes is
+        applied before any event, so the outcome heap stays small when no
+        event of the other kinds comes for a long time.
+        """
         time_us, kind, _, payload = event
         if time_us < self.clock_us:
             raise InvariantViolation("time regression in event stream")
+        outcomes = self.outcomes
+        if (
+            outcomes
+            and outcomes[0][0] <= time_us
+            and (kind not in _BLIND_KINDS or len(outcomes) >= OUTCOME_BACKLOG)
+        ):
+            # At equal times, outcomes sort after the kinds ranked below them.
+            self._apply_outcomes(time_us + 1 if kind > DROP else time_us)
         self.clock_us = time_us
-        self._dispatch(kind, payload)
+        self._handlers[kind](payload)
+
+    def _apply_outcomes(self, until_us: float) -> None:
+        """Apply, in heap order, every queued outcome due before ``until_us``."""
+        outcomes, pop = self.outcomes, heapq.heappop
+        deliver, drop = self._on_deliver, self._on_drop
+        while outcomes and outcomes[0][0] < until_us:
+            time_us, kind, _, payload = pop(outcomes)
+            if kind == DELIVER:
+                deliver(time_us, payload)
+            else:
+                drop(time_us, payload)
 
     def run(self) -> MetricsReport:
-        while self.heap:
-            self.step_event(heapq.heappop(self.heap))
+        heap, pop, step = self.heap, heapq.heappop, self.step_event
+        while heap:
+            step(pop(heap))
         return self.collect_metrics()
 
     # -- handlers ---------------------------------------------------------------
 
-    def _dispatch(self, kind: int, payload) -> None:
-        if kind == TRANSMIT:
-            self._on_transmit(payload)
-        elif kind == DELIVER:
-            self._on_deliver(payload)
-        elif kind == DROP:
-            self._on_drop(payload)
-        elif kind == SCHEDULE_SLOT:
-            self._on_schedule_slot()
-        elif kind == ARRIVAL:
-            self._on_arrival(payload)
-        elif kind == AUTH:
-            self._on_auth(payload)
-        elif kind == SLICE_DECIDE:
-            self._on_slice_decide(payload)
-        elif kind == ALLOCATE:
-            self._on_allocate(payload)
-        elif kind == WINDOW_CLOSE:
-            self._on_window_close()
-        elif kind == REBALANCE:
-            self._on_rebalance()
-        elif kind == MOBILITY_TICK:
-            self._on_mobility_tick()
-        else:
-            raise InvariantViolation(f"unknown event kind {kind}")
+    def _outcome_on_event_heap(self, payload) -> None:
+        raise InvariantViolation(f"packet outcome {payload!r} on the event heap")
 
     def _on_arrival(self, di: int) -> None:
         rt = self.dev[di]
@@ -512,6 +567,7 @@ class Engine:
         )
         if not verdict.accepted:
             self.auth_rejected += 1
+            self.unfinished -= 1
             self._trace(AUTH, rt.device.device_id, "", "", f"rejected:{verdict.reason.value}")
             return
         self.auth_accepted += 1
@@ -540,12 +596,13 @@ class Engine:
         )
         if not accepted:
             self.queue_dropped += 1
+            self.unfinished -= 1
             return
         if not self.sched_active:
             self.sched_active = True
             self._push(self.clock_us + self.slot_us, SCHEDULE_SLOT, None)
 
-    def _on_schedule_slot(self) -> None:
+    def _on_schedule_slot(self, _payload=None) -> None:
         result = sched_mod.step_slot(self.qstate, self.qconfig, self._rng_sched)
         for request in result.completions:
             rt = self.dev_by_id[request.origin]
@@ -607,6 +664,7 @@ class Engine:
 
     def _on_allocate(self, di: int) -> None:
         rt = self.dev[di]
+        self.unfinished -= 1
         service = rt.decided or rt.claimed
         elapsed = max(self.clock_us / 1e6, 1e-9)
         c = rt.counters
@@ -660,7 +718,7 @@ class Engine:
         sw = self.sw_by_id[best_id]
         sw.flows.add(rt.index)
         sw.nominal_load += rt.flow.rate
-        rt.switch_id = best_id
+        rt.place(sw)
         return best_id
 
     def _on_transmit(self, payload) -> None:
@@ -669,23 +727,20 @@ class Engine:
         if rt.gave_up and not is_retx:
             return
         sc = self.sc
-        flooding = (
-            not rt.device.legitimate
-            and not rt.forged
-            and self.clock_us >= self.flood_start_us
-        )
+        now = self.clock_us
 
         if not is_retx:
             self.generated += 1
-            if flooding or not sc.size_jitter:
+            if rt.floods and now >= self.flood_start_us:
                 size = sc.packet_length
+                nxt = now + self.flood_packet_interval_us
             else:
-                size = packet_size(next(self._size_draws), sc.packet_length)
-            if flooding:
-                nxt = self.clock_us + self.flood_packet_interval_us
-            else:
-                nxt = self.clock_us + self.packet_interval_us
-            if nxt < self.end_us and not rt.gave_up:
+                if sc.size_jitter:
+                    size = packet_size(next(self._size_draws), sc.packet_length)
+                else:
+                    size = sc.packet_length
+                nxt = now + self.packet_interval_us
+            if nxt < self.end_us:
                 self._push(nxt, TRANSMIT, (di, False, 0))
 
         if rt.quarantined:
@@ -693,13 +748,13 @@ class Engine:
             if rt.blocked_streak >= sc.flood_giveup:
                 rt.gave_up = True
             # a retransmission was already admitted and counted in flight
-            self._push(self.clock_us, DROP, (di, "quarantined", is_retx))
+            self._push(now, DROP, (di, "quarantined", is_retx))
             return
         rt.blocked_streak = 0
 
-        sw = self.sw_by_id[rt.switch_id]
-        c = rt.counters
+        sw = rt.sw
         if not is_retx:
+            c = rt.counters
             c.sent += 1
             c.in_flight += 1
 
@@ -708,53 +763,51 @@ class Engine:
         sw.win_counts[dev_id] = sw.win_counts.get(dev_id, 0) + 1
         sw.win_sizes.append(size)
         if sw.win_last_arrival_us is not None:
-            sw.win_interarrivals.append((self.clock_us - sw.win_last_arrival_us) / 1e6)
-        sw.win_last_arrival_us = self.clock_us
+            sw.win_interarrivals.append((now - sw.win_last_arrival_us) / 1e6)
+        sw.win_last_arrival_us = now
         bits = size * 8
         sw.interval_bits += bits
         sw.per_flow_bits[di] = sw.per_flow_bits.get(di, 0) + bits
 
-        reliable = rt.flow.protocol is Protocol.RELIABLE_STREAM
-        lost = next(self._loss_draws) < sw.profile.loss_rate
-        if not lost:
-            backlog_us = max(0, sw.busy_until_us - self.clock_us)
+        if next(self._loss_draws) < sw.loss_rate:
+            reason = "loss"
+        else:
+            backlog_us = sw.busy_until_us - now
+            if backlog_us < 0:
+                backlog_us = 0
             if backlog_us > self.queue_delay_bound_us:
-                lost = True
                 reason = "overflow"
             else:
-                tx_us = int(round(bits / sw.profile.transmission_rate * 1e6))
-                sw.busy_until_us = max(sw.busy_until_us, self.clock_us) + tx_us
+                tx_us = self.tx_us[size]
+                sw.busy_until_us = now + backlog_us + tx_us
                 latency_us = self.processing_latency_us + backlog_us + tx_us
-                self._push(self.clock_us + latency_us, DELIVER, (di, bits, latency_us))
+                self._push(now + latency_us, DELIVER, (di, bits, latency_us))
                 return
-        else:
-            reason = "loss"
 
-        if reliable and not is_retx:
-            self._push(self.clock_us + self.retransmit_delay_us, TRANSMIT, (di, True, size))
+        if not is_retx and rt.flow.protocol is Protocol.RELIABLE_STREAM:
+            self._push(now + self.retransmit_delay_us, TRANSMIT, (di, True, size))
         else:
-            self._push(self.clock_us, DROP, (di, reason, True))
+            self._push(now, DROP, (di, reason, True))
 
-    def _on_deliver(self, payload) -> None:
+    def _on_deliver(self, time_us: int, payload) -> None:
         di, bits, latency_us = payload
         rt = self.dev[di]
         c = rt.counters
+        c.in_flight -= 1
         if rt.quarantined:
             # the AP revokes in-flight traffic of a quarantined source
             c.dropped += 1
             c.blocked += 1
-            c.in_flight -= 1
             if self.trace_sink:
-                self._trace_packet(DROP, rt, "quarantined")
+                self.trace_sink(f"{time_us / 1e6:.6f},drop,{rt.tag},quarantined")
             return
         c.delivered += 1
-        c.in_flight -= 1
         c.delivered_bits += bits
         c.latency_sum += latency_us / 1e6
         if self.trace_sink:
-            self._trace_packet(DELIVER, rt, "ok")
+            self.trace_sink(f"{time_us / 1e6:.6f},deliver,{rt.tag},ok")
 
-    def _on_drop(self, payload) -> None:
+    def _on_drop(self, time_us: int, payload) -> None:
         di, reason, admitted = payload
         rt = self.dev[di]
         c = rt.counters
@@ -766,11 +819,11 @@ class Engine:
         if reason == "quarantined":
             c.blocked += 1
         if self.trace_sink:
-            self._trace_packet(DROP, rt, reason)
+            self.trace_sink(f"{time_us / 1e6:.6f},drop,{rt.tag},{reason}")
 
     # -- detection -----------------------------------------------------------
 
-    def _on_window_close(self) -> None:
+    def _on_window_close(self, _payload=None) -> None:
         if self.clock_us > self.end_us:
             return
         sc = self.sc
@@ -829,7 +882,7 @@ class Engine:
 
     # -- rebalancing -----------------------------------------------------------
 
-    def _on_rebalance(self) -> None:
+    def _on_rebalance(self, _payload=None) -> None:
         if self.clock_us > self.end_us:
             return
         sc = self.sc
@@ -855,7 +908,7 @@ class Engine:
                 dst.flows.add(drt.index)
                 src.nominal_load -= drt.flow.rate
                 dst.nominal_load += drt.flow.rate
-                drt.switch_id = mig.to_switch
+                drt.place(dst)
                 self.migrations += 1
                 if self.migration_sink:
                     self.migration_sink(
@@ -913,7 +966,7 @@ class Engine:
 
     # -- mobility ----------------------------------------------------------------
 
-    def _on_mobility_tick(self) -> None:
+    def _on_mobility_tick(self, _payload=None) -> None:
         if self.clock_us > self.end_us:
             return
         sc = self.sc
@@ -939,12 +992,13 @@ class Engine:
         np.clip(self.positions[:, 0], 0, sc.area_width, out=self.positions[:, 0])
         np.clip(self.positions[:, 1], 0, sc.area_height, out=self.positions[:, 1])
         nxt = self.clock_us + to_us(dt)
-        if nxt <= self.end_us:
+        if nxt <= self.end_us and self.unfinished:
             self._push(nxt, MOBILITY_TICK, None)
 
     # -- reporting ----------------------------------------------------------------
 
     def collect_metrics(self) -> MetricsReport:
+        self._apply_outcomes(math.inf)
         for st, c in self.counters.items():
             if c.in_flight != 0:
                 raise InvariantViolation(

@@ -179,6 +179,42 @@ class TestRunCommand:
         for seed in (1, 2, 3):
             assert (out / f"metrics_seed_{seed}.csv").exists()
 
+    def test_pool_never_larger_than_sweep(self, tmp_path, scenario_file, monkeypatch):
+        import ts3ra.cli as cli
+
+        sizes = []
+
+        class RecordingPool:
+            # Runs the jobs in this process; only records the pool size.
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        code = main(
+            [
+                "run", "--scenario", str(scenario_file), "--out", str(tmp_path / "sweep"),
+                "--sweep", "seed=1,2", "--jobs", "5000",
+            ]
+        )
+        assert code == 0
+        assert sizes == [2]
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_one(self, tmp_path, scenario_file, capsys, jobs):
+        args = ["run", "--scenario", str(scenario_file), "--out", str(tmp_path / "o"), "--jobs", jobs]
+        assert main(args) == 1
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 def test_cli_import_leaves_scipy_unloaded():
     # SciPy is not a dependency: neither the CLI nor the uniform-rate
@@ -307,4 +343,21 @@ class TestTrainCommand:
         args = ["train-slicenet", "--data", str(data), "--out", str(model_path), flag, value]
         assert main(args) == 1
         assert flag in capsys.readouterr().err
+        assert not model_path.exists()
+
+    @pytest.mark.parametrize("label", ["3", "5", "-1", "1.5"])
+    def test_bad_label_exit_one(self, tmp_path, capsys, label):
+        from ts3ra.slicenet import make_separable_dataset
+
+        feats, labels = make_separable_dataset(50, np.random.default_rng(0))
+        lines = [
+            ",".join(f"{v:.6f}" for v in row) + f",{lab}" for row, lab in zip(feats, labels)
+        ]
+        lines[6] = ",".join(f"{v:.6f}" for v in feats[6]) + f",{label}"
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join(lines))
+        model_path = tmp_path / "model.bin"
+        assert main(["train-slicenet", "--data", str(data), "--out", str(model_path)]) == 1
+        err = capsys.readouterr().err
+        assert "line 7" in err and repr(label) in err
         assert not model_path.exists()

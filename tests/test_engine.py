@@ -6,12 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ts3ra import engine as engine_mod
 from ts3ra.domain import ServiceType
 from ts3ra.engine import (
     ARRIVAL,
     AUTH,
     DELIVER,
     DROP,
+    MOBILITY_TICK,
+    WINDOW_CLOSE,
     Engine,
     InvariantViolation,
     TRANSMIT,
@@ -116,7 +119,7 @@ class TestPipelineSteps:
     def test_arrival_emits_auth_not_transmit(self):
         engine = self.make_engine()
         engine.heap.clear()
-        engine._dispatch(ARRIVAL, 0)
+        engine._on_arrival(0)
         kinds = [item[1] for item in engine.heap]
         assert AUTH in kinds
         assert TRANSMIT not in kinds
@@ -127,7 +130,7 @@ class TestPipelineSteps:
         rt.decided = ServiceType.URLLC
         before = {st: engine.counters[st].delivered for st in ServiceType}
         engine.counters[ServiceType.URLLC].in_flight += 1
-        engine._dispatch(DELIVER, (0, 4096, 1500))
+        engine._on_deliver(0, (0, 4096, 1500))
         after = {st: engine.counters[st].delivered for st in ServiceType}
         deltas = [after[st] - before[st] for st in ServiceType]
         assert sorted(deltas) == [0, 0, 1]
@@ -138,13 +141,14 @@ class TestPipelineSteps:
         rt.decided = ServiceType.MMTC
         rt.quarantined = True
         rt.flow = engine._make_flow(rt, ServiceType.MMTC)
-        rt.switch_id = "SW0"
+        rt.place(engine.sw_by_id["SW0"])
         engine.heap.clear()
-        engine._dispatch(TRANSMIT, (1, False, 0))
-        kinds = [item[1] for item in engine.heap]
+        engine._on_transmit((1, False, 0))
+        kinds = [item[1] for item in engine.outcomes]
         assert DROP in kinds
         while engine.heap:
             engine.step_event(heapq.heappop(engine.heap))
+        engine.collect_metrics()
         c = engine.counters[ServiceType.MMTC]
         assert c.blocked >= 1
         assert c.dropped >= 1
@@ -260,13 +264,13 @@ class TestMobility:
         engine = Engine(small_scenario(devices=5, duration=5.0, train_samples=60, epochs=1, speed_min=0.0, speed_max=0.0))
         before = engine.positions.copy()
         for _ in range(100):
-            engine._dispatch(10, None)  # MOBILITY_TICK
+            engine._on_mobility_tick()
         assert np.array_equal(engine.positions, before)
 
     def test_positions_stay_in_bounds(self):
         engine = Engine(small_scenario(devices=25, duration=5.0, train_samples=60, epochs=1, speed_max=40.0))
         for _ in range(10_000):
-            engine._dispatch(10, None)
+            engine._on_mobility_tick()
         assert np.all(engine.positions[:, 0] >= 0.0)
         assert np.all(engine.positions[:, 0] <= engine.sc.area_width)
         assert np.all(engine.positions[:, 1] >= 0.0)
@@ -276,9 +280,88 @@ class TestMobility:
         engine = Engine(small_scenario(devices=25, duration=5.0, train_samples=60, epochs=1))
         for _ in range(200):
             before = engine.positions.copy()
-            engine._dispatch(10, None)
+            engine._on_mobility_tick()
             moved = np.linalg.norm(engine.positions - before, axis=1)
             assert np.all(moved <= engine.speeds * engine.sc.tick_interval + 1e-9)
+
+
+class TestOutcomeOrdering:
+    def test_trace_sink_leaves_metrics_unchanged(self, small_run):
+        engine, report, _, _ = small_run
+        assert engine.quarantined
+        assert run_scenario(small_scenario()).to_csv_rows() == report.to_csv_rows()
+
+    def test_outcomes_applied_before_every_event_give_the_same_run(self, small_run, monkeypatch):
+        # A backlog of 1 applies each outcome at its place in the old single
+        # heap, before whatever event follows it.
+        _, report, trace, detection = small_run
+        monkeypatch.setattr(engine_mod, "OUTCOME_BACKLOG", 1)
+        eager_trace: list[str] = []
+        eager_detection: list[str] = []
+        eager = Engine(
+            small_scenario(), trace_sink=eager_trace.append, detection_sink=eager_detection.append
+        ).run()
+        assert eager.to_csv_rows() == report.to_csv_rows()
+        assert eager_trace == trace
+        assert eager_detection == detection
+
+    def test_backlog_bounds_outcome_heap_without_detection_or_rebalance(self, monkeypatch):
+        monkeypatch.setattr(engine_mod, "OUTCOME_BACKLOG", 64)
+        engine = Engine(
+            small_scenario(devices=20, duration=12.0, ddos_enabled=False, offload_enabled=False)
+        )
+        high = 0
+        while engine.heap:
+            engine.step_event(heapq.heappop(engine.heap))
+            high = max(high, len(engine.outcomes))
+        assert engine.generated > 1000
+        # Without the bound 193 outcomes wait at once here; an event queues
+        # at most one.
+        assert high <= 64 + 1
+        engine.collect_metrics()
+
+    def test_run_leaves_no_outcome_queued(self, small_run):
+        engine, _, _, _ = small_run
+        assert engine.outcomes == []
+        assert all(c.in_flight == 0 for c in engine.counters.values())
+
+    @pytest.mark.parametrize("delay_us,delivered", [(0, True), (1, False)])
+    def test_delivery_at_quarantining_window_close(self, delay_us, delivered):
+        engine = Engine(small_scenario(devices=12, duration=5.0, train_samples=60, epochs=1))
+        engine.heap.clear()
+        rt = engine.dev[0]
+        sw = engine.sw_by_id["SW0"]
+        rt.place(sw)
+        c = rt.counters
+        close_us = 2_000_000
+        c.sent += 1
+        c.in_flight += 1
+        engine._push(close_us + delay_us, DELIVER, (0, 4096, 1500))
+        # One source dominates a window on SW0 whose size entropy collapses.
+        sw.win_counts = {rt.device.device_id: 1000}
+        for other in engine.dev[1:10]:
+            sw.win_counts[other.device.device_id] = 1
+        sw.win_sizes = [512] * 1009
+        sw.baseline_triples = [(3.0, 1.0, 1.0)] * engine.sc.baseline_windows
+        engine.step_event((close_us, WINDOW_CLOSE, 0, None))
+        assert rt.quarantined
+        engine.collect_metrics()
+        assert (c.delivered, c.blocked) == ((1, 0) if delivered else (0, 1))
+
+    def test_mobility_ticks_stop_once_every_device_finished(self):
+        engine = Engine(small_scenario(devices=12, duration=20.0, train_samples=60, epochs=1))
+        while engine.unfinished:
+            engine.step_event(heapq.heappop(engine.heap))
+        finished_us = engine.clock_us
+        assert finished_us < engine.end_us / 2
+        ticks = 0
+        while engine.heap:
+            event = heapq.heappop(engine.heap)
+            ticks += event[1] == MOBILITY_TICK
+            engine.step_event(event)
+            if ticks:
+                assert all(e[1] != MOBILITY_TICK for e in engine.heap)
+        assert ticks <= 1  # the one armed before the last device finished
 
 
 class TestCollectMetrics:
