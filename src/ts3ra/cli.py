@@ -188,12 +188,33 @@ def _cmd_train_slicenet(args: argparse.Namespace) -> int:
         return EXIT_USER_ERROR
     rows = []
     for line_no, line in enumerate(data_path.read_text().splitlines(), 1):
+        if not line.strip():
+            continue
         cells = line.split(",")
-        try:
-            rows.append([float(c) for c in cells])
-        except ValueError:
-            continue  # header row
-        label = rows[-1][-1]
+        row = []
+        for cell in cells:
+            try:
+                row.append(float(cell))
+            except ValueError:
+                break
+        if len(row) < len(cells):
+            if line_no == 1:
+                continue  # header row
+            print(
+                f"error: {data_path} line {line_no}: cell {cells[len(row)].strip()!r} "
+                "is not a number",
+                file=sys.stderr,
+            )
+            return EXIT_USER_ERROR
+        if rows and len(row) != len(rows[0]):
+            print(
+                f"error: {data_path} line {line_no}: {len(row)} columns, "
+                f"but the first data row has {len(rows[0])}",
+                file=sys.stderr,
+            )
+            return EXIT_USER_ERROR
+        rows.append(row)
+        label = row[-1]
         if not (label.is_integer() and 0 <= label < sn.N_CLASSES):
             print(
                 f"error: {data_path} line {line_no}: label {cells[-1].strip()!r} "

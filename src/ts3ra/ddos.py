@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -21,6 +23,7 @@ DEFAULT_K_SIGMA = 3.0
 DEFAULT_MIN_PACKETS = 30
 DEFAULT_WINDOW_DURATION = 1.0  # seconds
 MIN_BASELINE_WINDOWS = 10
+N_INTERARRIVAL_BINS = 16
 DEFAULT_DOMINANCE_FACTOR = 3.0  # multiples of the fair per-source share
 _SIGMA_FLOOR = 1e-9
 
@@ -41,6 +44,18 @@ def _validated_distribution(distribution: Sequence[float]) -> np.ndarray:
     return p
 
 
+def _check_alpha(alpha: float) -> None:
+    if alpha <= 0:
+        raise ValueError("alpha must be > 0")
+    if alpha == 1.0:
+        raise ValueError("alpha = 1 is the Shannon limit; call shannon_entropy")
+
+
+def _renyi(p: np.ndarray, alpha: float) -> float:
+    nz = p[p > 0]
+    return float(math.log2(np.sum(nz**alpha)) / (1.0 - alpha))
+
+
 def renyi_entropy(distribution: Sequence[float], alpha: float) -> float:
     """Order-alpha entropy in bits: log2(sum p_i^alpha) / (1 - alpha).
 
@@ -48,12 +63,8 @@ def renyi_entropy(distribution: Sequence[float], alpha: float) -> float:
     and different from 1; use :func:`shannon_entropy` for the order-1 limit.
     """
     p = _validated_distribution(distribution)
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
-    if alpha == 1.0:
-        raise ValueError("alpha = 1 is the Shannon limit; call shannon_entropy")
-    nz = p[p > 0]
-    return float(math.log2(np.sum(nz**alpha)) / (1.0 - alpha))
+    _check_alpha(alpha)
+    return _renyi(p, alpha)
 
 
 def shannon_entropy(distribution: Sequence[float]) -> float:
@@ -72,21 +83,70 @@ def entropy_of_counts(counts: Sequence[float], alpha: float) -> float:
     return renyi_entropy(c / total, alpha)
 
 
+def _entropy_of_valid_counts(counts: Sequence[int], alpha: float) -> float:
+    """:func:`entropy_of_counts` for counts that are non-negative by
+    construction and an ``alpha`` already checked: the same operations,
+    without validating the distribution again."""
+    c = np.asarray(counts, dtype=np.float64)
+    total = c.sum()
+    if total <= 0:
+        return 0.0
+    return _renyi(c / total, alpha)
+
+
+@functools.lru_cache(maxsize=8)
+def interarrival_inner_edges(duration: float) -> tuple[float, ...]:
+    """The 15 inner edges of the geometric inter-arrival bins, from 0.1 ms
+    up to the window.  ``bisect_right(edges, gap_s)`` is the bin of a gap:
+    bin 0 takes everything below the second edge, shorter than 0.1 ms
+    included, and bin 15 everything from the sixteenth edge on, gaps longer
+    than the window included."""
+    edges = np.geomspace(1e-4, max(duration, 1e-3), num=N_INTERARRIVAL_BINS + 1)
+    return tuple(edges[1:-1].tolist())
+
+
+@dataclass(slots=True)
+class WindowCounts:
+    """The running counts of one window, all that its entropies read:
+    packets per source, inter-arrival gaps per bin (see
+    :func:`interarrival_inner_edges`) and packets per size."""
+
+    source_counts: dict[str, int] = field(default_factory=dict)
+    interarrival_bins: list[int] = field(
+        default_factory=lambda: [0] * N_INTERARRIVAL_BINS
+    )
+    size_counts: dict[int, int] = field(default_factory=dict)
+
+    @property
+    def packet_count(self) -> int:
+        return sum(self.source_counts.values())
+
+
 @dataclass(frozen=True)
 class TrafficWindow:
-    """One tumbling window of traffic arriving at a switch."""
+    """One tumbling window of traffic arriving at a switch, given packet by
+    packet; its bin and size counts are derived as :class:`WindowCounts`
+    holds them."""
 
     window_id: int
     duration: float
     source_counts: dict[str, int]
     interarrival_times: tuple[float, ...]
     packet_sizes: tuple[int, ...]
+    interarrival_bins: list[int] = field(init=False, repr=False, compare=False)
+    size_counts: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.duration <= 0:
             raise ValueError("duration must be > 0")
         if any(c < 0 for c in self.source_counts.values()):
             raise ValueError("counts must be >= 0")
+        edges = interarrival_inner_edges(self.duration)
+        bins = [0] * N_INTERARRIVAL_BINS
+        for gap in self.interarrival_times:
+            bins[bisect_right(edges, gap)] += 1
+        object.__setattr__(self, "interarrival_bins", bins)
+        object.__setattr__(self, "size_counts", dict(Counter(self.packet_sizes)))
 
     @property
     def packet_count(self) -> int:
@@ -106,31 +166,21 @@ class EntropyReport:
             raise ValueError("alpha must be > 0 and != 1")
 
 
-@functools.lru_cache(maxsize=8)
-def _interarrival_edges(duration: float) -> np.ndarray:
-    """Geometric bin edges from 0.1 ms up to the window, built once per
-    window duration; read-only, since every caller shares the array."""
-    edges = np.geomspace(1e-4, max(duration, 1e-3), num=17)
-    edges.flags.writeable = False
-    return edges
+Window = TrafficWindow | WindowCounts
+
+# An empty inter-arrival or size profile counts as one certain outcome.
+_NO_PACKETS = (1.0,)
 
 
-def _interarrival_histogram(times: Sequence[float], duration: float) -> np.ndarray:
-    """Geometric binning of inter-arrival times from 0.1 ms up to the window."""
-    if len(times) == 0:
-        return np.array([1.0])
-    edges = _interarrival_edges(duration)
-    counts, _ = np.histogram(np.clip(times, edges[0], edges[-1]), bins=edges)
-    return counts.astype(np.float64)
-
-
-def window_entropies(window: TrafficWindow, alpha: float = DEFAULT_ALPHA) -> tuple[float, float, float]:
+def window_entropies(window: Window, alpha: float = DEFAULT_ALPHA) -> tuple[float, float, float]:
     """(source, inter-arrival, size) entropies of one window, in bits."""
-    src = entropy_of_counts(list(window.source_counts.values()), alpha)
-    ia = entropy_of_counts(_interarrival_histogram(window.interarrival_times, window.duration), alpha)
-    sizes, counts = np.unique(np.asarray(window.packet_sizes, dtype=np.int64), return_counts=True) \
-        if window.packet_sizes else (np.array([]), np.array([1.0]))
-    size_h = entropy_of_counts(counts, alpha)
+    _check_alpha(alpha)
+    src = _entropy_of_valid_counts(list(window.source_counts.values()), alpha)
+    bins = window.interarrival_bins
+    ia = _entropy_of_valid_counts(bins if any(bins) else _NO_PACKETS, alpha)
+    sizes = window.size_counts
+    size_counts = [sizes[s] for s in sorted(sizes)] if sizes else _NO_PACKETS
+    size_h = _entropy_of_valid_counts(size_counts, alpha)
     return src, ia, size_h
 
 
@@ -148,7 +198,7 @@ class BaselineStats:
 
     @classmethod
     def from_windows(
-        cls, windows: Iterable[TrafficWindow], alpha: float = DEFAULT_ALPHA
+        cls, windows: Iterable[Window], alpha: float = DEFAULT_ALPHA
     ) -> "BaselineStats":
         return cls.from_triples([window_entropies(w, alpha) for w in windows])
 
@@ -176,7 +226,7 @@ class BaselineStats:
 
 
 def classify_window(
-    window: TrafficWindow,
+    window: Window,
     baseline: BaselineStats,
     alpha: float = DEFAULT_ALPHA,
     k_sigma: float = DEFAULT_K_SIGMA,

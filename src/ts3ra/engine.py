@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -208,7 +209,7 @@ class _DeviceRt:
 
 
 class _SwitchRt:
-    """Mutable per-switch state: link occupancy and window accumulators."""
+    """Mutable per-switch state: link occupancy and window counts."""
 
     __slots__ = (
         "profile",
@@ -216,9 +217,7 @@ class _SwitchRt:
         "nominal_load",
         "busy_until_us",
         "flows",
-        "win_counts",
-        "win_sizes",
-        "win_interarrivals",
+        "window",
         "win_last_arrival_us",
         "interval_bits",
         "per_flow_bits",
@@ -231,18 +230,14 @@ class _SwitchRt:
         self.nominal_load = 0.0
         self.busy_until_us = 0
         self.flows: set[int] = set()
-        self.win_counts: dict[str, int] = {}
-        self.win_sizes: list[int] = []
-        self.win_interarrivals: list[float] = []
+        self.window = ddos_mod.WindowCounts()
         self.win_last_arrival_us: Optional[int] = None
         self.interval_bits = 0
         self.per_flow_bits: dict[int, int] = {}
         self.baseline_triples: list[tuple[float, float, float]] = []
 
     def reset_window(self) -> None:
-        self.win_counts = {}
-        self.win_sizes = []
-        self.win_interarrivals = []
+        self.window = ddos_mod.WindowCounts()
 
     def reset_interval(self) -> None:
         self.interval_bits = 0
@@ -275,6 +270,8 @@ class Engine:
         self.queue_delay_bound_us = to_us(scenario.queue_delay_bound)
         self.processing_latency_us = to_us(scenario.processing_latency)
         self.retransmit_delay_us = to_us(scenario.retransmit_delay)
+        # A packet's inter-arrival gap is binned as it arrives at its switch.
+        self.ia_edges = ddos_mod.interarrival_inner_edges(scenario.window_duration)
         # Link time of each packet size; every switch has the same rate.
         length, rate = scenario.packet_length, scenario.switch_transmission_rate
         self.tx_us = {
@@ -467,7 +464,6 @@ class Engine:
         )
 
         self.requests_seen = 0
-        self.window_index = 0
 
     def _seed_events(self) -> None:
         sc = self.sc
@@ -758,12 +754,16 @@ class Engine:
             c.sent += 1
             c.in_flight += 1
 
-        # window accumulators observe everything arriving at the switch
+        # window counts observe everything arriving at the switch
+        win = sw.window
         dev_id = rt.device.device_id
-        sw.win_counts[dev_id] = sw.win_counts.get(dev_id, 0) + 1
-        sw.win_sizes.append(size)
-        if sw.win_last_arrival_us is not None:
-            sw.win_interarrivals.append((now - sw.win_last_arrival_us) / 1e6)
+        sources = win.source_counts
+        sources[dev_id] = sources.get(dev_id, 0) + 1
+        sizes = win.size_counts
+        sizes[size] = sizes.get(size, 0) + 1
+        last_us = sw.win_last_arrival_us
+        if last_us is not None:
+            win.interarrival_bins[bisect_right(self.ia_edges, (now - last_us) / 1e6)] += 1
         sw.win_last_arrival_us = now
         bits = size * 8
         sw.interval_bits += bits
@@ -828,15 +828,8 @@ class Engine:
             return
         sc = self.sc
         start_s = self.clock_us / 1e6 - sc.window_duration
-        self.window_index += 1
         for sw in self.switches:
-            window = ddos_mod.TrafficWindow(
-                window_id=self.window_index,
-                duration=sc.window_duration,
-                source_counts=dict(sw.win_counts),
-                interarrival_times=tuple(sw.win_interarrivals),
-                packet_sizes=tuple(sw.win_sizes),
-            )
+            window = sw.window
             blocked: list[str] = []
             if window.packet_count < sc.min_packets:
                 verdict = ddos_mod.VERDICT_INCONCLUSIVE

@@ -361,3 +361,27 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "line 7" in err and repr(label) in err
         assert not model_path.exists()
+
+    @pytest.mark.parametrize(
+        "mangle,message",
+        [
+            (lambda cells: cells[:2] + ["x"] + cells[3:], "'x' is not a number"),
+            (lambda cells: cells[1:], "columns"),
+        ],
+        ids=["non-numeric-cell", "short-row"],
+    )
+    def test_bad_row_exit_one(self, tmp_path, capsys, mangle, message):
+        from ts3ra.slicenet import make_separable_dataset
+
+        feats, labels = make_separable_dataset(50, np.random.default_rng(0))
+        lines = [",".join(f"f{i}" for i in range(feats.shape[1])) + ",label"] + [
+            ",".join(f"{v:.6f}" for v in row) + f",{lab}" for row, lab in zip(feats, labels)
+        ]
+        lines[10] = ",".join(mangle(lines[10].split(",")))
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join(lines))
+        model_path = tmp_path / "model.bin"
+        assert main(["train-slicenet", "--data", str(data), "--out", str(model_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{data} line 11" in err and message in err
+        assert not model_path.exists()

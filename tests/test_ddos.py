@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ts3ra.ddos import (
     BaselineStats,
@@ -146,6 +148,83 @@ class TestClassifyWindow:
         rng = np.random.default_rng(35)
         h = window_entropies(benign_window(rng, 0))
         assert all(v >= 0 for v in h)
+
+
+def list_window_entropies(window, alpha=2.0):
+    """The packet-list implementation that window counts replaced, kept as
+    the oracle: histogram of clipped gaps, ``np.unique`` of the sizes."""
+    src = entropy_of_counts(list(window.source_counts.values()), alpha)
+    times = window.interarrival_times
+    if len(times) == 0:
+        hist = np.array([1.0])
+    else:
+        edges = np.geomspace(1e-4, max(window.duration, 1e-3), num=17)
+        hist, _ = np.histogram(np.clip(times, edges[0], edges[-1]), bins=edges)
+        hist = hist.astype(np.float64)
+    ia = entropy_of_counts(hist, alpha)
+    if window.packet_sizes:
+        sizes = np.asarray(window.packet_sizes, dtype=np.int64)
+        _, size_counts = np.unique(sizes, return_counts=True)
+    else:
+        size_counts = np.array([1.0])
+    return src, ia, entropy_of_counts(size_counts, alpha)
+
+
+def gap_us(duration):
+    """Integer-µs gaps: equal times, each bin edge's neighbours (the edge
+    itself where it is a whole µs), below the first edge, past the window."""
+    window_us = int(duration * 1e6)
+    edges_us = np.geomspace(1e-4, duration, num=17) * 1e6
+    near_edges = sorted({f(e) for e in edges_us for f in (math.floor, math.ceil)})
+    return st.one_of(
+        st.sampled_from([0, *near_edges]),
+        st.integers(0, 99),
+        st.integers(window_us, 3 * window_us),
+        st.integers(0, window_us),
+    )
+
+
+@st.composite
+def packet_streams(draw, duration):
+    """(sources, sizes, arrival times in µs, whether a gap carries over from
+    the previous window) for zero or more packets."""
+    n = draw(st.integers(0, 40))
+    sources = draw(st.lists(st.sampled_from("abcd"), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        sizes = draw(st.lists(st.sampled_from([256, 512, 1024]), min_size=n, max_size=n))
+    else:
+        sizes = [draw(st.sampled_from([256, 512, 1024]))] * n
+    gaps = draw(st.lists(gap_us(duration), min_size=n, max_size=n))
+    times = list(itertools.accumulate(gaps))
+    return sources, sizes, times, draw(st.booleans())
+
+
+class TestWindowCounts:
+    @pytest.mark.parametrize("duration", [0.25, 1.0])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_counts_bit_identical_to_packet_lists(self, duration, data):
+        sources, sizes, times, carried = data.draw(packet_streams(duration))
+        # The engine divides whole-µs differences, as here; a window's first
+        # packet has a gap only when an earlier window saw a packet.
+        stamps = ([0] if carried else []) + times
+        gaps = tuple((b - a) / 1e6 for a, b in zip(stamps, stamps[1:]))
+        counts: dict[str, int] = {}
+        for src in sources:
+            counts[src] = counts.get(src, 0) + 1
+        window = TrafficWindow(0, duration, counts, gaps, tuple(sizes))
+        assert repr(window_entropies(window)) == repr(list_window_entropies(window))
+        assert sum(window.interarrival_bins) == len(gaps)
+
+    def test_empty_profiles_are_negative_zero(self):
+        # detection.csv prints these as -0.000000
+        h = window_entropies(TrafficWindow(0, 0.25, {}, (), ()))
+        assert repr(h) == "(0.0, -0.0, -0.0)"
+
+    def test_gap_on_an_edge_opens_the_upper_bin(self):
+        window = TrafficWindow(0, 1.0, {"a": 4}, (1e-5, 1e-4, 1e-3, 7.0), (512,) * 4)
+        bins = window.interarrival_bins
+        assert (bins[0], bins[4], bins[15]) == (2, 1, 1)
 
 
 class TestPredictBandwidth:

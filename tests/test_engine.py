@@ -225,6 +225,47 @@ class TestDetectionIntegration:
         assert detection[0].startswith("window_start,switch_id,")
         assert len(detection) > 1
 
+    def test_every_switch_window_reaches_the_module_entropy_calls(self, monkeypatch):
+        # The benchmark's traced runs time detection by wrapping these two
+        # module attributes; a call that bypassed them would go unmeasured.
+        from ts3ra import ddos
+
+        calls = {"window_entropies": 0, "classify_window": 0}
+        for name in calls:
+            inner = getattr(ddos, name)
+
+            def counted(*args, _inner=inner, _name=name, **kwargs):
+                calls[_name] += 1
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(ddos, name, counted)
+        detection: list[str] = []
+        sc = small_scenario(
+            devices=12, duration=8.0, window_duration=0.25, min_packets=3,
+            flood_start=4.0, train_samples=60, epochs=1,
+        )
+        Engine(sc, detection_sink=detection.append).run()
+        rows = [line.split(",") for line in detection[1:]]
+        assert calls["window_entropies"] == len(rows) == sc.switches * 32
+        classified = sum(row[5] in ("benign", "attack") for row in rows)
+        assert calls["classify_window"] == classified > 0
+
+    def test_window_state_stays_bounded_without_detection(self):
+        engine = Engine(
+            small_scenario(
+                devices=20, duration=12.0, ddos_enabled=False, train_samples=60, epochs=1
+            )
+        )
+        engine.run()
+        assert engine.generated > 1000
+        for sw in engine.switches:
+            window = sw.window
+            assert len(window.source_counts) <= len(engine.dev)
+            assert len(window.interarrival_bins) == 16
+            assert len(window.size_counts) <= 3
+        # never reset, so the one window has counted every packet admitted
+        assert sum(sw.window.packet_count for sw in engine.switches) > 1000
+
     def test_forged_devices_rejected_at_auth(self):
         report = run_scenario(
             small_scenario(
@@ -338,10 +379,11 @@ class TestOutcomeOrdering:
         c.in_flight += 1
         engine._push(close_us + delay_us, DELIVER, (0, 4096, 1500))
         # One source dominates a window on SW0 whose size entropy collapses.
-        sw.win_counts = {rt.device.device_id: 1000}
+        counts = sw.window.source_counts
+        counts[rt.device.device_id] = 1000
         for other in engine.dev[1:10]:
-            sw.win_counts[other.device.device_id] = 1
-        sw.win_sizes = [512] * 1009
+            counts[other.device.device_id] = 1
+        sw.window.size_counts[512] = 1009
         sw.baseline_triples = [(3.0, 1.0, 1.0)] * engine.sc.baseline_windows
         engine.step_event((close_us, WINDOW_CLOSE, 0, None))
         assert rt.quarantined
