@@ -12,7 +12,6 @@ import logging
 import os
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +125,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         jobs.append((scenario, args.out, "", args.trace))
 
     if len(jobs) > 1 and args.jobs > 1:
+        # Imported here: only parallel sweeps need it, and it loads
+        # multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         # A fork-started pool starts all its workers at the first submit.
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(jobs))) as pool:
             for path in pool.map(_run_job, jobs):

@@ -8,16 +8,17 @@ rebalancing.  The clock is integer microseconds; events are processed in
 (time, kind rank, sequence) order, so a fixed scenario and seed reproduce
 the run bit for bit.
 
-Packet outcomes (deliveries and drops) wait on a heap of their own and are
-applied, in that same order, just before the next event that reads their
-effects or writes trace rows; the events that do neither pass them by.
+Packet outcomes (deliveries and drops) wait in sorted lanes, one of
+deliveries per switch and one of drops, and are applied, in that same order,
+just before the next event that reads their effects or writes trace rows; the
+events that do neither pass them by.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -209,13 +210,15 @@ class _DeviceRt:
 
 
 class _SwitchRt:
-    """Mutable per-switch state: link occupancy and window counts."""
+    """Mutable per-switch state: link occupancy, pending deliveries and
+    window counts."""
 
     __slots__ = (
         "profile",
         "loss_rate",
         "nominal_load",
         "busy_until_us",
+        "deliveries",
         "flows",
         "window",
         "win_last_arrival_us",
@@ -229,6 +232,10 @@ class _SwitchRt:
         self.loss_rate = profile.loss_rate
         self.nominal_load = 0.0
         self.busy_until_us = 0
+        # DELIVER entries of packets this switch carried, in event order:
+        # each lands at the new ``busy_until_us`` plus a constant latency,
+        # and ``busy_until_us`` never decreases.
+        self.deliveries: list = []
         self.flows: set[int] = set()
         self.window = ddos_mod.WindowCounts()
         self.win_last_arrival_us: Optional[int] = None
@@ -285,9 +292,12 @@ class Engine:
         )
         self.clock_us = 0
         self.heap: list = []
-        # DELIVER and DROP entries, keyed like ``heap`` and numbered from the
-        # same ``seq``; see :meth:`step_event` for when they are applied.
-        self.outcomes: list = []
+        # DROP entries, keyed like ``heap`` and numbered from the same
+        # ``seq``; every drop lands at the clock, so the list stays sorted.
+        self.drops: list = []
+        # Entries waiting in ``drops`` and the switches' ``deliveries``; see
+        # :meth:`step_event` for when they are applied.
+        self.queued = 0
         self.seq = 0
         self.trace_sink = trace_sink
         self.detection_sink = detection_sink
@@ -316,6 +326,7 @@ class Engine:
         self.loss_curve = None
 
         self._build_world(model)
+        self.lanes = [sw.deliveries for sw in self.switches] + [self.drops]
         # Devices not yet rejected, dropped at the queue or allocated; once
         # none is left no allocation follows, so nothing reads positions.
         self.unfinished = len(self.dev)
@@ -482,13 +493,22 @@ class Engine:
     # -- event plumbing --------------------------------------------------------
 
     def _push(self, time_us: int, kind: int, payload) -> None:
+        """Schedule an event; a DELIVER joins its device's switch lane and a
+        DROP the drop lane, at its sorted place whatever its time."""
         if time_us < self.clock_us:
             raise InvariantViolation(
                 f"event {KIND_NAMES[kind]} scheduled at {time_us} before clock {self.clock_us}"
             )
         self.seq += 1
-        heap = self.outcomes if DELIVER <= kind <= DROP else self.heap
-        heapq.heappush(heap, (time_us, kind, self.seq, payload))
+        entry = (time_us, kind, self.seq, payload)
+        if kind == DELIVER:
+            insort(self.dev[payload[0]].sw.deliveries, entry)
+        elif kind == DROP:
+            insort(self.drops, entry)
+        else:
+            heapq.heappush(self.heap, entry)
+            return
+        self.queued += 1
 
     def _trace(self, kind: int, device: str, slice_id: str, switch: str, outcome: str) -> None:
         if self.trace_sink:
@@ -502,29 +522,39 @@ class Engine:
         Queued outcomes that sort before the event are applied first, unless
         the event is one of ``_BLIND_KINDS``, which neither read their effects
         nor write trace rows; a backlog of ``OUTCOME_BACKLOG`` outcomes is
-        applied before any event, so the outcome heap stays small when no
-        event of the other kinds comes for a long time.
+        applied before any event, so the lanes stay short when no event of
+        the other kinds comes for a long time.
         """
         time_us, kind, _, payload = event
         if time_us < self.clock_us:
             raise InvariantViolation("time regression in event stream")
-        outcomes = self.outcomes
-        if (
-            outcomes
-            and outcomes[0][0] <= time_us
-            and (kind not in _BLIND_KINDS or len(outcomes) >= OUTCOME_BACKLOG)
-        ):
+        queued = self.queued
+        if queued and (kind not in _BLIND_KINDS or queued >= OUTCOME_BACKLOG):
             # At equal times, outcomes sort after the kinds ranked below them.
             self._apply_outcomes(time_us + 1 if kind > DROP else time_us)
         self.clock_us = time_us
         self._handlers[kind](payload)
 
     def _apply_outcomes(self, until_us: float) -> None:
-        """Apply, in heap order, every queued outcome due before ``until_us``."""
-        outcomes, pop = self.outcomes, heapq.heappop
+        """Apply, in event order, every queued outcome due before ``until_us``.
+
+        Each lane is sorted, so its due entries are a prefix; ``sort`` merges
+        the prefixes' sorted runs.  ``seq`` is unique, so payloads are never
+        compared.
+        """
+        key = (until_us,)
+        due: list = []
+        for lane in self.lanes:
+            k = bisect_left(lane, key)
+            if k:
+                due += lane[:k]
+                del lane[:k]
+        if not due:
+            return
+        self.queued -= len(due)
+        due.sort()
         deliver, drop = self._on_deliver, self._on_drop
-        while outcomes and outcomes[0][0] < until_us:
-            time_us, kind, _, payload = pop(outcomes)
+        for time_us, kind, _, payload in due:
             if kind == DELIVER:
                 deliver(time_us, payload)
             else:
@@ -744,7 +774,9 @@ class Engine:
             if rt.blocked_streak >= sc.flood_giveup:
                 rt.gave_up = True
             # a retransmission was already admitted and counted in flight
-            self._push(now, DROP, (di, "quarantined", is_retx))
+            self.seq += 1
+            self.drops.append((now, DROP, self.seq, (di, "quarantined", is_retx)))
+            self.queued += 1
             return
         rt.blocked_streak = 0
 
@@ -781,13 +813,17 @@ class Engine:
                 tx_us = self.tx_us[size]
                 sw.busy_until_us = now + backlog_us + tx_us
                 latency_us = self.processing_latency_us + backlog_us + tx_us
-                self._push(now + latency_us, DELIVER, (di, bits, latency_us))
+                self.seq += 1
+                sw.deliveries.append((now + latency_us, DELIVER, self.seq, (di, bits, latency_us)))
+                self.queued += 1
                 return
 
         if not is_retx and rt.flow.protocol is Protocol.RELIABLE_STREAM:
             self._push(now + self.retransmit_delay_us, TRANSMIT, (di, True, size))
         else:
-            self._push(now, DROP, (di, reason, True))
+            self.seq += 1
+            self.drops.append((now, DROP, self.seq, (di, reason, True)))
+            self.queued += 1
 
     def _on_deliver(self, time_us: int, payload) -> None:
         di, bits, latency_us = payload

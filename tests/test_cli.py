@@ -180,7 +180,7 @@ class TestRunCommand:
             assert (out / f"metrics_seed_{seed}.csv").exists()
 
     def test_pool_never_larger_than_sweep(self, tmp_path, scenario_file, monkeypatch):
-        import ts3ra.cli as cli
+        import concurrent.futures
 
         sizes = []
 
@@ -198,7 +198,8 @@ class TestRunCommand:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        # The CLI imports the pool class only when a sweep runs in parallel.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         code = main(
             [
                 "run", "--scenario", str(scenario_file), "--out", str(tmp_path / "sweep"),
@@ -216,12 +217,20 @@ class TestRunCommand:
         assert not (tmp_path / "o").exists()
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # SciPy is not a dependency: neither the CLI nor the uniform-rate
-    # offload solver may load it.
+def run_probe(probe: str) -> str:
+    """Standard output of ``probe`` run by a fresh interpreter that imports this ts3ra."""
     env = dict(os.environ)
     src = str(Path(ts3ra.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    return result.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # SciPy is not a dependency: neither the CLI nor the uniform-rate
+    # offload solver may load it.
     probe = (
         "import sys, ts3ra.cli\n"
         "from ts3ra.domain import Flow, ServiceType, SwitchProfile\n"
@@ -232,10 +241,17 @@ def test_cli_import_leaves_scipy_unloaded():
         "assert max_weight_assignment(build_offload_graph(flows, switches)).assignment\n"
         "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    assert run_probe(probe) == "False"
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    # Only sweeps run with --jobs use a process pool; every other run would
+    # pay for importing it in its set-up time.
+    probe = (
+        "import sys, ts3ra.cli\n"
+        "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])"
     )
-    assert result.stdout.strip() == "False"
+    assert run_probe(probe) == "[]"
 
 
 class TestSummarize:

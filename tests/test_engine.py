@@ -1,10 +1,14 @@
 import ast
+import functools
 import heapq
 import importlib
+import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ts3ra import engine as engine_mod
 from ts3ra.domain import ServiceType
@@ -144,7 +148,7 @@ class TestPipelineSteps:
         rt.place(engine.sw_by_id["SW0"])
         engine.heap.clear()
         engine._on_transmit((1, False, 0))
-        kinds = [item[1] for item in engine.outcomes]
+        kinds = [item[1] for item in engine.drops]
         assert DROP in kinds
         while engine.heap:
             engine.step_event(heapq.heappop(engine.heap))
@@ -354,7 +358,7 @@ class TestOutcomeOrdering:
         high = 0
         while engine.heap:
             engine.step_event(heapq.heappop(engine.heap))
-            high = max(high, len(engine.outcomes))
+            high = max(high, engine.queued)
         assert engine.generated > 1000
         # Without the bound 193 outcomes wait at once here; an event queues
         # at most one.
@@ -363,7 +367,8 @@ class TestOutcomeOrdering:
 
     def test_run_leaves_no_outcome_queued(self, small_run):
         engine, _, _, _ = small_run
-        assert engine.outcomes == []
+        assert engine.queued == 0
+        assert all(lane == [] for lane in engine.lanes)
         assert all(c.in_flight == 0 for c in engine.counters.values())
 
     @pytest.mark.parametrize("delay_us,delivered", [(0, True), (1, False)])
@@ -390,6 +395,80 @@ class TestOutcomeOrdering:
         engine.collect_metrics()
         assert (c.delivered, c.blocked) == ((1, 0) if delivered else (0, 1))
 
+    def make_lane_engine(self, trace: list[str]) -> Engine:
+        engine = Engine(
+            small_scenario(devices=4, duration=5.0, train_samples=60, epochs=1, size_jitter=False),
+            trace_sink=trace.append,
+        )
+        engine.heap.clear()
+        for sw in engine.switches:
+            sw.loss_rate = 0.0
+        return engine
+
+    @staticmethod
+    def delivery_rows(trace: list[str]) -> list[tuple[str, str]]:
+        rows = [row.split(",") for row in trace[1:]]
+        return [(cells[0], cells[2]) for cells in rows if cells[1] == "deliver"]
+
+    def test_same_time_deliveries_on_two_switches_apply_in_seq_order(self):
+        trace: list[str] = []
+        engine = self.make_lane_engine(trace)
+        engine.clock_us = 1_000_000
+        # The first packet goes to the higher-numbered switch, so reading the
+        # lanes in switch order would apply it second.
+        for di, sw_id in ((0, "SW1"), (1, "SW0")):
+            engine.dev[di].place(engine.sw_by_id[sw_id])
+            engine._on_transmit((di, False, 0))
+        [(due, *_)] = engine.sw_by_id["SW1"].deliveries
+        [(other, *_)] = engine.sw_by_id["SW0"].deliveries
+        assert due == other
+        engine.collect_metrics()
+        t = f"{due / 1e6:.6f}"
+        assert self.delivery_rows(trace) == [(t, "d0000"), (t, "d0001")]
+
+    @pytest.mark.parametrize("old_backlog_us", [0, 5_000])
+    def test_migrated_device_delivery_on_old_lane_applied_in_time_order(self, old_backlog_us):
+        trace: list[str] = []
+        engine = self.make_lane_engine(trace)
+        rt = engine.dev[0]
+        old, new = engine.sw_by_id["SW0"], engine.sw_by_id["SW1"]
+        engine.clock_us = 1_000_000
+        old.busy_until_us = engine.clock_us + old_backlog_us
+        rt.place(old)
+        engine._on_transmit((0, False, 0))
+        engine.clock_us += 1_000
+        rt.place(new)  # migrated with its first packet still on the old link
+        engine._on_transmit((0, False, 0))
+        [(first, *_)], [(second, *_)] = old.deliveries, new.deliveries
+        assert (first < second) == (old_backlog_us == 0)
+        engine.collect_metrics()
+        times = [f"{t / 1e6:.6f}" for t in sorted((first, second))]
+        assert self.delivery_rows(trace) == [(t, "d0000") for t in times]
+        assert rt.counters.delivered == 2
+
+    def test_pushed_delivery_out_of_time_order_lands_sorted(self):
+        trace: list[str] = []
+        engine = self.make_lane_engine(trace)
+        sw = engine.sw_by_id["SW0"]
+        for di in (0, 1):
+            engine.dev[di].place(sw)
+            engine.dev[di].counters.in_flight += 1
+        engine._push(3_000, DELIVER, (0, 4096, 1500))
+        engine._push(2_000, DELIVER, (1, 4096, 1500))
+        assert [entry[0] for entry in sw.deliveries] == [2_000, 3_000]
+        assert engine.queued == 2
+        engine._apply_outcomes(math.inf)
+        assert self.delivery_rows(trace) == [("0.002000", "d0001"), ("0.003000", "d0000")]
+
+    def test_every_lane_sorted_after_every_event(self):
+        engine = Engine(small_scenario())
+        while engine.heap:
+            engine.step_event(heapq.heappop(engine.heap))
+            assert all(lane == sorted(lane) for lane in engine.lanes)
+            assert engine.queued == sum(map(len, engine.lanes))
+        assert engine.quarantined
+        engine.collect_metrics()
+
     def test_mobility_ticks_stop_once_every_device_finished(self):
         engine = Engine(small_scenario(devices=12, duration=20.0, train_samples=60, epochs=1))
         while engine.unfinished:
@@ -404,6 +483,82 @@ class TestOutcomeOrdering:
             if ticks:
                 assert all(e[1] != MOBILITY_TICK for e in engine.heap)
         assert ticks <= 1  # the one armed before the last device finished
+
+
+@functools.cache
+def tiny_model():
+    # One trained model serves every drawn scenario: training is not under test.
+    return Engine(Scenario(devices=0, duration=1.0, train_samples=60, epochs=1)).model
+
+
+def flood_scenario(**values) -> Scenario:
+    """A 5 s run with flooders from 2 s on, and switches easily overloaded."""
+    base = dict(
+        switch_service_capacity=0.3e6,
+        switch_transmission_rate=0.3e6,
+        duration=5.0,
+        flood_start=2.0,
+        illegitimate_fraction=0.3,
+        forged_fraction=0.0,
+        demand_embb=4,
+        demand_urllc=2,
+        demand_mmtc=3,
+        packet_interval=0.05,
+        window_duration=0.1,
+        min_packets=5,
+        dominance_factor=2.0,
+        rebalance_interval=0.5,
+    )
+    base.update(values)
+    return small_scenario(**base)
+
+
+@st.composite
+def flood_scenarios(draw) -> Scenario:
+    """Drawn flood scenarios; a few drawn values must be rejected."""
+    return flood_scenario(
+        seed=draw(st.integers(0, 2**16)),
+        devices=draw(st.integers(0, 12)),
+        switches=draw(st.integers(1, 4)),
+        switch_loss_rate=draw(st.floats(-0.05, 1.05)),
+        queue_delay_bound=draw(st.floats(0.0, 0.1)),
+        # 0.4 us rounds to no time at all
+        flood_packet_interval=draw(st.sampled_from([4e-7, 0.004, 0.02, 0.05])),
+        retransmit_delay=draw(st.floats(-0.001, 0.05)),
+        offload_enabled=draw(st.booleans()),
+    )
+
+
+class TestConservationProperty:
+    @settings(max_examples=30, deadline=None)
+    @given(sc=flood_scenarios())
+    # Few draws both migrate and quarantine; this one migrates 3 flows and
+    # quarantines 1 source.
+    @example(
+        sc=flood_scenario(
+            seed=0, devices=12, switches=2, flood_packet_interval=0.004,
+            switch_loss_rate=0.1, queue_delay_bound=0.05, retransmit_delay=0.01,
+        )
+    )
+    def test_scenario_rejected_or_conserves_packets_in_any_outcome_order(self, sc):
+        def run():
+            trace: list[str] = []
+            detection: list[str] = []
+            engine = Engine(
+                sc, trace_sink=trace.append, detection_sink=detection.append, model=tiny_model()
+            )
+            return engine, engine.run().to_csv_rows(), trace, detection
+
+        try:
+            engine, *artifacts = run()
+        except ScenarioError:
+            return
+        for c in engine.counters.values():
+            assert c.sent == c.delivered + c.dropped
+            assert c.in_flight == 0
+        with mock.patch.object(engine_mod, "OUTCOME_BACKLOG", 1):
+            _, *eager = run()
+        assert eager == artifacts
 
 
 class TestCollectMetrics:
