@@ -8,10 +8,12 @@ rebalancing.  The clock is integer microseconds; events are processed in
 (time, kind rank, sequence) order, so a fixed scenario and seed reproduce
 the run bit for bit.
 
-Packet outcomes (deliveries and drops) wait in sorted lanes, one of
-deliveries per switch and one of drops, and are applied, in that same order,
-just before the next event that reads their effects or writes trace rows; the
-events that do neither pass them by.
+The event heap holds only control events.  Packet transmits wait on a heap
+of their own and run, in the same order, in one data-plane loop up to each
+control event and at the end of the run.  Packet outcomes (deliveries and
+drops) wait in sorted lanes, one of deliveries per switch and one of drops,
+and are applied, in that same order, just before the next event that reads
+their effects or writes trace rows; the events that do neither pass them by.
 """
 
 from __future__ import annotations
@@ -90,8 +92,8 @@ MIGRATION_HEADER = "time,flow_id,from_switch,to_switch,reason"
 
 # Kinds that neither read packet outcomes nor write trace rows: outcomes due
 # before them are left queued (see ``Engine.step_event``).
-_BLIND_KINDS = frozenset({SCHEDULE_SLOT, TRANSMIT, MOBILITY_TICK})
-# Queued outcomes applied before any event, whatever its kind.
+_BLIND_KINDS = frozenset({SCHEDULE_SLOT, MOBILITY_TICK})
+# Queued outcomes applied before any event or transmit, whatever its kind.
 OUTCOME_BACKLOG = 4096
 
 
@@ -291,7 +293,10 @@ class Engine:
             gamma=scenario.offload_gamma,
         )
         self.clock_us = 0
+        # Control events; TRANSMIT entries, keyed the same way, wait in
+        # ``transmits`` (see :meth:`step_event`).
         self.heap: list = []
+        self.transmits: list = []
         # DROP entries, keyed like ``heap`` and numbered from the same
         # ``seq``; every drop lands at the clock, so the list stays sorted.
         self.drops: list = []
@@ -336,9 +341,9 @@ class Engine:
             self._on_schedule_slot,
             self._on_slice_decide,
             self._on_allocate,
-            self._on_transmit,
-            self._outcome_on_event_heap,
-            self._outcome_on_event_heap,
+            self._packet_on_event_heap,
+            self._packet_on_event_heap,
+            self._packet_on_event_heap,
             self._on_window_close,
             self._on_rebalance,
             self._on_mobility_tick,
@@ -493,14 +498,18 @@ class Engine:
     # -- event plumbing --------------------------------------------------------
 
     def _push(self, time_us: int, kind: int, payload) -> None:
-        """Schedule an event; a DELIVER joins its device's switch lane and a
-        DROP the drop lane, at its sorted place whatever its time."""
+        """Schedule an event; a TRANSMIT joins ``transmits``, a DELIVER its
+        device's switch lane and a DROP the drop lane, at its sorted place
+        whatever its time."""
         if time_us < self.clock_us:
             raise InvariantViolation(
                 f"event {KIND_NAMES[kind]} scheduled at {time_us} before clock {self.clock_us}"
             )
         self.seq += 1
         entry = (time_us, kind, self.seq, payload)
+        if kind == TRANSMIT:
+            heapq.heappush(self.transmits, entry)
+            return
         if kind == DELIVER:
             insort(self.dev[payload[0]].sw.deliveries, entry)
         elif kind == DROP:
@@ -517,17 +526,20 @@ class Engine:
             )
 
     def step_event(self, event: tuple) -> None:
-        """Process a single (time_us, kind, seq, payload) event.
+        """Process a single (time_us, kind, seq, payload) control event.
 
-        Queued outcomes that sort before the event are applied first, unless
-        the event is one of ``_BLIND_KINDS``, which neither read their effects
-        nor write trace rows; a backlog of ``OUTCOME_BACKLOG`` outcomes is
-        applied before any event, so the lanes stay short when no event of
+        The data plane first runs every transmit that sorts before the event.
+        Queued outcomes that sort before it are then applied, unless the
+        event is one of ``_BLIND_KINDS``, which neither read their effects nor
+        write trace rows; a backlog of ``OUTCOME_BACKLOG`` outcomes is applied
+        before any event or transmit, so the lanes stay short when no event of
         the other kinds comes for a long time.
         """
         time_us, kind, _, payload = event
         if time_us < self.clock_us:
             raise InvariantViolation("time regression in event stream")
+        # At equal times, transmits sort after the kinds ranked below them.
+        self._run_data_plane(time_us + 1 if kind > TRANSMIT else time_us)
         queued = self.queued
         if queued and (kind not in _BLIND_KINDS or queued >= OUTCOME_BACKLOG):
             # At equal times, outcomes sort after the kinds ranked below them.
@@ -553,12 +565,140 @@ class Engine:
             return
         self.queued -= len(due)
         due.sort()
-        deliver, drop = self._on_deliver, self._on_drop
+        dev, sink = self.dev, self.trace_sink
         for time_us, kind, _, payload in due:
             if kind == DELIVER:
-                deliver(time_us, payload)
+                di, bits, latency_us = payload
+                rt = dev[di]
+                c = rt.counters
+                c.in_flight -= 1
+                if rt.quarantined:
+                    # the AP revokes in-flight traffic of a quarantined source
+                    c.dropped += 1
+                    c.blocked += 1
+                    if sink:
+                        sink(f"{time_us / 1e6:.6f},drop,{rt.tag},quarantined")
+                    continue
+                c.delivered += 1
+                c.delivered_bits += bits
+                c.latency_sum += latency_us / 1e6
+                if sink:
+                    sink(f"{time_us / 1e6:.6f},deliver,{rt.tag},ok")
             else:
-                drop(time_us, payload)
+                di, reason, admitted = payload
+                rt = dev[di]
+                c = rt.counters
+                if not admitted:
+                    c.sent += 1  # offered traffic stopped at the AP, never in flight
+                else:
+                    c.in_flight -= 1
+                c.dropped += 1
+                if reason == "quarantined":
+                    c.blocked += 1
+                if sink:
+                    sink(f"{time_us / 1e6:.6f},drop,{rt.tag},{reason}")
+
+    def _run_data_plane(self, until_us: float) -> None:
+        """Run, in event order, every queued transmit due before ``until_us``.
+
+        A transmit reads no outcome and writes no trace row; it pushes only
+        transmits, deliveries and drops.  Before each one, a backlog of
+        ``OUTCOME_BACKLOG`` queued outcomes is applied, as before any event.
+        """
+        transmits = self.transmits
+        if not transmits or transmits[0][0] >= until_us:
+            return
+        dev, drops, pop, push = self.dev, self.drops, heapq.heappop, heapq.heappush
+        loss_draws, size_draws = self._loss_draws, self._size_draws
+        ia_edges, tx_of = self.ia_edges, self.tx_us
+        length, jitter = self.sc.packet_length, self.sc.size_jitter
+        flood_start_us, flood_iv_us = self.flood_start_us, self.flood_packet_interval_us
+        end_us, iv_us = self.end_us, self.packet_interval_us
+        bound_us, proc_us = self.queue_delay_bound_us, self.processing_latency_us
+        backlog, reliable = OUTCOME_BACKLOG, Protocol.RELIABLE_STREAM
+        seq, queued, generated, now = self.seq, self.queued, self.generated, self.clock_us
+        while transmits and transmits[0][0] < until_us:
+            time_us, _, _, (di, is_retx, size) = pop(transmits)
+            if time_us < now:
+                raise InvariantViolation("time regression in event stream")
+            now = time_us
+            if queued >= backlog:
+                self.queued = queued
+                self._apply_outcomes(now)
+                queued = self.queued
+            rt = dev[di]
+            if rt.gave_up and not is_retx:
+                continue
+
+            if not is_retx:
+                generated += 1
+                if rt.floods and now >= flood_start_us:
+                    size = length
+                    nxt = now + flood_iv_us
+                else:
+                    size = packet_size(next(size_draws), length) if jitter else length
+                    nxt = now + iv_us
+                if nxt < end_us:
+                    seq += 1
+                    push(transmits, (nxt, TRANSMIT, seq, (di, False, 0)))
+
+            if rt.quarantined:
+                rt.blocked_streak += 1
+                if rt.blocked_streak >= self.sc.flood_giveup:
+                    rt.gave_up = True
+                # a retransmission was already admitted and counted in flight
+                seq += 1
+                drops.append((now, DROP, seq, (di, "quarantined", is_retx)))
+                queued += 1
+                continue
+            rt.blocked_streak = 0
+
+            sw = rt.sw
+            if not is_retx:
+                c = rt.counters
+                c.sent += 1
+                c.in_flight += 1
+
+            # window counts observe everything arriving at the switch
+            win = sw.window
+            dev_id = rt.device.device_id
+            sources = win.source_counts
+            sources[dev_id] = sources.get(dev_id, 0) + 1
+            sizes = win.size_counts
+            sizes[size] = sizes.get(size, 0) + 1
+            last_us = sw.win_last_arrival_us
+            if last_us is not None:
+                win.interarrival_bins[bisect_right(ia_edges, (now - last_us) / 1e6)] += 1
+            sw.win_last_arrival_us = now
+            bits = size * 8
+            sw.interval_bits += bits
+            per_flow = sw.per_flow_bits
+            per_flow[di] = per_flow.get(di, 0) + bits
+
+            if next(loss_draws) < sw.loss_rate:
+                reason = "loss"
+            else:
+                backlog_us = sw.busy_until_us - now
+                if backlog_us < 0:
+                    backlog_us = 0
+                if backlog_us > bound_us:
+                    reason = "overflow"
+                else:
+                    tx_us = tx_of[size]
+                    sw.busy_until_us = now + backlog_us + tx_us
+                    latency_us = proc_us + backlog_us + tx_us
+                    seq += 1
+                    sw.deliveries.append((now + latency_us, DELIVER, seq, (di, bits, latency_us)))
+                    queued += 1
+                    continue
+
+            seq += 1
+            if not is_retx and rt.flow.protocol is reliable:
+                push(transmits, (now + self.retransmit_delay_us, TRANSMIT, seq, (di, True, size)))
+            else:
+                drops.append((now, DROP, seq, (di, reason, True)))
+                queued += 1
+        self.seq, self.queued, self.generated, self.clock_us = seq, queued, generated, now
 
     def run(self) -> MetricsReport:
         heap, pop, step = self.heap, heapq.heappop, self.step_event
@@ -568,8 +708,8 @@ class Engine:
 
     # -- handlers ---------------------------------------------------------------
 
-    def _outcome_on_event_heap(self, payload) -> None:
-        raise InvariantViolation(f"packet outcome {payload!r} on the event heap")
+    def _packet_on_event_heap(self, payload) -> None:
+        raise InvariantViolation(f"packet event {payload!r} on the event heap")
 
     def _on_arrival(self, di: int) -> None:
         rt = self.dev[di]
@@ -747,116 +887,6 @@ class Engine:
         rt.place(sw)
         return best_id
 
-    def _on_transmit(self, payload) -> None:
-        di, is_retx, size = payload
-        rt = self.dev[di]
-        if rt.gave_up and not is_retx:
-            return
-        sc = self.sc
-        now = self.clock_us
-
-        if not is_retx:
-            self.generated += 1
-            if rt.floods and now >= self.flood_start_us:
-                size = sc.packet_length
-                nxt = now + self.flood_packet_interval_us
-            else:
-                if sc.size_jitter:
-                    size = packet_size(next(self._size_draws), sc.packet_length)
-                else:
-                    size = sc.packet_length
-                nxt = now + self.packet_interval_us
-            if nxt < self.end_us:
-                self._push(nxt, TRANSMIT, (di, False, 0))
-
-        if rt.quarantined:
-            rt.blocked_streak += 1
-            if rt.blocked_streak >= sc.flood_giveup:
-                rt.gave_up = True
-            # a retransmission was already admitted and counted in flight
-            self.seq += 1
-            self.drops.append((now, DROP, self.seq, (di, "quarantined", is_retx)))
-            self.queued += 1
-            return
-        rt.blocked_streak = 0
-
-        sw = rt.sw
-        if not is_retx:
-            c = rt.counters
-            c.sent += 1
-            c.in_flight += 1
-
-        # window counts observe everything arriving at the switch
-        win = sw.window
-        dev_id = rt.device.device_id
-        sources = win.source_counts
-        sources[dev_id] = sources.get(dev_id, 0) + 1
-        sizes = win.size_counts
-        sizes[size] = sizes.get(size, 0) + 1
-        last_us = sw.win_last_arrival_us
-        if last_us is not None:
-            win.interarrival_bins[bisect_right(self.ia_edges, (now - last_us) / 1e6)] += 1
-        sw.win_last_arrival_us = now
-        bits = size * 8
-        sw.interval_bits += bits
-        sw.per_flow_bits[di] = sw.per_flow_bits.get(di, 0) + bits
-
-        if next(self._loss_draws) < sw.loss_rate:
-            reason = "loss"
-        else:
-            backlog_us = sw.busy_until_us - now
-            if backlog_us < 0:
-                backlog_us = 0
-            if backlog_us > self.queue_delay_bound_us:
-                reason = "overflow"
-            else:
-                tx_us = self.tx_us[size]
-                sw.busy_until_us = now + backlog_us + tx_us
-                latency_us = self.processing_latency_us + backlog_us + tx_us
-                self.seq += 1
-                sw.deliveries.append((now + latency_us, DELIVER, self.seq, (di, bits, latency_us)))
-                self.queued += 1
-                return
-
-        if not is_retx and rt.flow.protocol is Protocol.RELIABLE_STREAM:
-            self._push(now + self.retransmit_delay_us, TRANSMIT, (di, True, size))
-        else:
-            self.seq += 1
-            self.drops.append((now, DROP, self.seq, (di, reason, True)))
-            self.queued += 1
-
-    def _on_deliver(self, time_us: int, payload) -> None:
-        di, bits, latency_us = payload
-        rt = self.dev[di]
-        c = rt.counters
-        c.in_flight -= 1
-        if rt.quarantined:
-            # the AP revokes in-flight traffic of a quarantined source
-            c.dropped += 1
-            c.blocked += 1
-            if self.trace_sink:
-                self.trace_sink(f"{time_us / 1e6:.6f},drop,{rt.tag},quarantined")
-            return
-        c.delivered += 1
-        c.delivered_bits += bits
-        c.latency_sum += latency_us / 1e6
-        if self.trace_sink:
-            self.trace_sink(f"{time_us / 1e6:.6f},deliver,{rt.tag},ok")
-
-    def _on_drop(self, time_us: int, payload) -> None:
-        di, reason, admitted = payload
-        rt = self.dev[di]
-        c = rt.counters
-        if not admitted:
-            c.sent += 1  # offered traffic stopped at the AP, never in flight
-        else:
-            c.in_flight -= 1
-        c.dropped += 1
-        if reason == "quarantined":
-            c.blocked += 1
-        if self.trace_sink:
-            self.trace_sink(f"{time_us / 1e6:.6f},drop,{rt.tag},{reason}")
-
     # -- detection -----------------------------------------------------------
 
     def _on_window_close(self, _payload=None) -> None:
@@ -1027,6 +1057,7 @@ class Engine:
     # -- reporting ----------------------------------------------------------------
 
     def collect_metrics(self) -> MetricsReport:
+        self._run_data_plane(math.inf)
         self._apply_outcomes(math.inf)
         for st, c in self.counters.items():
             if c.in_flight != 0:

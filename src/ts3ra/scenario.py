@@ -150,10 +150,11 @@ class Scenario:
             "arrival_window",
             "processing_latency",
             "retransmit_delay",
+            "queue_delay_bound",
         ):
             value = getattr(self, key)
-            if not (value >= 0.0):
-                raise ScenarioError(f"{key} must be >= 0 (got {value!r})")
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ScenarioError(f"{key} must be finite and >= 0 (got {value!r})")
         if self.area_width <= 0 or self.area_height <= 0:
             raise ScenarioError("area dimensions must be > 0")
         mix = self.mix_embb + self.mix_urllc + self.mix_mmtc

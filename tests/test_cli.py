@@ -159,6 +159,14 @@ class TestRunCommand:
             ("slicenet", "epochs", "0"),
             ("slicenet", "learning_rate", "-1"),
             ("slicenet", "train_samples", "0"),
+            ("network", "auth_delay", "inf"),
+            ("network", "decision_delay", "inf"),
+            ("flows", "arrival_window", "inf"),
+            ("network", "processing_latency", "inf"),
+            ("packets", "retransmit_delay", "inf"),
+            ("offload", "queue_delay_bound", "-1"),
+            ("offload", "queue_delay_bound", "inf"),
+            ("offload", "queue_delay_bound", "nan"),
         ],
     )
     def test_out_of_range_value_exit_one(self, tmp_path, capsys, section, key, value):

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from ts3ra import engine as engine_mod
 from ts3ra.domain import ServiceType
 from ts3ra.engine import (
+    ALLOCATE,
     ARRIVAL,
     AUTH,
     DELIVER,
@@ -132,9 +133,11 @@ class TestPipelineSteps:
         engine = self.make_engine()
         rt = engine.dev[0]
         rt.decided = ServiceType.URLLC
+        rt.place(engine.sw_by_id["SW0"])
         before = {st: engine.counters[st].delivered for st in ServiceType}
         engine.counters[ServiceType.URLLC].in_flight += 1
-        engine._on_deliver(0, (0, 4096, 1500))
+        engine._push(0, DELIVER, (0, 4096, 1500))
+        engine._apply_outcomes(math.inf)
         after = {st: engine.counters[st].delivered for st in ServiceType}
         deltas = [after[st] - before[st] for st in ServiceType]
         assert sorted(deltas) == [0, 0, 1]
@@ -147,7 +150,8 @@ class TestPipelineSteps:
         rt.flow = engine._make_flow(rt, ServiceType.MMTC)
         rt.place(engine.sw_by_id["SW0"])
         engine.heap.clear()
-        engine._on_transmit((1, False, 0))
+        engine._push(engine.clock_us, TRANSMIT, (1, False, 0))
+        engine._run_data_plane(engine.clock_us + 1)
         kinds = [item[1] for item in engine.drops]
         assert DROP in kinds
         while engine.heap:
@@ -330,6 +334,20 @@ class TestMobility:
             assert np.all(moved <= engine.speeds * engine.sc.tick_interval + 1e-9)
 
 
+def lossless_engine(trace: list[str], **overrides) -> Engine:
+    """A 4-device engine with no event queued and no switch losing packets."""
+    engine = Engine(
+        small_scenario(
+            devices=4, duration=5.0, train_samples=60, epochs=1, size_jitter=False, **overrides
+        ),
+        trace_sink=trace.append,
+    )
+    engine.heap.clear()
+    for sw in engine.switches:
+        sw.loss_rate = 0.0
+    return engine
+
+
 class TestOutcomeOrdering:
     def test_trace_sink_leaves_metrics_unchanged(self, small_run):
         engine, report, _, _ = small_run
@@ -395,15 +413,13 @@ class TestOutcomeOrdering:
         engine.collect_metrics()
         assert (c.delivered, c.blocked) == ((1, 0) if delivered else (0, 1))
 
-    def make_lane_engine(self, trace: list[str]) -> Engine:
-        engine = Engine(
-            small_scenario(devices=4, duration=5.0, train_samples=60, epochs=1, size_jitter=False),
-            trace_sink=trace.append,
-        )
-        engine.heap.clear()
-        for sw in engine.switches:
-            sw.loss_rate = 0.0
-        return engine
+    @staticmethod
+    def transmit_now(engine: Engine, di: int) -> None:
+        """Send one packet of device ``di`` at the clock; its successor packet
+        is not followed."""
+        engine._push(engine.clock_us, TRANSMIT, (di, False, 0))
+        engine._run_data_plane(engine.clock_us + 1)
+        engine.transmits.clear()
 
     @staticmethod
     def delivery_rows(trace: list[str]) -> list[tuple[str, str]]:
@@ -412,13 +428,13 @@ class TestOutcomeOrdering:
 
     def test_same_time_deliveries_on_two_switches_apply_in_seq_order(self):
         trace: list[str] = []
-        engine = self.make_lane_engine(trace)
+        engine = lossless_engine(trace)
         engine.clock_us = 1_000_000
         # The first packet goes to the higher-numbered switch, so reading the
         # lanes in switch order would apply it second.
         for di, sw_id in ((0, "SW1"), (1, "SW0")):
             engine.dev[di].place(engine.sw_by_id[sw_id])
-            engine._on_transmit((di, False, 0))
+            self.transmit_now(engine, di)
         [(due, *_)] = engine.sw_by_id["SW1"].deliveries
         [(other, *_)] = engine.sw_by_id["SW0"].deliveries
         assert due == other
@@ -429,16 +445,16 @@ class TestOutcomeOrdering:
     @pytest.mark.parametrize("old_backlog_us", [0, 5_000])
     def test_migrated_device_delivery_on_old_lane_applied_in_time_order(self, old_backlog_us):
         trace: list[str] = []
-        engine = self.make_lane_engine(trace)
+        engine = lossless_engine(trace)
         rt = engine.dev[0]
         old, new = engine.sw_by_id["SW0"], engine.sw_by_id["SW1"]
         engine.clock_us = 1_000_000
         old.busy_until_us = engine.clock_us + old_backlog_us
         rt.place(old)
-        engine._on_transmit((0, False, 0))
+        self.transmit_now(engine, 0)
         engine.clock_us += 1_000
         rt.place(new)  # migrated with its first packet still on the old link
-        engine._on_transmit((0, False, 0))
+        self.transmit_now(engine, 0)
         [(first, *_)], [(second, *_)] = old.deliveries, new.deliveries
         assert (first < second) == (old_backlog_us == 0)
         engine.collect_metrics()
@@ -448,7 +464,7 @@ class TestOutcomeOrdering:
 
     def test_pushed_delivery_out_of_time_order_lands_sorted(self):
         trace: list[str] = []
-        engine = self.make_lane_engine(trace)
+        engine = lossless_engine(trace)
         sw = engine.sw_by_id["SW0"]
         for di in (0, 1):
             engine.dev[di].place(sw)
@@ -483,6 +499,110 @@ class TestOutcomeOrdering:
             if ticks:
                 assert all(e[1] != MOBILITY_TICK for e in engine.heap)
         assert ticks <= 1  # the one armed before the last device finished
+
+
+class TestDataPlaneBoundary:
+    """Transmits run, in event order, up to each control event."""
+
+    def test_transmit_at_window_close_is_counted_in_that_window(self, monkeypatch):
+        engine = lossless_engine([])
+        sw = engine.sw_by_id["SW0"]
+        for di in (0, 1):
+            engine.dev[di].place(sw)
+        close_us = 2_000_000
+        engine._push(close_us, TRANSMIT, (0, False, 0))
+        engine._push(close_us + 1, TRANSMIT, (1, False, 0))
+        counted: list[int] = []
+        entropies = engine_mod.ddos_mod.window_entropies
+
+        def spy(window, alpha):
+            counted.append(window.packet_count)
+            return entropies(window, alpha)
+
+        monkeypatch.setattr(engine_mod.ddos_mod, "window_entropies", spy)
+        engine.step_event((close_us, WINDOW_CLOSE, 0, None))
+        assert counted[0] == 1  # SW0's window, closed first
+        assert engine.transmits[0][:2] == (close_us + 1, TRANSMIT)
+        assert sw.window.packet_count == 0
+
+    def test_transmit_at_allocate_runs_after_it(self):
+        engine = lossless_engine([])
+        engine.dev[0].place(engine.sw_by_id["SW0"])
+        at_us = 1_000_000
+        engine._push(at_us - 1, TRANSMIT, (0, False, 0))
+        engine._push(at_us, TRANSMIT, (0, False, 0))
+        seen: list[int] = []
+        handlers = list(engine._handlers)
+        handlers[ALLOCATE] = lambda di: seen.append(engine.generated)
+        engine._handlers = tuple(handlers)
+        engine.step_event((at_us, ALLOCATE, 0, 1))
+        assert seen == [1]
+        assert engine.transmits[0][:2] == (at_us, TRANSMIT)
+        engine._run_data_plane(at_us + 1)
+        assert engine.generated == 2
+
+    def test_retransmit_rounding_to_no_time_runs_in_the_same_advance(self):
+        engine = lossless_engine([], retransmit_delay=4e-7)
+        assert engine.retransmit_delay_us == 0
+        rt = engine.dev[0]
+        # a reliable-stream slice retransmits a lost packet once
+        rt.decided = ServiceType.URLLC
+        rt.flow = engine._make_flow(rt, ServiceType.URLLC)
+        sw = engine.sw_by_id["SW0"]
+        sw.loss_rate = 1.0
+        rt.place(sw)
+        now = 1_000_000
+        engine._push(now, TRANSMIT, (0, False, 0))
+        engine.step_event((now, WINDOW_CLOSE, 0, None))
+        c = rt.counters
+        assert (c.sent, c.dropped, c.in_flight) == (1, 1, 0)
+        assert [entry[0] for entry in engine.transmits] == [now + engine.packet_interval_us]
+
+    def test_event_heap_holds_only_control_events(self):
+        engine = Engine(small_scenario())
+        while engine.heap:
+            engine.step_event(heapq.heappop(engine.heap))
+            assert all(entry[1] != TRANSMIT for entry in engine.heap)
+        assert engine.quarantined
+        engine.collect_metrics()
+        assert engine.transmits == []
+
+    def test_transmits_left_when_the_event_heap_empties_run_at_collection(self):
+        engine = Engine(
+            small_scenario(
+                devices=8, duration=12.0, ddos_enabled=False, offload_enabled=False,
+                train_samples=60, epochs=1,
+            )
+        )
+        while engine.heap:
+            engine.step_event(heapq.heappop(engine.heap))
+        assert engine.clock_us < engine.end_us / 2
+        assert engine.transmits
+        engine.collect_metrics()
+        assert engine.transmits == []
+        # the last packets were sent within one interval of the horizon
+        assert engine.clock_us >= engine.end_us - engine.packet_interval_us
+
+    def test_backlog_bounds_lanes_within_the_data_plane(self, monkeypatch):
+        monkeypatch.setattr(engine_mod, "OUTCOME_BACKLOG", 64)
+        engine = Engine(
+            small_scenario(
+                devices=8, duration=12.0, ddos_enabled=False, offload_enabled=False,
+                train_samples=60, epochs=1,
+            )
+        )
+        while engine.heap:
+            engine.step_event(heapq.heappop(engine.heap))
+        sent = engine.generated
+        engine._run_data_plane(math.inf)
+        assert engine.generated - sent > 500
+        assert engine.queued <= 64 + 1
+        engine.collect_metrics()
+
+    def test_transmit_on_event_heap_is_fatal(self):
+        engine = lossless_engine([])
+        with pytest.raises(InvariantViolation, match="event heap"):
+            engine.step_event((0, TRANSMIT, 0, (0, False, 0)))
 
 
 @functools.cache
@@ -526,6 +646,8 @@ def flood_scenarios(draw) -> Scenario:
         flood_packet_interval=draw(st.sampled_from([4e-7, 0.004, 0.02, 0.05])),
         retransmit_delay=draw(st.floats(-0.001, 0.05)),
         offload_enabled=draw(st.booleans()),
+        # with neither plane on, the event heap empties while packets are due
+        ddos_enabled=draw(st.booleans()),
     )
 
 
@@ -541,13 +663,20 @@ class TestConservationProperty:
         )
     )
     def test_scenario_rejected_or_conserves_packets_in_any_outcome_order(self, sc):
-        def run():
+        def run(drive=Engine.run):
             trace: list[str] = []
             detection: list[str] = []
             engine = Engine(
                 sc, trace_sink=trace.append, detection_sink=detection.append, model=tiny_model()
             )
-            return engine, engine.run().to_csv_rows(), trace, detection
+            return engine, drive(engine).to_csv_rows(), trace, detection
+
+        def stepped(engine):
+            # The benchmark's traced children drive the engine this way.
+            heap = engine.heap
+            while heap:
+                engine.step_event(heapq.heappop(heap))
+            return engine.collect_metrics()
 
         try:
             engine, *artifacts = run()
@@ -556,9 +685,12 @@ class TestConservationProperty:
         for c in engine.counters.values():
             assert c.sent == c.delivered + c.dropped
             assert c.in_flight == 0
+        assert engine.transmits == []
         with mock.patch.object(engine_mod, "OUTCOME_BACKLOG", 1):
             _, *eager = run()
         assert eager == artifacts
+        _, *traced = run(stepped)
+        assert traced == artifacts
 
 
 class TestCollectMetrics:
