@@ -172,6 +172,21 @@ class Scenario:
             raise ScenarioError(
                 f"ddos_alpha must be > 0 and != 1 (got {self.ddos_alpha!r})"
             )
+        # A window profile has at most max(devices, 16) outcomes (sources, 16
+        # inter-arrival bins, 3 sizes), so its largest share is at least
+        # 1 / max(devices, 16) and sum(p ** alpha) >= 2 ** -1000: a normal
+        # double, whose log2 is finite.
+        if not self.ddos_alpha * math.log2(max(self.devices, 16)) <= 1000:
+            raise ScenarioError(
+                "ddos_alpha must be finite with ddos_alpha * log2(max(devices, 16)) <= 1000 "
+                f"(got {self.ddos_alpha!r} with {self.devices} devices)"
+            )
+        if not (math.isfinite(self.k_sigma) and self.k_sigma >= 0):
+            raise ScenarioError(f"k_sigma must be finite and >= 0 (got {self.k_sigma!r})")
+        if not (math.isfinite(self.dominance_factor) and self.dominance_factor > 0):
+            raise ScenarioError(
+                f"dominance_factor must be finite and > 0 (got {self.dominance_factor!r})"
+            )
         for key in ("train_samples", "epochs", "d_model"):
             value = getattr(self, key)
             if value < 1:

@@ -167,6 +167,12 @@ class TestRunCommand:
             ("offload", "queue_delay_bound", "-1"),
             ("offload", "queue_delay_bound", "inf"),
             ("offload", "queue_delay_bound", "nan"),
+            ("ddos", "alpha", "inf"),
+            ("ddos", "alpha", "1e308"),
+            ("ddos", "k_sigma", "nan"),
+            ("ddos", "k_sigma", "inf"),
+            ("ddos", "dominance_factor", "nan"),
+            ("ddos", "dominance_factor", "inf"),
         ],
     )
     def test_out_of_range_value_exit_one(self, tmp_path, capsys, section, key, value):

@@ -4,11 +4,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ts3ra.ddos import (
     BaselineStats,
     TrafficWindow,
+    WindowCounts,
     VERDICT_ATTACK,
     VERDICT_BENIGN,
     VERDICT_INCONCLUSIVE,
@@ -20,6 +21,7 @@ from ts3ra.ddos import (
     shannon_entropy,
     window_entropies,
 )
+from ts3ra.ddos import _pairwise_sum
 
 mpmath.mp.dps = 50
 
@@ -150,10 +152,46 @@ class TestClassifyWindow:
         assert all(v >= 0 for v in h)
 
 
+def numpy_renyi(p, alpha=2.0):
+    """The NumPy form that the plain-Python statistics replaced, kept as the
+    oracle: ``** alpha`` and ``np.sum`` over the nonzero float64 shares."""
+    p = np.asarray(p, dtype=np.float64)
+    nz = p[p > 0]
+    return float(math.log2(np.sum(nz**alpha)) / (1.0 - alpha))
+
+
+def numpy_entropy_of_counts(counts, alpha=2.0):
+    c = np.asarray(counts, dtype=np.float64)
+    total = c.sum()
+    if total <= 0:
+        return 0.0
+    return numpy_renyi(c / total, alpha)
+
+
+def numpy_window_entropies(window, alpha=2.0):
+    """:func:`window_entropies` in its NumPy form."""
+    src = numpy_entropy_of_counts(list(window.source_counts.values()), alpha)
+    bins = window.interarrival_bins
+    ia = numpy_entropy_of_counts(bins if any(bins) else [1.0], alpha)
+    sizes = window.size_counts
+    size_counts = [sizes[s] for s in sorted(sizes)] if sizes else [1.0]
+    return src, ia, numpy_entropy_of_counts(size_counts, alpha)
+
+
+def numpy_baseline(triples):
+    """:meth:`BaselineStats.from_triples` in its NumPy form."""
+    arr = np.asarray(triples)
+    means, stds = arr.mean(axis=0), arr.std(axis=0)
+    return BaselineStats(
+        float(means[0]), float(stds[0]), float(means[1]), float(stds[1]),
+        float(means[2]), float(stds[2]), len(triples),
+    )
+
+
 def list_window_entropies(window, alpha=2.0):
     """The packet-list implementation that window counts replaced, kept as
     the oracle: histogram of clipped gaps, ``np.unique`` of the sizes."""
-    src = entropy_of_counts(list(window.source_counts.values()), alpha)
+    src = numpy_entropy_of_counts(list(window.source_counts.values()), alpha)
     times = window.interarrival_times
     if len(times) == 0:
         hist = np.array([1.0])
@@ -161,13 +199,13 @@ def list_window_entropies(window, alpha=2.0):
         edges = np.geomspace(1e-4, max(window.duration, 1e-3), num=17)
         hist, _ = np.histogram(np.clip(times, edges[0], edges[-1]), bins=edges)
         hist = hist.astype(np.float64)
-    ia = entropy_of_counts(hist, alpha)
+    ia = numpy_entropy_of_counts(hist, alpha)
     if window.packet_sizes:
         sizes = np.asarray(window.packet_sizes, dtype=np.int64)
         _, size_counts = np.unique(sizes, return_counts=True)
     else:
         size_counts = np.array([1.0])
-    return src, ia, entropy_of_counts(size_counts, alpha)
+    return src, ia, numpy_entropy_of_counts(size_counts, alpha)
 
 
 def gap_us(duration):
@@ -225,6 +263,71 @@ class TestWindowCounts:
         window = TrafficWindow(0, 1.0, {"a": 4}, (1e-5, 1e-4, 1e-3, 7.0), (512,) * 4)
         bins = window.interarrival_bins
         assert (bins[0], bins[4], bins[15]) == (2, 1, 1)
+
+
+@st.composite
+def window_counts(draw):
+    """Running counts of a window: up to 300 sources, so that the source sum
+    takes every branch of the pairwise sum; sparse inter-arrival bins."""
+    n_sources = draw(st.one_of(st.integers(0, 40), st.integers(100, 300)))
+    counts = draw(st.lists(st.integers(1, 500), min_size=n_sources, max_size=n_sources))
+    bins = draw(
+        st.lists(st.one_of(st.just(0), st.integers(1, 2000)), min_size=16, max_size=16)
+    )
+    sizes = draw(st.dictionaries(st.sampled_from([256, 512, 1024]), st.integers(1, 500)))
+    return WindowCounts({f"d{i}": c for i, c in enumerate(counts)}, bins, sizes)
+
+
+def float_lists(n):
+    values = st.floats(-1e12, 1e12, allow_subnormal=False) | st.just(-0.0)
+    return st.lists(values, min_size=n, max_size=n)
+
+
+class TestNumpyOracles:
+    """The plain-Python statistics give NumPy's bits at alpha = 2."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.integers(0, 400).flatmap(float_lists))
+    @example(values=[0.1 * k for k in range(7)])
+    @example(values=[0.1 * k for k in range(8)])
+    @example(values=[0.1 * k for k in range(128)])
+    @example(values=[0.1 * k for k in range(129)])
+    @example(values=[-0.0] * 8)
+    def test_pairwise_sum_is_np_sum(self, values):
+        assert repr(_pairwise_sum(values)) == repr(float(np.sum(np.asarray(values))))
+
+    @settings(max_examples=100, deadline=None)
+    @given(window=window_counts())
+    @example(window=WindowCounts())
+    def test_window_entropies_bit_identical(self, window):
+        assert repr(window_entropies(window)) == repr(numpy_window_entropies(window))
+
+    @pytest.mark.parametrize("alpha", [0.5, 3.0])
+    @settings(max_examples=50, deadline=None)
+    @given(window=window_counts())
+    def test_other_alpha_within_1e12(self, alpha, window):
+        # Python's ** calls libm pow; NumPy's power may take a SIMD path.
+        ours = window_entropies(window, alpha)
+        theirs = numpy_window_entropies(window, alpha)
+        assert ours == pytest.approx(theirs, rel=1e-12, abs=0.0)
+
+    def test_counts_helpers_bit_identical(self):
+        rng = np.random.default_rng(24)
+        for _ in range(200):
+            counts = rng.random(int(rng.integers(1, 300))) * 10.0 ** rng.integers(-3, 4)
+            counts[rng.random(counts.size) < 0.2] = 0.0
+            assert repr(entropy_of_counts(counts, 2.0)) == repr(numpy_entropy_of_counts(counts))
+            p = counts / counts.sum()
+            assert repr(renyi_entropy(p, 2.0)) == repr(numpy_renyi(p))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        triples=st.lists(
+            st.tuples(*[st.floats(0.0, 12.0) | st.just(-0.0)] * 3), min_size=10, max_size=200
+        )
+    )
+    def test_baseline_bit_identical(self, triples):
+        assert repr(BaselineStats.from_triples(triples)) == repr(numpy_baseline(triples))
 
 
 class TestPredictBandwidth:

@@ -648,6 +648,9 @@ def flood_scenarios(draw) -> Scenario:
         offload_enabled=draw(st.booleans()),
         # with neither plane on, the event heap empties while packets are due
         ddos_enabled=draw(st.booleans()),
+        # a queue of one or two refuses some enqueues
+        hp_capacity=draw(st.sampled_from([1, 2, 1000])),
+        lp_capacity=draw(st.sampled_from([1, 2, 1000])),
     )
 
 
@@ -669,7 +672,14 @@ class TestConservationProperty:
             engine = Engine(
                 sc, trace_sink=trace.append, detection_sink=detection.append, model=tiny_model()
             )
-            return engine, drive(engine).to_csv_rows(), trace, detection
+            rows = drive(engine).to_csv_rows()
+            # Scheduler conservation: every accepted device was enqueued once,
+            # and each queue-full drop is one refused enqueue.
+            classes = engine.qstate.counters.values()
+            assert engine.qstate.conservation_holds()
+            assert sum(c.enqueued for c in classes) == engine.auth_accepted
+            assert sum(c.dropped for c in classes) == engine.queue_dropped
+            return engine, rows, trace, detection
 
         def stepped(engine):
             # The benchmark's traced children drive the engine this way.
