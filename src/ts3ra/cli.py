@@ -104,9 +104,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         scenario = parse_scenario(path.read_text())
     else:
         scenario = Scenario()
-        scenario.validate()
     if args.seed is not None:
         scenario.seed = args.seed
+    scenario.validate()
 
     jobs: list[tuple] = []
     if args.sweep:

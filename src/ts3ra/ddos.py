@@ -52,8 +52,8 @@ def _validated_distribution(distribution: Sequence[float]) -> np.ndarray:
 
 
 def _check_alpha(alpha: float) -> None:
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and > 0 (got {alpha!r})")
     if alpha == 1.0:
         raise ValueError("alpha = 1 is the Shannon limit; call shannon_entropy")
 
@@ -107,7 +107,13 @@ def _renyi(counts: Sequence[float], total: float, alpha: float) -> float:
         terms = [p * p for c in counts if (p := c / total) > 0]
     else:
         terms = [p**alpha for c in counts if (p := c / total) > 0]
-    return math.log2(_pairwise_sum(terms)) / (1.0 - alpha)
+    s = _pairwise_sum(terms)
+    if s == 0.0:
+        # Every p ** alpha underflowed: sum relative to the largest share.
+        p_max = max(counts) / total
+        s = _pairwise_sum([(c / total / p_max) ** alpha for c in counts])
+        return (alpha * math.log2(p_max) + math.log2(s)) / (1.0 - alpha)
+    return math.log2(s) / (1.0 - alpha)
 
 
 def renyi_entropy(distribution: Sequence[float], alpha: float) -> float:

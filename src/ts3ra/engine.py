@@ -14,13 +14,17 @@ control event and at the end of the run.  Packet outcomes (deliveries and
 drops) wait in sorted lanes, one of deliveries per switch and one of drops,
 and are applied, in that same order, just before the next event that reads
 their effects or writes trace rows; the events that do neither pass them by.
+
+No event is scheduled after the horizon (``Engine.end_us``), so no control
+work starts after it; packets in flight at the horizon drain at the end of
+the run.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -333,7 +337,9 @@ class Engine:
         self._build_world(model)
         self.lanes = [sw.deliveries for sw in self.switches] + [self.drops]
         # Devices not yet rejected, dropped at the queue or allocated; once
-        # none is left no allocation follows, so nothing reads positions.
+        # none is left no allocation follows, so nothing reads positions.  At
+        # the end of a run, the pending count: devices not yet arrived, still
+        # queued, or waiting for a slice decision or an allocation.
         self.unfinished = len(self.dev)
         self._handlers = (
             self._on_arrival,
@@ -498,26 +504,21 @@ class Engine:
     # -- event plumbing --------------------------------------------------------
 
     def _push(self, time_us: int, kind: int, payload) -> None:
-        """Schedule an event; a TRANSMIT joins ``transmits``, a DELIVER its
-        device's switch lane and a DROP the drop lane, at its sorted place
-        whatever its time."""
+        """Schedule an event on ``heap``, or a TRANSMIT on ``transmits``.
+
+        The run's horizon: nothing due after ``end_us`` is scheduled, so no
+        control work starts after it.  Packets already in flight drain at the
+        end of the run (see :meth:`collect_metrics`).
+        """
         if time_us < self.clock_us:
             raise InvariantViolation(
                 f"event {KIND_NAMES[kind]} scheduled at {time_us} before clock {self.clock_us}"
             )
+        if time_us > self.end_us:
+            return
         self.seq += 1
-        entry = (time_us, kind, self.seq, payload)
-        if kind == TRANSMIT:
-            heapq.heappush(self.transmits, entry)
-            return
-        if kind == DELIVER:
-            insort(self.dev[payload[0]].sw.deliveries, entry)
-        elif kind == DROP:
-            insort(self.drops, entry)
-        else:
-            heapq.heappush(self.heap, entry)
-            return
-        self.queued += 1
+        queue = self.transmits if kind == TRANSMIT else self.heap
+        heapq.heappush(queue, (time_us, kind, self.seq, payload))
 
     def _trace(self, kind: int, device: str, slice_id: str, switch: str, outcome: str) -> None:
         if self.trace_sink:
@@ -860,7 +861,7 @@ class Engine:
             self._trace(ALLOCATE, rt.device.device_id, service.slice_id, "", "unroutable")
             return
         self._trace(ALLOCATE, rt.device.device_id, service.slice_id, switch_id, "granted")
-        remaining_s = max(0.0, (self.end_us - self.clock_us) / 1e6)
+        remaining_s = (self.end_us - self.clock_us) / 1e6
         c.flow_active_bps_seconds += rt.flow.rate * remaining_s
         phase = float(self.hub.substream("phase").uniform(0.0, self.sc.packet_interval))
         first = self.clock_us + to_us(phase)
@@ -890,8 +891,6 @@ class Engine:
     # -- detection -----------------------------------------------------------
 
     def _on_window_close(self, _payload=None) -> None:
-        if self.clock_us > self.end_us:
-            return
         sc = self.sc
         start_s = self.clock_us / 1e6 - sc.window_duration
         for sw in self.switches:
@@ -935,15 +934,11 @@ class Engine:
                     f"{verdict},{';'.join(blocked)}"
                 )
             sw.reset_window()
-        nxt = self.clock_us + to_us(sc.window_duration)
-        if nxt <= self.end_us:
-            self._push(nxt, WINDOW_CLOSE, None)
+        self._push(self.clock_us + to_us(sc.window_duration), WINDOW_CLOSE, None)
 
     # -- rebalancing -----------------------------------------------------------
 
     def _on_rebalance(self, _payload=None) -> None:
-        if self.clock_us > self.end_us:
-            return
         sc = self.sc
         interval = sc.rebalance_interval
         measured = {
@@ -984,9 +979,7 @@ class Engine:
                 self.rebalances += 1
         for sw in self.switches:
             sw.reset_interval()
-        nxt = self.clock_us + to_us(interval)
-        if nxt <= self.end_us:
-            self._push(nxt, REBALANCE, None)
+        self._push(self.clock_us + to_us(interval), REBALANCE, None)
 
     def _plan_rebalance(self, trigger: _SwitchRt, measured: dict[str, float]):
         """The trigger's rebalance plan and each planned flow's device."""
@@ -1026,8 +1019,6 @@ class Engine:
     # -- mobility ----------------------------------------------------------------
 
     def _on_mobility_tick(self, _payload=None) -> None:
-        if self.clock_us > self.end_us:
-            return
         sc = self.sc
         dt = sc.tick_interval
         delta = self.waypoints - self.positions
@@ -1050,9 +1041,8 @@ class Engine:
             )
         np.clip(self.positions[:, 0], 0, sc.area_width, out=self.positions[:, 0])
         np.clip(self.positions[:, 1], 0, sc.area_height, out=self.positions[:, 1])
-        nxt = self.clock_us + to_us(dt)
-        if nxt <= self.end_us and self.unfinished:
-            self._push(nxt, MOBILITY_TICK, None)
+        if self.unfinished:
+            self._push(self.clock_us + to_us(dt), MOBILITY_TICK, None)
 
     # -- reporting ----------------------------------------------------------------
 

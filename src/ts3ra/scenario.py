@@ -37,6 +37,29 @@ EVENT_INTERVAL_KEYS = (
     "flood_packet_interval",
 )
 
+# (rule, test, keys): each key's value must pass the test its rule names.
+RANGE_RULES = (
+    (
+        "finite and > 0",
+        lambda v: math.isfinite(v) and v > 0,
+        ("duration", "area_width", "area_height", "switch_transmission_rate",
+         "pool_headroom", "dominance_factor"),
+    ),
+    (
+        "finite and >= 0",
+        lambda v: math.isfinite(v) and v >= 0,
+        ("seed", "devices", "auth_delay", "decision_delay", "freshness_window",
+         "processing_latency", "arrival_window", "flood_start", "retransmit_delay",
+         "speed_min", "speed_max", "queue_delay_bound", "k_sigma"),
+    ),
+    (
+        "in [0, 1]",
+        lambda v: 0 <= v <= 1,
+        ("forged_fraction", "switch_loss_rate", "mix_embb", "mix_urllc", "mix_mmtc"),
+    ),
+    ("finite", math.isfinite, ("offload_alpha", "offload_beta", "offload_gamma")),
+)
+
 
 @dataclass
 class Scenario:
@@ -125,38 +148,20 @@ class Scenario:
     dominance_factor: float = 3.0
 
     def validate(self) -> None:
-        if self.duration <= 0:
-            raise ScenarioError("duration must be > 0")
-        if self.devices < 0:
-            raise ScenarioError("devices must be >= 0")
+        for rule, test, keys in RANGE_RULES:
+            for key in keys:
+                value = getattr(self, key)
+                if not test(value):
+                    raise ScenarioError(f"{key} must be {rule} (got {value!r})")
         if not (0.0 <= self.illegitimate_fraction < 1.0):
             raise ScenarioError("illegitimate_fraction must be in [0, 1)")
-        if not (0.0 <= self.forged_fraction <= 1.0):
-            raise ScenarioError("forged_fraction must be in [0, 1]")
         if self.switches < 1:
             raise ScenarioError("at least one switch is required")
-        if not (0.0 <= self.switch_loss_rate <= 1.0):
-            raise ScenarioError(
-                f"switch_loss_rate must be in [0, 1] (got {self.switch_loss_rate!r})"
-            )
         if not (self.switch_transmission_rate <= self.switch_service_capacity):
             raise ScenarioError(
                 "switch_transmission_rate must not exceed switch_service_capacity "
                 f"(got {self.switch_transmission_rate!r} > {self.switch_service_capacity!r})"
             )
-        for key in (
-            "auth_delay",
-            "decision_delay",
-            "arrival_window",
-            "processing_latency",
-            "retransmit_delay",
-            "queue_delay_bound",
-        ):
-            value = getattr(self, key)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ScenarioError(f"{key} must be finite and >= 0 (got {value!r})")
-        if self.area_width <= 0 or self.area_height <= 0:
-            raise ScenarioError("area dimensions must be > 0")
         mix = self.mix_embb + self.mix_urllc + self.mix_mmtc
         if abs(mix - 1.0) > 1e-9:
             raise ScenarioError(f"traffic mix fractions must sum to 1 (got {mix!r})")
@@ -181,12 +186,6 @@ class Scenario:
                 "ddos_alpha must be finite with ddos_alpha * log2(max(devices, 16)) <= 1000 "
                 f"(got {self.ddos_alpha!r} with {self.devices} devices)"
             )
-        if not (math.isfinite(self.k_sigma) and self.k_sigma >= 0):
-            raise ScenarioError(f"k_sigma must be finite and >= 0 (got {self.k_sigma!r})")
-        if not (math.isfinite(self.dominance_factor) and self.dominance_factor > 0):
-            raise ScenarioError(
-                f"dominance_factor must be finite and > 0 (got {self.dominance_factor!r})"
-            )
         for key in ("train_samples", "epochs", "d_model"):
             value = getattr(self, key)
             if value < 1:
@@ -200,8 +199,10 @@ class Scenario:
             raise ScenarioError("baseline_windows must be >= 10 benign windows")
         if min(self.demand_embb, self.demand_urllc, self.demand_mmtc) < 1:
             raise ScenarioError("per-service demand_slots must be >= 1")
-        if self.speed_min < 0 or self.speed_max < self.speed_min:
-            raise ScenarioError("speed range must satisfy 0 <= speed_min <= speed_max")
+        if self.speed_min > self.speed_max:
+            raise ScenarioError(
+                f"speed_min must not exceed speed_max (got {self.speed_min!r} > {self.speed_max!r})"
+            )
         for key in ("protocol_embb", "protocol_urllc", "protocol_mmtc"):
             value = getattr(self, key)
             try:

@@ -173,6 +173,22 @@ class TestRunCommand:
             ("ddos", "k_sigma", "inf"),
             ("ddos", "dominance_factor", "nan"),
             ("ddos", "dominance_factor", "inf"),
+            ("network", "duration", "nan"),
+            ("network", "duration", "inf"),
+            ("network", "seed", "-1"),
+            ("network", "area_width", "inf"),
+            ("network", "area_height", "inf"),
+            ("mobility", "speed_max", "inf"),
+            ("mobility", "speed_min", "nan"),
+            ("flows", "mix_embb", "nan"),
+            ("flows", "flood_start", "nan"),
+            ("flows", "flood_start", "inf"),
+            ("network", "switch_transmission_rate", "0"),
+            ("network", "switch_transmission_rate", "-1"),
+            ("network", "pool_headroom", "nan"),
+            ("network", "pool_headroom", "-1"),
+            ("network", "freshness_window", "nan"),
+            ("offload", "alpha", "nan"),
         ],
     )
     def test_out_of_range_value_exit_one(self, tmp_path, capsys, section, key, value):
@@ -180,6 +196,12 @@ class TestRunCommand:
         bad.write_text(SMALL + f"\n[{section}]\n{key} = {value}\n")
         assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "out")]) == 1
         assert key in capsys.readouterr().err
+
+    def test_negative_seed_flag_exit_one(self, tmp_path, scenario_file, capsys):
+        args = ["run", "--scenario", str(scenario_file), "--out", str(tmp_path / "o"), "--seed", "-1"]
+        assert main(args) == 1
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_seed_sweep_stamps_files(self, tmp_path, scenario_file):
         out = tmp_path / "sweep"

@@ -95,6 +95,18 @@ class TestRenyiEntropy:
         with pytest.raises(ValueError):
             renyi_entropy([0.5, 0.5], 0.0)
 
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            renyi_entropy([0.5, 0.5], alpha)
+
+    def test_underflowing_sum_taken_relative_to_the_largest_share(self):
+        # Every p ** alpha underflows to 0 here.
+        assert renyi_entropy([0.5, 0.5], 2000.0) == 1.0
+        assert entropy_of_counts([1, 1, 2], 5000.0) == pytest.approx(
+            mp_renyi([0.25, 0.25, 0.5], 5000.0), abs=1e-9
+        )
+
     def test_counts_helper(self):
         assert entropy_of_counts([5, 5, 5, 5], 2.0) == pytest.approx(2.0, abs=1e-12)
         assert entropy_of_counts([], 2.0) == 0.0

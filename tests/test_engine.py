@@ -47,6 +47,14 @@ def small_scenario(**overrides) -> Scenario:
     return Scenario(**base)
 
 
+def queue_delivery(engine: Engine, time_us: int, di: int) -> None:
+    """Queue a 4096-bit delivery of device ``di`` on its switch's lane, as
+    the data plane does."""
+    engine.seq += 1
+    engine.dev[di].sw.deliveries.append((time_us, DELIVER, engine.seq, (di, 4096, 1500)))
+    engine.queued += 1
+
+
 @pytest.fixture(scope="module")
 def small_run():
     trace: list[str] = []
@@ -136,7 +144,7 @@ class TestPipelineSteps:
         rt.place(engine.sw_by_id["SW0"])
         before = {st: engine.counters[st].delivered for st in ServiceType}
         engine.counters[ServiceType.URLLC].in_flight += 1
-        engine._push(0, DELIVER, (0, 4096, 1500))
+        queue_delivery(engine, 0, 0)
         engine._apply_outcomes(math.inf)
         after = {st: engine.counters[st].delivered for st in ServiceType}
         deltas = [after[st] - before[st] for st in ServiceType]
@@ -400,7 +408,7 @@ class TestOutcomeOrdering:
         close_us = 2_000_000
         c.sent += 1
         c.in_flight += 1
-        engine._push(close_us + delay_us, DELIVER, (0, 4096, 1500))
+        queue_delivery(engine, close_us + delay_us, 0)
         # One source dominates a window on SW0 whose size entropy collapses.
         counts = sw.window.source_counts
         counts[rt.device.device_id] = 1000
@@ -462,20 +470,6 @@ class TestOutcomeOrdering:
         assert self.delivery_rows(trace) == [(t, "d0000") for t in times]
         assert rt.counters.delivered == 2
 
-    def test_pushed_delivery_out_of_time_order_lands_sorted(self):
-        trace: list[str] = []
-        engine = lossless_engine(trace)
-        sw = engine.sw_by_id["SW0"]
-        for di in (0, 1):
-            engine.dev[di].place(sw)
-            engine.dev[di].counters.in_flight += 1
-        engine._push(3_000, DELIVER, (0, 4096, 1500))
-        engine._push(2_000, DELIVER, (1, 4096, 1500))
-        assert [entry[0] for entry in sw.deliveries] == [2_000, 3_000]
-        assert engine.queued == 2
-        engine._apply_outcomes(math.inf)
-        assert self.delivery_rows(trace) == [("0.002000", "d0001"), ("0.003000", "d0000")]
-
     def test_every_lane_sorted_after_every_event(self):
         engine = Engine(small_scenario())
         while engine.heap:
@@ -499,6 +493,26 @@ class TestOutcomeOrdering:
             if ticks:
                 assert all(e[1] != MOBILITY_TICK for e in engine.heap)
         assert ticks <= 1  # the one armed before the last device finished
+
+
+class TestHorizon:
+    def test_no_event_runs_after_the_horizon_while_the_scheduler_is_busy(self):
+        # Every request needs 10^4 slots of 10 ms: the queue outlasts a 2 s run.
+        engine = Engine(
+            small_scenario(
+                devices=6, duration=2.0, train_samples=60, epochs=1,
+                demand_embb=10**4, demand_urllc=10**4, demand_mmtc=10**4,
+            )
+        )
+        while engine.heap:
+            event = heapq.heappop(engine.heap)
+            assert event[0] <= engine.end_us, event
+            engine.step_event(event)
+        engine.collect_metrics()
+        assert engine.qstate.n_in_system > 0
+        # The requests still queued are pending, not decided or allocated.
+        assert engine.unfinished >= engine.qstate.n_in_system
+        assert all(c.in_flight == 0 for c in engine.counters.values())
 
 
 class TestDataPlaneBoundary:
@@ -651,6 +665,10 @@ def flood_scenarios(draw) -> Scenario:
         # a queue of one or two refuses some enqueues
         hp_capacity=draw(st.sampled_from([1, 2, 1000])),
         lp_capacity=draw(st.sampled_from([1, 2, 1000])),
+        # 10^4 slots outlast the run, so some devices are still pending
+        demand_embb=draw(st.sampled_from([1, 30, 10**4])),
+        demand_urllc=draw(st.sampled_from([1, 30, 10**4])),
+        demand_mmtc=draw(st.sampled_from([1, 30, 10**4])),
     )
 
 
@@ -679,13 +697,21 @@ class TestConservationProperty:
             assert engine.qstate.conservation_holds()
             assert sum(c.enqueued for c in classes) == engine.auth_accepted
             assert sum(c.dropped for c in classes) == engine.queue_dropped
+            # Device conservation: each device is rejected at auth, dropped at
+            # the queue, granted or refused by its pool, or still pending.
+            allocated = sum(c.granted + c.rejected for c in engine.counters.values())
+            assert sc.devices == (
+                engine.auth_rejected + engine.queue_dropped + allocated + engine.unfinished
+            )
             return engine, rows, trace, detection
 
         def stepped(engine):
             # The benchmark's traced children drive the engine this way.
             heap = engine.heap
             while heap:
-                engine.step_event(heapq.heappop(heap))
+                event = heapq.heappop(heap)
+                assert event[0] <= engine.end_us, event
+                engine.step_event(event)
             return engine.collect_metrics()
 
         try:
