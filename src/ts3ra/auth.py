@@ -156,16 +156,6 @@ class RegistrationRecord:
     derived_key: bytes
     params: KeyDerivationParams
 
-    def to_dict(self) -> dict:
-        return {
-            "device_id": self.device_id,
-            "salt": self.salt.hex(),
-            "derived_key": self.derived_key.hex(),
-            "iteration_count": self.params.iteration_count,
-            "output_key_length": self.params.output_key_length,
-            "prf": self.params.prf,
-        }
-
 
 @dataclass
 class VirtualAuthority:
@@ -311,14 +301,3 @@ class VirtualAuthorityPool:
             self._ensure_size(idx + 1)
             self._assignment[device_id] = idx
         return self.authorities[idx]
-
-    def export_records(self) -> list[dict]:
-        """Registration records in a serializable form for scenario files."""
-        out = []
-        for va in self.authorities:
-            for record in va.registered.values():
-                entry = record.to_dict()
-                entry["va_id"] = va.va_id
-                entry["enrolled_challenges"] = len(va.crp_store.get(record.device_id, {}))
-                out.append(entry)
-        return out

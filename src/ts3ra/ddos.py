@@ -7,11 +7,9 @@ concentrates traffic (few sources, metronome timing, constant sizes), so
 an attack shows up as an entropy collapse against a benign baseline.
 
 The per-window statistics are plain Python: a window holds a few dozen
-counts, where NumPy's cost per call outweighs the arithmetic.  They add in
-NumPy's order (pairwise for the entropies, in sequence for the baseline
-mean and deviation), so at alpha = 2 they equal the NumPy forms bit for
-bit.  At other alpha the last bit can differ, because ``**`` calls libm
-``pow`` where NumPy's ``power`` may take a SIMD path.
+counts, where NumPy's cost per call outweighs the arithmetic.  Every sum
+in them is ``math.fsum``, correctly rounded whatever the order of its
+terms.
 """
 
 from __future__ import annotations
@@ -58,60 +56,17 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError("alpha = 1 is the Shannon limit; call shannon_entropy")
 
 
-def _pairwise_sum(values: Sequence[float]) -> float:
-    """``np.sum`` of a 1-d float64 vector in plain Python, bit for bit.
-
-    NumPy adds the pairwise sum of the values to ``0.0``: in order below 8
-    values, through eight interleaved accumulators up to 128, and above
-    that as two halves split at a multiple of 8 (N. J. Higham, "The
-    accuracy of floating point summation", SIAM J. Sci. Comput. 14(4),
-    1993).  The same additions in the same order give the same bits.
-    """
-    if len(values) < 8:
-        res = 0.0
-        for v in values:
-            res += v
-        return res
-    return 0.0 + _blocked_sum(values, 0, len(values))
-
-
-def _blocked_sum(values: Sequence[float], lo: int, hi: int) -> float:
-    """The pairwise sum of ``values[lo:hi]``, at least 8 of them."""
-    n = hi - lo
-    if n > 128:
-        half = n // 2
-        half -= half % 8
-        return _blocked_sum(values, lo, lo + half) + _blocked_sum(values, lo + half, hi)
-    r0, r1, r2, r3, r4, r5, r6, r7 = values[lo : lo + 8]
-    end = hi - n % 8
-    for i in range(lo + 8, end, 8):
-        r0 += values[i]
-        r1 += values[i + 1]
-        r2 += values[i + 2]
-        r3 += values[i + 3]
-        r4 += values[i + 4]
-        r5 += values[i + 5]
-        r6 += values[i + 6]
-        r7 += values[i + 7]
-    res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-    for i in range(end, hi):
-        res += values[i]
-    return res
-
-
-def _renyi(counts: Sequence[float], total: float, alpha: float) -> float:
-    """Order-alpha entropy of the shares ``p = c / total``, computed as NumPy
-    computes ``log2(np.sum(p[p > 0] ** alpha)) / (1 - alpha)``, where
-    ``** 2`` squares."""
-    if alpha == 2:
-        terms = [p * p for c in counts if (p := c / total) > 0]
-    else:
-        terms = [p**alpha for c in counts if (p := c / total) > 0]
-    s = _pairwise_sum(terms)
+def _renyi(counts: Sequence[float], alpha: float) -> float:
+    """Order-alpha entropy of the shares ``p = c / total`` of non-negative
+    counts, ``log2(sum p ** alpha) / (1 - alpha)``; 0 for no counts."""
+    total = math.fsum(counts)
+    if total <= 0:
+        return 0.0
+    s = math.fsum([p**alpha for c in counts if (p := c / total) > 0])
     if s == 0.0:
         # Every p ** alpha underflowed: sum relative to the largest share.
         p_max = max(counts) / total
-        s = _pairwise_sum([(c / total / p_max) ** alpha for c in counts])
+        s = math.fsum([(c / total / p_max) ** alpha for c in counts])
         return (alpha * math.log2(p_max) + math.log2(s)) / (1.0 - alpha)
     return math.log2(s) / (1.0 - alpha)
 
@@ -124,7 +79,7 @@ def renyi_entropy(distribution: Sequence[float], alpha: float) -> float:
     """
     p = _validated_distribution(distribution)
     _check_alpha(alpha)
-    return _renyi(p.tolist(), 1.0, alpha)  # p / 1.0 is p
+    return _renyi(p.tolist(), alpha)
 
 
 def shannon_entropy(distribution: Sequence[float]) -> float:
@@ -139,21 +94,10 @@ def entropy_of_counts(counts: Sequence[float], alpha: float) -> float:
     c = np.asarray(counts, dtype=np.float64)
     if c.ndim != 1:
         raise ValueError("counts must be a 1-d sequence")
-    values = c.tolist()
-    total = _pairwise_sum(values)
-    if total <= 0:
-        return 0.0
-    return renyi_entropy([x / total for x in values], alpha)
-
-
-def _entropy_of_valid_counts(counts: Sequence[int], alpha: float) -> float:
-    """:func:`entropy_of_counts` for counts that are non-negative by
-    construction and an ``alpha`` already checked: the same operations,
-    without validating the distribution again."""
-    total = _pairwise_sum(counts)
-    if total <= 0:
-        return 0.0
-    return _renyi(counts, total, alpha)
+    if np.any(c < 0):
+        raise ValueError("counts must be >= 0")
+    _check_alpha(alpha)
+    return _renyi(c.tolist(), alpha)
 
 
 @functools.lru_cache(maxsize=8)
@@ -237,12 +181,12 @@ _NO_PACKETS = (1.0,)
 def window_entropies(window: Window, alpha: float = DEFAULT_ALPHA) -> tuple[float, float, float]:
     """(source, inter-arrival, size) entropies of one window, in bits."""
     _check_alpha(alpha)
-    src = _entropy_of_valid_counts(list(window.source_counts.values()), alpha)
+    src = _renyi(list(window.source_counts.values()), alpha)
     bins = window.interarrival_bins
-    ia = _entropy_of_valid_counts(bins if any(bins) else _NO_PACKETS, alpha)
+    ia = _renyi(bins if any(bins) else _NO_PACKETS, alpha)
     sizes = window.size_counts
     size_counts = [sizes[s] for s in sorted(sizes)] if sizes else _NO_PACKETS
-    size_h = _entropy_of_valid_counts(size_counts, alpha)
+    size_h = _renyi(size_counts, alpha)
     return src, ia, size_h
 
 
@@ -273,30 +217,12 @@ class BaselineStats:
             raise ValueError(
                 f"baseline needs at least {MIN_BASELINE_WINDOWS} benign windows"
             )
-        # NumPy's axis-0 mean and population std of an (n, 3) array: each
-        # column summed in order from 0.0, the deviations squared.
         n = len(triples)
-        s0 = s1 = s2 = 0.0
-        for a, b, c in triples:
-            s0 += a
-            s1 += b
-            s2 += c
-        m0, m1, m2 = s0 / n, s1 / n, s2 / n
-        v0 = v1 = v2 = 0.0
-        for a, b, c in triples:
-            d0, d1, d2 = a - m0, b - m1, c - m2
-            v0 += d0 * d0
-            v1 += d1 * d1
-            v2 += d2 * d2
-        return cls(
-            mean_source=m0,
-            std_source=math.sqrt(v0 / n),
-            mean_interarrival=m1,
-            std_interarrival=math.sqrt(v1 / n),
-            mean_size=m2,
-            std_size=math.sqrt(v2 / n),
-            n_windows=n,
-        )
+        stats = []
+        for col in zip(*triples):
+            m = math.fsum(col) / n
+            stats += [m, math.sqrt(math.fsum((x - m) ** 2 for x in col) / n)]
+        return cls(*stats, n_windows=n)
 
 
 def classify_window(

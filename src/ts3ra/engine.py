@@ -429,8 +429,8 @@ class Engine:
         # access points, evenly spaced on the horizontal midline
         self.ap_positions = np.array(
             [
-                [(k + 0.5) * sc.area_width / max(sc.aps, 1), sc.area_height / 2.0]
-                for k in range(max(sc.aps, 1))
+                [(k + 0.5) * sc.area_width / sc.aps, sc.area_height / 2.0]
+                for k in range(sc.aps)
             ]
         )
 

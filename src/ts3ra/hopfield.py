@@ -281,10 +281,6 @@ class HopfieldAllocator:
         self.bundles = bundles if bundles is not None else default_bundles()
         self.demand_reference = demand_reference or {}
 
-    def update_thresholds(self, request_load: float, kappa: float = 0.0) -> None:
-        """Re-derive node thresholds from the current request load."""
-        self.thresholds = np.full(PATTERN_LENGTH, kappa * request_load)
-
     def recall_slice(self, probe: Sequence[float]) -> tuple[ServiceType, RecallResult]:
         """Snap a (possibly corrupted) probe to the nearest stored slice."""
         result = recall(self.we, self.thresholds, probe, self.max_iters)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .domain import ServiceType
 
@@ -148,18 +148,8 @@ def derive_slice_metrics(
 
 def aggregate_total(per_slice: dict[ServiceType, SliceCounters]) -> SliceCounters:
     total = SliceCounters()
+    names = [f.name for f in fields(SliceCounters)]
     for c in per_slice.values():
-        total.requests += c.requests
-        total.granted += c.granted
-        total.rejected += c.rejected
-        total.sent += c.sent
-        total.delivered += c.delivered
-        total.dropped += c.dropped
-        total.blocked += c.blocked
-        total.in_flight += c.in_flight
-        total.delivered_bits += c.delivered_bits
-        total.latency_sum += c.latency_sum
-        total.response_sum += c.response_sum
-        total.granted_comm += c.granted_comm
-        total.flow_active_bps_seconds += c.flow_active_bps_seconds
+        for name in names:
+            setattr(total, name, getattr(total, name) + getattr(c, name))
     return total

@@ -42,21 +42,30 @@ RANGE_RULES = (
     (
         "finite and > 0",
         lambda v: math.isfinite(v) and v > 0,
-        ("duration", "area_width", "area_height", "switch_transmission_rate",
-         "pool_headroom", "dominance_factor"),
+        ("duration", "area_width", "area_height", "switch_service_capacity",
+         "switch_transmission_rate", "pool_headroom", "dominance_factor"),
     ),
     (
         "finite and >= 0",
         lambda v: math.isfinite(v) and v >= 0,
         ("seed", "devices", "auth_delay", "decision_delay", "freshness_window",
-         "processing_latency", "arrival_window", "flood_start", "retransmit_delay",
-         "speed_min", "speed_max", "queue_delay_bound", "k_sigma"),
+         "processing_latency", "arrival_window", "delay_bound_embb", "delay_bound_urllc",
+         "delay_bound_mmtc", "flood_start", "flood_giveup", "retransmit_delay",
+         "speed_min", "speed_max", "queue_delay_bound", "k_sigma", "min_packets"),
     ),
+    (
+        ">= 1",
+        lambda v: v >= 1,
+        ("aps", "switches", "demand_embb", "demand_urllc", "demand_mmtc", "packet_length",
+         "train_samples", "epochs", "d_model"),
+    ),
+    (">= 10", lambda v: v >= 10, ("baseline_windows",)),
     (
         "in [0, 1]",
         lambda v: 0 <= v <= 1,
         ("forged_fraction", "switch_loss_rate", "mix_embb", "mix_urllc", "mix_mmtc"),
     ),
+    ("in [0, 1)", lambda v: 0 <= v < 1, ("illegitimate_fraction",)),
     ("finite", math.isfinite, ("offload_alpha", "offload_beta", "offload_gamma")),
 )
 
@@ -153,10 +162,6 @@ class Scenario:
                 value = getattr(self, key)
                 if not test(value):
                     raise ScenarioError(f"{key} must be {rule} (got {value!r})")
-        if not (0.0 <= self.illegitimate_fraction < 1.0):
-            raise ScenarioError("illegitimate_fraction must be in [0, 1)")
-        if self.switches < 1:
-            raise ScenarioError("at least one switch is required")
         if not (self.switch_transmission_rate <= self.switch_service_capacity):
             raise ScenarioError(
                 "switch_transmission_rate must not exceed switch_service_capacity "
@@ -165,8 +170,6 @@ class Scenario:
         mix = self.mix_embb + self.mix_urllc + self.mix_mmtc
         if abs(mix - 1.0) > 1e-9:
             raise ScenarioError(f"traffic mix fractions must sum to 1 (got {mix!r})")
-        if self.packet_length <= 0:
-            raise ScenarioError("packet_length must be > 0")
         for key in EVENT_INTERVAL_KEYS:
             value = getattr(self, key)
             if not math.isfinite(value) or to_us(value) < 1:
@@ -186,19 +189,11 @@ class Scenario:
                 "ddos_alpha must be finite with ddos_alpha * log2(max(devices, 16)) <= 1000 "
                 f"(got {self.ddos_alpha!r} with {self.devices} devices)"
             )
-        for key in ("train_samples", "epochs", "d_model"):
-            value = getattr(self, key)
-            if value < 1:
-                raise ScenarioError(f"{key} must be >= 1 (got {value!r})")
         lo, hi = LEARNING_RATE_RANGE
         if not (lo <= self.learning_rate <= hi):
             raise ScenarioError(
                 f"learning_rate must be within [{lo}, {hi}] (got {self.learning_rate!r})"
             )
-        if self.baseline_windows < 10:
-            raise ScenarioError("baseline_windows must be >= 10 benign windows")
-        if min(self.demand_embb, self.demand_urllc, self.demand_mmtc) < 1:
-            raise ScenarioError("per-service demand_slots must be >= 1")
         if self.speed_min > self.speed_max:
             raise ScenarioError(
                 f"speed_min must not exceed speed_max (got {self.speed_min!r} > {self.speed_max!r})"

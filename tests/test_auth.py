@@ -231,13 +231,3 @@ class TestAuthorityPool:
         for i in range(200):
             pool.authority_for(f"d{i}")
         assert pool.authority_for("d0") is first
-
-    def test_export_records(self):
-        rng = np.random.default_rng(0)
-        pool = VirtualAuthorityPool()
-        va = pool.authority_for("dev-9")
-        register_device(va, "dev-9", b"pw", SimulatedPuf(b"\x02" * 32), rng)
-        records = pool.export_records()
-        assert len(records) == 1
-        assert records[0]["device_id"] == "dev-9"
-        assert records[0]["enrolled_challenges"] > 0

@@ -189,6 +189,15 @@ class TestRunCommand:
             ("network", "pool_headroom", "-1"),
             ("network", "freshness_window", "nan"),
             ("offload", "alpha", "nan"),
+            ("network", "aps", "-1"),
+            ("network", "switches", "-1"),
+            ("network", "switch_service_capacity", "inf"),
+            ("flows", "demand_embb", "-1"),
+            ("flows", "flood_giveup", "-1"),
+            ("flows", "delay_bound_embb", "nan"),
+            ("flows", "delay_bound_urllc", "inf"),
+            ("flows", "delay_bound_mmtc", "-1"),
+            ("ddos", "min_packets", "-1"),
         ],
     )
     def test_out_of_range_value_exit_one(self, tmp_path, capsys, section, key, value):

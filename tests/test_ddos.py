@@ -1,5 +1,7 @@
 import itertools
 import math
+from dataclasses import astuple
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -21,7 +23,6 @@ from ts3ra.ddos import (
     shannon_entropy,
     window_entropies,
 )
-from ts3ra.ddos import _pairwise_sum
 
 mpmath.mp.dps = 50
 
@@ -201,23 +202,22 @@ def numpy_baseline(triples):
 
 
 def list_window_entropies(window, alpha=2.0):
-    """The packet-list implementation that window counts replaced, kept as
-    the oracle: histogram of clipped gaps, ``np.unique`` of the sizes."""
-    src = numpy_entropy_of_counts(list(window.source_counts.values()), alpha)
+    """The packet-list binning that window counts replaced, kept as the
+    oracle: histogram of clipped gaps, ``np.unique`` of the sizes."""
+    src = entropy_of_counts(list(window.source_counts.values()), alpha)
     times = window.interarrival_times
     if len(times) == 0:
         hist = np.array([1.0])
     else:
         edges = np.geomspace(1e-4, max(window.duration, 1e-3), num=17)
         hist, _ = np.histogram(np.clip(times, edges[0], edges[-1]), bins=edges)
-        hist = hist.astype(np.float64)
-    ia = numpy_entropy_of_counts(hist, alpha)
+    ia = entropy_of_counts(hist, alpha)
     if window.packet_sizes:
         sizes = np.asarray(window.packet_sizes, dtype=np.int64)
         _, size_counts = np.unique(sizes, return_counts=True)
     else:
         size_counts = np.array([1.0])
-    return src, ia, numpy_entropy_of_counts(size_counts, alpha)
+    return src, ia, entropy_of_counts(size_counts, alpha)
 
 
 def gap_us(duration):
@@ -279,8 +279,8 @@ class TestWindowCounts:
 
 @st.composite
 def window_counts(draw):
-    """Running counts of a window: up to 300 sources, so that the source sum
-    takes every branch of the pairwise sum; sparse inter-arrival bins."""
+    """Running counts of a window: up to 300 sources; sparse inter-arrival
+    bins."""
     n_sources = draw(st.one_of(st.integers(0, 40), st.integers(100, 300)))
     counts = draw(st.lists(st.integers(1, 500), min_size=n_sources, max_size=n_sources))
     bins = draw(
@@ -290,47 +290,65 @@ def window_counts(draw):
     return WindowCounts({f"d{i}": c for i, c in enumerate(counts)}, bins, sizes)
 
 
-def float_lists(n):
-    values = st.floats(-1e12, 1e12, allow_subnormal=False) | st.just(-0.0)
-    return st.lists(values, min_size=n, max_size=n)
+def exact_collision_entropy(counts):
+    """-log2 of the sum of the squared float shares, summed exactly and
+    rounded once; each share and its square (``**``, as in the library)
+    round on their own."""
+    total = sum(counts)
+    if total <= 0:
+        return 0.0
+    return -math.log2(float(sum(Fraction((c / total) ** 2) for c in counts)))
+
+
+ALPHAS = (0.5, 2.0, 3.0)
 
 
 class TestNumpyOracles:
-    """The plain-Python statistics give NumPy's bits at alpha = 2."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(values=st.integers(0, 400).flatmap(float_lists))
-    @example(values=[0.1 * k for k in range(7)])
-    @example(values=[0.1 * k for k in range(8)])
-    @example(values=[0.1 * k for k in range(128)])
-    @example(values=[0.1 * k for k in range(129)])
-    @example(values=[-0.0] * 8)
-    def test_pairwise_sum_is_np_sum(self, values):
-        assert repr(_pairwise_sum(values)) == repr(float(np.sum(np.asarray(values))))
+    """The plain-Python statistics agree with their NumPy forms within
+    1e-12: the sums round differently (``math.fsum`` against NumPy's
+    pairwise order), and ``**`` calls libm ``pow`` where NumPy's ``power``
+    squares or takes a SIMD path."""
 
     @settings(max_examples=100, deadline=None)
     @given(window=window_counts())
     @example(window=WindowCounts())
     def test_window_entropies_bit_identical(self, window):
-        assert repr(window_entropies(window)) == repr(numpy_window_entropies(window))
+        ours = window_entropies(window)
+        assert ours == pytest.approx(numpy_window_entropies(window), rel=0.0, abs=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.5, 3.0])
     @settings(max_examples=50, deadline=None)
     @given(window=window_counts())
     def test_other_alpha_within_1e12(self, alpha, window):
-        # Python's ** calls libm pow; NumPy's power may take a SIMD path.
         ours = window_entropies(window, alpha)
         theirs = numpy_window_entropies(window, alpha)
         assert ours == pytest.approx(theirs, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(window=window_counts())
+    @example(window=WindowCounts())
+    def test_alpha_2_sums_the_squared_shares_exactly(self, window):
+        bins, sizes = window.interarrival_bins, window.size_counts
+        expected = (
+            exact_collision_entropy(list(window.source_counts.values())),
+            exact_collision_entropy(bins if any(bins) else [1]),
+            exact_collision_entropy(list(sizes.values()) if sizes else [1]),
+        )
+        assert repr(window_entropies(window, 2.0)) == repr(expected)
 
     def test_counts_helpers_bit_identical(self):
         rng = np.random.default_rng(24)
         for _ in range(200):
             counts = rng.random(int(rng.integers(1, 300))) * 10.0 ** rng.integers(-3, 4)
             counts[rng.random(counts.size) < 0.2] = 0.0
-            assert repr(entropy_of_counts(counts, 2.0)) == repr(numpy_entropy_of_counts(counts))
             p = counts / counts.sum()
-            assert repr(renyi_entropy(p, 2.0)) == repr(numpy_renyi(p))
+            for alpha in ALPHAS:
+                assert entropy_of_counts(counts, alpha) == pytest.approx(
+                    numpy_entropy_of_counts(counts, alpha), rel=0.0, abs=1e-12
+                )
+                assert renyi_entropy(p, alpha) == pytest.approx(
+                    numpy_renyi(p, alpha), rel=0.0, abs=1e-12
+                )
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -339,7 +357,8 @@ class TestNumpyOracles:
         )
     )
     def test_baseline_bit_identical(self, triples):
-        assert repr(BaselineStats.from_triples(triples)) == repr(numpy_baseline(triples))
+        ours = astuple(BaselineStats.from_triples(triples))
+        assert ours == pytest.approx(astuple(numpy_baseline(triples)), rel=0.0, abs=1e-12)
 
 
 class TestPredictBandwidth:

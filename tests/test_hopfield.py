@@ -262,8 +262,3 @@ class TestAllocator:
         for pattern in allocator.patterns.values():
             out = update_state(allocator.we, allocator.thresholds, pattern)
             assert np.array_equal(out, pattern)
-
-    def test_threshold_update(self):
-        allocator = HopfieldAllocator()
-        allocator.update_thresholds(request_load=4.0, kappa=0.25)
-        assert np.allclose(allocator.thresholds, 1.0)
