@@ -116,7 +116,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         values = [v for v in joined.split(",") if v]
         if not values:
             raise ScenarioError("--sweep needs at least one value")
+        seen: set[str] = set()
         for value in values:
+            # Each value labels its run's files; a repeat would overwrite them.
+            if value.strip() in seen:
+                raise ScenarioError(f"--sweep repeats the value {value.strip()!r}")
+            seen.add(value.strip())
             variant = copy.deepcopy(scenario)
             apply_override(variant, key.strip(), value.strip())
             label = f"{key.strip().replace('.', '_')}_{value.strip()}"
@@ -139,25 +144,58 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _metrics_rows(path: str) -> list[tuple[str, list[float]]]:
+    """The data rows of a metrics file, each a slice id and its numeric cells.
+
+    Raises ``ValueError`` naming the file, the line and the cell when the
+    header is not ``METRICS_COLUMNS`` or a row does not fit it.
+    """
+    lines = Path(path).read_text().strip().splitlines()
+    if not lines:
+        raise ValueError(f"empty metrics file {path}")
+    header = lines[0].split(",")
+    for k in range(max(len(header), len(METRICS_COLUMNS))):
+        got = header[k] if k < len(header) else None
+        want = METRICS_COLUMNS[k] if k < len(METRICS_COLUMNS) else None
+        if got != want:
+            raise ValueError(
+                f"{path} line 1: header cell {k + 1} is {got!r}, expected {want!r}"
+            )
+    rows = []
+    for line_no, line in enumerate(lines[1:], 2):
+        cells = line.split(",")
+        n = len(METRICS_COLUMNS)
+        if len(cells) < n:
+            raise ValueError(
+                f"{path} line {line_no}: cell {METRICS_COLUMNS[len(cells)]} is missing"
+            )
+        if len(cells) > n:
+            raise ValueError(
+                f"{path} line {line_no}: cell {n + 1} is {cells[n]!r}, past the {n} columns"
+            )
+        values = []
+        for column, cell in zip(METRICS_COLUMNS[1:], cells[1:]):
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise ValueError(
+                    f"{path} line {line_no}: cell {column} is {cell!r}, not a number"
+                ) from None
+        rows.append((cells[0], values))
+    return rows
+
+
 def _cmd_summarize(args: argparse.Namespace) -> int:
     """Per-slice mean and standard deviation across metric files."""
     rows_by_slice: dict[str, list[list[float]]] = {}
-    header = None
     for path in args.files:
-        lines = Path(path).read_text().strip().splitlines()
-        if not lines:
-            print(f"error: empty metrics file {path}", file=sys.stderr)
+        try:
+            rows = _metrics_rows(path)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return EXIT_USER_ERROR
-        if header is None:
-            header = lines[0]
-        elif lines[0] != header:
-            print(f"error: inconsistent columns in {path}", file=sys.stderr)
-            return EXIT_USER_ERROR
-        for line in lines[1:]:
-            cells = line.split(",")
-            rows_by_slice.setdefault(cells[0], []).append(
-                [float(c) for c in cells[1:]]
-            )
+        for slice_id, values in rows:
+            rows_by_slice.setdefault(slice_id, []).append(values)
     numeric_cols = METRICS_COLUMNS[1:]
     print("slice,stat," + ",".join(numeric_cols))
     order = [st.slice_id for st in SLICE_ORDER] + ["TOTAL"]

@@ -8,12 +8,28 @@ rebalancing.  The clock is integer microseconds; events are processed in
 (time, kind rank, sequence) order, so a fixed scenario and seed reproduce
 the run bit for bit.
 
-The event heap holds only control events.  Packet transmits wait on a heap
-of their own and run, in the same order, in one data-plane loop up to each
-control event and at the end of the run.  Packet outcomes (deliveries and
-drops) wait in sorted lanes, one of deliveries per switch and one of drops,
-and are applied, in that same order, just before the next event that reads
-their effects or writes trace rows; the events that do neither pass them by.
+The event heap holds only control events.  Packets form the data plane,
+which runs in batches just before each event that reads packet state or
+writes trace rows, and at the end of the run; scheduler slots and mobility
+ticks do neither and pass it by.  Packets are taken in a canonical order,
+(time, device index, retransmit), which does not depend on where the run
+is cut into batches:
+
+- a batch builds its new transmits with NumPy from each device's next send
+  time and interval, and draws each one's size, loss and retransmit loss
+  from the ``sizes``, ``loss`` and ``retransmit-loss`` streams, one value
+  each per transmit in canonical order (the counter-based idea of Salmon
+  et al., SC 2011: a draw depends on the packet's place, not on the cut);
+- one scalar pass per switch applies its FIFO: the backlog, the overflow
+  bound, and retransmits inserted ``retransmit_delay`` after a failure;
+- window counts, per-flow bits and slice counters are folded from the
+  batch's arrays;
+- outcomes (deliveries and drops) are held as arrays and applied, in
+  (time, kind, packet) order, before the next event that reads them.  A
+  delivery whose source was quarantined in the meantime is dropped then.
+
+A run's artifacts are therefore the same whether the data plane runs
+before every event or only before the readers, and whatever the batch size.
 
 No event is scheduled after the horizon (``Engine.end_us``), so no control
 work starts after it; packets in flight at the horizon drain at the end of
@@ -24,8 +40,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import deque
+from itertools import chain
 from typing import Callable, Optional
 
 import numpy as np
@@ -47,6 +63,7 @@ from .domain import (
     stable_imsi,
 )
 from .metrics import (
+    SLICE_ORDER,
     MetricsReport,
     SliceCounters,
     aggregate_total,
@@ -94,45 +111,46 @@ DETECTION_HEADER = "window_start,switch_id,h_source,h_interarrival,h_size,verdic
 MIGRATION_HEADER = "time,flow_id,from_switch,to_switch,reason"
 
 
-# Kinds that neither read packet outcomes nor write trace rows: outcomes due
-# before them are left queued (see ``Engine.step_event``).
+# Kinds that neither read packet state nor write trace rows: the data plane
+# does not run before them (see ``Engine.step_event``).
 _BLIND_KINDS = frozenset({SCHEDULE_SLOT, MOBILITY_TICK})
-# Queued outcomes applied before any event or transmit, whatever its kind.
-OUTCOME_BACKLOG = 4096
+# Kinds that read no packet state but write trace rows: blind in a run
+# without a trace.
+_TRACE_ONLY_KINDS = frozenset({ARRIVAL, AUTH, SLICE_DECIDE})
+# Most new transmits in one data-plane batch, which bounds its arrays when
+# no reader comes for a long time (detection and offload off).
+BATCH_PACKETS = 4096
+
+# A packet's outcome: delivered, or dropped for a reason.  REFUSED is a new
+# packet of a quarantined source, stopped at the AP and never in flight.
+OK, LOSS, OVERFLOW, QUARANTINED, REFUSED = range(5)
+# The kind and the outcome cells of each code's trace rows, with their commas.
+_OUTCOME_CELLS = (
+    (",deliver,", ",ok"),
+    (",drop,", ",loss"),
+    (",drop,", ",overflow"),
+    (",drop,", ",quarantined"),
+    (",drop,", ",quarantined"),
+)
+# The FIFO pass's mark for a failed packet that is sent again.
+_RETRIED = -len(_OUTCOME_CELLS)
+# ``next_us`` of a device that sends no more new packets.
+_NEVER = np.iinfo(np.int64).max
 
 
 class InvariantViolation(RuntimeError):
     """An engine-internal consistency rule was broken."""
 
 
-# Values drawn per call of ``rng.random`` in :func:`uniforms`.
-UNIFORM_BLOCK = 4096
+def size_index(u: np.ndarray) -> np.ndarray:
+    """Size index 0, 1 or 2 (half, full or double the packet length) of each
+    draw in ``u``, with probabilities 1/4, 1/2, 1/4.
 
-
-def uniforms(rng: np.random.Generator):
-    """Endless ``rng.random()`` values, drawn ``UNIFORM_BLOCK`` at a time.
-
-    A block of n values equals n scalar calls, at a fraction of their cost;
-    ``rng`` runs up to one block ahead of the values taken.
-    """
-    while True:
-        yield from rng.random(UNIFORM_BLOCK).tolist()
-
-
-def packet_size(u: float, length: int) -> int:
-    """Half, full or double ``length`` with probabilities 1/4, 1/2, 1/4.
-
-    ``packet_size(rng.random(), length)`` gives the same values and leaves
-    ``rng`` in the same state as
+    For the same draws these are the values of
     ``rng.choice([length // 2, length, length * 2], p=[0.25, 0.5, 0.25])``,
-    which bisects the CDF with one ``random()`` draw, at a fraction of its
-    cost.
+    which bisects the CDF with one ``random()`` draw.
     """
-    if u < 0.25:
-        return length // 2
-    if u < 0.75:
-        return length
-    return length * 2
+    return (u >= 0.25) + (u >= 0.75).astype(np.int64)
 
 
 class _DeviceRt:
@@ -154,10 +172,8 @@ class _DeviceRt:
         "request",
         "flow",
         "sw",
+        "_sw_of",
         "tag",
-        "quarantined",
-        "blocked_streak",
-        "gave_up",
         "arrival_us",
     )
 
@@ -170,6 +186,7 @@ class _DeviceRt:
         claimed: ServiceType,
         forged: bool,
         counters_of: dict[ServiceType, SliceCounters],
+        sw_of: np.ndarray,
     ):
         self.index = index
         self.device = device
@@ -177,6 +194,8 @@ class _DeviceRt:
         self.puf = puf
         self.claimed = claimed
         self._counters_of = counters_of
+        # the engine's switch index of every device, kept for the data plane
+        self._sw_of = sw_of
         self.sw: Optional[_SwitchRt] = None
         self.decided = None
         self.forged = forged
@@ -186,9 +205,6 @@ class _DeviceRt:
         self.granted = False
         self.request = None
         self.flow: Optional[Flow] = None
-        self.quarantined = False
-        self.blocked_streak = 0
-        self.gave_up = False
         self.arrival_us = 0
 
     @property
@@ -198,7 +214,7 @@ class _DeviceRt:
 
     @decided.setter
     def decided(self, service: Optional[ServiceType]) -> None:
-        # ``counters`` serves the packet path without hashing an enum.
+        # ``counters`` are the decided slice's, or the claimed one's before.
         self._decided = service
         self.counters = self._counters_of[service or self.claimed]
         self._retag()
@@ -206,6 +222,7 @@ class _DeviceRt:
     def place(self, sw: "_SwitchRt") -> None:
         """Route this device's packets through ``sw``."""
         self.sw = sw
+        self._sw_of[self.index] = sw.index
         self._retag()
 
     def _retag(self) -> None:
@@ -216,45 +233,18 @@ class _DeviceRt:
 
 
 class _SwitchRt:
-    """Mutable per-switch state: link occupancy, pending deliveries and
-    window counts."""
+    """Mutable per-switch control state; the data plane keeps its packet
+    state in the engine's per-switch arrays, row ``index``."""
 
-    __slots__ = (
-        "profile",
-        "loss_rate",
-        "nominal_load",
-        "busy_until_us",
-        "deliveries",
-        "flows",
-        "window",
-        "win_last_arrival_us",
-        "interval_bits",
-        "per_flow_bits",
-        "baseline_triples",
-    )
+    __slots__ = ("index", "profile", "loss_rate", "nominal_load", "flows", "baseline_triples")
 
-    def __init__(self, profile: SwitchProfile):
+    def __init__(self, index: int, profile: SwitchProfile):
+        self.index = index
         self.profile = profile
         self.loss_rate = profile.loss_rate
         self.nominal_load = 0.0
-        self.busy_until_us = 0
-        # DELIVER entries of packets this switch carried, in event order:
-        # each lands at the new ``busy_until_us`` plus a constant latency,
-        # and ``busy_until_us`` never decreases.
-        self.deliveries: list = []
         self.flows: set[int] = set()
-        self.window = ddos_mod.WindowCounts()
-        self.win_last_arrival_us: Optional[int] = None
-        self.interval_bits = 0
-        self.per_flow_bits: dict[int, int] = {}
         self.baseline_triples: list[tuple[float, float, float]] = []
-
-    def reset_window(self) -> None:
-        self.window = ddos_mod.WindowCounts()
-
-    def reset_interval(self) -> None:
-        self.interval_bits = 0
-        self.per_flow_bits = {}
 
 
 Sink = Callable[[str], None]
@@ -283,30 +273,22 @@ class Engine:
         self.queue_delay_bound_us = to_us(scenario.queue_delay_bound)
         self.processing_latency_us = to_us(scenario.processing_latency)
         self.retransmit_delay_us = to_us(scenario.retransmit_delay)
-        # A packet's inter-arrival gap is binned as it arrives at its switch.
-        self.ia_edges = ddos_mod.interarrival_inner_edges(scenario.window_duration)
-        # Link time of each packet size; every switch has the same rate.
+        # Inner edges of the detection windows' inter-arrival bins.
+        self.ia_edges = np.array(ddos_mod.interarrival_inner_edges(scenario.window_duration))
+        # Packet sizes by size index, with their bits and link times; every
+        # switch has the same rate.
         length, rate = scenario.packet_length, scenario.switch_transmission_rate
-        self.tx_us = {
-            size: int(round(size * 8 / rate * 1e6))
-            for size in (length // 2, length, length * 2)
-        }
+        self.sizes = (length // 2, length, length * 2)
+        self.size_bits = np.array([size * 8 for size in self.sizes])
+        self.size_tx_us = np.array([int(round(size * 8 / rate * 1e6)) for size in self.sizes])
         self.coeffs = off_mod.WeightCoefficients(
             alpha=scenario.offload_alpha,
             beta=scenario.offload_beta,
             gamma=scenario.offload_gamma,
         )
         self.clock_us = 0
-        # Control events; TRANSMIT entries, keyed the same way, wait in
-        # ``transmits`` (see :meth:`step_event`).
+        # Control events (see :meth:`step_event`).
         self.heap: list = []
-        self.transmits: list = []
-        # DROP entries, keyed like ``heap`` and numbered from the same
-        # ``seq``; every drop lands at the clock, so the list stays sorted.
-        self.drops: list = []
-        # Entries waiting in ``drops`` and the switches' ``deliveries``; see
-        # :meth:`step_event` for when they are applied.
-        self.queued = 0
         self.seq = 0
         self.trace_sink = trace_sink
         self.detection_sink = detection_sink
@@ -318,8 +300,9 @@ class Engine:
         if migration_sink:
             migration_sink(MIGRATION_HEADER)
 
-        self._loss_draws = uniforms(self.hub.substream("loss"))
-        self._size_draws = uniforms(self.hub.substream("sizes"))
+        self._rng_sizes = self.hub.substream("sizes")
+        self._rng_loss = self.hub.substream("loss")
+        self._rng_retx = self.hub.substream("retransmit-loss")
         self._rng_sched = self.hub.substream("sched")
         self._rng_auth = self.hub.substream("auth")
 
@@ -335,7 +318,8 @@ class Engine:
         self.loss_curve = None
 
         self._build_world(model)
-        self.lanes = [sw.deliveries for sw in self.switches] + [self.drops]
+        self.device_ids = [rt.device.device_id for rt in self.dev]
+        self._init_data_plane()
         # Devices not yet rejected, dropped at the queue or allocated; once
         # none is left no allocation follows, so nothing reads positions.  At
         # the end of a run, the pending count: devices not yet arrived, still
@@ -390,6 +374,8 @@ class Engine:
         rng_puf = self.hub.substream("puf")
         self.dev: list[_DeviceRt] = []
         self.dev_by_id: dict[str, _DeviceRt] = {}
+        # each device's switch index, -1 before it is placed
+        self.sw_of = np.full(n, -1, dtype=np.int64)
         self.fair_slas = fair_slas
         for i in range(n):
             device_id = f"d{i:04d}"
@@ -405,7 +391,7 @@ class Engine:
             )
             password = f"pw-{device_id}".encode()
             puf = auth_mod.SimulatedPuf(bytes(rng_puf.integers(0, 256, size=32, dtype=np.uint8)))
-            rt = _DeviceRt(i, device, password, puf, claimed, i in forged, self.counters)
+            rt = _DeviceRt(i, device, password, puf, claimed, i in forged, self.counters, self.sw_of)
             if not rt.forged:
                 va = self.vap.authority_for(device_id)
                 auth_mod.register_device(va, device_id, password, puf, rng_puf)
@@ -422,9 +408,12 @@ class Engine:
                 transmission_rate=sc.switch_transmission_rate,
                 loss_rate=sc.switch_loss_rate,
             )
-            rt = _SwitchRt(profile)
+            rt = _SwitchRt(j, profile)
             self.switches.append(rt)
             self.sw_by_id[profile.switch_id] = rt
+
+        # per-column upper bounds of a position
+        self.area = np.array([sc.area_width, sc.area_height])
 
         # access points, evenly spaced on the horizontal midline
         self.ap_positions = np.array(
@@ -501,10 +490,39 @@ class Engine:
         if sc.offload_enabled:
             self._push(to_us(sc.rebalance_interval), REBALANCE, None)
 
+    def _init_data_plane(self) -> None:
+        n, m = len(self.dev), len(self.switches)
+        # Per device: the time of its next new transmit, whether it floods,
+        # whether it sends a failed packet once more, its slice's index in
+        # SLICE_ORDER, and whether it is quarantined.
+        self.next_us = np.full(n, _NEVER, dtype=np.int64)
+        self.floods = np.array([rt.floods for rt in self.dev], dtype=bool)
+        self.reliable = np.zeros(n, dtype=bool)
+        self.slice_of = np.zeros(n, dtype=np.int64)
+        self.is_quarantined = np.zeros(n, dtype=bool)
+        # Packets of each quarantined device stopped at the AP; from
+        # ``flood_giveup`` of them on (and at least one), it sends no more.
+        self.blocked_packets = [0] * n
+        # Per switch: the time its link is busy until, and its last arrival
+        # (-1 before the first).  The open detection window counts arrivals
+        # per (switch, device, size index) and per inter-arrival bin; the open
+        # rebalance interval counts them per (switch, device, size index).
+        self.busy_us = [0] * m
+        self.last_arrival_us = [-1] * m
+        self.win_counts = np.zeros((m, n, len(self.sizes)), dtype=np.int64)
+        self.win_gaps = np.zeros((m, ddos_mod.N_INTERARRIVAL_BINS), dtype=np.int64)
+        self.interval_counts = np.zeros((m, n, len(self.sizes)), dtype=np.int64)
+        # Retransmits due in a later batch: (time, device, size index, loss draw).
+        self.retransmits: list[tuple[int, int, int, float]] = []
+        # Outcomes not yet applied, a row each: time, outcome code, packet's
+        # place in canonical order, device, bits, latency (see ``_hold``).
+        self.held = np.zeros((0, 6), dtype=np.int64)
+        self._slice_counters = [self.counters[st] for st in SLICE_ORDER]
+
     # -- event plumbing --------------------------------------------------------
 
     def _push(self, time_us: int, kind: int, payload) -> None:
-        """Schedule an event on ``heap``, or a TRANSMIT on ``transmits``.
+        """Schedule a control event on ``heap``.
 
         The run's horizon: nothing due after ``end_us`` is scheduled, so no
         control work starts after it.  Packets already in flight drain at the
@@ -517,8 +535,7 @@ class Engine:
         if time_us > self.end_us:
             return
         self.seq += 1
-        queue = self.transmits if kind == TRANSMIT else self.heap
-        heapq.heappush(queue, (time_us, kind, self.seq, payload))
+        heapq.heappush(self.heap, (time_us, kind, self.seq, payload))
 
     def _trace(self, kind: int, device: str, slice_id: str, switch: str, outcome: str) -> None:
         if self.trace_sink:
@@ -529,177 +546,317 @@ class Engine:
     def step_event(self, event: tuple) -> None:
         """Process a single (time_us, kind, seq, payload) control event.
 
-        The data plane first runs every transmit that sorts before the event.
-        Queued outcomes that sort before it are then applied, unless the
-        event is one of ``_BLIND_KINDS``, which neither read their effects nor
-        write trace rows; a backlog of ``OUTCOME_BACKLOG`` outcomes is applied
-        before any event or transmit, so the lanes stay short when no event of
-        the other kinds comes for a long time.
+        Unless the event is one of ``_BLIND_KINDS``, which neither read packet
+        state nor write trace rows, or of ``_TRACE_ONLY_KINDS`` in a run
+        without a trace, the data plane first runs every packet that sorts
+        before it and applies every outcome that does.  At equal times,
+        packets and outcomes sort after the kinds ranked below TRANSMIT and
+        before those ranked above DROP.
         """
         time_us, kind, _, payload = event
         if time_us < self.clock_us:
             raise InvariantViolation("time regression in event stream")
-        # At equal times, transmits sort after the kinds ranked below them.
-        self._run_data_plane(time_us + 1 if kind > TRANSMIT else time_us)
-        queued = self.queued
-        if queued and (kind not in _BLIND_KINDS or queued >= OUTCOME_BACKLOG):
-            # At equal times, outcomes sort after the kinds ranked below them.
-            self._apply_outcomes(time_us + 1 if kind > DROP else time_us)
+        if not (kind in _BLIND_KINDS or (kind in _TRACE_ONLY_KINDS and not self.trace_sink)):
+            self._run_data_plane(time_us + 1 if kind > DROP else time_us)
         self.clock_us = time_us
         self._handlers[kind](payload)
 
-    def _apply_outcomes(self, until_us: float) -> None:
-        """Apply, in event order, every queued outcome due before ``until_us``.
-
-        Each lane is sorted, so its due entries are a prefix; ``sort`` merges
-        the prefixes' sorted runs.  ``seq`` is unique, so payloads are never
-        compared.
-        """
-        key = (until_us,)
-        due: list = []
-        for lane in self.lanes:
-            k = bisect_left(lane, key)
-            if k:
-                due += lane[:k]
-                del lane[:k]
-        if not due:
+    def _start_transmits(self, di: int, first_us: int) -> None:
+        """Send device ``di``'s packets from ``first_us`` on, with its flow's
+        protocol and on its slice; none is sent at or after the horizon."""
+        if first_us < self.clock_us:
+            raise InvariantViolation(f"packets of {di} start at {first_us}, before the clock")
+        if first_us >= self.end_us:
             return
-        self.queued -= len(due)
-        due.sort()
-        dev, sink = self.dev, self.trace_sink
-        for time_us, kind, _, payload in due:
-            if kind == DELIVER:
-                di, bits, latency_us = payload
-                rt = dev[di]
-                c = rt.counters
-                c.in_flight -= 1
-                if rt.quarantined:
-                    # the AP revokes in-flight traffic of a quarantined source
-                    c.dropped += 1
-                    c.blocked += 1
-                    if sink:
-                        sink(f"{time_us / 1e6:.6f},drop,{rt.tag},quarantined")
-                    continue
-                c.delivered += 1
-                c.delivered_bits += bits
-                c.latency_sum += latency_us / 1e6
-                if sink:
-                    sink(f"{time_us / 1e6:.6f},deliver,{rt.tag},ok")
-            else:
-                di, reason, admitted = payload
-                rt = dev[di]
-                c = rt.counters
-                if not admitted:
-                    c.sent += 1  # offered traffic stopped at the AP, never in flight
-                else:
-                    c.in_flight -= 1
-                c.dropped += 1
-                if reason == "quarantined":
-                    c.blocked += 1
-                if sink:
-                    sink(f"{time_us / 1e6:.6f},drop,{rt.tag},{reason}")
+        rt = self.dev[di]
+        self.next_us[di] = first_us
+        self.reliable[di] = rt.flow.protocol is Protocol.RELIABLE_STREAM
+        self.slice_of[di] = SLICE_ORDER.index(rt.decided or rt.claimed)
 
     def _run_data_plane(self, until_us: float) -> None:
-        """Run, in event order, every queued transmit due before ``until_us``.
+        """Run every packet due before ``until_us``, then apply every outcome
+        due before it.
 
-        A transmit reads no outcome and writes no trace row; it pushes only
-        transmits, deliveries and drops.  Before each one, a backlog of
-        ``OUTCOME_BACKLOG`` queued outcomes is applied, as before any event.
+        Packets run in batches of at most ``BATCH_PACKETS`` new transmits, and
+        the outcomes due before a batch's end are applied after it.  No event
+        comes between two batches of one call, so where they are cut changes
+        nothing.
         """
-        transmits = self.transmits
-        if not transmits or transmits[0][0] >= until_us:
+        while True:
+            later = self.retransmits
+            start = min(
+                int(self.next_us.min(initial=_NEVER)), min((r[0] for r in later), default=_NEVER)
+            )
+            if start >= until_us or start == _NEVER:
+                break
+            # Every packet waiting is due before ``limit``.
+            limit = max(self.end_us, max((r[0] for r in later), default=0) + 1)
+            end = until_us if until_us < limit else limit
+            plan = self._plan_batch(end)
+            while plan[0] > BATCH_PACKETS and end - start > 1:
+                end = start + max(1, (end - start) * BATCH_PACKETS // plan[0])
+                plan = self._plan_batch(end)
+            self._run_batch(end, *plan[1:])
+            if end < until_us:
+                self._apply_outcomes(end)
+        self._apply_outcomes(until_us)
+
+    def _plan_batch(self, end_us: int):
+        """The new transmits due before ``end_us``: their number, the devices
+        that send any, and for each of those its first send time, its count
+        at the packet interval, the time after those, and its count at the
+        flood interval, which a flooder keeps from ``flood_start`` on."""
+        e = min(end_us, self.end_us)
+        iv, fiv = self.packet_interval_us, self.flood_packet_interval_us
+        act = np.flatnonzero(self.next_us < e)
+        s = self.next_us[act]
+        lim = np.where(self.floods[act], min(self.flood_start_us, e), e)
+        m1 = np.maximum((lim - s + iv - 1) // iv, 0)
+        p = s + m1 * iv
+        m2 = np.maximum((e - p + fiv - 1) // fiv, 0)
+        return int(m1.sum() + m2.sum()), act, s, m1, p, m2
+
+    def _stop_quarantined(self, due, act, s, m1, p, cnt, nxt) -> list:
+        """Stop at the AP the packets of quarantined sources in this batch.
+
+        Trims each quarantined device's count of new transmits in ``cnt`` to
+        those it sends before it gives up, at ``flood_giveup`` stopped packets
+        (and at least one), and then ends its sends in ``nxt``.  Holds a drop
+        for each stopped retransmit of ``due`` and returns the others.
+        """
+        quarantined = set(np.flatnonzero(self.is_quarantined).tolist())
+        blocked = [r for r in due if r[1] in quarantined]
+        q_act = np.flatnonzero(self.is_quarantined[act]).tolist() if quarantined else []
+        if not q_act and not blocked:
+            return due
+        iv, fiv = self.packet_interval_us, self.flood_packet_interval_us
+        giveup = max(self.sc.flood_giveup, 1)
+        row_of = {int(act[j]): j for j in q_act}
+        for di in sorted(row_of.keys() | {r[1] for r in blocked}):
+            retx = [r[0] for r in blocked if r[1] == di]
+            stopped = self.blocked_packets[di]
+            sent = before = 0
+            j = row_of.get(di)
+            if j is not None:
+                while sent < cnt[j]:
+                    t = s[j] + sent * iv if sent < m1[j] else p[j] + (sent - m1[j]) * fiv
+                    # a retransmit at the same time sorts after the new packet
+                    while before < len(retx) and retx[before] < t:
+                        before += 1
+                    if stopped + sent + before >= giveup:
+                        break
+                    sent += 1
+                cnt[j] = sent
+            self.blocked_packets[di] = stopped = stopped + sent + len(retx)
+            if stopped >= giveup:
+                self.next_us[di] = _NEVER
+                if j is not None:
+                    nxt[j] = _NEVER
+        if blocked:
+            t = np.array([r[0] for r in blocked], dtype=np.int64)
+            di = np.array([r[1] for r in blocked], dtype=np.int64)
+            zero = np.zeros(len(blocked), dtype=np.int64)
+            self._hold(t, zero + QUARANTINED, (t * len(self.dev) + di) * 2 + 1, di, zero, zero)
+        return [r for r in due if r[1] not in quarantined]
+
+    def _run_batch(self, end_us: int, act, s, m1, p, m2) -> None:
+        """Run every packet due before ``end_us`` (see :meth:`_plan_batch` for
+        the arguments); their outcomes join ``held``."""
+        n_dev, n_sw = len(self.dev), len(self.switches)
+        iv, fiv = self.packet_interval_us, self.flood_packet_interval_us
+        cnt = m1 + m2
+        nxt = p + m2 * fiv
+        nxt[nxt >= self.end_us] = _NEVER
+        due = sorted(r for r in self.retransmits if r[0] < end_us)
+        if due:
+            self.retransmits = [r for r in self.retransmits if r[0] >= end_us]
+        due = self._stop_quarantined(due, act, s, m1, p, cnt, nxt)
+        self.next_us[act] = nxt
+        n_new = int(cnt.sum())
+        self.generated += n_new
+
+        # New transmits, made in (device, time) order and put in canonical
+        # order, with their draws.
+        di = np.repeat(act, cnt)
+        k = np.arange(n_new) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        m1k = np.repeat(m1, cnt)
+        flood = k >= m1k
+        t = np.where(flood, np.repeat(p, cnt) + (k - m1k) * fiv, np.repeat(s, cnt) + k * iv)
+        o = np.argsort(t, kind="stable")
+        t, di, flood = t[o], di[o], flood[o]
+        u_size = self._rng_sizes.random(n_new)
+        u = self._rng_loss.random(n_new)
+        retry = np.where(self.reliable[di], self._rng_retx.random(n_new), -1.0)
+        if self.sc.size_jitter:
+            z = size_index(u_size)
+            z[flood] = 1
+        else:
+            z = np.ones(n_new, dtype=np.int64)
+        # a packet's place in canonical order
+        key = (t * n_dev + di) * 2
+        q = self.is_quarantined[di]
+        if q.any():
+            zero = np.zeros(int(np.count_nonzero(q)), dtype=np.int64)
+            self._hold(t[q], zero + REFUSED, key[q], di[q], zero, zero)
+            a = ~q
+            t, di, z, u, retry, key = t[a], di[a], z[a], u[a], retry[a], key[a]
+        for c, n in zip(self._slice_counters, np.bincount(self.slice_of[di], minlength=3).tolist()):
+            c.sent += n
+            c.in_flight += n
+        if not len(t) and not due:
             return
-        dev, drops, pop, push = self.dev, self.drops, heapq.heappop, heapq.heappush
-        loss_draws, size_draws = self._loss_draws, self._size_draws
-        ia_edges, tx_of = self.ia_edges, self.tx_us
-        length, jitter = self.sc.packet_length, self.sc.size_jitter
-        flood_start_us, flood_iv_us = self.flood_start_us, self.flood_packet_interval_us
-        end_us, iv_us = self.end_us, self.packet_interval_us
-        bound_us, proc_us = self.queue_delay_bound_us, self.processing_latency_us
-        backlog, reliable = OUTCOME_BACKLOG, Protocol.RELIABLE_STREAM
-        seq, queued, generated, now = self.seq, self.queued, self.generated, self.clock_us
-        while transmits and transmits[0][0] < until_us:
-            time_us, _, _, (di, is_retx, size) = pop(transmits)
-            if time_us < now:
-                raise InvariantViolation("time regression in event stream")
-            now = time_us
-            if queued >= backlog:
-                self.queued = queued
-                self._apply_outcomes(now)
-                queued = self.queued
-            rt = dev[di]
-            if rt.gave_up and not is_retx:
-                continue
 
-            if not is_retx:
-                generated += 1
-                if rt.floods and now >= flood_start_us:
-                    size = length
-                    nxt = now + flood_iv_us
+        # Every packet that reaches a switch, served there; then the window
+        # and interval counts of them all.
+        sw = self.sw_of[di]
+        loss_rates = [sw_rt.loss_rate for sw_rt in self.switches]
+        res, prev, extra = self._serve_links(
+            end_us, due, t.tolist(), di.tolist(), z.tolist(), sw.tolist(),
+            (u < np.array(loss_rates)[sw]).tolist(), retry.tolist(), loss_rates,
+        )
+        if extra:
+            ex = np.array(extra, dtype=np.int64).T
+            ex_key = (ex[0] * n_dev + ex[1]) * 2 + 1
+            t, di, z, sw, res, prev, key = (
+                np.concatenate(pair) for pair in zip((t, di, z, sw, res, prev, key), (*ex, ex_key))
+            )
+        counts = np.bincount((sw * n_dev + di) * 3 + z, minlength=n_sw * n_dev * 3)
+        counts = counts.reshape(n_sw, n_dev, 3)
+        self.win_counts += counts
+        self.interval_counts += counts
+        gap = prev >= 0
+        bins = np.searchsorted(self.ia_edges, (t[gap] - prev[gap]) / 1e6, side="right")
+        n_bins = ddos_mod.N_INTERARRIVAL_BINS
+        self.win_gaps += np.bincount(sw[gap] * n_bins + bins, minlength=n_sw * n_bins).reshape(
+            n_sw, n_bins
+        )
+
+        done = res != _RETRIED
+        if not done.all():
+            t, di, z, res, key = t[done], di[done], z[done], res[done], key[done]
+        # a delivery's result is its time, at or after the send; a drop's is
+        # minus its code
+        ok = res >= 0
+        self._hold(
+            np.maximum(res, t),
+            np.maximum(-res, OK),
+            key,
+            di,
+            self.size_bits[z] * ok,
+            np.maximum(res - t, 0),
+        )
+
+    def _hold(self, time, code, key, di, bits, latency) -> None:
+        """Hold outcomes until :meth:`_apply_outcomes`: their times, outcome
+        codes, packets' places in canonical order, devices, bits and
+        latencies."""
+        rows = np.empty((len(time), 6), dtype=np.int64)
+        for col, values in enumerate((time, code, key, di, bits, latency)):
+            rows[:, col] = values
+        self.held = np.concatenate((self.held, rows))
+
+    def _serve_links(self, end_us, due, ts, ds, zs, sws, lost, retry, loss_rates):
+        """One pass, in canonical order, over the batch's packets that reach
+        a switch, each link serving first come first served.
+
+        The new transmits are given in lists, the retransmits in ``due``.  A
+        packet that is not lost waits out its link's backlog, unless that
+        exceeds ``queue_delay_bound`` (overflow), then takes its link time.  A
+        lost or overflowed new packet with a ``retry`` draw is sent again
+        ``retransmit_delay`` later, in this pass when that is before
+        ``end_us``.  Returns each new transmit's result (its delivery time,
+        ``-LOSS``, ``-OVERFLOW`` or ``_RETRIED``), the previous arrival at its
+        switch (-1 for none), and the retransmits served as (time, device,
+        size index, switch, result, previous arrival).
+        """
+        bound, proc = self.queue_delay_bound_us, self.processing_latency_us
+        delay, txs = self.retransmit_delay_us, self.size_tx_us.tolist()
+        busy_us, last_us, later = self.busy_us, self.last_arrival_us, self.retransmits
+        sw_of = self.sw_of.tolist()
+        res: list[int] = []
+        prev: list[int] = []
+        extra: list[tuple] = []
+        # Retransmits waiting in this pass, (time, device, size index, loss
+        # draw): those of earlier batches, then this one's, in canonical
+        # order, since the delay is fixed.
+        again = deque(due)
+        items = zip(ts, ds, zs, sws, lost, retry)
+        for t, d, z, j, is_lost, u in chain(items, ((_NEVER, 0, 0, 0, False, -1.0),)):
+            while again and (again[0][0] < t or (again[0][0] == t and again[0][1] < d)):
+                rt, rd, rz, ru = again.popleft()
+                rj = sw_of[rd]
+                before, last_us[rj] = last_us[rj], rt
+                if ru < loss_rates[rj]:
+                    result = -LOSS
                 else:
-                    size = packet_size(next(size_draws), length) if jitter else length
-                    nxt = now + iv_us
-                if nxt < end_us:
-                    seq += 1
-                    push(transmits, (nxt, TRANSMIT, seq, (di, False, 0)))
-
-            if rt.quarantined:
-                rt.blocked_streak += 1
-                if rt.blocked_streak >= self.sc.flood_giveup:
-                    rt.gave_up = True
-                # a retransmission was already admitted and counted in flight
-                seq += 1
-                drops.append((now, DROP, seq, (di, "quarantined", is_retx)))
-                queued += 1
-                continue
-            rt.blocked_streak = 0
-
-            sw = rt.sw
-            if not is_retx:
-                c = rt.counters
-                c.sent += 1
-                c.in_flight += 1
-
-            # window counts observe everything arriving at the switch
-            win = sw.window
-            dev_id = rt.device.device_id
-            sources = win.source_counts
-            sources[dev_id] = sources.get(dev_id, 0) + 1
-            sizes = win.size_counts
-            sizes[size] = sizes.get(size, 0) + 1
-            last_us = sw.win_last_arrival_us
-            if last_us is not None:
-                win.interarrival_bins[bisect_right(ia_edges, (now - last_us) / 1e6)] += 1
-            sw.win_last_arrival_us = now
-            bits = size * 8
-            sw.interval_bits += bits
-            per_flow = sw.per_flow_bits
-            per_flow[di] = per_flow.get(di, 0) + bits
-
-            if next(loss_draws) < sw.loss_rate:
-                reason = "loss"
+                    busy = busy_us[rj]
+                    backlog = busy - rt if busy > rt else 0
+                    if backlog > bound:
+                        result = -OVERFLOW
+                    else:
+                        busy_us[rj] = busy = rt + backlog + txs[rz]
+                        result = busy + proc
+                extra.append((rt, rd, rz, rj, result, before))
+            if t == _NEVER:
+                break
+            prev.append(last_us[j])
+            last_us[j] = t
+            if is_lost:
+                result = -LOSS
             else:
-                backlog_us = sw.busy_until_us - now
-                if backlog_us < 0:
-                    backlog_us = 0
-                if backlog_us > bound_us:
-                    reason = "overflow"
-                else:
-                    tx_us = tx_of[size]
-                    sw.busy_until_us = now + backlog_us + tx_us
-                    latency_us = proc_us + backlog_us + tx_us
-                    seq += 1
-                    sw.deliveries.append((now + latency_us, DELIVER, seq, (di, bits, latency_us)))
-                    queued += 1
+                busy = busy_us[j]
+                backlog = busy - t if busy > t else 0
+                if backlog <= bound:
+                    busy_us[j] = busy = t + backlog + txs[z]
+                    res.append(busy + proc)
                     continue
+                result = -OVERFLOW
+            if u >= 0.0:
+                rt = t + delay
+                (again if rt < end_us else later).append((rt, d, z, u))
+                result = _RETRIED
+            res.append(result)
+        return np.array(res, dtype=np.int64), np.array(prev, dtype=np.int64), extra
 
-            seq += 1
-            if not is_retx and rt.flow.protocol is reliable:
-                push(transmits, (now + self.retransmit_delay_us, TRANSMIT, seq, (di, True, size)))
-            else:
-                drops.append((now, DROP, seq, (di, reason, True)))
-                queued += 1
-        self.seq, self.queued, self.generated, self.clock_us = seq, queued, generated, now
+    def _apply_outcomes(self, until_us: float) -> None:
+        """Apply, in (time, kind, packet) order, every held outcome due before
+        ``until_us``."""
+        held = self.held
+        due = held[:, 0] < until_us
+        n_due = int(np.count_nonzero(due))
+        if not n_due:
+            return
+        rows, self.held = held[due], held[~due]
+        sink = self.trace_sink
+        if sink:
+            # the counters are sums of integers, but trace rows go in order
+            o = np.argsort(rows[:, 2], kind="stable")
+            o = o[np.argsort(2 * rows[o, 0] + (rows[o, 1] > OK), kind="stable")]
+            rows = rows[o]
+        time, code, _, di, bits, latency = rows.T
+        # the AP revokes in-flight traffic of a quarantined source
+        code = np.where((code == OK) & self.is_quarantined[di], QUARANTINED, code)
+        sl = self.slice_of[di]
+        n_codes = len(_OUTCOME_CELLS)
+        counts = np.bincount(sl * n_codes + code, minlength=3 * n_codes).reshape(3, n_codes)
+        ok = code == OK
+        bits_sum = np.bincount(sl, weights=bits * ok, minlength=3)
+        latency_sum = np.bincount(sl, weights=latency * ok, minlength=3)
+        for c, (n_ok, n_loss, n_over, n_q, n_refused), b, lat in zip(
+            self._slice_counters, counts.tolist(), bits_sum.tolist(), latency_sum.tolist()
+        ):
+            c.sent += n_refused  # offered traffic stopped at the AP, never in flight
+            c.in_flight -= n_ok + n_loss + n_over + n_q
+            c.delivered += n_ok
+            c.dropped += n_loss + n_over + n_q + n_refused
+            c.blocked += n_q + n_refused
+            c.delivered_bits += int(b)
+            c.latency_us += int(lat)
+        if sink:
+            tags, cells = [rt.tag for rt in self.dev], _OUTCOME_CELLS
+            for t, c, d in zip((time / 1e6).tolist(), code.tolist(), di.tolist()):
+                kind, outcome = cells[c]
+                sink(f"{t:.6f}{kind}{tags[d]}{outcome}")
 
     def run(self) -> MetricsReport:
         heap, pop, step = self.heap, heapq.heappop, self.step_event
@@ -864,9 +1021,7 @@ class Engine:
         remaining_s = (self.end_us - self.clock_us) / 1e6
         c.flow_active_bps_seconds += rt.flow.rate * remaining_s
         phase = float(self.hub.substream("phase").uniform(0.0, self.sc.packet_interval))
-        first = self.clock_us + to_us(phase)
-        if first < self.end_us:
-            self._push(first, TRANSMIT, (di, False, 0))
+        self._start_transmits(di, self.clock_us + to_us(phase))
 
     def _assign_switch(self, rt: _DeviceRt) -> Optional[str]:
         best_id = None
@@ -893,8 +1048,19 @@ class Engine:
     def _on_window_close(self, _payload=None) -> None:
         sc = self.sc
         start_s = self.clock_us / 1e6 - sc.window_duration
-        for sw in self.switches:
-            window = sw.window
+        per_source = self.win_counts.sum(axis=2)
+        at, of = np.nonzero(per_source)
+        sources: list[dict[str, int]] = [{} for _ in self.switches]
+        for j, i, c in zip(at.tolist(), of.tolist(), per_source[at, of].tolist()):
+            sources[j][self.device_ids[i]] = c
+        for sw, source_counts, gaps, sizes in zip(
+            self.switches, sources, self.win_gaps.tolist(), self.win_counts.sum(axis=1).tolist()
+        ):
+            window = ddos_mod.WindowCounts(
+                source_counts=source_counts,
+                interarrival_bins=gaps,
+                size_counts={size: c for size, c in zip(self.sizes, sizes) if c},
+            )
             blocked: list[str] = []
             if window.packet_count < sc.min_packets:
                 verdict = ddos_mod.VERDICT_INCONCLUSIVE
@@ -919,10 +1085,8 @@ class Engine:
                         report, window.source_counts, sc.dominance_factor
                     )
                     for dev_id in blocked:
-                        drt = self.dev_by_id[dev_id]
-                        if not drt.quarantined:
-                            drt.quarantined = True
-                            self.quarantined.add(dev_id)
+                        self.is_quarantined[self.dev_by_id[dev_id].index] = True
+                        self.quarantined.add(dev_id)
                 else:
                     sw.baseline_triples.append(triple)
                     if len(sw.baseline_triples) > 4 * sc.baseline_windows:
@@ -933,7 +1097,8 @@ class Engine:
                     f"{triple[0]:.6f},{triple[1]:.6f},{triple[2]:.6f},"
                     f"{verdict},{';'.join(blocked)}"
                 )
-            sw.reset_window()
+        self.win_counts.fill(0)
+        self.win_gaps.fill(0)
         self._push(self.clock_us + to_us(sc.window_duration), WINDOW_CLOSE, None)
 
     # -- rebalancing -----------------------------------------------------------
@@ -941,8 +1106,10 @@ class Engine:
     def _on_rebalance(self, _payload=None) -> None:
         sc = self.sc
         interval = sc.rebalance_interval
+        flow_bits = self.interval_counts @ self.size_bits
         measured = {
-            sw.profile.switch_id: sw.interval_bits / interval for sw in self.switches
+            sw.profile.switch_id: bits / interval
+            for sw, bits in zip(self.switches, flow_bits.sum(axis=1).tolist())
         }
         overloaded = [
             sw
@@ -950,7 +1117,7 @@ class Engine:
             if measured[sw.profile.switch_id] > sw.profile.service_capacity
         ]
         for trigger in overloaded:
-            planned = self._plan_rebalance(trigger, measured)
+            planned = self._plan_rebalance(trigger, measured, flow_bits[trigger.index].tolist())
             if planned is None:
                 continue
             plan, device_of = planned
@@ -977,21 +1144,22 @@ class Engine:
                 )
             if plan.migrations:
                 self.rebalances += 1
-        for sw in self.switches:
-            sw.reset_interval()
+        self.interval_counts.fill(0)
         self._push(self.clock_us + to_us(interval), REBALANCE, None)
 
-    def _plan_rebalance(self, trigger: _SwitchRt, measured: dict[str, float]):
-        """The trigger's rebalance plan and each planned flow's device."""
+    def _plan_rebalance(self, trigger: _SwitchRt, measured: dict[str, float], bits_of: list[int]):
+        """The trigger's rebalance plan and each planned flow's device;
+        ``bits_of`` holds each device's bits through the trigger in this
+        interval."""
         interval = self.sc.rebalance_interval
         flows = []
         current = {}
         device_of: dict[str, _DeviceRt] = {}
         for di in sorted(trigger.flows):
             drt = self.dev[di]
-            if drt.flow is None or drt.quarantined:
+            if drt.flow is None or self.is_quarantined[di]:
                 continue
-            rate = trigger.per_flow_bits.get(di, 0) / interval
+            rate = bits_of[di] / interval
             if rate <= 0:
                 rate = drt.flow.rate
             flow = Flow(
@@ -1025,13 +1193,13 @@ class Engine:
         dist = np.linalg.norm(delta, axis=1)
         step = self.speeds * dt
         arrived = dist <= step
-        moving = ~arrived & (dist > 0)
-        scale = np.zeros_like(dist)
-        scale[moving] = step[moving] / dist[moving]
-        self.positions[moving] += delta[moving] * scale[moving, None]
-        self.positions[arrived] = self.waypoints[arrived]
-        n_arrived = int(arrived.sum())
+        # A device that has not arrived is at a positive distance, since
+        # ``step >= 0``; the others move by 0 and are overwritten below.
+        scale = np.divide(step, dist, out=np.zeros_like(dist), where=~arrived)
+        self.positions += delta * scale[:, None]
+        n_arrived = int(np.count_nonzero(arrived))
         if n_arrived:
+            self.positions[arrived] = self.waypoints[arrived]
             rng = self.hub.substream("waypoints")
             self.waypoints[arrived] = np.column_stack(
                 [
@@ -1039,8 +1207,7 @@ class Engine:
                     rng.uniform(0, sc.area_height, size=n_arrived),
                 ]
             )
-        np.clip(self.positions[:, 0], 0, sc.area_width, out=self.positions[:, 0])
-        np.clip(self.positions[:, 1], 0, sc.area_height, out=self.positions[:, 1])
+        np.clip(self.positions, 0.0, self.area, out=self.positions)
         if self.unfinished:
             self._push(self.clock_us + to_us(dt), MOBILITY_TICK, None)
 
@@ -1048,7 +1215,6 @@ class Engine:
 
     def collect_metrics(self) -> MetricsReport:
         self._run_data_plane(math.inf)
-        self._apply_outcomes(math.inf)
         for st, c in self.counters.items():
             if c.in_flight != 0:
                 raise InvariantViolation(

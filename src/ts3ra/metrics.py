@@ -39,7 +39,7 @@ class SliceCounters:
     blocked: int = 0  # stopped at the AP (quarantined source)
     in_flight: int = 0
     delivered_bits: int = 0
-    latency_sum: float = 0.0
+    latency_us: int = 0  # summed over deliveries
     response_sum: float = 0.0
     granted_comm: float = 0.0
     flow_active_bps_seconds: float = 0.0
@@ -135,7 +135,7 @@ def derive_slice_metrics(
         dropped=c.dropped,
         blocked=c.blocked,
         throughput_bps=c.delivered_bits / duration,
-        latency_s=c.latency_sum / c.delivered if c.delivered else 0.0,
+        latency_s=c.latency_us / 1e6 / c.delivered if c.delivered else 0.0,
         response_s=c.response_sum / c.granted if c.granted else 0.0,
         ptr=ptr,
         plr=plr,

@@ -189,6 +189,21 @@ class Scenario:
                 "ddos_alpha must be finite with ddos_alpha * log2(max(devices, 16)) <= 1000 "
                 f"(got {self.ddos_alpha!r} with {self.devices} devices)"
             )
+        # The data plane keeps packet times in int64 microseconds and places a
+        # packet in canonical order by (time * devices + device) * 2 + 1, so
+        # the latest time a packet can reach must keep that below 2**62.
+        span = (
+            self.duration + self.retransmit_delay + self.queue_delay_bound
+            + self.processing_latency + 16 * self.packet_length / self.switch_transmission_rate
+        )
+        limit = 2.0**61 / 1e6 / max(self.devices, 1)
+        if not span < limit:
+            raise ScenarioError(
+                "duration + retransmit_delay + queue_delay_bound + processing_latency + "
+                "the link time of a double-length packet (16 * packet_length / "
+                f"switch_transmission_rate) must be below {limit:.6g} s with {self.devices} "
+                f"devices (got {span!r} s)"
+            )
         lo, hi = LEARNING_RATE_RANGE
         if not (lo <= self.learning_rate <= hi):
             raise ScenarioError(

@@ -22,7 +22,6 @@ from itertools import accumulate
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .domain import ServiceType
 
@@ -159,7 +158,11 @@ def _depthwise_bwd(dout: np.ndarray, a: np.ndarray, band: np.ndarray, kernel: in
     da = np.einsum("lmc,blc->bmc", band[::-1], dout[:, ::-1])
     a_pad = np.zeros((b, length + 2 * pad, c))
     a_pad[:, pad : pad + length] = a
-    d_dw = np.einsum("blc,blct->tc", dout, sliding_window_view(a_pad, kernel, axis=1))
+    # The (b, l, c, t) windows ``a_pad[:, l + t]``: the shape and strides of
+    # ``sliding_window_view(a_pad, kernel, axis=1)``, without its checks.
+    sb, sl, sc = a_pad.strides
+    windows = np.ndarray((b, length, c, kernel), buffer=a_pad, strides=(sb, sl, sc, sl))
+    d_dw = np.einsum("blc,blct->tc", dout, windows)
     return da, d_dw
 
 

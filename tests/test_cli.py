@@ -198,6 +198,12 @@ class TestRunCommand:
             ("flows", "delay_bound_urllc", "inf"),
             ("flows", "delay_bound_mmtc", "-1"),
             ("ddos", "min_packets", "-1"),
+            # packet times must stay within int64 microseconds
+            ("packets", "retransmit_delay", "1e13"),
+            ("network", "processing_latency", "1e13"),
+            ("offload", "queue_delay_bound", "1e13"),
+            ("network", "switch_transmission_rate", "1e-9"),
+            ("network", "duration", "1e13"),
         ],
     )
     def test_out_of_range_value_exit_one(self, tmp_path, capsys, section, key, value):
@@ -223,6 +229,14 @@ class TestRunCommand:
         assert code == 0
         for seed in (1, 2, 3):
             assert (out / f"metrics_seed_{seed}.csv").exists()
+
+    def test_repeated_sweep_value_exit_one(self, tmp_path, scenario_file, capsys):
+        # Both runs would be labelled seed_2 and write the same files.
+        out = tmp_path / "sweep"
+        args = ["run", "--scenario", str(scenario_file), "--out", str(out), "--sweep", "seed=2,3, 2"]
+        assert main([*args, "--jobs", "2"]) == 1
+        assert "'2'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_pool_never_larger_than_sweep(self, tmp_path, scenario_file, monkeypatch):
         import concurrent.futures
@@ -343,6 +357,34 @@ class TestSummarize:
         self.make_metrics(f1, 0.8)
         f2.write_text("slice,other\nS1,1\n")
         assert main(["summarize", str(f1), str(f2)]) == 1
+
+    @pytest.mark.parametrize(
+        "mangle,named",
+        [
+            (lambda row: row.replace("S1,10,", "S1,abc,", 1), ["line 2", "requests", "'abc'"]),
+            (lambda row: row.rsplit(",", 2)[0], ["line 2", "acceptance_ratio", "missing"]),
+            (lambda row: row + ",7", ["line 2", "cell 17", "'7'"]),
+        ],
+        ids=["non_numeric", "short_row", "long_row"],
+    )
+    def test_bad_row_exit_one(self, tmp_path, capsys, mangle, named):
+        f = tmp_path / "m.csv"
+        self.make_metrics(f, 0.8)
+        header, row = f.read_text().splitlines()
+        f.write_text(f"{header}\n{mangle(row)}\n")
+        assert main(["summarize", str(f)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        for part in [str(f), *named]:
+            assert part in err
+
+    def test_foreign_header_exit_one(self, tmp_path, capsys):
+        f = tmp_path / "m.csv"
+        f.write_text("slice,requests\nS1,3\n")
+        assert main(["summarize", str(f)]) == 1
+        err = capsys.readouterr().err
+        for part in (str(f), "line 1", "cell 3", "None", "'granted'"):
+            assert part in err
 
 
 class TestTrainCommand:

@@ -1,8 +1,14 @@
 import ast
+import copy
 import functools
 import heapq
 import importlib
+import json
 import math
+import os
+import subprocess
+import sys
+from bisect import bisect_right
 from pathlib import Path
 from unittest import mock
 
@@ -14,21 +20,25 @@ from ts3ra import engine as engine_mod
 from ts3ra.domain import ServiceType
 from ts3ra.engine import (
     ALLOCATE,
-    ARRIVAL,
     AUTH,
-    DELIVER,
-    DROP,
+    LOSS,
     MOBILITY_TICK,
+    OK,
+    OVERFLOW,
+    QUARANTINED,
+    REFUSED,
+    TRANSMIT,
     WINDOW_CLOSE,
     Engine,
     InvariantViolation,
-    TRANSMIT,
-    packet_size,
     run_scenario,
-    uniforms,
+    size_index,
 )
-from ts3ra.metrics import SliceCounters, derive_slice_metrics
+from ts3ra.metrics import SLICE_ORDER, SliceCounters, derive_slice_metrics
 from ts3ra.scenario import Scenario, ScenarioError
+
+ROOT = Path(__file__).resolve().parent.parent
+NEVER = np.iinfo(np.int64).max
 
 
 def small_scenario(**overrides) -> Scenario:
@@ -47,12 +57,134 @@ def small_scenario(**overrides) -> Scenario:
     return Scenario(**base)
 
 
-def queue_delivery(engine: Engine, time_us: int, di: int) -> None:
-    """Queue a 4096-bit delivery of device ``di`` on its switch's lane, as
-    the data plane does."""
-    engine.seq += 1
-    engine.dev[di].sw.deliveries.append((time_us, DELIVER, engine.seq, (di, 4096, 1500)))
-    engine.queued += 1
+def hold_delivery(engine: Engine, time_us: int, di: int) -> None:
+    """Hold a 4096-bit delivery of device ``di`` due at ``time_us``, as the
+    data plane does, on the device's slice."""
+    rt = engine.dev[di]
+    engine.slice_of[di] = SLICE_ORDER.index(rt.decided or rt.claimed)
+    engine._hold(*(np.array([v]) for v in (time_us, OK, 0, di, 4096, 1500)))
+
+
+def packet_size(u: float, length: int) -> int:
+    """Half, full or double ``length`` with probabilities 1/4, 1/2, 1/4: one
+    draw's size, as the scalar reference takes it."""
+    if u < 0.25:
+        return length // 2
+    if u < 0.75:
+        return length
+    return length * 2
+
+
+class ScalarDataPlane(Engine):
+    """The data plane one packet at a time, in canonical order (time, device,
+    retransmit), with the engine's draws; outcomes are applied one at a time
+    in (time, kind, packet) order.  It shares only the state that the
+    control plane reads and writes, and is the reference that the batched
+    engine must match exactly."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.ref_retransmits: list = []  # heap of (time, device, size, loss draw)
+        self.ref_outcomes: list = []  # (time, drop?, packet, device, code, bits, latency)
+        self.ref_edges = tuple(self.ia_edges.tolist())
+
+    def _run_data_plane(self, until_us: float) -> None:
+        while True:
+            d = int(np.argmin(self.next_us)) if len(self.dev) else 0
+            t_new = int(self.next_us[d]) if len(self.dev) else NEVER
+            retx = self.ref_retransmits[0] if self.ref_retransmits else (NEVER, 0)
+            new_first = (t_new, d) <= retx[:2]
+            t = t_new if new_first else retx[0]
+            if t >= until_us or t == NEVER:
+                break
+            if new_first:
+                self._ref_new(t, d)
+            else:
+                self._ref_retransmit(*heapq.heappop(self.ref_retransmits))
+        due = sorted(o for o in self.ref_outcomes if o[0] < until_us)
+        self.ref_outcomes = [o for o in self.ref_outcomes if o[0] >= until_us]
+        for time_us, _, _, d, code, bits, latency in due:
+            self._ref_apply(time_us, d, code, bits, latency)
+
+    def _ref_new(self, t: int, d: int) -> None:
+        sc = self.sc
+        self.generated += 1
+        u_size = self._rng_sizes.random()
+        u_loss = self._rng_loss.random()
+        u_retx = self._rng_retx.random()
+        flood = self.floods[d] and t >= self.flood_start_us
+        size = packet_size(u_size, sc.packet_length) if sc.size_jitter and not flood else sc.packet_length
+        nxt = t + (self.flood_packet_interval_us if flood else self.packet_interval_us)
+        self.next_us[d] = nxt if nxt < self.end_us else NEVER
+        key = (t * len(self.dev) + d) * 2
+        if self.is_quarantined[d]:
+            self._ref_block(d)
+            self.ref_outcomes.append((t, 1, key, d, REFUSED, 0, 0))
+            return
+        c = self._slice_counters[self.slice_of[d]]
+        c.sent += 1
+        c.in_flight += 1
+        self._ref_arrive(t, d, size, u_loss, key, u_retx if self.reliable[d] else None)
+
+    def _ref_retransmit(self, t: int, d: int, size: int, u_loss: float) -> None:
+        key = (t * len(self.dev) + d) * 2 + 1
+        if self.is_quarantined[d]:
+            self._ref_block(d)
+            self.ref_outcomes.append((t, 1, key, d, QUARANTINED, 0, 0))
+            return
+        self._ref_arrive(t, d, size, u_loss, key, None)
+
+    def _ref_block(self, d: int) -> None:
+        self.blocked_packets[d] += 1
+        if self.blocked_packets[d] >= max(self.sc.flood_giveup, 1):
+            self.next_us[d] = NEVER
+
+    def _ref_arrive(self, t, d, size, u_loss, key, u_retx) -> None:
+        sc = self.sc
+        j = int(self.sw_of[d])
+        self.win_counts[j, d, self.sizes.index(size)] += 1
+        self.interval_counts[j, d, self.sizes.index(size)] += 1
+        last = self.last_arrival_us[j]
+        if last >= 0:
+            self.win_gaps[j, bisect_right(self.ref_edges, (t - last) / 1e6)] += 1
+        self.last_arrival_us[j] = t
+        if u_loss < self.switches[j].loss_rate:
+            code = LOSS
+        else:
+            backlog = max(self.busy_us[j] - t, 0)
+            if backlog <= self.queue_delay_bound_us:
+                tx = int(round(size * 8 / sc.switch_transmission_rate * 1e6))
+                self.busy_us[j] = t + backlog + tx
+                latency = self.processing_latency_us + backlog + tx
+                self.ref_outcomes.append((t + latency, 0, key, d, OK, size * 8, latency))
+                return
+            code = OVERFLOW
+        if u_retx is not None:
+            heapq.heappush(self.ref_retransmits, (t + self.retransmit_delay_us, d, size, u_retx))
+        else:
+            self.ref_outcomes.append((t, 1, key, d, code, 0, 0))
+
+    def _ref_apply(self, time_us, d, code, bits, latency) -> None:
+        c = self._slice_counters[self.slice_of[d]]
+        if code == OK and self.is_quarantined[d]:
+            code = QUARANTINED
+        if code == OK:
+            c.in_flight -= 1
+            c.delivered += 1
+            c.delivered_bits += bits
+            c.latency_us += latency
+        elif code == REFUSED:
+            c.sent += 1
+            c.dropped += 1
+            c.blocked += 1
+        else:
+            c.in_flight -= 1
+            c.dropped += 1
+            c.blocked += code == QUARANTINED
+        if self.trace_sink:
+            kind = "deliver" if code == OK else "drop"
+            reason = {OK: "ok", LOSS: "loss", OVERFLOW: "overflow"}.get(code, "quarantined")
+            self.trace_sink(f"{time_us / 1e6:.6f},{kind},{self.dev[d].tag},{reason}")
 
 
 @pytest.fixture(scope="module")
@@ -82,20 +214,27 @@ class TestScenarioValidation:
 
 class TestPacketSizeDraw:
     def test_matches_weighted_choice_value_for_value(self):
+        # The engine's size rule and the reference's both take the value of
+        # a weighted choice, from one draw each.
         length = 512
+        sizes = np.array([length // 2, length, length * 2])
         mine, ref = np.random.default_rng(2024), np.random.default_rng(2024)
-        for _ in range(200_000):
+        u = mine.random(200_000)
+        engine_sizes = sizes[size_index(u)]
+        for k in range(len(u)):
             expected = int(
                 ref.choice([length // 2, length, length * 2], p=[0.25, 0.5, 0.25])
             )
-            assert packet_size(mine.random(), length) == expected
+            assert engine_sizes[k] == packet_size(u[k], length) == expected
         assert mine.bit_generator.state == ref.bit_generator.state
 
     def test_block_draws_equal_scalar_draws(self):
+        # A batch takes its draws as one block; where batches are cut must not
+        # change the values.
         blocks, ref = np.random.default_rng(7), np.random.default_rng(7)
-        draws = uniforms(blocks)
-        for _ in range(10_000):  # spans three blocks
-            assert next(draws) == ref.random()
+        sizes = np.random.default_rng(8).integers(0, 50, size=400)
+        drawn = np.concatenate([blocks.random(n) for n in sizes])
+        assert drawn.tolist() == [ref.random() for _ in range(int(sizes.sum()))]
 
 
 class TestEmptyWorld:
@@ -144,7 +283,7 @@ class TestPipelineSteps:
         rt.place(engine.sw_by_id["SW0"])
         before = {st: engine.counters[st].delivered for st in ServiceType}
         engine.counters[ServiceType.URLLC].in_flight += 1
-        queue_delivery(engine, 0, 0)
+        hold_delivery(engine, 0, 0)
         engine._apply_outcomes(math.inf)
         after = {st: engine.counters[st].delivered for st in ServiceType}
         deltas = [after[st] - before[st] for st in ServiceType]
@@ -154,18 +293,18 @@ class TestPipelineSteps:
         engine = self.make_engine()
         rt = engine.dev[1]
         rt.decided = ServiceType.MMTC
-        rt.quarantined = True
+        engine.is_quarantined[1] = True
         rt.flow = engine._make_flow(rt, ServiceType.MMTC)
         rt.place(engine.sw_by_id["SW0"])
         engine.heap.clear()
-        engine._push(engine.clock_us, TRANSMIT, (1, False, 0))
+        engine._start_transmits(1, engine.clock_us)
         engine._run_data_plane(engine.clock_us + 1)
-        kinds = [item[1] for item in engine.drops]
-        assert DROP in kinds
+        c = engine.counters[ServiceType.MMTC]
+        assert (c.sent, c.dropped, c.blocked, c.in_flight) == (1, 1, 1, 0)
+        assert engine.win_counts.sum() == 0  # it never reached a switch
         while engine.heap:
             engine.step_event(heapq.heappop(engine.heap))
         engine.collect_metrics()
-        c = engine.counters[ServiceType.MMTC]
         assert c.blocked >= 1
         assert c.dropped >= 1
 
@@ -272,15 +411,17 @@ class TestDetectionIntegration:
                 devices=20, duration=12.0, ddos_enabled=False, train_samples=60, epochs=1
             )
         )
+        shapes = [a.shape for a in (engine.win_counts, engine.win_gaps)]
         engine.run()
         assert engine.generated > 1000
-        for sw in engine.switches:
-            window = sw.window
-            assert len(window.source_counts) <= len(engine.dev)
-            assert len(window.interarrival_bins) == 16
-            assert len(window.size_counts) <= 3
-        # never reset, so the one window has counted every packet admitted
-        assert sum(sw.window.packet_count for sw in engine.switches) > 1000
+        n_sw, n_dev = len(engine.switches), len(engine.dev)
+        assert shapes == [(n_sw, n_dev, 3), (n_sw, 16)]
+        assert [a.shape for a in (engine.win_counts, engine.win_gaps)] == shapes
+        # never reset, so the one window has counted every packet admitted,
+        # and every gap but each switch's first
+        arrived = engine.win_counts.sum()
+        assert arrived > 1000
+        assert engine.win_gaps.sum() == arrived - np.count_nonzero(engine.win_counts.sum(axis=(1, 2)))
 
     def test_forged_devices_rejected_at_auth(self):
         report = run_scenario(
@@ -333,6 +474,36 @@ class TestMobility:
         assert np.all(engine.positions[:, 1] >= 0.0)
         assert np.all(engine.positions[:, 1] <= engine.sc.area_height)
 
+    def test_tick_matches_the_masked_form_bit_for_bit(self):
+        engine = Engine(
+            small_scenario(
+                devices=30, duration=5.0, train_samples=60, epochs=1, tick_interval=0.5,
+                speed_max=40.0,
+            )
+        )
+        sc = engine.sc
+        oracle_rng = copy.deepcopy(engine.hub.substream("waypoints"))
+        positions, waypoints = engine.positions.copy(), engine.waypoints.copy()
+        draw = np.random.default_rng(2024)
+        arrivals = 0
+        for tick in range(3000):
+            if tick % 7 == 0:
+                # one device sits on its waypoint (zero distance) and another
+                # arrives exactly: a step of 10 * 0.5 over a distance of 5
+                i, k = draw.choice(len(positions), 2, replace=False).tolist()
+                engine.waypoints[i] = waypoints[i] = positions[i]
+                engine.positions[k] = positions[k] = (300.0, 400.0)
+                engine.waypoints[k] = waypoints[k] = (303.0, 404.0)
+                engine.speeds[k] = 10.0
+            arrivals += int(np.count_nonzero(
+                np.linalg.norm(waypoints - positions, axis=1) <= engine.speeds * sc.tick_interval
+            ))
+            engine._on_mobility_tick()
+            masked_tick(positions, waypoints, engine.speeds, sc, oracle_rng)
+            assert engine.positions.tobytes() == positions.tobytes()
+            assert engine.waypoints.tobytes() == waypoints.tobytes()
+        assert arrivals > 3000 // 7
+
     def test_displacement_bounded_by_speed(self):
         engine = Engine(small_scenario(devices=25, duration=5.0, train_samples=60, epochs=1))
         for _ in range(200):
@@ -340,6 +511,30 @@ class TestMobility:
             engine._on_mobility_tick()
             moved = np.linalg.norm(engine.positions - before, axis=1)
             assert np.all(moved <= engine.speeds * engine.sc.tick_interval + 1e-9)
+
+
+def masked_tick(positions, waypoints, speeds, sc: Scenario, rng) -> None:
+    """The mobility tick in its boolean-mask form: the oracle of the
+    engine's."""
+    delta = waypoints - positions
+    dist = np.linalg.norm(delta, axis=1)
+    step = speeds * sc.tick_interval
+    arrived = dist <= step
+    moving = ~arrived & (dist > 0)
+    scale = np.zeros_like(dist)
+    scale[moving] = step[moving] / dist[moving]
+    positions[moving] += delta[moving] * scale[moving, None]
+    positions[arrived] = waypoints[arrived]
+    n_arrived = int(arrived.sum())
+    if n_arrived:
+        waypoints[arrived] = np.column_stack(
+            [
+                rng.uniform(0, sc.area_width, size=n_arrived),
+                rng.uniform(0, sc.area_height, size=n_arrived),
+            ]
+        )
+    np.clip(positions[:, 0], 0, sc.area_width, out=positions[:, 0])
+    np.clip(positions[:, 1], 0, sc.area_height, out=positions[:, 1])
 
 
 def lossless_engine(trace: list[str], **overrides) -> Engine:
@@ -356,45 +551,72 @@ def lossless_engine(trace: list[str], **overrides) -> Engine:
     return engine
 
 
+def cut_everywhere(batch_packets: int = 7):
+    """Run the data plane before every event, in batches of at most
+    ``batch_packets`` new transmits."""
+    return mock.patch.multiple(
+        engine_mod,
+        _BLIND_KINDS=frozenset(),
+        _TRACE_ONLY_KINDS=frozenset(),
+        BATCH_PACKETS=batch_packets,
+    )
+
+
+def track_batches(engine: Engine) -> list[tuple[int, int]]:
+    """Record each batch's new transmits and the outcomes held after it and
+    the outcomes due by its end are applied."""
+    record: list[tuple[int, int]] = []
+    run_batch, apply = engine._run_batch, engine._apply_outcomes
+
+    def batch(end_us, *plan):
+        generated = engine.generated
+        run_batch(end_us, *plan)
+        apply(end_us)
+        record.append((engine.generated - generated, len(engine.held)))
+
+    engine._run_batch = batch
+    return record
+
+
 class TestOutcomeOrdering:
     def test_trace_sink_leaves_metrics_unchanged(self, small_run):
         engine, report, _, _ = small_run
         assert engine.quarantined
         assert run_scenario(small_scenario()).to_csv_rows() == report.to_csv_rows()
 
-    def test_outcomes_applied_before_every_event_give_the_same_run(self, small_run, monkeypatch):
-        # A backlog of 1 applies each outcome at its place in the old single
-        # heap, before whatever event follows it.
+    def test_outcomes_applied_before_every_event_give_the_same_run(self, small_run):
+        # The data plane runs before every event, slots and ticks included,
+        # in batches of at most 7 new transmits.
         _, report, trace, detection = small_run
-        monkeypatch.setattr(engine_mod, "OUTCOME_BACKLOG", 1)
         eager_trace: list[str] = []
         eager_detection: list[str] = []
-        eager = Engine(
-            small_scenario(), trace_sink=eager_trace.append, detection_sink=eager_detection.append
-        ).run()
+        with cut_everywhere():
+            eager = Engine(
+                small_scenario(), trace_sink=eager_trace.append, detection_sink=eager_detection.append
+            ).run()
         assert eager.to_csv_rows() == report.to_csv_rows()
         assert eager_trace == trace
         assert eager_detection == detection
 
-    def test_backlog_bounds_outcome_heap_without_detection_or_rebalance(self, monkeypatch):
-        monkeypatch.setattr(engine_mod, "OUTCOME_BACKLOG", 64)
+    def test_batches_bound_held_outcomes_without_detection(self, monkeypatch):
+        monkeypatch.setattr(engine_mod, "BATCH_PACKETS", 64)
         engine = Engine(
             small_scenario(devices=20, duration=12.0, ddos_enabled=False, offload_enabled=False)
         )
-        high = 0
+        record = track_batches(engine)
         while engine.heap:
             engine.step_event(heapq.heappop(engine.heap))
-            high = max(high, engine.queued)
-        assert engine.generated > 1000
-        # Without the bound 193 outcomes wait at once here; an event queues
-        # at most one.
-        assert high <= 64 + 1
         engine.collect_metrics()
+        assert engine.generated > 1000
+        # Without the bound the run's last batch takes most of its packets.
+        assert max(n for n, _ in record) <= 64
+        assert max(held for _, held in record) <= 64
+        assert sum(n for n, _ in record) == engine.generated
 
     def test_run_leaves_no_outcome_queued(self, small_run):
         engine, _, _, _ = small_run
-        assert engine.queued == 0
-        assert all(lane == [] for lane in engine.lanes)
+        assert len(engine.held) == 0 and engine.retransmits == []
+        assert (engine.next_us == NEVER).all()
         assert all(c.in_flight == 0 for c in engine.counters.values())
 
     @pytest.mark.parametrize("delay_us,delivered", [(0, True), (1, False)])
@@ -408,74 +630,118 @@ class TestOutcomeOrdering:
         close_us = 2_000_000
         c.sent += 1
         c.in_flight += 1
-        queue_delivery(engine, close_us + delay_us, 0)
+        hold_delivery(engine, close_us + delay_us, 0)
         # One source dominates a window on SW0 whose size entropy collapses.
-        counts = sw.window.source_counts
-        counts[rt.device.device_id] = 1000
-        for other in engine.dev[1:10]:
-            counts[other.device.device_id] = 1
-        sw.window.size_counts[512] = 1009
+        engine.win_counts[sw.index, 0, 1] = 1000
+        engine.win_counts[sw.index, 1:10, 1] = 1
         sw.baseline_triples = [(3.0, 1.0, 1.0)] * engine.sc.baseline_windows
         engine.step_event((close_us, WINDOW_CLOSE, 0, None))
-        assert rt.quarantined
+        assert engine.is_quarantined[0] and rt.device.device_id in engine.quarantined
         engine.collect_metrics()
         assert (c.delivered, c.blocked) == ((1, 0) if delivered else (0, 1))
 
     @staticmethod
     def transmit_now(engine: Engine, di: int) -> None:
         """Send one packet of device ``di`` at the clock; its successor packet
-        is not followed."""
-        engine._push(engine.clock_us, TRANSMIT, (di, False, 0))
+        is not sent."""
+        engine._start_transmits(di, engine.clock_us)
         engine._run_data_plane(engine.clock_us + 1)
-        engine.transmits.clear()
+        engine.next_us[di] = NEVER
 
     @staticmethod
     def delivery_rows(trace: list[str]) -> list[tuple[str, str]]:
         rows = [row.split(",") for row in trace[1:]]
         return [(cells[0], cells[2]) for cells in rows if cells[1] == "deliver"]
 
-    def test_same_time_deliveries_on_two_switches_apply_in_seq_order(self):
+    def test_same_time_deliveries_on_two_switches_in_canonical_order(self):
         trace: list[str] = []
         engine = lossless_engine(trace)
         engine.clock_us = 1_000_000
-        # The first packet goes to the higher-numbered switch, so reading the
-        # lanes in switch order would apply it second.
+        # The lower-numbered device goes to the higher-numbered switch, so
+        # applying deliveries switch by switch would put it second.
         for di, sw_id in ((0, "SW1"), (1, "SW0")):
-            engine.dev[di].place(engine.sw_by_id[sw_id])
-            self.transmit_now(engine, di)
-        [(due, *_)] = engine.sw_by_id["SW1"].deliveries
-        [(other, *_)] = engine.sw_by_id["SW0"].deliveries
+            rt = engine.dev[di]
+            rt.flow = engine._make_flow(rt, rt.claimed)
+            rt.place(engine.sw_by_id[sw_id])
+            engine._start_transmits(di, engine.clock_us)
+        engine._run_data_plane(engine.clock_us + 1)
+        engine.next_us[:] = NEVER
+        (due, *_), (other, *_) = engine.held.tolist()
         assert due == other
         engine.collect_metrics()
         t = f"{due / 1e6:.6f}"
         assert self.delivery_rows(trace) == [(t, "d0000"), (t, "d0001")]
+
+    def test_same_time_packets_on_one_switch_are_served_in_canonical_order(self):
+        # (time, device, retransmit): device 0's retransmit, then the new
+        # packets of devices 1 and 2, all due at once on SW0.
+        trace: list[str] = []
+        engine = lossless_engine(trace, retransmit_delay=0.02)
+        sw = engine.sw_by_id["SW0"]
+        for di in (0, 1, 2):
+            rt = engine.dev[di]
+            rt.decided = ServiceType.URLLC  # reliable: a lost packet is sent again
+            rt.flow = engine._make_flow(rt, rt.decided)
+            rt.place(sw)
+        engine.clock_us = first = 1_000_000
+        sw.loss_rate = 1.0
+        self.transmit_now(engine, 0)  # lost, and sent again 20 ms later
+        sw.loss_rate = 0.0
+        engine.clock_us = due = first + engine.retransmit_delay_us
+        for di in (2, 1):
+            engine._start_transmits(di, due)
+        engine._run_data_plane(due + 1)
+        engine.next_us[:] = NEVER
+        engine.collect_metrics()
+        tx = int(engine.size_tx_us[1])
+        latency = engine.processing_latency_us + tx
+        t = [f"{(due + latency + k * tx) / 1e6:.6f}" for k in range(3)]
+        assert self.delivery_rows(trace) == [(t[0], "d0000"), (t[1], "d0001"), (t[2], "d0002")]
+
+    def test_delivery_sorts_before_a_drop_at_the_same_time(self):
+        trace: list[str] = []
+        engine = lossless_engine(trace)
+        for di in (0, 1):
+            engine.dev[di].place(engine.sw_by_id["SW0"])
+            engine.counters[engine.dev[di].claimed].in_flight += 1
+        hold_delivery(engine, 2_000_000, 0)
+        # the drop's packet sorts first, but deliveries go before drops
+        engine._hold(*(np.array([v]) for v in (2_000_000, LOSS, -1, 1, 0, 0)))
+        engine._apply_outcomes(2_000_001)
+        assert [row.split(",")[1] for row in trace[1:]] == ["deliver", "drop"]
 
     @pytest.mark.parametrize("old_backlog_us", [0, 5_000])
     def test_migrated_device_delivery_on_old_lane_applied_in_time_order(self, old_backlog_us):
         trace: list[str] = []
         engine = lossless_engine(trace)
         rt = engine.dev[0]
+        rt.flow = engine._make_flow(rt, rt.claimed)
         old, new = engine.sw_by_id["SW0"], engine.sw_by_id["SW1"]
         engine.clock_us = 1_000_000
-        old.busy_until_us = engine.clock_us + old_backlog_us
+        engine.busy_us[old.index] = engine.clock_us + old_backlog_us
         rt.place(old)
         self.transmit_now(engine, 0)
         engine.clock_us += 1_000
         rt.place(new)  # migrated with its first packet still on the old link
         self.transmit_now(engine, 0)
-        [(first, *_)], [(second, *_)] = old.deliveries, new.deliveries
+        first, second = engine.held[:, 0].tolist()
         assert (first < second) == (old_backlog_us == 0)
         engine.collect_metrics()
         times = [f"{t / 1e6:.6f}" for t in sorted((first, second))]
         assert self.delivery_rows(trace) == [(t, "d0000") for t in times]
         assert rt.counters.delivered == 2
 
-    def test_every_lane_sorted_after_every_event(self):
-        engine = Engine(small_scenario())
+    def test_no_outcome_due_is_held_after_a_reader(self):
+        # With a trace, every kind but slots and ticks reads the data plane.
+        engine = Engine(small_scenario(), trace_sink=[].append)
         while engine.heap:
-            engine.step_event(heapq.heappop(engine.heap))
-            assert all(lane == sorted(lane) for lane in engine.lanes)
-            assert engine.queued == sum(map(len, engine.lanes))
+            event = heapq.heappop(engine.heap)
+            engine.step_event(event)
+            if event[1] not in engine_mod._BLIND_KINDS:
+                due = event[0] + 1 if event[1] > engine_mod.DROP else event[0]
+                assert (engine.held[:, 0] >= due).all()
+                assert all(r[0] >= due for r in engine.retransmits)
+                assert (engine.next_us >= due).all()
         assert engine.quarantined
         engine.collect_metrics()
 
@@ -516,16 +782,20 @@ class TestHorizon:
 
 
 class TestDataPlaneBoundary:
-    """Transmits run, in event order, up to each control event."""
+    """Packets run, in canonical order, up to each event that reads them."""
+
+    @staticmethod
+    def start(engine: Engine, di: int, first_us: int, sw_id: str = "SW0") -> None:
+        rt = engine.dev[di]
+        rt.flow = engine._make_flow(rt, rt.decided or rt.claimed)
+        rt.place(engine.sw_by_id[sw_id])
+        engine._start_transmits(di, first_us)
 
     def test_transmit_at_window_close_is_counted_in_that_window(self, monkeypatch):
         engine = lossless_engine([])
-        sw = engine.sw_by_id["SW0"]
-        for di in (0, 1):
-            engine.dev[di].place(sw)
         close_us = 2_000_000
-        engine._push(close_us, TRANSMIT, (0, False, 0))
-        engine._push(close_us + 1, TRANSMIT, (1, False, 0))
+        self.start(engine, 0, close_us)
+        self.start(engine, 1, close_us + 1)
         counted: list[int] = []
         entropies = engine_mod.ddos_mod.window_entropies
 
@@ -536,22 +806,21 @@ class TestDataPlaneBoundary:
         monkeypatch.setattr(engine_mod.ddos_mod, "window_entropies", spy)
         engine.step_event((close_us, WINDOW_CLOSE, 0, None))
         assert counted[0] == 1  # SW0's window, closed first
-        assert engine.transmits[0][:2] == (close_us + 1, TRANSMIT)
-        assert sw.window.packet_count == 0
+        assert engine.next_us[1] == close_us + 1
+        assert engine.win_counts.sum() == 0
 
     def test_transmit_at_allocate_runs_after_it(self):
         engine = lossless_engine([])
-        engine.dev[0].place(engine.sw_by_id["SW0"])
         at_us = 1_000_000
-        engine._push(at_us - 1, TRANSMIT, (0, False, 0))
-        engine._push(at_us, TRANSMIT, (0, False, 0))
+        self.start(engine, 0, at_us - 1)
+        self.start(engine, 1, at_us)
         seen: list[int] = []
         handlers = list(engine._handlers)
         handlers[ALLOCATE] = lambda di: seen.append(engine.generated)
         engine._handlers = tuple(handlers)
         engine.step_event((at_us, ALLOCATE, 0, 1))
         assert seen == [1]
-        assert engine.transmits[0][:2] == (at_us, TRANSMIT)
+        assert engine.next_us[1] == at_us
         engine._run_data_plane(at_us + 1)
         assert engine.generated == 2
 
@@ -561,16 +830,14 @@ class TestDataPlaneBoundary:
         rt = engine.dev[0]
         # a reliable-stream slice retransmits a lost packet once
         rt.decided = ServiceType.URLLC
-        rt.flow = engine._make_flow(rt, ServiceType.URLLC)
-        sw = engine.sw_by_id["SW0"]
-        sw.loss_rate = 1.0
-        rt.place(sw)
+        engine.sw_by_id["SW0"].loss_rate = 1.0
         now = 1_000_000
-        engine._push(now, TRANSMIT, (0, False, 0))
+        self.start(engine, 0, now)
         engine.step_event((now, WINDOW_CLOSE, 0, None))
         c = rt.counters
         assert (c.sent, c.dropped, c.in_flight) == (1, 1, 0)
-        assert [entry[0] for entry in engine.transmits] == [now + engine.packet_interval_us]
+        assert engine.retransmits == []
+        assert engine.next_us[0] == now + engine.packet_interval_us
 
     def test_event_heap_holds_only_control_events(self):
         engine = Engine(small_scenario())
@@ -579,26 +846,29 @@ class TestDataPlaneBoundary:
             assert all(entry[1] != TRANSMIT for entry in engine.heap)
         assert engine.quarantined
         engine.collect_metrics()
-        assert engine.transmits == []
+        assert (engine.next_us == NEVER).all() and engine.retransmits == []
 
     def test_transmits_left_when_the_event_heap_empties_run_at_collection(self):
+        trace: list[str] = []
         engine = Engine(
             small_scenario(
                 devices=8, duration=12.0, ddos_enabled=False, offload_enabled=False,
                 train_samples=60, epochs=1,
-            )
+            ),
+            trace_sink=trace.append,
         )
         while engine.heap:
             engine.step_event(heapq.heappop(engine.heap))
         assert engine.clock_us < engine.end_us / 2
-        assert engine.transmits
+        assert (engine.next_us < NEVER).any()
         engine.collect_metrics()
-        assert engine.transmits == []
+        assert (engine.next_us == NEVER).all()
         # the last packets were sent within one interval of the horizon
-        assert engine.clock_us >= engine.end_us - engine.packet_interval_us
+        last_s = max(float(row.split(",")[0]) for row in trace[1:])
+        assert last_s * 1e6 >= engine.end_us - engine.packet_interval_us
 
-    def test_backlog_bounds_lanes_within_the_data_plane(self, monkeypatch):
-        monkeypatch.setattr(engine_mod, "OUTCOME_BACKLOG", 64)
+    def test_batches_bound_held_outcomes_within_the_data_plane(self, monkeypatch):
+        monkeypatch.setattr(engine_mod, "BATCH_PACKETS", 64)
         engine = Engine(
             small_scenario(
                 devices=8, duration=12.0, ddos_enabled=False, offload_enabled=False,
@@ -608,9 +878,12 @@ class TestDataPlaneBoundary:
         while engine.heap:
             engine.step_event(heapq.heappop(engine.heap))
         sent = engine.generated
+        record = track_batches(engine)
         engine._run_data_plane(math.inf)
         assert engine.generated - sent > 500
-        assert engine.queued <= 64 + 1
+        assert len(record) >= (engine.generated - sent) // 64
+        assert max(n for n, _ in record) <= 64
+        assert max(held for _, held in record) <= 64
         engine.collect_metrics()
 
     def test_transmit_on_event_heap_is_fatal(self):
@@ -669,26 +942,42 @@ def flood_scenarios(draw) -> Scenario:
         demand_embb=draw(st.sampled_from([1, 30, 10**4])),
         demand_urllc=draw(st.sampled_from([1, 30, 10**4])),
         demand_mmtc=draw(st.sampled_from([1, 30, 10**4])),
+        # the slice model sends every device to eMBB: a reliable eMBB
+        # retransmits what it loses
+        protocol_embb=draw(st.sampled_from(["datagram", "reliable-stream"])),
+        # a quarantined source gives up at once, soon or late
+        flood_giveup=draw(st.sampled_from([0, 3, 200])),
     )
 
 
 class TestConservationProperty:
     @settings(max_examples=30, deadline=None)
     @given(sc=flood_scenarios())
-    # Few draws both migrate and quarantine; this one migrates 3 flows and
-    # quarantines 1 source.
+    # Few draws both migrate and quarantine; this one migrates 2 flows and
+    # quarantines 1 source, which gives up.
     @example(
         sc=flood_scenario(
-            seed=0, devices=12, switches=2, flood_packet_interval=0.004,
+            seed=18, devices=12, switches=2, flood_packet_interval=0.004,
             switch_loss_rate=0.1, queue_delay_bound=0.05, retransmit_delay=0.01,
+            protocol_embb="reliable-stream",
+        )
+    )
+    # A retransmit lands with its device's next packet, a packet interval
+    # later, on a congested link.
+    @example(
+        sc=flood_scenario(
+            seed=3, devices=12, switches=1, switch_loss_rate=0.3, queue_delay_bound=0.05,
+            retransmit_delay=0.05, protocol_embb="reliable-stream",
         )
     )
     def test_scenario_rejected_or_conserves_packets_in_any_outcome_order(self, sc):
-        def run(drive=Engine.run):
+        def run(drive=Engine.run, engine_class=Engine):
             trace: list[str] = []
             detection: list[str] = []
-            engine = Engine(
-                sc, trace_sink=trace.append, detection_sink=detection.append, model=tiny_model()
+            migrations: list[str] = []
+            engine = engine_class(
+                sc, trace_sink=trace.append, detection_sink=detection.append,
+                migration_sink=migrations.append, model=tiny_model(),
             )
             rows = drive(engine).to_csv_rows()
             # Scheduler conservation: every accepted device was enqueued once,
@@ -703,7 +992,7 @@ class TestConservationProperty:
             assert sc.devices == (
                 engine.auth_rejected + engine.queue_dropped + allocated + engine.unfinished
             )
-            return engine, rows, trace, detection
+            return engine, rows, trace, detection, migrations
 
         def stepped(engine):
             # The benchmark's traced children drive the engine this way.
@@ -721,12 +1010,16 @@ class TestConservationProperty:
         for c in engine.counters.values():
             assert c.sent == c.delivered + c.dropped
             assert c.in_flight == 0
-        assert engine.transmits == []
-        with mock.patch.object(engine_mod, "OUTCOME_BACKLOG", 1):
+        assert len(engine.held) == 0 and engine.retransmits == []
+        assert (engine.next_us == NEVER).all()
+        with cut_everywhere():
             _, *eager = run()
         assert eager == artifacts
         _, *traced = run(stepped)
         assert traced == artifacts
+        # One packet at a time, in canonical order, with the same draws.
+        _, *scalar = run(engine_class=ScalarDataPlane)
+        assert scalar == artifacts
 
 
 class TestCollectMetrics:
@@ -746,7 +1039,7 @@ class TestCollectMetrics:
 def test_benchmark_plane_calls_resolve():
     # The benchmark's traced runs wrap these (owner, attribute) pairs by
     # name; a deleted or renamed one would break ``perfbench/run.py --trace 1``.
-    source = (Path(__file__).resolve().parent.parent / "perfbench" / "child.py").read_text()
+    source = (ROOT / "perfbench" / "child.py").read_text()
     assign = next(
         node
         for node in ast.parse(source).body
@@ -760,3 +1053,22 @@ def test_benchmark_plane_calls_resolve():
         if cls:
             target = getattr(target, cls)
         assert callable(getattr(target, attr, None)), f"{owner}.{attr}"
+
+
+def test_traced_benchmark_child_drives_the_engine(tmp_path):
+    # The traced benchmark pops ``Engine.heap`` and calls ``step_event``
+    # itself, and wraps the plane calls by name; a change to either would
+    # break ``perfbench/run.py --trace 1`` only.
+    report = tmp_path / "report.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [
+            sys.executable, str(ROOT / "perfbench" / "child.py"), str(report), "--spans", "--",
+            "--scenario", str(ROOT / "scenarios" / "smoke.cfg"), "--out", str(tmp_path / "out"),
+        ],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    layers = json.loads(report.read_text())["layers"]
+    assert layers["engine.events"] > 0

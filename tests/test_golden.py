@@ -16,11 +16,11 @@ from ts3ra.cli import main
 SMOKE = Path(__file__).resolve().parent.parent / "scenarios" / "smoke.cfg"
 
 GOLDEN_SHA256 = {
-    "metrics.csv": "9c20bdadc59e724368e0239c1cfb33edbb69b384fbf60f32550bfce4ee2a553b",
-    "detection.csv": "5c9ae0f1166c66255537aa8aa44dc2118986a0e1e449e96606cc5c4dc0bd631a",
-    "migrations.csv": "2de4b880879607c9dd2081dbdf4e906614ca451982979c80f1a6891d341517b6",
+    "metrics.csv": "3ec2dd85e94da1e4c6d59389ecfe756d7a7023f2d96e1ed3cd23130dbac81454",
+    "detection.csv": "4d81020446ae8d092bee51a1571ff0933f400b41ef27e6b21345da1a791656fa",
+    "migrations.csv": "55a82a3d4384f52860d4c6951b79933eff3c5c2ec854d64de519265e87cda8c7",
     "loss_curve.csv": "d7df3e8881f7d292825bd50dc3076af945f21ab8710cf1c44a1f32f7d0290b2b",
-    "trace.csv": "bf73f90263501bb13c16180c38eb944fea1b4eab6813c9b8e43f6500d6beecd2",
+    "trace.csv": "fea509978f29dacf72969f1a93a92052bd942e404e7c9625fd19183c55cd863a",
     "model.bin": "e93ccfb44043fb03520a235c58fd9c0a38a899ab344a285612a0e9f00fb364aa",
     "hopfield.bin": "2614a75b8eefe3acc0d98c2225dcfb06a0cfc077a065c4d35874f37ab6bb8251",
 }
