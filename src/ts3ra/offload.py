@@ -3,26 +3,25 @@
 Each switch carries one weight built from its spare capacity, transmission
 rate and loss rate, and placing any flow on it earns that weight; the
 solver picks a capacity-respecting assignment of maximum total weight.
-Uniform-rate instances (the common case: every flow demands the same
-bandwidth) are solved exactly by filling the switches in descending weight
-order.  Mixed-rate instances are solved exactly by branch and bound up to a
-size budget, beyond which a greedy pass labeled non-optimal takes over.
+One depth-first search solves every instance within a fixed node budget:
+its first descent is a first-fit-decreasing packing, multiple-knapsack
+bounds prune the rest, and a solve that runs out of nodes returns its best
+plan labeled non-optimal.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .domain import Flow, SwitchProfile
 
-# Mixed-rate instances go to branch and bound only up to this many flows
-# and feasible (flow, switch) pairs; larger ones take the greedy pass.
-EXACT_FLOW_BUDGET = 12
-GREEDY_EDGE_BUDGET = 1000
+# A solve stops after this many search nodes, though never before its
+# first descent is complete, so that no rebalance can stall a run.  It
+# counts nodes, not time, so that runs stay reproducible.
+NODE_BUDGET = 20_000
 
 
 @dataclass(frozen=True)
@@ -37,8 +36,8 @@ class WeightCoefficients:
 def edge_weight(flow: Flow, switch: SwitchProfile, coeffs: WeightCoefficients) -> float:
     """alpha*(remaining/capacity) + beta*(tx_rate/capacity) - gamma*loss_rate.
 
-    The weight depends on the switch alone, never on ``flow``; the
-    uniform-rate solver relies on that.  ``flow`` stays in the public
+    The weight depends on the switch alone, never on ``flow``; the search
+    and its bounds rely on that.  ``flow`` stays in the public
     signature, which the tests and ``perfbench/child.py`` call.
     """
     cap = switch.service_capacity
@@ -95,137 +94,122 @@ class FlowAssignment:
     optimal: bool
 
 
-def _solve_uniform_rate(graph: OffloadGraph, rate: float) -> tuple[dict[int, int], float]:
-    """Exact solve when every flow demands the same rate, by a sorted fill.
-
-    Every flow earns its switch's weight and takes one slot of ``rate``, so
-    filling the switches of positive weight in descending weight order is
-    optimal.  Ties between switches go to the lower switch index, and each
-    switch that fits one flow takes the next ``int(budget / rate + 1e-9)``
-    flows in flow-index order: of the flows that fit, the lowest indices
-    are placed, on the heaviest switches.  Switches of zero or negative
-    weight take no flow.
-    """
-    n_flows = len(graph.flows)
-    weights = graph.weights
-    usable = [sj for sj, w in enumerate(weights) if w > 0 and graph.fits(0, sj)]
-    chosen: dict[int, int] = {}
-    total = 0.0
-    for sj in sorted(usable, key=lambda j: (-weights[j], j)):
-        first = len(chosen)
-        n_slots = min(int(graph.budgets[sj] / rate + 1e-9), n_flows - first)
-        for fi in range(first, first + n_slots):
-            chosen[fi] = sj
-            total += weights[sj]
-    return chosen, total
-
-
-def _solve_branch_and_bound(graph: OffloadGraph) -> tuple[dict[int, int], float]:
-    """Exact solve for mixed-rate instances by depth-first search with pruning."""
-    n_flows = len(graph.flows)
-    weights = graph.weights
-    order = sorted(range(len(weights)), key=lambda j: (-weights[j], j))
-    per_flow_switches = [[sj for sj in order if graph.fits(fi, sj)] for fi in range(n_flows)]
-    # Optimistic remaining value: best positive weight open to each later flow.
-    tail_bound = [0.0] * (n_flows + 1)
-    for fi in range(n_flows - 1, -1, -1):
-        best = max((weights[sj] for sj in per_flow_switches[fi] if weights[sj] > 0), default=0.0)
-        tail_bound[fi] = tail_bound[fi + 1] + best
-
-    best_total = -np.inf
-    best_choice: dict[int, int] = {}
-    budgets = list(graph.budgets)
-    choice: dict[int, int] = {}
-
-    def dfs(fi: int, total: float) -> None:
-        nonlocal best_total, best_choice
-        if total + tail_bound[fi] <= best_total + 1e-15:
-            return
-        if fi == n_flows:
-            if total > best_total:
-                best_total = total
-                best_choice = dict(choice)
-            return
-        rate = graph.flows[fi].rate
-        for sj in per_flow_switches[fi]:
-            if rate <= budgets[sj] + 1e-12:
-                budgets[sj] -= rate
-                choice[fi] = sj
-                dfs(fi + 1, total + weights[sj])
-                del choice[fi]
-                budgets[sj] += rate
-        dfs(fi + 1, total)  # leave this flow unassigned
-
-    dfs(0, 0.0)
-    return best_choice, float(best_total)
-
-
-def _solve_greedy(graph: OffloadGraph) -> tuple[dict[int, int], float]:
-    """Fast non-optimal fallback: heaviest feasible (flow, switch) pairs
-    first, ties by flow index, then switch index."""
-    weights = graph.weights
-    pairs = sorted(
-        (
-            (fi, sj)
-            for fi in range(len(graph.flows))
-            for sj in range(len(graph.switches))
-            if weights[sj] >= 0 and graph.fits(fi, sj)
-        ),
-        key=lambda p: (-weights[p[1]], p[0], p[1]),
-    )
-    budgets = list(graph.budgets)
-    chosen: dict[int, int] = {}
-    total = 0.0
-    for fi, sj in pairs:
-        if fi in chosen:
-            continue
-        if graph.flows[fi].rate <= budgets[sj] + 1e-12:
-            budgets[sj] -= graph.flows[fi].rate
-            chosen[fi] = sj
-            total += weights[sj]
-    return chosen, total
-
-
 def max_weight_assignment(graph: OffloadGraph) -> FlowAssignment:
     """Maximize total weight subject to per-switch demand budgets.
 
-    Flows may stay unassigned (contributing zero), so negative-weight
-    switches are never forced.  The result's ``optimal`` flag is False only
-    on the greedy path.
+    Flows may stay unassigned (contributing zero), and switches of zero or
+    negative weight take no flow.  A depth-first search takes the flows by
+    descending rate, each trying the switches of positive weight it fits,
+    heaviest first (ties by index), then staying unassigned: its first
+    descent is a first-fit-decreasing packing, and the first plan with a
+    strictly larger total is kept.  Two multiple-knapsack bounds (Martello
+    & Toth, *Knapsack Problems*, 1990, ch. 6) prune it, each handing the
+    smallest flows left to the switches, heaviest first: the count bound,
+    where each switch takes as many as its budget holds but all together no
+    more than are left, and the fractional bound, where the switches share
+    them in turn and split the last that does not fit whole.  A switch whose
+    weight and remaining budget equal those of one already tried at the node
+    is skipped, and a flow as fast as the one before it takes no earlier
+    switch ("unassigned" counting as the last).  ``optimal`` is False only
+    when the search ran out of ``NODE_BUDGET``.
     """
-    n_flows = len(graph.flows)
-    if n_flows == 0 or not graph.switches:
-        return FlowAssignment(
-            assignment={},
-            unassigned=[f.flow_id for f in graph.flows],
-            total_weight=0.0,
-            optimal=True,
-        )
+    n = len(graph.flows)
+    flow_at = sorted(range(n), key=lambda i: (-graph.flows[i].rate, i))
+    switch_at = sorted(
+        (j for j, w in enumerate(graph.weights) if w > 0),
+        key=lambda j: (-graph.weights[j], j),
+    )
+    rate = [graph.flows[i].rate for i in flow_at]
+    weight = [graph.weights[j] for j in switch_at]
+    full = [graph.budgets[j] for j in switch_at]
+    m = len(switch_at)  # the position of "unassigned"
+    # smallest[i]: the total rate of the i smallest flows, which are the i
+    # smallest of the flows left at any depth up to n - i.
+    smallest = [0.0, *itertools.accumulate(reversed(rate))]
+    # Totals closer than this are a tie, whatever the order of summation.
+    tie = 1e-9 * weight[0] if m else 0.0
 
-    rates = {f.rate for f in graph.flows}
-    optimal = True
-    if len(rates) == 1:
-        chosen, total = _solve_uniform_rate(graph, next(iter(rates)))
-    elif n_flows <= EXACT_FLOW_BUDGET and sum(
-        f.rate <= b for f in graph.flows for b in graph.budgets
-    ) <= GREEDY_EDGE_BUDGET:
-        chosen, total = _solve_branch_and_bound(graph)
-    else:
-        chosen, total = _solve_greedy(graph)
-        optimal = False
+    remaining = list(full)
+    plan = [m] * n
+    total = [0.0] * (n + 1)  # the weight of the plan above each depth
+    kept = [0.0] * n  # the chosen switch's remaining budget before each choice
 
-    assignment = {
-        graph.flows[fi].flow_id: graph.switches[sj].switch_id
-        for fi, sj in sorted(chosen.items())
-    }
-    unassigned = [
-        f.flow_id for fi, f in enumerate(graph.flows) if fi not in chosen
-    ]
+    def bound(k: int) -> float:
+        left = n - k
+        by_count = by_share = 0.0
+        counted = shared = 0
+        line = 0.0  # budget handed out so far along the smallest flows
+        for p in range(m):
+            # The slack covers prefix sums rounding unlike a budget that
+            # flows are subtracted from one by one.
+            cap = max(remaining[p] + 1e-12, 0.0) * (1 + 1e-9)
+            fit = bisect.bisect_right(smallest, cap, 0, left + 1) - 1
+            take = min(fit, left - counted)
+            counted += take
+            by_count += weight[p] * take
+            line += cap
+            whole = bisect.bisect_right(smallest, line, 0, left + 1) - 1
+            share = whole
+            if whole < left:
+                share += (line - smallest[whole]) / rate[n - 1 - whole]
+            by_share += weight[p] * (share - shared)
+            shared = share
+            if counted == left and shared == left:
+                break
+        return min(by_count, by_share)
+
+    def choices(k: int) -> list[int]:
+        r = rate[k]
+        tried = set()
+        out = []
+        for p in range(plan[k - 1] if k and r == rate[k - 1] else 0, m):
+            key = (weight[p], remaining[p])
+            if r <= full[p] and r <= remaining[p] + 1e-12 and key not in tried:
+                tried.add(key)
+                out.append(p)
+        return out + [m]
+
+    # No plan beats the root's bound, so reaching it ends the search.
+    ceiling = bound(0) - tie
+    best, best_plan = 0.0, list(plan)
+    nodes = 1
+    finished = True
+    stack = [iter(choices(0))] if ceiling > 0 else []
+    while stack:
+        k = len(stack) - 1
+        if plan[k] < m:
+            remaining[plan[k]] = kept[k]
+        p = plan[k] = next(stack[k], None)
+        if p is None:
+            plan[k] = m
+            stack.pop()
+            continue
+        total[k + 1] = total[k]
+        if p < m:
+            kept[k] = remaining[p]
+            remaining[p] -= rate[k]
+            total[k + 1] += weight[p]
+        nodes += 1
+        if k + 1 == n:
+            if total[n] > best + tie:
+                best, best_plan = total[n], list(plan)
+                if best >= ceiling:
+                    break
+        elif total[k + 1] + bound(k + 1) > best + tie:
+            if nodes > max(NODE_BUDGET, n + 1):
+                finished = False
+                break
+            stack.append(iter(choices(k + 1)))
+
+    chosen = {flow_at[k]: switch_at[p] for k, p in enumerate(best_plan) if p < m}
     return FlowAssignment(
-        assignment=assignment,
-        unassigned=unassigned,
-        total_weight=total,
-        optimal=optimal,
+        assignment={
+            graph.flows[fi].flow_id: graph.switches[sj].switch_id
+            for fi, sj in sorted(chosen.items())
+        },
+        unassigned=[f.flow_id for fi, f in enumerate(graph.flows) if fi not in chosen],
+        total_weight=best,
+        optimal=finished,
     )
 
 

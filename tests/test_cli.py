@@ -288,8 +288,8 @@ def run_probe(probe: str) -> str:
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # SciPy is not a dependency: neither the CLI nor the uniform-rate
-    # offload solver may load it.
+    # SciPy is not a dependency: neither the CLI nor the offload solver
+    # may load it.
     probe = (
         "import sys, ts3ra.cli\n"
         "from ts3ra.domain import Flow, ServiceType, SwitchProfile\n"
