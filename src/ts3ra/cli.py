@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 user/scenario error, 2 internal invariant breach.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import logging
 import os
@@ -37,41 +38,23 @@ def _configure_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
-class _FileSink:
-    def __init__(self, path: Path):
-        self.fh = open(path, "w")
-
-    def __call__(self, line: str) -> None:
-        self.fh.write(line + "\n")
-
-    def close(self) -> None:
-        self.fh.close()
-
-
 def _execute_run(scenario: Scenario, out_dir: str, label: str, trace: bool) -> str:
-    """Simulate one scenario and write its artifacts; returns the metrics path."""
+    """Simulate one scenario and write its artifacts into the existing
+    directory ``out_dir``; returns the metrics path."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     suffix = f"_{label}" if label else ""
-    sinks: list[_FileSink] = []
+    with contextlib.ExitStack() as files:
 
-    def sink(name: str) -> _FileSink:
-        s = _FileSink(out / f"{name}{suffix}.csv")
-        sinks.append(s)
-        return s
+        def sink(name: str):
+            return files.enter_context(open(out / f"{name}{suffix}.csv", "w")).write
 
-    trace_sink = sink("trace") if trace else None
-    detection_sink = sink("detection")
-    migration_sink = sink("migrations")
-    engine = Engine(
-        scenario,
-        trace_sink=trace_sink,
-        detection_sink=detection_sink,
-        migration_sink=migration_sink,
-    )
-    report = engine.run()
-    for s in sinks:
-        s.close()
+        engine = Engine(
+            scenario,
+            trace_sink=sink("trace") if trace else None,
+            detection_sink=sink("detection"),
+            migration_sink=sink("migrations"),
+        )
+        report = engine.run()
 
     metrics_path = out / f"metrics{suffix}.csv"
     metrics_path.write_text("\n".join(report.to_csv_rows()) + "\n")
@@ -128,6 +111,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
             jobs.append((variant, args.out, label, args.trace))
     else:
         jobs.append((scenario, args.out, "", args.trace))
+    try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        print(f"error: --out {args.out} is not a directory", file=sys.stderr)
+        return EXIT_USER_ERROR
 
     if len(jobs) > 1 and args.jobs > 1:
         # Imported here: only parallel sweeps need it, and it loads

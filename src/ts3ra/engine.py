@@ -27,9 +27,17 @@ is cut into batches:
 - outcomes (deliveries and drops) are held as arrays and applied, in
   (time, kind, packet) order, before the next event that reads them.  A
   delivery whose source was quarantined in the meantime is dropped then.
+  An application writes all its trace rows in one sink call, formatted with
+  NumPy from integer microseconds and a per-(outcome, device) table of row
+  suffixes that each device keeps current as its slice and switch change.
 
 A run's artifacts are therefore the same whether the data plane runs
 before every event or only before the readers, and whatever the batch size.
+
+A sink takes text as ``TextIO.write`` does: each call gets one or more whole
+lines, each ending in a newline, so a file's ``write`` is a sink.  Times in
+trace and migration rows are integer microseconds written as seconds with
+six decimals, the text of ``f"{t / 1e6:.6f}"`` for every ``t`` below 2**52.
 
 No event is scheduled after the horizon (``Engine.end_us``), so no control
 work starts after it; packets in flight at the horizon drain at the end of
@@ -70,7 +78,7 @@ from .metrics import (
     derive_slice_metrics,
 )
 from .rng import RngHub
-from .scenario import Scenario, to_us
+from .scenario import Scenario, ScenarioError, to_us
 
 # Event kinds, ranked for tie-breaking at equal timestamps.
 ARRIVAL = 0
@@ -138,8 +146,94 @@ _RETRIED = -len(_OUTCOME_CELLS)
 _NEVER = np.iinfo(np.int64).max
 
 
+def _words(texts) -> np.ndarray:
+    """Four-byte ``texts`` as 32-bit words, in memory order."""
+    return np.frombuffer("".join(texts).encode(), dtype=np.uint32)
+
+
+# Each number below 1000 as a word of trace text, a NUL standing for nothing:
+# three digits then a NUL; without leading zeros, and no digit at all for 0;
+# the same, but "0" for 0; a point then three digits.
+_FULL = _words(f"{i:03d}\0" for i in range(1000))
+_LEAD = _words(str(i or "").rjust(3, "\0") + "\0" for i in range(1000))
+_LEAD_LAST = _words(str(i).rjust(3, "\0") + "\0" for i in range(1000))
+_POINT = _words(f".{i:03d}" for i in range(1000))
+
+
 class InvariantViolation(RuntimeError):
     """An engine-internal consistency rule was broken."""
+
+
+def seconds_text(us: int) -> str:
+    """``us`` microseconds as seconds with six decimals."""
+    return f"{us // 1_000_000}.{us % 1_000_000:06d}"
+
+
+def rows_text(time: np.ndarray, suffixes: np.ndarray) -> str:
+    """One line per time in ``time`` (microseconds): the time as
+    :func:`seconds_text` writes it, then row ``i`` of ``suffixes``, words of
+    text padded with NULs."""
+    ms, lo = np.divmod(time, 1000)
+    sec, hi = np.divmod(ms, 1000)
+    # the seconds in groups of three digits, the most significant first
+    groups = [sec]
+    while groups[0].max() >= 1000:
+        groups[:1] = np.divmod(groups[0], 1000)
+    n_sec = len(groups)
+    text = np.empty((len(time), n_sec + 2 + suffixes.shape[1]), dtype=np.uint32)
+    text[:, 0] = (_LEAD_LAST if n_sec == 1 else _LEAD).take(groups[0])
+    for g in range(1, n_sec):
+        # a group after a digit keeps its leading zeros
+        lead = _LEAD_LAST if g == n_sec - 1 else _LEAD
+        after = sec >= 1000 ** (n_sec - g)
+        text[:, g] = np.where(after, _FULL.take(groups[g]), lead.take(groups[g]))
+    text[:, n_sec] = _POINT.take(hi)
+    text[:, n_sec + 1] = _FULL.take(lo)
+    text[:, n_sec + 2 :] = suffixes
+    text = text.view(np.uint8)
+    return text[text != 0].tobytes().decode()
+
+
+class _RowSuffixes:
+    """Per outcome code and device, row ``code * n_dev + device`` of
+    ``cells``: what follows the time in the device's outcome rows,
+    ``,kind,tag,outcome`` and a newline, as words of text padded with NULs."""
+
+    __slots__ = ("n_dev", "cells")
+
+    def __init__(self, n_dev: int):
+        self.n_dev = n_dev
+        self.cells = np.zeros((len(_OUTCOME_CELLS) * n_dev, 0), dtype=np.uint32)
+
+    def set(self, di: int, tag: str) -> None:
+        rows = [f"{kind}{tag}{outcome}\n".encode() for kind, outcome in _OUTCOME_CELLS]
+        grow = -(-max(map(len, rows)) // 4) - self.cells.shape[1]  # in whole words
+        if grow > 0:
+            self.cells = np.pad(self.cells, ((0, 0), (0, grow)))
+        width = 4 * self.cells.shape[1]
+        block = b"".join(row.ljust(width, b"\0") for row in rows)
+        self.cells[di :: self.n_dev] = np.frombuffer(block, dtype=np.uint32).reshape(len(rows), -1)
+
+    def of(self, code: np.ndarray, di: np.ndarray) -> np.ndarray:
+        """The suffix of each (code, device) pair, a row each."""
+        return self.cells.take(code * self.n_dev + di, axis=0)
+
+
+def _load_model(path: str) -> sn_mod.SliceNetModel:
+    """The slice-selection model saved at ``path``; a file the engine cannot
+    use is a scenario error that names ``model_path``."""
+    from .serialization import ContainerFormatError, load_slicenet
+
+    try:
+        model = load_slicenet(path)
+    except (OSError, ContainerFormatError) as exc:
+        raise ScenarioError(f"model_path: cannot load {path!r}: {exc}") from None
+    if model.n_features != sn_mod.DEFAULT_N_FEATURES:
+        raise ScenarioError(
+            f"model_path: {path!r} takes {model.n_features} features, "
+            f"the engine gives {sn_mod.DEFAULT_N_FEATURES}"
+        )
+    return model
 
 
 def size_index(u: np.ndarray) -> np.ndarray:
@@ -173,7 +267,7 @@ class _DeviceRt:
         "flow",
         "sw",
         "_sw_of",
-        "tag",
+        "_suffixes",
         "arrival_us",
     )
 
@@ -187,6 +281,7 @@ class _DeviceRt:
         forged: bool,
         counters_of: dict[ServiceType, SliceCounters],
         sw_of: np.ndarray,
+        suffixes: _RowSuffixes,
     ):
         self.index = index
         self.device = device
@@ -196,6 +291,8 @@ class _DeviceRt:
         self._counters_of = counters_of
         # the engine's switch index of every device, kept for the data plane
         self._sw_of = sw_of
+        # the engine's trace row suffixes, kept for the data plane
+        self._suffixes = suffixes
         self.sw: Optional[_SwitchRt] = None
         self.decided = None
         self.forged = forged
@@ -226,10 +323,11 @@ class _DeviceRt:
         self._retag()
 
     def _retag(self) -> None:
-        # ``tag`` is the device,slice,switch part of this device's trace rows.
+        # The device,slice,switch part of this device's outcome rows.
         service = self._decided or self.claimed
         switch_id = self.sw.profile.switch_id if self.sw else ""
-        self.tag = f"{self.device.device_id},{service.slice_id},{switch_id}"
+        tag = f"{self.device.device_id},{service.slice_id},{switch_id}"
+        self._suffixes.set(self.index, tag)
 
 
 class _SwitchRt:
@@ -247,7 +345,9 @@ class _SwitchRt:
         self.baseline_triples: list[tuple[float, float, float]] = []
 
 
-Sink = Callable[[str], None]
+# Takes one or more whole lines, each ending in a newline (see the module
+# docstring).
+Sink = Callable[[str], object]
 
 
 class Engine:
@@ -293,12 +393,13 @@ class Engine:
         self.trace_sink = trace_sink
         self.detection_sink = detection_sink
         self.migration_sink = migration_sink
-        if trace_sink:
-            trace_sink(TRACE_HEADER)
-        if detection_sink:
-            detection_sink(DETECTION_HEADER)
-        if migration_sink:
-            migration_sink(MIGRATION_HEADER)
+        for sink, header in (
+            (trace_sink, TRACE_HEADER),
+            (detection_sink, DETECTION_HEADER),
+            (migration_sink, MIGRATION_HEADER),
+        ):
+            if sink is not None:
+                sink(header + "\n")
 
         self._rng_sizes = self.hub.substream("sizes")
         self._rng_loss = self.hub.substream("loss")
@@ -376,6 +477,7 @@ class Engine:
         self.dev_by_id: dict[str, _DeviceRt] = {}
         # each device's switch index, -1 before it is placed
         self.sw_of = np.full(n, -1, dtype=np.int64)
+        self.suffixes = _RowSuffixes(n)
         self.fair_slas = fair_slas
         for i in range(n):
             device_id = f"d{i:04d}"
@@ -391,7 +493,10 @@ class Engine:
             )
             password = f"pw-{device_id}".encode()
             puf = auth_mod.SimulatedPuf(bytes(rng_puf.integers(0, 256, size=32, dtype=np.uint8)))
-            rt = _DeviceRt(i, device, password, puf, claimed, i in forged, self.counters, self.sw_of)
+            rt = _DeviceRt(
+                i, device, password, puf, claimed, i in forged, self.counters, self.sw_of,
+                self.suffixes,
+            )
             if not rt.forged:
                 va = self.vap.authority_for(device_id)
                 auth_mod.register_device(va, device_id, password, puf, rng_puf)
@@ -433,9 +538,7 @@ class Engine:
         if model is not None:
             self.model = model
         elif sc.model_path:
-            from .serialization import load_slicenet
-
-            self.model = load_slicenet(sc.model_path)
+            self.model = _load_model(sc.model_path)
         else:
             feats, labels = sn_mod.make_separable_dataset(
                 sc.train_samples, self.hub.substream("slicenet-data")
@@ -538,9 +641,10 @@ class Engine:
         heapq.heappush(self.heap, (time_us, kind, self.seq, payload))
 
     def _trace(self, kind: int, device: str, slice_id: str, switch: str, outcome: str) -> None:
-        if self.trace_sink:
+        if self.trace_sink is not None:
             self.trace_sink(
-                f"{self.clock_us / 1e6:.6f},{KIND_NAMES[kind]},{device},{slice_id},{switch},{outcome}"
+                f"{seconds_text(self.clock_us)},{KIND_NAMES[kind]},"
+                f"{device},{slice_id},{switch},{outcome}\n"
             )
 
     def step_event(self, event: tuple) -> None:
@@ -556,7 +660,7 @@ class Engine:
         time_us, kind, _, payload = event
         if time_us < self.clock_us:
             raise InvariantViolation("time regression in event stream")
-        if not (kind in _BLIND_KINDS or (kind in _TRACE_ONLY_KINDS and not self.trace_sink)):
+        if not (kind in _BLIND_KINDS or (kind in _TRACE_ONLY_KINDS and self.trace_sink is None)):
             self._run_data_plane(time_us + 1 if kind > DROP else time_us)
         self.clock_us = time_us
         self._handlers[kind](payload)
@@ -820,23 +924,21 @@ class Engine:
 
     def _apply_outcomes(self, until_us: float) -> None:
         """Apply, in (time, kind, packet) order, every held outcome due before
-        ``until_us``."""
+        ``until_us``; with a trace, write their rows in one sink call."""
         held = self.held
         due = held[:, 0] < until_us
-        n_due = int(np.count_nonzero(due))
-        if not n_due:
+        if not due.any():
             return
-        rows, self.held = held[due], held[~due]
+        rows = held.take(np.flatnonzero(due), axis=0)
+        self.held = held.take(np.flatnonzero(~due), axis=0)
         sink = self.trace_sink
-        if sink:
+        if sink is not None:
             # the counters are sums of integers, but trace rows go in order
-            o = np.argsort(rows[:, 2], kind="stable")
-            o = o[np.argsort(2 * rows[o, 0] + (rows[o, 1] > OK), kind="stable")]
-            rows = rows[o]
+            rows = rows.take(np.lexsort((rows[:, 2], rows[:, 1] > OK, rows[:, 0])), axis=0)
         time, code, _, di, bits, latency = rows.T
         # the AP revokes in-flight traffic of a quarantined source
-        code = np.where((code == OK) & self.is_quarantined[di], QUARANTINED, code)
-        sl = self.slice_of[di]
+        code = np.where((code == OK) & self.is_quarantined.take(di), QUARANTINED, code)
+        sl = self.slice_of.take(di)
         n_codes = len(_OUTCOME_CELLS)
         counts = np.bincount(sl * n_codes + code, minlength=3 * n_codes).reshape(3, n_codes)
         ok = code == OK
@@ -852,11 +954,8 @@ class Engine:
             c.blocked += n_q + n_refused
             c.delivered_bits += int(b)
             c.latency_us += int(lat)
-        if sink:
-            tags, cells = [rt.tag for rt in self.dev], _OUTCOME_CELLS
-            for t, c, d in zip((time / 1e6).tolist(), code.tolist(), di.tolist()):
-                kind, outcome = cells[c]
-                sink(f"{t:.6f}{kind}{tags[d]}{outcome}")
+        if sink is not None:
+            sink(rows_text(time, self.suffixes.of(code, di)))
 
     def run(self) -> MetricsReport:
         heap, pop, step = self.heap, heapq.heappop, self.step_event
@@ -1091,11 +1190,11 @@ class Engine:
                     sw.baseline_triples.append(triple)
                     if len(sw.baseline_triples) > 4 * sc.baseline_windows:
                         del sw.baseline_triples[0]
-            if self.detection_sink:
+            if self.detection_sink is not None:
                 self.detection_sink(
                     f"{start_s:.6f},{sw.profile.switch_id},"
                     f"{triple[0]:.6f},{triple[1]:.6f},{triple[2]:.6f},"
-                    f"{verdict},{';'.join(blocked)}"
+                    f"{verdict},{';'.join(blocked)}\n"
                 )
         self.win_counts.fill(0)
         self.win_gaps.fill(0)
@@ -1131,9 +1230,10 @@ class Engine:
                 dst.nominal_load += drt.flow.rate
                 drt.place(dst)
                 self.migrations += 1
-                if self.migration_sink:
+                if self.migration_sink is not None:
                     self.migration_sink(
-                        f"{self.clock_us / 1e6:.6f},{mig.flow_id},{mig.from_switch},{mig.to_switch},overload"
+                        f"{seconds_text(self.clock_us)},{mig.flow_id},{mig.from_switch},"
+                        f"{mig.to_switch},overload\n"
                     )
                 self._trace(
                     REBALANCE,

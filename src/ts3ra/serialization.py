@@ -48,36 +48,42 @@ def write_container(path: Union[str, Path], sections: Sections) -> None:
 
 def read_container(path: Union[str, Path]) -> Sections:
     data = Path(path).read_bytes()
-    view = memoryview(data)
-    if bytes(view[:8]) != MAGIC:
+    off = 0
+
+    def take(n: int) -> bytes:
+        nonlocal off
+        if off + n > len(data):
+            raise ContainerFormatError(f"{path}: truncated at byte {len(data)}")
+        off += n
+        return data[off - n : off]
+
+    def unpack(fmt: str) -> tuple:
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    if data[:8] != MAGIC:
         raise ContainerFormatError(f"{path}: bad magic")
-    version, n_sections = struct.unpack_from("<II", view, 8)
+    take(8)
+    version, n_sections = unpack("<II")
     if version != VERSION:
         raise ContainerFormatError(f"{path}: unsupported version {version}")
-    off = 16
     sections: Sections = {}
     for _ in range(n_sections):
-        tag = bytes(view[off : off + 4])
-        off += 4
-        (n_tensors,) = struct.unpack_from("<I", view, off)
-        off += 4
+        tag = take(4)
+        (n_tensors,) = unpack("<I")
         shapes: list[tuple[str, tuple[int, ...]]] = []
         for _ in range(n_tensors):
-            (name_len,) = struct.unpack_from("<H", view, off)
-            off += 2
-            name = bytes(view[off : off + name_len]).decode("utf-8")
-            off += name_len
-            (ndim,) = struct.unpack_from("<I", view, off)
-            off += 4
-            shape = struct.unpack_from(f"<{ndim}I", view, off)
-            off += 4 * ndim
-            shapes.append((name, shape))
+            (name_len,) = unpack("<H")
+            try:
+                name = take(name_len).decode("utf-8")
+            except UnicodeDecodeError:
+                raise ContainerFormatError(f"{path}: a tensor name is not UTF-8") from None
+            (ndim,) = unpack("<I")
+            shapes.append((name, unpack(f"<{ndim}I")))
         tensors: dict[str, np.ndarray] = {}
         for name, shape in shapes:
             count = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(view, dtype="<f8", count=count, offset=off).reshape(shape)
+            arr = np.frombuffer(take(8 * count), dtype="<f8").reshape(shape)
             tensors[name] = arr.astype(np.float64)
-            off += 8 * count
         sections[tag] = tensors
     return sections
 
@@ -93,11 +99,16 @@ def load_slicenet(path: Union[str, Path]):
     if SNET_TAG not in sections:
         raise ContainerFormatError(f"{path}: no slice-selection section")
     tensors = sections[SNET_TAG]
-    n_features, d_model = tensors["lift_w"].shape
+    lift_w = tensors.get("lift_w")
+    if lift_w is None or lift_w.ndim != 2:
+        raise ContainerFormatError(f"{path}: no two-dimensional tensor lift_w")
+    n_features, d_model = lift_w.shape
     model = SliceNetModel(n_features=n_features, d_model=d_model)
-    for name in model.parameters():
+    for name, current in model.parameters().items():
         if name not in tensors:
             raise ContainerFormatError(f"{path}: missing tensor {name}")
+        if tensors[name].shape != current.shape:
+            raise ContainerFormatError(f"{path}: tensor {name} is not of shape {current.shape}")
         model.set_parameter(name, tensors[name])
     return model
 

@@ -275,6 +275,75 @@ class TestRunCommand:
         assert "--jobs" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_out_naming_a_file_exit_one(self, tmp_path, scenario_file, capsys):
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        assert main(["run", "--scenario", str(scenario_file), "--out", str(out)]) == 1
+        assert "--out" in capsys.readouterr().err
+        assert out.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "bad_magic", "truncated_header", "truncated_payload", "directory", "feature_count",
+            "no_lift_w", "tensor_shape", "tensor_name",
+        ],
+    )
+    def test_unusable_model_path_exit_one(self, tmp_path, capsys, case):
+        from ts3ra.serialization import SNET_TAG, read_container, save_slicenet, write_container
+        from ts3ra.slicenet import SliceNetModel
+
+        model = tmp_path / "model.bin"
+        save_slicenet(SliceNetModel(rng=np.random.default_rng(0)), model)
+        whole = model.read_bytes()
+        if case == "bad_magic":
+            model.write_bytes(b"NOT-A-MODEL" + whole[11:])
+        elif case == "truncated_header":
+            model.write_bytes(whole[:20])
+        elif case == "truncated_payload":
+            model.write_bytes(whole[: len(whole) // 2])
+        elif case == "tensor_name":
+            # the first tensor's name starts after the magic, version, section
+            # count, section tag, tensor count and name length: 26 bytes
+            model.write_bytes(whole[:26] + b"\xff" + whole[27:])
+        elif case == "directory":
+            model.unlink()
+            model.mkdir()
+        elif case in ("no_lift_w", "tensor_shape"):
+            tensors = read_container(model)[SNET_TAG]
+            if case == "no_lift_w":
+                del tensors["lift_w"]
+            else:
+                tensors["lift_b"] = tensors["lift_b"][:, :-1]
+            write_container(model, {SNET_TAG: tensors})
+        else:
+            # a model of three features, where the engine gives seven
+            data = tmp_path / "data.csv"
+            data.write_text("".join(f"0.{i},0.5,0.{9 - i},{i % 3}\n" for i in range(10)))
+            assert main(["train-slicenet", "--data", str(data), "--out", str(model)]) == 0
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(SMALL + f"\n[slicenet]\nmodel_path = {model}\n")
+        assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "out")]) == 1
+        assert "model_path" in capsys.readouterr().err
+
+    def test_sink_files_close_when_the_run_fails(self, tmp_path, scenario_file, monkeypatch):
+        import gc
+        import warnings
+
+        from ts3ra.engine import Engine, InvariantViolation
+
+        def fail(self):
+            raise InvariantViolation("injected")
+
+        monkeypatch.setattr(Engine, "run", fail)
+        args = ["run", "--scenario", str(scenario_file), "--out", str(tmp_path), "--trace"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            code = main(args)
+            gc.collect()
+        assert code == 2
+        assert not [w for w in caught if "unclosed file" in str(w.message)]
+
 
 def run_probe(probe: str) -> str:
     """Standard output of ``probe`` run by a fresh interpreter that imports this ts3ra."""

@@ -31,7 +31,9 @@ from ts3ra.engine import (
     WINDOW_CLOSE,
     Engine,
     InvariantViolation,
+    rows_text,
     run_scenario,
+    seconds_text,
     size_index,
 )
 from ts3ra.metrics import SLICE_ORDER, SliceCounters, derive_slice_metrics
@@ -65,6 +67,24 @@ def hold_delivery(engine: Engine, time_us: int, di: int) -> None:
     engine._hold(*(np.array([v]) for v in (time_us, OK, 0, di, 4096, 1500)))
 
 
+class Lines(list):
+    """A sink that takes text as ``TextIO.write`` does and keeps its lines;
+    ``writes`` counts its calls and ``text`` is all the text it was given."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def __call__(self, text: str) -> None:
+        assert text.endswith("\n"), text
+        self.writes += 1
+        self.extend(text[:-1].split("\n"))
+
+    @property
+    def text(self) -> str:
+        return "".join(f"{line}\n" for line in self)
+
+
 def packet_size(u: float, length: int) -> int:
     """Half, full or double ``length`` with probabilities 1/4, 1/2, 1/4: one
     draw's size, as the scalar reference takes it."""
@@ -80,7 +100,8 @@ class ScalarDataPlane(Engine):
     retransmit), with the engine's draws; outcomes are applied one at a time
     in (time, kind, packet) order.  It shares only the state that the
     control plane reads and writes, and is the reference that the batched
-    engine must match exactly."""
+    engine must match exactly.  Each outcome's trace row is its own f-string
+    of the time in seconds, and its own sink call."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -181,18 +202,21 @@ class ScalarDataPlane(Engine):
             c.in_flight -= 1
             c.dropped += 1
             c.blocked += code == QUARANTINED
-        if self.trace_sink:
+        if self.trace_sink is not None:
+            rt = self.dev[d]
             kind = "deliver" if code == OK else "drop"
             reason = {OK: "ok", LOSS: "loss", OVERFLOW: "overflow"}.get(code, "quarantined")
-            self.trace_sink(f"{time_us / 1e6:.6f},{kind},{self.dev[d].tag},{reason}")
+            switch_id = rt.sw.profile.switch_id if rt.sw else ""
+            tag = f"{rt.device.device_id},{(rt.decided or rt.claimed).slice_id},{switch_id}"
+            self.trace_sink(f"{time_us / 1e6:.6f},{kind},{tag},{reason}\n")
 
 
 @pytest.fixture(scope="module")
 def small_run():
-    trace: list[str] = []
-    detection: list[str] = []
+    trace = Lines()
+    detection = Lines()
     engine = Engine(
-        small_scenario(), trace_sink=trace.append, detection_sink=detection.append
+        small_scenario(), trace_sink=trace, detection_sink=detection
     )
     report = engine.run()
     return engine, report, trace, detection
@@ -252,9 +276,9 @@ class TestEmptyWorld:
 class TestDeterminism:
     def test_identical_seed_identical_artifacts(self):
         def capture():
-            trace: list[str] = []
+            trace = Lines()
             report = run_scenario(
-                small_scenario(devices=20, duration=12.0), trace_sink=trace.append
+                small_scenario(devices=20, duration=12.0), trace_sink=trace
             )
             return report.to_csv_rows(), trace
 
@@ -394,12 +418,12 @@ class TestDetectionIntegration:
                 return _inner(*args, **kwargs)
 
             monkeypatch.setattr(ddos, name, counted)
-        detection: list[str] = []
+        detection = Lines()
         sc = small_scenario(
             devices=12, duration=8.0, window_duration=0.25, min_packets=3,
             flood_start=4.0, train_samples=60, epochs=1,
         )
-        Engine(sc, detection_sink=detection.append).run()
+        Engine(sc, detection_sink=detection).run()
         rows = [line.split(",") for line in detection[1:]]
         assert calls["window_entropies"] == len(rows) == sc.switches * 32
         classified = sum(row[5] in ("benign", "attack") for row in rows)
@@ -440,7 +464,7 @@ class TestDetectionIntegration:
 
 class TestRebalanceIntegration:
     def test_migrations_relieve_overload_without_detection(self):
-        migrations: list[str] = []
+        migrations = Lines()
         report = run_scenario(
             small_scenario(
                 devices=48,
@@ -451,7 +475,7 @@ class TestRebalanceIntegration:
                 switch_transmission_rate=0.9e6,
                 switches=4,
             ),
-            migration_sink=migrations.append,
+            migration_sink=migrations,
         )
         assert report.migrations > 0
         assert len(migrations) == report.migrations + 1  # header row
@@ -537,13 +561,13 @@ def masked_tick(positions, waypoints, speeds, sc: Scenario, rng) -> None:
     np.clip(positions[:, 1], 0, sc.area_height, out=positions[:, 1])
 
 
-def lossless_engine(trace: list[str], **overrides) -> Engine:
+def lossless_engine(trace: Lines, **overrides) -> Engine:
     """A 4-device engine with no event queued and no switch losing packets."""
     engine = Engine(
         small_scenario(
             devices=4, duration=5.0, train_samples=60, epochs=1, size_jitter=False, **overrides
         ),
-        trace_sink=trace.append,
+        trace_sink=trace,
     )
     engine.heap.clear()
     for sw in engine.switches:
@@ -588,11 +612,11 @@ class TestOutcomeOrdering:
         # The data plane runs before every event, slots and ticks included,
         # in batches of at most 7 new transmits.
         _, report, trace, detection = small_run
-        eager_trace: list[str] = []
-        eager_detection: list[str] = []
+        eager_trace = Lines()
+        eager_detection = Lines()
         with cut_everywhere():
             eager = Engine(
-                small_scenario(), trace_sink=eager_trace.append, detection_sink=eager_detection.append
+                small_scenario(), trace_sink=eager_trace, detection_sink=eager_detection
             ).run()
         assert eager.to_csv_rows() == report.to_csv_rows()
         assert eager_trace == trace
@@ -654,7 +678,7 @@ class TestOutcomeOrdering:
         return [(cells[0], cells[2]) for cells in rows if cells[1] == "deliver"]
 
     def test_same_time_deliveries_on_two_switches_in_canonical_order(self):
-        trace: list[str] = []
+        trace = Lines()
         engine = lossless_engine(trace)
         engine.clock_us = 1_000_000
         # The lower-numbered device goes to the higher-numbered switch, so
@@ -675,7 +699,7 @@ class TestOutcomeOrdering:
     def test_same_time_packets_on_one_switch_are_served_in_canonical_order(self):
         # (time, device, retransmit): device 0's retransmit, then the new
         # packets of devices 1 and 2, all due at once on SW0.
-        trace: list[str] = []
+        trace = Lines()
         engine = lossless_engine(trace, retransmit_delay=0.02)
         sw = engine.sw_by_id["SW0"]
         for di in (0, 1, 2):
@@ -699,7 +723,7 @@ class TestOutcomeOrdering:
         assert self.delivery_rows(trace) == [(t[0], "d0000"), (t[1], "d0001"), (t[2], "d0002")]
 
     def test_delivery_sorts_before_a_drop_at_the_same_time(self):
-        trace: list[str] = []
+        trace = Lines()
         engine = lossless_engine(trace)
         for di in (0, 1):
             engine.dev[di].place(engine.sw_by_id["SW0"])
@@ -712,7 +736,7 @@ class TestOutcomeOrdering:
 
     @pytest.mark.parametrize("old_backlog_us", [0, 5_000])
     def test_migrated_device_delivery_on_old_lane_applied_in_time_order(self, old_backlog_us):
-        trace: list[str] = []
+        trace = Lines()
         engine = lossless_engine(trace)
         rt = engine.dev[0]
         rt.flow = engine._make_flow(rt, rt.claimed)
@@ -733,7 +757,7 @@ class TestOutcomeOrdering:
 
     def test_no_outcome_due_is_held_after_a_reader(self):
         # With a trace, every kind but slots and ticks reads the data plane.
-        engine = Engine(small_scenario(), trace_sink=[].append)
+        engine = Engine(small_scenario(), trace_sink=Lines())
         while engine.heap:
             event = heapq.heappop(engine.heap)
             engine.step_event(event)
@@ -792,7 +816,7 @@ class TestDataPlaneBoundary:
         engine._start_transmits(di, first_us)
 
     def test_transmit_at_window_close_is_counted_in_that_window(self, monkeypatch):
-        engine = lossless_engine([])
+        engine = lossless_engine(Lines())
         close_us = 2_000_000
         self.start(engine, 0, close_us)
         self.start(engine, 1, close_us + 1)
@@ -810,7 +834,7 @@ class TestDataPlaneBoundary:
         assert engine.win_counts.sum() == 0
 
     def test_transmit_at_allocate_runs_after_it(self):
-        engine = lossless_engine([])
+        engine = lossless_engine(Lines())
         at_us = 1_000_000
         self.start(engine, 0, at_us - 1)
         self.start(engine, 1, at_us)
@@ -825,7 +849,7 @@ class TestDataPlaneBoundary:
         assert engine.generated == 2
 
     def test_retransmit_rounding_to_no_time_runs_in_the_same_advance(self):
-        engine = lossless_engine([], retransmit_delay=4e-7)
+        engine = lossless_engine(Lines(), retransmit_delay=4e-7)
         assert engine.retransmit_delay_us == 0
         rt = engine.dev[0]
         # a reliable-stream slice retransmits a lost packet once
@@ -849,13 +873,13 @@ class TestDataPlaneBoundary:
         assert (engine.next_us == NEVER).all() and engine.retransmits == []
 
     def test_transmits_left_when_the_event_heap_empties_run_at_collection(self):
-        trace: list[str] = []
+        trace = Lines()
         engine = Engine(
             small_scenario(
                 devices=8, duration=12.0, ddos_enabled=False, offload_enabled=False,
                 train_samples=60, epochs=1,
             ),
-            trace_sink=trace.append,
+            trace_sink=trace,
         )
         while engine.heap:
             engine.step_event(heapq.heappop(engine.heap))
@@ -887,9 +911,86 @@ class TestDataPlaneBoundary:
         engine.collect_metrics()
 
     def test_transmit_on_event_heap_is_fatal(self):
-        engine = lossless_engine([])
+        engine = lossless_engine(Lines())
         with pytest.raises(InvariantViolation, match="event heap"):
             engine.step_event((0, TRANSMIT, 0, (0, False, 0)))
+
+
+# Times whose text changes length or rounds badly in floating point.
+TIME_EDGES = (0, 1, 999_999, 10**6, 10**9 - 1, 10**9, 2**52 - 1)
+# Tag text: printable, with neither a newline nor a NUL.
+TAGS = st.text(st.characters(min_codepoint=32, max_codepoint=126), min_size=1, max_size=40)
+CELLS = engine_mod._OUTCOME_CELLS
+
+
+def f_string_rows(times, codes, devices, tags) -> str:
+    """Trace rows as the scalar data plane writes them, one f-string each."""
+    return "".join(
+        f"{t / 1e6:.6f}{CELLS[c][0]}{tags[d]}{CELLS[c][1]}\n"
+        for t, c, d in zip(times, codes, devices)
+    )
+
+
+class TestTraceRows:
+    @given(st.integers(0, 2**52 - 1))
+    @settings(max_examples=500)
+    def test_time_text_equals_the_float_format(self, t):
+        for edge in TIME_EDGES:
+            assert seconds_text(edge) == f"{edge / 1e6:.6f}"
+        assert seconds_text(t) == f"{t / 1e6:.6f}"
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from(TIME_EDGES), st.integers(0, 2**52 - 1)),
+                st.integers(0, len(CELLS) - 1),
+                st.integers(0, 3),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        tags=st.lists(st.tuples(TAGS, TAGS), min_size=4, max_size=4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_block_equals_the_per_row_f_strings(self, rows, tags):
+        # Each device is tagged twice, as a migration retags it: the second
+        # tag, longer or shorter, must replace the first.
+        suffixes = engine_mod._RowSuffixes(len(tags))
+        for di, (first, second) in enumerate(tags):
+            suffixes.set(di, first)
+            suffixes.set(di, second)
+        times, codes, devices = (np.array(col, dtype=np.int64) for col in zip(*rows))
+        got = rows_text(times, suffixes.of(codes, devices))
+        assert got == f_string_rows(*zip(*rows), [second for _, second in tags])
+
+    def test_every_edge_with_every_outcome_code(self):
+        tags = ["d0000,S1,SW0", "x" * 40, ","]
+        suffixes = engine_mod._RowSuffixes(len(tags))
+        for di, tag in enumerate(tags):
+            suffixes.set(di, tag)
+        rows = [
+            (t, c, d) for t in TIME_EDGES for c in range(len(CELLS)) for d in range(len(tags))
+        ]
+        times, codes, devices = (np.array(col, dtype=np.int64) for col in zip(*rows))
+        assert rows_text(times, suffixes.of(codes, devices)) == f_string_rows(*zip(*rows), tags)
+
+    def test_one_sink_call_per_outcome_application(self):
+        trace = Lines()
+        engine = lossless_engine(trace)
+        assert trace.writes == 1  # the header
+        engine._apply_outcomes(math.inf)
+        assert trace.writes == 1  # nothing held, nothing written
+        for di in range(3):
+            hold_delivery(engine, 1_000_000 + di, di)
+        engine._apply_outcomes(math.inf)
+        assert trace.writes == 2
+        assert [row.split(",")[:3] for row in trace[1:]] == [
+            [f"1.00000{di}", "deliver", f"d000{di}"] for di in range(3)
+        ]
+
+    def test_a_traced_run_writes_blocks(self, small_run):
+        _, _, trace, _ = small_run
+        assert trace.writes < len(trace) / 10
 
 
 @functools.cache
@@ -972,12 +1073,12 @@ class TestConservationProperty:
     )
     def test_scenario_rejected_or_conserves_packets_in_any_outcome_order(self, sc):
         def run(drive=Engine.run, engine_class=Engine):
-            trace: list[str] = []
-            detection: list[str] = []
-            migrations: list[str] = []
+            trace = Lines()
+            detection = Lines()
+            migrations = Lines()
             engine = engine_class(
-                sc, trace_sink=trace.append, detection_sink=detection.append,
-                migration_sink=migrations.append, model=tiny_model(),
+                sc, trace_sink=trace, detection_sink=detection,
+                migration_sink=migrations, model=tiny_model(),
             )
             rows = drive(engine).to_csv_rows()
             # Scheduler conservation: every accepted device was enqueued once,
@@ -992,7 +1093,7 @@ class TestConservationProperty:
             assert sc.devices == (
                 engine.auth_rejected + engine.queue_dropped + allocated + engine.unfinished
             )
-            return engine, rows, trace, detection, migrations
+            return engine, rows, trace.text, detection.text, migrations.text
 
         def stepped(engine):
             # The benchmark's traced children drive the engine this way.

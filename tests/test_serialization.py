@@ -66,3 +66,13 @@ def test_missing_section_rejected(tmp_path):
         load_slicenet(path)
     with pytest.raises(ContainerFormatError):
         load_hopfield(path)
+
+
+def test_every_truncation_rejected(tmp_path):
+    path = tmp_path / "params.bin"
+    write_container(path, {b"TEST": {"ab": np.arange(6.0).reshape(2, 3), "c": np.ones(2)}})
+    whole = path.read_bytes()
+    for n in range(len(whole)):
+        path.write_bytes(whole[:n])
+        with pytest.raises(ContainerFormatError):
+            read_container(path)
