@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import copy
 import logging
+import math
 import os
 import sys
 import traceback
@@ -205,7 +206,8 @@ def _cmd_train_slicenet(args: argparse.Namespace) -> int:
     for flag, value, ok, rule in (
         ("--epochs", args.epochs, args.epochs >= 1, ">= 1"),
         ("--lr", args.lr, lo <= args.lr <= hi, f"within [{lo}, {hi}]"),
-        ("--d-model", args.d_model, args.d_model >= 1, ">= 1"),
+        ("--d-model", args.d_model, 1 <= args.d_model <= sn.MAX_D_MODEL,
+         f"within [1, {sn.MAX_D_MODEL}]"),
         ("--seed", args.seed, args.seed >= 0, ">= 0"),
     ):
         if not ok:
@@ -235,6 +237,20 @@ def _cmd_train_slicenet(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return EXIT_USER_ERROR
+        bad = next((cell for cell, v in zip(cells[:-1], row) if not math.isfinite(v)), None)
+        if bad is not None:
+            print(
+                f"error: {data_path} line {line_no}: cell {bad.strip()!r} is not finite",
+                file=sys.stderr,
+            )
+            return EXIT_USER_ERROR
+        if len(row) < 2:
+            print(
+                f"error: {data_path} line {line_no}: a label and no feature column; "
+                "at least one feature column is needed",
+                file=sys.stderr,
+            )
+            return EXIT_USER_ERROR
         if rows and len(row) != len(rows[0]):
             print(
                 f"error: {data_path} line {line_no}: {len(row)} columns, "
@@ -261,14 +277,18 @@ def _cmd_train_slicenet(args: argparse.Namespace) -> int:
         d_model=args.d_model,
         rng=np.random.default_rng(args.seed),
     )
-    curve = sn.train(
-        model,
-        features,
-        labels,
-        epochs=args.epochs,
-        learning_rate=args.lr,
-        rng=np.random.default_rng(args.seed + 1),
-    )
+    try:
+        curve = sn.train(
+            model,
+            features,
+            labels,
+            epochs=args.epochs,
+            learning_rate=args.lr,
+            rng=np.random.default_rng(args.seed + 1),
+        )
+    except sn.TrainingDivergedError as exc:
+        print(f"error: training on {data_path} diverged: {exc}", file=sys.stderr)
+        return EXIT_USER_ERROR
     save_slicenet(model, args.out)
     if args.curve:
         Path(args.curve).write_text("\n".join(curve.rows()) + "\n")

@@ -14,7 +14,7 @@ from typing import Any
 
 from .domain import Protocol, ServiceType
 from .sched import SchedulerConfig, SchedulerConfigError, validate_config
-from .slicenet import LEARNING_RATE_RANGE
+from .slicenet import LEARNING_RATE_RANGE, MAX_D_MODEL
 
 
 class ScenarioError(ValueError):
@@ -37,6 +37,9 @@ EVENT_INTERVAL_KEYS = (
     "flood_packet_interval",
 )
 
+# The most rows the engine synthesizes to train its slice selector.
+MAX_TRAIN_SAMPLES = 1_000_000
+
 # (rule, test, keys): each key's value must pass the test its rule names.
 RANGE_RULES = (
     (
@@ -57,7 +60,13 @@ RANGE_RULES = (
         ">= 1",
         lambda v: v >= 1,
         ("aps", "switches", "demand_embb", "demand_urllc", "demand_mmtc", "packet_length",
-         "train_samples", "epochs", "d_model"),
+         "epochs"),
+    ),
+    (f"in [1, {MAX_D_MODEL}]", lambda v: 1 <= v <= MAX_D_MODEL, ("d_model",)),
+    (
+        f"in [1, {MAX_TRAIN_SAMPLES}]",
+        lambda v: 1 <= v <= MAX_TRAIN_SAMPLES,
+        ("train_samples",),
     ),
     (">= 10", lambda v: v >= 10, ("baseline_windows",)),
     (

@@ -10,7 +10,10 @@ produces one logit per slice.
 
 Everything is implemented directly on float64 NumPy arrays with
 hand-written backward passes so gradients can be finite-difference
-checked.  Shapes are batched: (batch, length, channels).
+checked.  Inside, activations are held channels-first, as (channels,
+length, batch), so that every contraction is a BLAS matrix product; the
+public functions take and return (length, channels) and (batch, features)
+arrays.
 """
 
 from __future__ import annotations
@@ -31,6 +34,9 @@ N_CLASSES = 3
 ENC_KERNELS = (3, 3, 15, 15)
 ATTN_KERNEL = 5
 DEFAULT_D_MODEL = 8
+# The widest model a scenario or ``train-slicenet`` may ask for: 1.75 M
+# parameters at 7 features.
+MAX_D_MODEL = 256
 DEFAULT_N_FEATURES = 7
 LEARNING_RATE_RANGE = (0.001, 0.1)
 # Rows per forward pass in ``SliceNetModel.logits``.
@@ -130,39 +136,40 @@ class ConvStepParams:
 @lru_cache(maxsize=8)
 def _tap_index(length: int, kernel: int) -> np.ndarray:
     """``idx[l, m]``: the tap joining output ``l`` to input ``m`` in a
-    same-length convolution, or ``kernel`` (a zero row) outside the band."""
+    same-length convolution, or ``kernel`` (a zero column) outside the band."""
     tap = np.arange(length)[None, :] - np.arange(length)[:, None] + (kernel - 1) // 2
     idx = np.where((tap >= 0) & (tap < kernel), tap, kernel)
     idx.flags.writeable = False
     return idx
 
 
-def _depthwise_fwd(a: np.ndarray, dw: np.ndarray):
-    """Same-length depthwise convolution along axis 1 as one banded einsum.
+@lru_cache(maxsize=8)
+def _tap_fold(length: int, kernel: int) -> np.ndarray:
+    """``fold[l * length + m, t]`` is 1 where ``_tap_index`` joins output
+    ``l`` to input ``m`` through tap ``t``, else 0: a flattened band
+    gradient times it is the kernel gradient."""
+    idx = _tap_index(length, kernel).reshape(-1, 1)
+    fold = (idx == np.arange(kernel)).astype(np.float64)
+    fold.flags.writeable = False
+    return fold
 
-    ``band[l, m, c] = dw[m - l + pad, c]`` inside the band and 0 outside, so
-    each output sums its taps in tap order, as a loop over taps would.
-    """
+
+def _depthwise_fwd(a: np.ndarray, dw: np.ndarray):
+    """Same-length depthwise convolution along the length axis of a
+    (channels, length, batch) array: one batched matmul of each channel's
+    (length, length) band, ``band[c, l, m] = dw[m - l + pad, c]`` inside the
+    band and 0 outside."""
     k, c = dw.shape
-    band = np.concatenate((dw, np.zeros((1, c))))[_tap_index(a.shape[1], k)]
-    return np.einsum("lmc,bmc->blc", band, a), band
+    band = np.concatenate((dw.T, np.zeros((c, 1))), axis=1)[:, _tap_index(a.shape[1], k)]
+    return band @ a, band
 
 
 def _depthwise_bwd(dout: np.ndarray, a: np.ndarray, band: np.ndarray, kernel: int):
-    """Gradients of ``_depthwise_fwd`` for its input and its kernel.
-
-    Reversing ``l`` sums each input gradient in tap order.
-    """
-    b, length, c = a.shape
-    pad = (kernel - 1) // 2
-    da = np.einsum("lmc,blc->bmc", band[::-1], dout[:, ::-1])
-    a_pad = np.zeros((b, length + 2 * pad, c))
-    a_pad[:, pad : pad + length] = a
-    # The (b, l, c, t) windows ``a_pad[:, l + t]``: the shape and strides of
-    # ``sliding_window_view(a_pad, kernel, axis=1)``, without its checks.
-    sb, sl, sc = a_pad.strides
-    windows = np.ndarray((b, length, c, kernel), buffer=a_pad, strides=(sb, sl, sc, sl))
-    d_dw = np.einsum("blc,blct->tc", dout, windows)
+    """Gradients of ``_depthwise_fwd`` for its input and its kernel."""
+    c, length, _ = a.shape
+    da = band.swapaxes(1, 2) @ dout
+    d_band = dout @ a.swapaxes(1, 2)
+    d_dw = (d_band.reshape(c, -1) @ _tap_fold(length, kernel)).T
     return da, d_dw
 
 
@@ -170,36 +177,35 @@ def _conv_step_fwd(p: ConvStepParams, x: np.ndarray):
     """LN(pointwise(depthwise(relu(x)))) with everything cached for backward."""
     a = np.maximum(x, 0.0)
     d, band = _depthwise_fwd(a, p.dw)
-    s = d @ p.pw + p.pb
-    c = s.shape[-1]
+    c_in, length, b = d.shape
+    s = p.pw.T @ d.reshape(c_in, -1) + p.pb[:, None]
+    c = len(s)
     # the same operations as s.mean and s.var, with s - mean taken once
-    xc = s - s.sum(axis=-1, keepdims=True) / c
-    var = (xc * xc).sum(axis=-1, keepdims=True) / c
+    xc = s - s.sum(axis=0) / c
+    var = (xc * xc).sum(axis=0) / c
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
-    out = p.ln_gain * xhat + p.ln_bias
+    out = p.ln_gain[:, None] * xhat + p.ln_bias[:, None]
     cache = (x, a, band, d, xhat, inv)
-    return out, cache
+    return out.reshape(c, length, b), cache
 
 
 def _conv_step_bwd(p: ConvStepParams, cache, dout: np.ndarray, grads: dict, prefix: str):
     x, a, band, d, xhat, inv = cache
-    c = xhat.shape[-1]
-    grads[prefix + "ln_gain"] += np.einsum("blc,blc->c", dout, xhat)
-    grads[prefix + "ln_bias"] += dout.sum(axis=(0, 1))
-    dxhat = dout * p.ln_gain
+    c = len(xhat)
+    dout = dout.reshape(c, -1)
+    grads[prefix + "ln_gain"] += (dout * xhat).sum(axis=1)
+    grads[prefix + "ln_bias"] += dout.sum(axis=1)
+    dxhat = dout * p.ln_gain[:, None]
     ds = inv / c * (
-        c * dxhat
-        - dxhat.sum(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True)
+        c * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)
     )
-    grads[prefix + "pw"] += np.einsum("blc,bld->cd", d, ds)
-    grads[prefix + "pb"] += ds.sum(axis=(0, 1))
-    dd = ds @ p.pw.T
+    grads[prefix + "pw"] += d.reshape(len(d), -1) @ ds.T
+    grads[prefix + "pb"] += ds.sum(axis=1)
+    dd = (p.pw @ ds).reshape(d.shape)
     da, d_dw = _depthwise_bwd(dd, a, band, p.kernel)
     grads[prefix + "dw"] += d_dw
-    dx = da * (x > 0.0)
-    return dx
+    return da * (x > 0.0)
 
 
 def conv_step(params: ConvStepParams, x: np.ndarray) -> np.ndarray:
@@ -211,8 +217,8 @@ def conv_step(params: ConvStepParams, x: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"channel mismatch: input has {x.shape[1]}, kernel expects {params.dw.shape[1]}"
         )
-    out, _ = _conv_step_fwd(params, x[None])
-    return out[0]
+    out, _ = _conv_step_fwd(params, x.T[:, :, None])
+    return out[:, :, 0].T
 
 
 @dataclass
@@ -241,7 +247,8 @@ def _conv_module_fwd(
     if training:
         if rng is None:
             raise ValueError("training mode needs an rng for dropout")
-        mask = (rng.random(h4.shape) >= DROP_PROB).astype(np.float64)
+        # drawn as (batch, length, channels), the order the stream is pinned in
+        mask = (rng.random(h4.shape[::-1]) >= DROP_PROB).astype(np.float64).T
         out = h4 * mask / (1.0 - DROP_PROB)
     else:
         mask = None
@@ -253,13 +260,11 @@ def _conv_module_bwd(m: ConvModuleParams, cache, dout: np.ndarray, grads: dict, 
     c1, c2, c3, c4, mask = cache
     if mask is not None:
         dout = dout * mask / (1.0 - DROP_PROB)
-    dx = dout.copy()  # residual into h4
     dh3 = _conv_step_bwd(m.steps[3], c4, dout, grads, prefix + "4_")
     dh2 = _conv_step_bwd(m.steps[2], c3, dh3, grads, prefix + "3_")
-    dx += dh2  # residual into h2
     dh1 = _conv_step_bwd(m.steps[1], c2, dh2, grads, prefix + "2_")
-    dx += _conv_step_bwd(m.steps[0], c1, dh1, grads, prefix + "1_")
-    return dx
+    # residuals into h4 and h2
+    return dout + dh2 + _conv_step_bwd(m.steps[0], c1, dh1, grads, prefix + "1_")
 
 
 def conv_module(
@@ -272,8 +277,8 @@ def conv_module(
     if mode not in ("training", "inference"):
         raise ValueError("mode must be 'training' or 'inference'")
     x = np.asarray(x, dtype=np.float64)
-    out, _ = _conv_module_fwd(params, x[None], mode == "training", rng)
-    return out[0]
+    out, _ = _conv_module_fwd(params, x.T[:, :, None], mode == "training", rng)
+    return out[:, :, 0].T
 
 
 @dataclass
@@ -285,31 +290,35 @@ class AttentionParams:
 
 
 def _attention_fwd(p: AttentionParams, source: np.ndarray, target: np.ndarray):
-    b, lt, ct = target.shape
-    t_in = target + timing_signal(lt, ct)
+    ct, lt, _ = target.shape
+    t_in = target + timing_signal(lt, ct).T[:, :, None]
     q1, c1 = _conv_step_fwd(p.proj1, t_in)
     q2, c2 = _conv_step_fwd(p.proj2, q1)
-    cs = source.shape[-1]
-    scale = 1.0 / math.sqrt(cs)
-    scores = np.einsum("btc,bsc->bts", q2, source) * scale
+    scale = 1.0 / math.sqrt(len(source))
+    # batch-first copies: each row's (positions, channels) matrices are
+    # the operands of one batched matmul
+    q = np.ascontiguousarray(q2.T)
+    src = np.ascontiguousarray(source.T)
+    scores = (q @ src.swapaxes(1, 2)) * scale
     weights = softmax(scores, axis=-1)
-    out = np.einsum("bts,bsc->btc", weights, source)
-    cache = (c1, c2, q2, source, weights, scale)
+    out = (weights @ src).T
+    cache = (c1, c2, q, src, weights, scale)
     return out, cache
 
 
 def _attention_bwd(p: AttentionParams, cache, dout: np.ndarray, grads: dict, prefix: str):
-    c1, c2, q2, source, weights, scale = cache
-    d_weights = np.einsum("btc,bsc->bts", dout, source)
-    d_source = np.einsum("bts,btc->bsc", weights, dout)
+    c1, c2, q, src, weights, scale = cache
+    dout = np.ascontiguousarray(dout.T)
+    d_weights = dout @ src.swapaxes(1, 2)
+    d_src = weights.swapaxes(1, 2) @ dout
     # softmax backward per target row
     tmp = (d_weights * weights).sum(axis=-1, keepdims=True)
     d_scores = weights * (d_weights - tmp)
-    d_q2 = np.einsum("bts,bsc->btc", d_scores, source) * scale
-    d_source += np.einsum("bts,btc->bsc", d_scores, q2) * scale
-    d_q1 = _conv_step_bwd(p.proj2, c2, d_q2, grads, prefix + "2_")
+    d_q = (d_scores @ src) * scale
+    d_src += (d_scores.swapaxes(1, 2) @ q) * scale
+    d_q1 = _conv_step_bwd(p.proj2, c2, d_q.T, grads, prefix + "2_")
     d_tin = _conv_step_bwd(p.proj1, c1, d_q1, grads, prefix + "1_")
-    return d_source, d_tin  # timing signal is constant
+    return d_src.T, d_tin  # timing signal is constant
 
 
 def attention_module(
@@ -320,15 +329,15 @@ def attention_module(
     target = np.asarray(target, dtype=np.float64)
     if source.ndim != 2 or target.ndim != 2:
         raise ValueError("source and target must be (length, channels)")
-    out, _ = _attention_fwd(params, source[None], target[None])
-    return out[0]
+    out, _ = _attention_fwd(params, source.T[:, :, None], target.T[:, :, None])
+    return out[:, :, 0].T
 
 
 def attention_weights(
     params: AttentionParams, source: np.ndarray, target: np.ndarray
 ) -> np.ndarray:
     """The softmax weight matrix (target positions x source positions)."""
-    _, cache = _attention_fwd(params, source[None], target[None])
+    _, cache = _attention_fwd(params, source.T[:, :, None], target.T[:, :, None])
     return cache[4][0]
 
 
@@ -423,8 +432,8 @@ class SliceNetModel:
     # -- forward / backward ----------------------------------------------------
 
     def _lift(self, features: np.ndarray) -> np.ndarray:
-        # (batch, n_features) scalars -> (batch, length, channels)
-        return features[:, :, None] * self.lift_w[None] + self.lift_b[None]
+        # (batch, n_features) scalars -> (channels, length, batch)
+        return self.lift_w.T[:, :, None] * features.T + self.lift_b.T[:, :, None]
 
     def _forward(
         self,
@@ -438,37 +447,35 @@ class SliceNetModel:
         if history is None:
             hist = np.zeros_like(enc)
         else:
-            hist = np.broadcast_to(history, enc.shape).astype(np.float64)
-        mix = np.concatenate([enc, hist], axis=-1)
+            hist = np.broadcast_to(history, enc.shape[::-1]).T
+        mix = np.concatenate([enc, hist], axis=0)
         dec, dec_cache = _conv_module_fwd(self.decoder, mix, training, rng)
         attn, attn_cache = _attention_fwd(self.attention, enc, dec)
-        combined = np.concatenate([dec, attn], axis=-1)
-        pooled = combined.mean(axis=1)
-        logits = pooled @ self.head_w + self.head_b
-        cache = (features, x, enc_cache, dec_cache, attn_cache, dec, attn, pooled)
+        pooled = np.concatenate([dec, attn], axis=0).mean(axis=1)
+        logits = pooled.T @ self.head_w + self.head_b
+        cache = (features, x, enc_cache, dec_cache, attn_cache, pooled)
         return logits, cache
 
     def _backward(self, cache, dlogits: np.ndarray) -> np.ndarray:
         """The gradient of every tensor, laid out like ``self.flat``."""
-        features, x, enc_cache, dec_cache, attn_cache, dec, attn, pooled = cache
+        features, x, enc_cache, dec_cache, attn_cache, pooled = cache
         flat_grad = np.zeros_like(self.flat)
         grads = self.tensor_views(flat_grad)
-        grads["head_w"] += pooled.T @ dlogits
+        grads["head_w"] += pooled @ dlogits
         grads["head_b"] += dlogits.sum(axis=0)
-        d_pooled = dlogits @ self.head_w.T
-        b, length = dec.shape[0], dec.shape[1]
-        d_combined = np.repeat(d_pooled[:, None, :], length, axis=1) / length
-        c2 = dec.shape[-1]
-        d_dec = d_combined[:, :, :c2].copy()
-        d_attn = d_combined[:, :, c2:]
-        d_enc_src, d_dec_t = _attention_bwd(self.attention, attn_cache, d_attn, grads, "attn")
-        d_dec += d_dec_t
+        c3, length, b = len(pooled), x.shape[1], len(dlogits)
+        d_pooled = (self.head_w @ dlogits.T) / length
+        d_combined = np.broadcast_to(d_pooled[:, None, :], (c3, length, b))
+        c2 = 2 * self.d_model
+        d_enc_src, d_dec_t = _attention_bwd(
+            self.attention, attn_cache, d_combined[c2:], grads, "attn"
+        )
+        d_dec = d_combined[:c2] + d_dec_t
         d_mix = _conv_module_bwd(self.decoder, dec_cache, d_dec, grads, "dec")
-        c = self.d_model
-        d_enc = d_mix[:, :, :c] + d_enc_src  # history half is constant
+        d_enc = d_mix[: self.d_model] + d_enc_src  # history half is constant
         d_x = _conv_module_bwd(self.encoder, enc_cache, d_enc, grads, "enc")
-        grads["lift_w"] += np.einsum("blc,bl->lc", d_x, features)
-        grads["lift_b"] += d_x.sum(axis=0)
+        grads["lift_w"] += (d_x * features.T).sum(axis=2).T
+        grads["lift_b"] += d_x.sum(axis=2).T
         return flat_grad
 
     def logits(self, features: np.ndarray) -> np.ndarray:

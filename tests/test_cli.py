@@ -159,6 +159,12 @@ class TestRunCommand:
             ("slicenet", "epochs", "0"),
             ("slicenet", "learning_rate", "-1"),
             ("slicenet", "train_samples", "0"),
+            # upper bounds: each of these used to exhaust memory
+            ("slicenet", "d_model", "257"),
+            ("slicenet", "d_model", "5000"),
+            ("slicenet", "d_model", "100000"),
+            ("slicenet", "train_samples", "1000001"),
+            ("slicenet", "train_samples", "1000000000"),
             ("network", "auth_delay", "inf"),
             ("network", "decision_delay", "inf"),
             ("flows", "arrival_window", "inf"),
@@ -497,6 +503,8 @@ class TestTrainCommand:
             ("--epochs", "-1"),
             ("--lr", "0.5"),
             ("--d-model", "0"),
+            ("--d-model", "257"),
+            ("--d-model", "100000"),
             ("--seed", "-1"),
         ],
     )
@@ -556,4 +564,43 @@ class TestTrainCommand:
         assert main(["train-slicenet", "--data", str(data), "--out", str(model_path)]) == 1
         err = capsys.readouterr().err
         assert f"{data} line 11" in err and message in err
+        assert not model_path.exists()
+
+    @pytest.mark.parametrize(
+        "cell,message",
+        [
+            ("nan", "'nan' is not finite"),
+            ("inf", "'inf' is not finite"),
+            ("-inf", "'-inf' is not finite"),
+            ("1.7e308", "diverged"),
+        ],
+    )
+    def test_nonfinite_feature_exit_one(self, tmp_path, capsys, cell, message):
+        from ts3ra.slicenet import make_separable_dataset
+
+        feats, labels = make_separable_dataset(50, np.random.default_rng(0))
+        lines = [
+            ",".join(f"{v:.6f}" for v in row) + f",{lab}" for row, lab in zip(feats, labels)
+        ]
+        cells = lines[4].split(",")
+        cells[2] = cell
+        lines[4] = ",".join(cells)
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join(lines))
+        model_path = tmp_path / "model.bin"
+        with np.errstate(all="ignore"):  # the 1.7e308 cell overflows
+            assert main(["train-slicenet", "--data", str(data), "--out", str(model_path)]) == 1
+        err = capsys.readouterr().err
+        assert str(data) in err and message in err
+        if message != "diverged":
+            assert "line 5" in err
+        assert not model_path.exists()
+
+    def test_label_without_features_exit_one(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("label\n1\n0\n2\n")
+        model_path = tmp_path / "model.bin"
+        assert main(["train-slicenet", "--data", str(data), "--out", str(model_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{data} line 2" in err and "at least one feature column" in err
         assert not model_path.exists()

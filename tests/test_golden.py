@@ -21,7 +21,7 @@ GOLDEN_SHA256 = {
     "migrations.csv": "55a82a3d4384f52860d4c6951b79933eff3c5c2ec854d64de519265e87cda8c7",
     "loss_curve.csv": "d7df3e8881f7d292825bd50dc3076af945f21ab8710cf1c44a1f32f7d0290b2b",
     "trace.csv": "fea509978f29dacf72969f1a93a92052bd942e404e7c9625fd19183c55cd863a",
-    "model.bin": "e93ccfb44043fb03520a235c58fd9c0a38a899ab344a285612a0e9f00fb364aa",
+    "model.bin": "45df27d2efdea4c83f2f6107e6c627931f5923b6b7ea6826dcce55532a17b2d7",
     "hopfield.bin": "2614a75b8eefe3acc0d98c2225dcfb06a0cfc077a065c4d35874f37ab6bb8251",
 }
 

@@ -35,3 +35,24 @@ def test_out_of_range_value_names_the_key(attr, value):
 
 def test_negative_cost_weights_pass():
     Scenario(offload_alpha=-1.0, offload_beta=-1.0, offload_gamma=-1.0).validate()
+
+
+# Each of these used to exhaust memory (or exit 2) while building or training
+# the model; validation rejects them before anything is built.
+@pytest.mark.parametrize(
+    ("attr", "value"),
+    [
+        ("d_model", 257),
+        ("d_model", 5000),
+        ("d_model", 100000),
+        ("train_samples", 1000001),
+        ("train_samples", 1000000000),
+    ],
+)
+def test_above_upper_bound_names_the_key(attr, value):
+    with pytest.raises(ScenarioError, match=attr):
+        Scenario(**{attr: value}).validate()
+
+
+def test_upper_bounds_pass():
+    Scenario(d_model=256, train_samples=1000000).validate()
