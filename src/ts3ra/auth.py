@@ -12,6 +12,13 @@ the all-valid case), while :func:`authenticate` applies the stated intent,
 a plain three-way conjunction of timestamp, PUF and key validity.  Both are
 kept because the gate expression is part of the external contract and the
 conjunction is what admission must actually do.
+
+Registration is two steps, :func:`enroll_device` (draw the salt and the
+challenges, store the CRPs) and :func:`store_registration` (store the record
+of the derived key); :func:`register_device` runs both with
+:func:`derive_key` between them.  The split lets a caller derive keys
+elsewhere: the engine runs only the derivations on a second thread, since
+OpenSSL's PBKDF2 releases the GIL while the rest is Python that holds it.
 """
 
 from __future__ import annotations
@@ -211,6 +218,48 @@ def puf_verify(
     return hmac.compare_digest(stored, supplied)
 
 
+def enroll_device(
+    va: VirtualAuthority,
+    device_id: str,
+    password: bytes,
+    puf: SimulatedPuf,
+    rng: np.random.Generator,
+    *,
+    n_challenges: int = DEFAULT_CHALLENGES_PER_DEVICE,
+    params: Optional[KeyDerivationParams] = None,
+) -> KeyDerivationParams:
+    """First step of :func:`register_device`: draw the salt and the
+    challenges, enroll the CRPs, and return the key-derivation inputs.
+
+    The salt and the challenges are 16 octets each, taken in that order from
+    one draw; that gives the same octets, and leaves ``rng`` in the same
+    state, as one 16-octet draw each.  A salt is drawn even when ``params``
+    is given, so that the stream does not depend on it.
+    """
+    octets = rng.integers(0, 256, size=16 * (1 + n_challenges), dtype=np.uint8).tobytes()
+    if params is None:
+        params = KeyDerivationParams(password=password, salt=octets[:16])
+    for lo in range(16, len(octets), 16):
+        challenge = octets[lo : lo + 16]
+        puf_enroll(va, PufChallengeResponse(device_id, challenge, puf.respond(challenge)))
+    return params
+
+
+def store_registration(
+    va: VirtualAuthority, device_id: str, params: KeyDerivationParams, derived_key: bytes
+) -> RegistrationRecord:
+    """Second step of :func:`register_device`: store the record of a key
+    derived from ``params``."""
+    record = RegistrationRecord(
+        device_id=device_id,
+        salt=params.salt,
+        derived_key=derived_key,
+        params=params,
+    )
+    va.registered[device_id] = record
+    return record
+
+
 def register_device(
     va: VirtualAuthority,
     device_id: str,
@@ -221,21 +270,11 @@ def register_device(
     n_challenges: int = DEFAULT_CHALLENGES_PER_DEVICE,
     params: Optional[KeyDerivationParams] = None,
 ) -> RegistrationRecord:
-    """Enroll a device: derive and store its key, enroll CRPs."""
-    salt = bytes(rng.integers(0, 256, size=16, dtype=np.uint8))
-    if params is None:
-        params = KeyDerivationParams(password=password, salt=salt)
-    record = RegistrationRecord(
-        device_id=device_id,
-        salt=params.salt,
-        derived_key=derive_key(params),
-        params=params,
+    """Enroll a device's CRPs, then derive and store its key."""
+    params = enroll_device(
+        va, device_id, password, puf, rng, n_challenges=n_challenges, params=params
     )
-    va.registered[device_id] = record
-    for _ in range(n_challenges):
-        challenge = bytes(rng.integers(0, 256, size=16, dtype=np.uint8))
-        puf_enroll(va, PufChallengeResponse(device_id, challenge, puf.respond(challenge)))
-    return record
+    return store_registration(va, device_id, params, derive_key(params))
 
 
 def authenticate(

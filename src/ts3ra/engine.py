@@ -42,12 +42,21 @@ six decimals, the text of ``f"{t / 1e6:.6f}"`` for every ``t`` below 2**52.
 No event is scheduled after the horizon (``Engine.end_us``), so no control
 work starts after it; packets in flight at the horizon drain at the end of
 the run.
+
+Set-up enrolls the devices on the main thread, in device order, so the
+``puf`` stream is drawn as one registration at a time would draw it.  Their
+PBKDF2 key derivations then run on one second thread while the slice
+selector trains on the main one, and their records are stored after it is
+joined, before the first event.  Only the derivations move: OpenSSL
+releases the GIL while it stretches a key, whereas the draws, HMACs and
+stores are Python, which would wait on the GIL behind training.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import threading
 from collections import deque
 from itertools import chain
 from typing import Callable, Optional
@@ -234,6 +243,15 @@ def _load_model(path: str) -> sn_mod.SliceNetModel:
             f"the engine gives {sn_mod.DEFAULT_N_FEATURES}"
         )
     return model
+
+
+def _derive_keys(params: list[auth_mod.KeyDerivationParams], outcome: list) -> None:
+    """Body of the key-derivation thread: appends to ``outcome`` every key,
+    in order, or the error that stopped it, which the main thread raises."""
+    try:
+        outcome.append([auth_mod.derive_key(p) for p in params])
+    except BaseException as exc:
+        outcome.append(exc)
 
 
 def size_index(u: np.ndarray) -> np.ndarray:
@@ -479,6 +497,7 @@ class Engine:
         self.sw_of = np.full(n, -1, dtype=np.int64)
         self.suffixes = _RowSuffixes(n)
         self.fair_slas = fair_slas
+        enrolled = []  # (authority, device id, key-derivation inputs)
         for i in range(n):
             device_id = f"d{i:04d}"
             legitimate = i not in illegit
@@ -499,7 +518,8 @@ class Engine:
             )
             if not rt.forged:
                 va = self.vap.authority_for(device_id)
-                auth_mod.register_device(va, device_id, password, puf, rng_puf)
+                params = auth_mod.enroll_device(va, device_id, password, puf, rng_puf)
+                enrolled.append((va, device_id, params))
             self.dev.append(rt)
             self.dev_by_id[device_id] = rt
 
@@ -534,27 +554,41 @@ class Engine:
         self.sched_active = False
         self.slot_us = to_us(sc.slot_duration)
 
-        # slice-selection model
-        if model is not None:
-            self.model = model
-        elif sc.model_path:
-            self.model = _load_model(sc.model_path)
-        else:
-            feats, labels = sn_mod.make_separable_dataset(
-                sc.train_samples, self.hub.substream("slicenet-data")
-            )
-            self.model = sn_mod.SliceNetModel(
-                d_model=sc.d_model, rng=self.hub.substream("slicenet-init")
-            )
-            self.loss_curve = sn_mod.train(
-                self.model,
-                feats,
-                labels,
-                epochs=sc.epochs,
-                learning_rate=sc.learning_rate,
-                rng=self.hub.substream("slicenet-train"),
-                batch_size=32,
-            )
+        # the enrolled devices' keys, derived on a second thread while the
+        # slice-selection model trains on this one (see the module docstring)
+        outcome: list = []
+        worker = threading.Thread(
+            target=_derive_keys, args=([p for _, _, p in enrolled], outcome), name="ts3ra-pbkdf2"
+        )
+        worker.start()
+        try:
+            if model is not None:
+                self.model = model
+            elif sc.model_path:
+                self.model = _load_model(sc.model_path)
+            else:
+                feats, labels = sn_mod.make_separable_dataset(
+                    sc.train_samples, self.hub.substream("slicenet-data")
+                )
+                self.model = sn_mod.SliceNetModel(
+                    d_model=sc.d_model, rng=self.hub.substream("slicenet-init")
+                )
+                self.loss_curve = sn_mod.train(
+                    self.model,
+                    feats,
+                    labels,
+                    epochs=sc.epochs,
+                    learning_rate=sc.learning_rate,
+                    rng=self.hub.substream("slicenet-train"),
+                    batch_size=32,
+                )
+        finally:
+            worker.join()
+        (keys,) = outcome
+        if isinstance(keys, BaseException):
+            raise keys
+        for (va, device_id, params), key in zip(enrolled, keys):
+            auth_mod.store_registration(va, device_id, params, key)
 
         # resource pools, sized to expected demand with headroom
         expected = {st: 0.0 for st in ServiceType}

@@ -154,18 +154,41 @@ def _tap_fold(length: int, kernel: int) -> np.ndarray:
     return fold
 
 
-def _depthwise_fwd(a: np.ndarray, dw: np.ndarray):
-    """Same-length depthwise convolution along the length axis of a
-    (channels, length, batch) array: one batched matmul of each channel's
-    (length, length) band, ``band[c, l, m] = dw[m - l + pad, c]`` inside the
-    band and 0 outside."""
-    k, c = dw.shape
-    band = np.concatenate((dw.T, np.zeros((c, 1))), axis=1)[:, _tap_index(a.shape[1], k)]
-    return band @ a, band
+@lru_cache(maxsize=8)
+def _band_index(shapes: tuple[tuple[int, int], ...], length: int) -> np.ndarray:
+    """Where each entry of a stack of depthwise bands sits among the
+    kernels' entries laid end to end, row-major, with one zero appended.
+
+    A (taps, channels) kernel ``dw`` has one (length, length) band per
+    channel, ``band[c, l, m] = dw[m - l + pad, c]`` inside the band and the
+    appended zero outside; the kernels' bands are stacked along the channel
+    axis, in the order of ``shapes``.
+    """
+    size = sum(k * c for k, c in shapes)
+    parts, offset = [], 0
+    for kernel, channels in shapes:
+        tap = _tap_index(length, kernel)
+        idx = offset + tap * channels + np.arange(channels)[:, None, None]
+        parts.append(np.where(tap == kernel, size, idx))
+        offset += kernel * channels
+    index = np.concatenate(parts)
+    index.flags.writeable = False
+    return index
+
+
+def _bands(kernels: Sequence[np.ndarray], length: int) -> list[np.ndarray]:
+    """The (channels, length, length) band of each depthwise kernel, all from
+    one ``take``.  A same-length depthwise convolution along the length axis
+    of a (channels, length, batch) array ``a`` is ``band @ a``."""
+    entries = np.concatenate([dw.ravel() for dw in kernels] + [np.zeros(1)])
+    bands = entries.take(_band_index(tuple(dw.shape for dw in kernels), length))
+    ends = accumulate(dw.shape[1] for dw in kernels)
+    return [bands[end - dw.shape[1] : end] for dw, end in zip(kernels, ends)]
 
 
 def _depthwise_bwd(dout: np.ndarray, a: np.ndarray, band: np.ndarray, kernel: int):
-    """Gradients of ``_depthwise_fwd`` for its input and its kernel."""
+    """Gradients of the depthwise convolution ``band @ a`` for its input and
+    its kernel."""
     c, length, _ = a.shape
     da = band.swapaxes(1, 2) @ dout
     d_band = dout @ a.swapaxes(1, 2)
@@ -173,10 +196,11 @@ def _depthwise_bwd(dout: np.ndarray, a: np.ndarray, band: np.ndarray, kernel: in
     return da, d_dw
 
 
-def _conv_step_fwd(p: ConvStepParams, x: np.ndarray):
-    """LN(pointwise(depthwise(relu(x)))) with everything cached for backward."""
+def _conv_step_fwd(p: ConvStepParams, x: np.ndarray, band: np.ndarray):
+    """LN(pointwise(depthwise(relu(x)))) with everything cached for backward;
+    ``band`` is ``p.dw``'s band."""
     a = np.maximum(x, 0.0)
-    d, band = _depthwise_fwd(a, p.dw)
+    d = band @ a
     c_in, length, b = d.shape
     s = p.pw.T @ d.reshape(c_in, -1) + p.pb[:, None]
     c = len(s)
@@ -194,14 +218,15 @@ def _conv_step_bwd(p: ConvStepParams, cache, dout: np.ndarray, grads: dict, pref
     x, a, band, d, xhat, inv = cache
     c = len(xhat)
     dout = dout.reshape(c, -1)
-    grads[prefix + "ln_gain"] += (dout * xhat).sum(axis=1)
-    grads[prefix + "ln_bias"] += dout.sum(axis=1)
+    # each step's gradient views are written once per backward pass
+    np.sum(dout * xhat, axis=1, out=grads[prefix + "ln_gain"])
+    np.sum(dout, axis=1, out=grads[prefix + "ln_bias"])
     dxhat = dout * p.ln_gain[:, None]
     ds = inv / c * (
         c * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)
     )
     grads[prefix + "pw"] += d.reshape(len(d), -1) @ ds.T
-    grads[prefix + "pb"] += ds.sum(axis=1)
+    np.sum(ds, axis=1, out=grads[prefix + "pb"])
     dd = (p.pw @ ds).reshape(d.shape)
     da, d_dw = _depthwise_bwd(dd, a, band, p.kernel)
     grads[prefix + "dw"] += d_dw
@@ -217,7 +242,8 @@ def conv_step(params: ConvStepParams, x: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"channel mismatch: input has {x.shape[1]}, kernel expects {params.dw.shape[1]}"
         )
-    out, _ = _conv_step_fwd(params, x.T[:, :, None])
+    (band,) = _bands([params.dw], len(x))
+    out, _ = _conv_step_fwd(params, x.T[:, :, None], band)
     return out[:, :, 0].T
 
 
@@ -235,14 +261,15 @@ class ConvModuleParams:
 def _conv_module_fwd(
     m: ConvModuleParams,
     x: np.ndarray,
+    bands: Sequence[np.ndarray],
     training: bool,
     rng: Optional[np.random.Generator],
 ):
-    h1, c1 = _conv_step_fwd(m.steps[0], x)
-    s2, c2 = _conv_step_fwd(m.steps[1], h1)
+    h1, c1 = _conv_step_fwd(m.steps[0], x, bands[0])
+    s2, c2 = _conv_step_fwd(m.steps[1], h1, bands[1])
     h2 = x + s2
-    h3, c3 = _conv_step_fwd(m.steps[2], h2)
-    s4, c4 = _conv_step_fwd(m.steps[3], h3)
+    h3, c3 = _conv_step_fwd(m.steps[2], h2, bands[2])
+    s4, c4 = _conv_step_fwd(m.steps[3], h3, bands[3])
     h4 = x + s4
     if training:
         if rng is None:
@@ -277,7 +304,8 @@ def conv_module(
     if mode not in ("training", "inference"):
         raise ValueError("mode must be 'training' or 'inference'")
     x = np.asarray(x, dtype=np.float64)
-    out, _ = _conv_module_fwd(params, x.T[:, :, None], mode == "training", rng)
+    bands = _bands([step.dw for step in params.steps], len(x))
+    out, _ = _conv_module_fwd(params, x.T[:, :, None], bands, mode == "training", rng)
     return out[:, :, 0].T
 
 
@@ -289,11 +317,13 @@ class AttentionParams:
     proj2: ConvStepParams  # target channels -> source channels
 
 
-def _attention_fwd(p: AttentionParams, source: np.ndarray, target: np.ndarray):
+def _attention_fwd(
+    p: AttentionParams, source: np.ndarray, target: np.ndarray, bands: Sequence[np.ndarray]
+):
     ct, lt, _ = target.shape
     t_in = target + timing_signal(lt, ct).T[:, :, None]
-    q1, c1 = _conv_step_fwd(p.proj1, t_in)
-    q2, c2 = _conv_step_fwd(p.proj2, q1)
+    q1, c1 = _conv_step_fwd(p.proj1, t_in, bands[0])
+    q2, c2 = _conv_step_fwd(p.proj2, q1, bands[1])
     scale = 1.0 / math.sqrt(len(source))
     # batch-first copies: each row's (positions, channels) matrices are
     # the operands of one batched matmul
@@ -329,7 +359,8 @@ def attention_module(
     target = np.asarray(target, dtype=np.float64)
     if source.ndim != 2 or target.ndim != 2:
         raise ValueError("source and target must be (length, channels)")
-    out, _ = _attention_fwd(params, source.T[:, :, None], target.T[:, :, None])
+    bands = _bands([params.proj1.dw, params.proj2.dw], len(target))
+    out, _ = _attention_fwd(params, source.T[:, :, None], target.T[:, :, None], bands)
     return out[:, :, 0].T
 
 
@@ -337,7 +368,8 @@ def attention_weights(
     params: AttentionParams, source: np.ndarray, target: np.ndarray
 ) -> np.ndarray:
     """The softmax weight matrix (target positions x source positions)."""
-    _, cache = _attention_fwd(params, source.T[:, :, None], target.T[:, :, None])
+    bands = _bands([params.proj1.dw, params.proj2.dw], len(target))
+    _, cache = _attention_fwd(params, source.T[:, :, None], target.T[:, :, None], bands)
     return cache[4][0]
 
 
@@ -443,14 +475,16 @@ class SliceNetModel:
         rng: Optional[np.random.Generator],
     ):
         x = self._lift(features)
-        enc, enc_cache = _conv_module_fwd(self.encoder, x, training, rng)
+        steps = [*self.encoder.steps, *self.decoder.steps, self.attention.proj1, self.attention.proj2]
+        bands = _bands([step.dw for step in steps], x.shape[1])
+        enc, enc_cache = _conv_module_fwd(self.encoder, x, bands[:4], training, rng)
         if history is None:
             hist = np.zeros_like(enc)
         else:
             hist = np.broadcast_to(history, enc.shape[::-1]).T
         mix = np.concatenate([enc, hist], axis=0)
-        dec, dec_cache = _conv_module_fwd(self.decoder, mix, training, rng)
-        attn, attn_cache = _attention_fwd(self.attention, enc, dec)
+        dec, dec_cache = _conv_module_fwd(self.decoder, mix, bands[4:8], training, rng)
+        attn, attn_cache = _attention_fwd(self.attention, enc, dec, bands[8:])
         pooled = np.concatenate([dec, attn], axis=0).mean(axis=1)
         logits = pooled.T @ self.head_w + self.head_b
         cache = (features, x, enc_cache, dec_cache, attn_cache, pooled)
@@ -462,7 +496,7 @@ class SliceNetModel:
         flat_grad = np.zeros_like(self.flat)
         grads = self.tensor_views(flat_grad)
         grads["head_w"] += pooled @ dlogits
-        grads["head_b"] += dlogits.sum(axis=0)
+        np.sum(dlogits, axis=0, out=grads["head_b"])
         c3, length, b = len(pooled), x.shape[1], len(dlogits)
         d_pooled = (self.head_w @ dlogits.T) / length
         d_combined = np.broadcast_to(d_pooled[:, None, :], (c3, length, b))
@@ -475,7 +509,7 @@ class SliceNetModel:
         d_enc = d_mix[: self.d_model] + d_enc_src  # history half is constant
         d_x = _conv_module_bwd(self.encoder, enc_cache, d_enc, grads, "enc")
         grads["lift_w"] += (d_x * features.T).sum(axis=2).T
-        grads["lift_b"] += d_x.sum(axis=2).T
+        np.sum(d_x, axis=2, out=grads["lift_b"].T)
         return flat_grad
 
     def logits(self, features: np.ndarray) -> np.ndarray:

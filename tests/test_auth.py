@@ -7,6 +7,7 @@ from ts3ra.auth import (
     AuthVerdict,
     KeyDerivationParams,
     PufChallengeResponse,
+    RegistrationRecord,
     SimulatedPuf,
     TamperError,
     UnknownDeviceError,
@@ -16,10 +17,12 @@ from ts3ra.auth import (
     authenticate,
     boolean_gate_literal,
     derive_key,
+    enroll_device,
     pbkdf2_bytes,
     puf_enroll,
     puf_verify,
     register_device,
+    store_registration,
 )
 
 # Published key-stretching vectors (HMAC-SHA-1, salts shorter than the
@@ -162,6 +165,53 @@ class TestPuf:
         va, _, _, rng = enrolled
         with pytest.raises(UnknownDeviceError):
             puf_verify(va, "ghost", b"x", rng)
+
+
+def per_challenge_registration(va, device_id, password, puf, rng, n_challenges, params=None):
+    """Reference: one 16-octet draw for the salt, then one per challenge,
+    with the record stored before the challenges are enrolled."""
+    salt = bytes(rng.integers(0, 256, size=16, dtype=np.uint8))
+    params = params or KeyDerivationParams(password=password, salt=salt)
+    va.registered[device_id] = RegistrationRecord(device_id, params.salt, derive_key(params), params)
+    for _ in range(n_challenges):
+        challenge = bytes(rng.integers(0, 256, size=16, dtype=np.uint8))
+        puf_enroll(va, PufChallengeResponse(device_id, challenge, puf.respond(challenge)))
+
+
+class TestRegisterDevice:
+    @pytest.mark.parametrize("n_challenges", [0, 1, 8, 13])
+    @pytest.mark.parametrize("seed", [0, 3, 2**40 + 7])
+    def test_one_draw_equals_sixteen_octet_draws(self, seed, n_challenges):
+        # The octets come four to a 32-bit word, so a 16-octet draw leaves
+        # none over: one draw of all of them is the same stream.
+        one = np.random.Generator(np.random.PCG64(seed))
+        many = np.random.Generator(np.random.PCG64(seed))
+        octets = one.integers(0, 256, size=16 * (1 + n_challenges), dtype=np.uint8)
+        pieces = [many.integers(0, 256, size=16, dtype=np.uint8) for _ in range(1 + n_challenges)]
+        assert octets.tobytes() == b"".join(p.tobytes() for p in pieces)
+        assert one.bit_generator.state == many.bit_generator.state
+        assert one.random() == many.random()
+
+    @pytest.mark.parametrize("n_challenges", [0, 1, 8])
+    @pytest.mark.parametrize("given_params", [False, True])
+    def test_equals_per_challenge_draws(self, n_challenges, given_params):
+        params = KeyDerivationParams(b"given", b"s" * 16) if given_params else None
+        puf = SimulatedPuf(b"\x02" * 32)
+        ref_va, ref_rng = VirtualAuthority("VA0"), np.random.default_rng(9)
+        per_challenge_registration(ref_va, "d", b"pw", puf, ref_rng, n_challenges, params)
+        va, rng = VirtualAuthority("VA0"), np.random.default_rng(9)
+        record = register_device(va, "d", b"pw", puf, rng, n_challenges=n_challenges, params=params)
+        assert record == ref_va.registered["d"]
+        assert va == ref_va
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_enroll_stores_no_record_until_the_second_step(self):
+        va = VirtualAuthority("VA0")
+        params = enroll_device(va, "d", b"pw", SimulatedPuf(b"\x03" * 32), np.random.default_rng(4))
+        assert len(va.crp_store["d"]) == 8 and not va.registered
+        record = store_registration(va, "d", params, derive_key(params))
+        assert va.registered == {"d": record}
+        assert record.derived_key == derive_key(KeyDerivationParams(b"pw", params.salt))
 
 
 class TestAuthenticate:

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from bisect import bisect_right
 from pathlib import Path
 from unittest import mock
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ts3ra import auth as auth_mod
 from ts3ra import engine as engine_mod
 from ts3ra.domain import ServiceType
 from ts3ra.engine import (
@@ -37,7 +39,9 @@ from ts3ra.engine import (
     size_index,
 )
 from ts3ra.metrics import SLICE_ORDER, SliceCounters, derive_slice_metrics
+from ts3ra.rng import RngHub
 from ts3ra.scenario import Scenario, ScenarioError
+from ts3ra.slicenet import TrainingDivergedError
 
 ROOT = Path(__file__).resolve().parent.parent
 NEVER = np.iinfo(np.int64).max
@@ -286,6 +290,75 @@ class TestDeterminism:
         rows_b, trace_b = capture()
         assert rows_a == rows_b
         assert trace_a == trace_b
+
+
+class TestDeviceRegistration:
+    """Keys are derived on a second thread while the model trains."""
+
+    def scenario(self) -> Scenario:
+        # half the devices illegitimate and half of those forged: some
+        # devices register and some do not
+        return small_scenario(
+            devices=12, train_samples=60, epochs=1, illegitimate_fraction=0.5, forged_fraction=0.5
+        )
+
+    def test_records_equal_sequential_registration(self, monkeypatch):
+        threads, derive_key = [], auth_mod.derive_key
+
+        def spy(params):
+            threads.append(threading.current_thread())
+            return derive_key(params)
+
+        monkeypatch.setattr(auth_mod, "derive_key", spy)
+        sc = self.scenario()
+        engine = Engine(sc)
+        monkeypatch.undo()
+        registered = [rt for rt in engine.dev if not rt.forged]
+        assert 0 < len(registered) < len(engine.dev)
+        assert len(threads) == len(registered)
+        assert threading.main_thread() not in threads
+
+        rng_puf = RngHub(sc.seed).substream("puf")
+        pool = auth_mod.VirtualAuthorityPool()
+        for rt in engine.dev:
+            puf = auth_mod.SimulatedPuf(bytes(rng_puf.integers(0, 256, size=32, dtype=np.uint8)))
+            if not rt.forged:
+                va = pool.authority_for(rt.device.device_id)
+                auth_mod.register_device(va, rt.device.device_id, rt.password, puf, rng_puf)
+        assert engine.vap.authorities == pool.authorities
+        for rt in registered:
+            record = engine.vap.authority_for(rt.device.device_id).registered[rt.device.device_id]
+            assert record.derived_key == auth_mod.derive_key(record.params)
+
+    def test_thread_joined_after_training(self):
+        before = threading.active_count()
+        Engine(self.scenario())
+        assert threading.active_count() == before
+
+    def test_thread_joined_with_a_supplied_model(self):
+        before = threading.active_count()
+        Engine(self.scenario(), model=tiny_model())
+        assert threading.active_count() == before
+
+    def test_thread_joined_when_training_diverges(self, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise TrainingDivergedError("loss became non-finite")
+
+        monkeypatch.setattr(engine_mod.sn_mod, "train", diverge)
+        before = threading.active_count()
+        with pytest.raises(TrainingDivergedError):
+            Engine(self.scenario())
+        assert threading.active_count() == before
+
+    def test_key_derivation_error_surfaces(self, monkeypatch):
+        def fail(params):
+            raise ValueError("key derivation failed")
+
+        monkeypatch.setattr(auth_mod, "derive_key", fail)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="key derivation failed"):
+            Engine(self.scenario())
+        assert threading.active_count() == before
 
 
 class TestPipelineSteps:

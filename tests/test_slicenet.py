@@ -20,8 +20,8 @@ from ts3ra.slicenet import (
     SliceFeatureVector,
     SliceNetModel,
     TrainingDivergedError,
+    _bands,
     _depthwise_bwd,
-    _depthwise_fwd,
     attention_module,
     attention_weights,
     conv_module,
@@ -126,7 +126,8 @@ class TestDepthwiseBitIdentity:
             a = np.maximum(rng.normal(size=shape), 0.0)  # exact zeros, as after ReLU
             dw = rng.uniform(-1, 1, size=(kernel, channels)) / math.sqrt(kernel)
             dout = rng.normal(size=shape)
-            out, band = _depthwise_fwd(a.T, dw)
+            (band,) = _bands([dw], DEFAULT_N_FEATURES)
+            out = band @ a.T
             ref_out, a_pad = tap_loop_fwd(a, dw)
             assert np.all(np.abs(out.T - ref_out) <= 1e-12 * tap_loop_fwd(a, abs(dw))[0])
             da, d_dw = _depthwise_bwd(dout.T, a.T, band, kernel)
@@ -134,6 +135,28 @@ class TestDepthwiseBitIdentity:
             mag_da, mag_d_dw = tap_loop_bwd(abs(dout), a_pad, abs(dw))
             assert np.all(np.abs(da.T - ref_da) <= 1e-12 * mag_da)
             assert np.all(np.abs(d_dw - ref_d_dw) <= 1e-12 * mag_d_dw)
+
+
+class TestBands:
+    @pytest.mark.parametrize("d_model", [8, 16])
+    def test_stacked_bands_equal_each_kernels_own(self, d_model):
+        # A forward pass takes the bands of all ten steps in one take.
+        model = SliceNetModel(d_model=d_model, rng=np.random.default_rng(d_model))
+        steps = model.encoder.steps + model.decoder.steps
+        kernels = [step.dw for step in steps + [model.attention.proj1, model.attention.proj2]]
+        bands = _bands(kernels, DEFAULT_N_FEATURES)
+        assert len(bands) == 10
+        for band, dw in zip(bands, kernels):
+            assert np.array_equal(band, _bands([dw], DEFAULT_N_FEATURES)[0])
+
+    def test_band_of_one_kernel(self):
+        dw = np.arange(1.0, 7.0).reshape(3, 2)  # taps x channels
+        (band,) = _bands([dw], 4)
+        for c in range(2):
+            for l in range(4):
+                for m in range(4):
+                    tap = m - l + 1
+                    assert band[c, l, m] == (dw[tap, c] if 0 <= tap < 3 else 0.0)
 
 
 class TestConvModule:
