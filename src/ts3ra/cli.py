@@ -204,7 +204,8 @@ def _cmd_train_slicenet(args: argparse.Namespace) -> int:
 
     lo, hi = sn.LEARNING_RATE_RANGE
     for flag, value, ok, rule in (
-        ("--epochs", args.epochs, args.epochs >= 1, ">= 1"),
+        ("--epochs", args.epochs, 1 <= args.epochs <= sn.MAX_EPOCHS,
+         f"within [1, {sn.MAX_EPOCHS}]"),
         ("--lr", args.lr, lo <= args.lr <= hi, f"within [{lo}, {hi}]"),
         ("--d-model", args.d_model, 1 <= args.d_model <= sn.MAX_D_MODEL,
          f"within [1, {sn.MAX_D_MODEL}]"),
@@ -292,7 +293,10 @@ def _cmd_train_slicenet(args: argparse.Namespace) -> int:
     save_slicenet(model, args.out)
     if args.curve:
         Path(args.curve).write_text("\n".join(curve.rows()) + "\n")
-    print(f"{args.out} (final accuracy {curve.accuracies[-1]:.4f})")
+    print(
+        f"{args.out} ({len(curve.epochs)} of at most {args.epochs} epochs, "
+        f"final accuracy {curve.accuracies[-1]:.4f})"
+    )
     return EXIT_OK
 
 

@@ -47,9 +47,11 @@ Set-up enrolls the devices on the main thread, in device order, so the
 ``puf`` stream is drawn as one registration at a time would draw it.  Their
 PBKDF2 key derivations then run on one second thread while the slice
 selector trains on the main one, and their records are stored after it is
-joined, before the first event.  Only the derivations move: OpenSSL
-releases the GIL while it stretches a key, whereas the draws, HMACs and
-stores are Python, which would wait on the GIL behind training.
+joined, before the first event.  Training stops once it has converged, so
+it can end before the derivations do; the main thread then waits at the
+join.  Only the derivations move: OpenSSL releases the GIL while it
+stretches a key, whereas the draws, HMACs and stores are Python, which
+would wait on the GIL behind training.
 """
 
 from __future__ import annotations

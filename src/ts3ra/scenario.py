@@ -14,7 +14,7 @@ from typing import Any
 
 from .domain import Protocol, ServiceType
 from .sched import SchedulerConfig, SchedulerConfigError, validate_config
-from .slicenet import LEARNING_RATE_RANGE, MAX_D_MODEL
+from .slicenet import LEARNING_RATE_RANGE, MAX_D_MODEL, MAX_EPOCHS
 
 
 class ScenarioError(ValueError):
@@ -59,10 +59,10 @@ RANGE_RULES = (
     (
         ">= 1",
         lambda v: v >= 1,
-        ("aps", "switches", "demand_embb", "demand_urllc", "demand_mmtc", "packet_length",
-         "epochs"),
+        ("aps", "switches", "demand_embb", "demand_urllc", "demand_mmtc", "packet_length"),
     ),
     (f"in [1, {MAX_D_MODEL}]", lambda v: 1 <= v <= MAX_D_MODEL, ("d_model",)),
+    (f"in [1, {MAX_EPOCHS}]", lambda v: 1 <= v <= MAX_EPOCHS, ("epochs",)),
     (
         f"in [1, {MAX_TRAIN_SAMPLES}]",
         lambda v: 1 <= v <= MAX_TRAIN_SAMPLES,

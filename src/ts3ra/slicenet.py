@@ -39,6 +39,11 @@ DEFAULT_D_MODEL = 8
 MAX_D_MODEL = 256
 DEFAULT_N_FEATURES = 7
 LEARNING_RATE_RANGE = (0.001, 0.1)
+# ``train`` stops after the first epoch whose accuracy pass reads 1 and whose
+# mean training loss is below this, so ``epochs`` is a cap.
+CONVERGED_LOSS = 0.02
+# The most epochs ``train``, a scenario or ``train-slicenet`` may ask for.
+MAX_EPOCHS = 1_000
 # Rows per forward pass in ``SliceNetModel.logits``.
 LOGITS_CHUNK_ROWS = 64
 
@@ -649,12 +654,18 @@ def train(
     rng: np.random.Generator,
     batch_size: int = 32,
 ) -> LossCurve:
-    """Cross-entropy training with Adam; loss and accuracy logged per epoch."""
+    """Cross-entropy training with Adam; loss and accuracy logged per epoch.
+
+    Training ends after the first epoch that classifies every row correctly
+    at a mean loss below ``CONVERGED_LOSS``, or after ``epochs`` epochs.
+    The check comes after the epoch's updates and draws, so a run that stops
+    at epoch k leaves the model, the curve and ``rng`` as ``epochs = k`` does.
+    """
     lo, hi = LEARNING_RATE_RANGE
     if not (lo <= learning_rate <= hi):
         raise ValueError(f"learning_rate must be within [{lo}, {hi}]")
-    if epochs < 1:
-        raise ValueError(f"epochs must be >= 1 (got {epochs!r})")
+    if not (1 <= epochs <= MAX_EPOCHS):
+        raise ValueError(f"epochs must be in [1, {MAX_EPOCHS}] (got {epochs!r})")
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64).ravel()
     if len(features) == 0:
@@ -680,6 +691,8 @@ def train(
         curve.epochs.append(epoch)
         curve.losses.append(epoch_loss / n)
         curve.accuracies.append(accuracy(model, features, labels))
+        if curve.accuracies[-1] == 1.0 and curve.losses[-1] < CONVERGED_LOSS:
+            break
     return curve
 
 

@@ -296,7 +296,7 @@ def test_criterion_7_slicenet_numerics():
         time.perf_counter() - t0,
         60.0,
         f"gradient check rel err {worst:.2e} < 1e-4; softmax rows sum to 1; "
-        f"10-epoch accuracy {accuracy:.3f} >= 0.95",
+        f"accuracy {accuracy:.3f} >= 0.95 after {len(curve.epochs)} of at most 10 epochs",
     )
 
 

@@ -165,6 +165,10 @@ class TestRunCommand:
             ("slicenet", "d_model", "100000"),
             ("slicenet", "train_samples", "1000001"),
             ("slicenet", "train_samples", "1000000000"),
+            # upper bound: training this long never ends on data that does
+            # not converge
+            ("slicenet", "epochs", "1001"),
+            ("slicenet", "epochs", "100000000"),
             ("network", "auth_delay", "inf"),
             ("network", "decision_delay", "inf"),
             ("flows", "arrival_window", "inf"),
@@ -463,7 +467,7 @@ class TestSummarize:
 
 
 class TestTrainCommand:
-    def test_end_to_end(self, tmp_path):
+    def test_end_to_end(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         from ts3ra.slicenet import make_separable_dataset
 
@@ -486,6 +490,8 @@ class TestTrainCommand:
         assert code == 0
         assert model_path.exists()
         assert curve_path.read_text().startswith("epoch,loss,accuracy")
+        epochs_run = len(curve_path.read_text().splitlines()) - 1
+        assert f"({epochs_run} of at most 3 epochs," in capsys.readouterr().out
 
         from ts3ra.serialization import load_slicenet
 
@@ -501,6 +507,8 @@ class TestTrainCommand:
         [
             ("--epochs", "0"),
             ("--epochs", "-1"),
+            ("--epochs", "1001"),
+            ("--epochs", "100000000"),
             ("--lr", "0.5"),
             ("--d-model", "0"),
             ("--d-model", "257"),

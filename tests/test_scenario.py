@@ -38,7 +38,8 @@ def test_negative_cost_weights_pass():
 
 
 # Each of these used to exhaust memory (or exit 2) while building or training
-# the model; validation rejects them before anything is built.
+# the model, or, for epochs, to train for months on data that never
+# converges; validation rejects them before anything is built.
 @pytest.mark.parametrize(
     ("attr", "value"),
     [
@@ -47,6 +48,8 @@ def test_negative_cost_weights_pass():
         ("d_model", 100000),
         ("train_samples", 1000001),
         ("train_samples", 1000000000),
+        ("epochs", 1001),
+        ("epochs", 100000000),
     ],
 )
 def test_above_upper_bound_names_the_key(attr, value):
@@ -55,4 +58,4 @@ def test_above_upper_bound_names_the_key(attr, value):
 
 
 def test_upper_bounds_pass():
-    Scenario(d_model=256, train_samples=1000000).validate()
+    Scenario(d_model=256, train_samples=1000000, epochs=1000).validate()

@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 
 from ts3ra.domain import ServiceType
+from ts3ra.rng import RngHub
 from ts3ra.serialization import load_slicenet, save_slicenet
 from ts3ra.slicenet import (
     ATTN_KERNEL,
+    CONVERGED_LOSS,
     DEFAULT_D_MODEL,
     DEFAULT_N_FEATURES,
     ENC_KERNELS,
     LOGITS_CHUNK_ROWS,
+    MAX_EPOCHS,
     AdamOptimizer,
     AttentionParams,
     ConvModuleParams,
@@ -456,6 +459,12 @@ class TestTraining:
         with pytest.raises(ValueError, match="epochs"):
             train(model, feats, labels, epochs, 0.01, np.random.default_rng(0))
 
+    def test_epochs_above_cap_rejected(self):
+        model = SliceNetModel(rng=np.random.default_rng(5))
+        feats, labels = make_separable_dataset(10, np.random.default_rng(6))
+        with pytest.raises(ValueError, match="epochs"):
+            train(model, feats, labels, MAX_EPOCHS + 1, 0.01, np.random.default_rng(0))
+
     def test_empty_dataset_rejected(self):
         model = SliceNetModel(rng=np.random.default_rng(7))
         with pytest.raises(ValueError):
@@ -489,3 +498,48 @@ class TestTraining:
         rows = curve.rows()
         assert rows[0] == "epoch,loss,accuracy"
         assert len(rows) == 3
+
+
+def engine_training(seed, rows, epochs):
+    """Train as the engine does at ``seed``: its three ``slicenet-*``
+    substreams, ``rows`` synthesized rows, d_model 8, learning rate 0.01.
+    Returns the model, its curve and the training generator."""
+    hub = RngHub(seed)
+    feats, labels = make_separable_dataset(rows, hub.substream("slicenet-data"))
+    model = SliceNetModel(d_model=8, rng=hub.substream("slicenet-init"))
+    rng = hub.substream("slicenet-train")
+    curve = train(model, feats, labels, epochs, 0.01, rng)
+    return model, curve, rng
+
+
+def converged(curve, i):
+    return curve.accuracies[i] == 1.0 and curve.losses[i] < CONVERGED_LOSS
+
+
+class TestConvergenceStop:
+    def test_stop_equals_run_capped_at_that_epoch(self):
+        # The stock default scenario's training stops early; the stopped run
+        # leaves everything as a run capped at the stopping epoch does.
+        model, curve, rng = engine_training(42, 600, 10)
+        k = len(curve.epochs)
+        assert k < 10
+        assert converged(curve, k - 1)
+        assert not any(converged(curve, i) for i in range(k - 1))
+        capped, capped_curve, capped_rng = engine_training(42, 600, k)
+        assert model.flat.tobytes() == capped.flat.tobytes()
+        assert curve == capped_curve
+        assert rng.random() == capped_rng.random()
+
+    def test_unconverged_training_runs_to_the_cap(self):
+        # The smoke scenario's 240 rows do not converge within its 3 epochs.
+        _, curve, _ = engine_training(7, 240, 3)
+        assert curve.epochs == [1, 2, 3]
+        assert not any(converged(curve, i) for i in range(3))
+
+    @pytest.mark.parametrize(("seed", "spike_epoch"), [(43, 7), (30001, 9)])
+    def test_stops_before_late_adam_spike(self, seed, spike_epoch):
+        # Trained for all 10 epochs, these seeds jump to a high loss and an
+        # accuracy below 1 at ``spike_epoch``; the stop ends training first.
+        _, curve, _ = engine_training(seed, 600, 10)
+        assert len(curve.epochs) < spike_epoch
+        assert curve.accuracies[-1] == 1.0
