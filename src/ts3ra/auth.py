@@ -23,6 +23,14 @@ OpenSSL's PBKDF2 releases the GIL while the rest is Python that holds it.
 
 from __future__ import annotations
 
+__all__ = [
+    "AuthError", "AuthVerdict", "KeyDerivationParams", "PufChallengeResponse",
+    "RegistrationRecord", "SimulatedPuf", "TamperError", "UnknownDeviceError", "VerdictReason",
+    "VirtualAuthority", "VirtualAuthorityPool", "authenticate", "boolean_gate_literal",
+    "derive_key", "enroll_device", "pbkdf2_bytes", "puf_enroll", "puf_verify",
+    "register_device", "store_registration",
+]
+
 import hashlib
 import hmac
 from dataclasses import dataclass, field
@@ -115,6 +123,8 @@ def boolean_gate_literal(timestamp_valid: int, puf_valid: int, key_valid: int) -
 
 
 class VerdictReason(Enum):
+    """Why a device was admitted or rejected."""
+
     OK = "ok"
     BAD_KEY = "bad_key"
     BAD_PUF = "bad_puf"
@@ -124,6 +134,8 @@ class VerdictReason(Enum):
 
 @dataclass(frozen=True)
 class AuthVerdict:
+    """An admission decision and its reason."""
+
     accepted: bool
     reason: VerdictReason
 
@@ -149,6 +161,8 @@ class SimulatedPuf:
 
 @dataclass(frozen=True)
 class PufChallengeResponse:
+    """One challenge issued to a device's PUF and the response it gave."""
+
     device_id: str
     challenge: bytes
     response: bytes
@@ -188,15 +202,6 @@ def puf_enroll(va: VirtualAuthority, crp: PufChallengeResponse) -> None:
     pairs[crp.challenge] = crp.response
 
 
-def issue_challenge(va: VirtualAuthority, device_id: str, rng: np.random.Generator) -> bytes:
-    """Draw one enrolled challenge for the device, uniformly at random."""
-    pairs = va.crp_store.get(device_id)
-    if not pairs:
-        raise UnknownDeviceError(f"device {device_id!r} has no enrolled challenges")
-    challenges = sorted(pairs)  # stable order regardless of insertion history
-    return challenges[int(rng.integers(len(challenges)))]
-
-
 PufResponder = Callable[[bytes], bytes]
 
 
@@ -206,16 +211,20 @@ def puf_verify(
     response: Union[bytes, PufResponder],
     rng: np.random.Generator,
 ) -> bool:
-    """Issue a random enrolled challenge and check the response against it.
+    """Issue an enrolled challenge, drawn uniformly, and check the response
+    against it.
 
     ``response`` is either raw octets (compared literally) or a responder
     callable that is handed the issued challenge, which is how a live
     device answers since it cannot know the challenge in advance.
     """
-    challenge = issue_challenge(va, device_id, rng)
-    stored = va.crp_store[device_id][challenge]
+    pairs = va.crp_store.get(device_id)
+    if not pairs:
+        raise UnknownDeviceError(f"device {device_id!r} has no enrolled challenges")
+    challenges = sorted(pairs)  # stable order regardless of insertion history
+    challenge = challenges[int(rng.integers(len(challenges)))]
     supplied = response(challenge) if callable(response) else response
-    return hmac.compare_digest(stored, supplied)
+    return hmac.compare_digest(pairs[challenge], supplied)
 
 
 def enroll_device(
@@ -319,13 +328,12 @@ def authenticate(
 class VirtualAuthorityPool:
     """Elastic pool of authorities audited by the access point.
 
-    Sizing follows demand: one authority per ``devices_per_authority``
+    Sizing follows demand: one authority per ``DEVICES_PER_AUTHORITY``
     unverified devices, never fewer than one while any device is pending.
     Devices map to authorities by enrollment order.
     """
 
-    def __init__(self, *, devices_per_authority: int = DEVICES_PER_AUTHORITY):
-        self.devices_per_authority = devices_per_authority
+    def __init__(self):
         self.authorities: list[VirtualAuthority] = []
         self._assignment: dict[str, int] = {}
 
@@ -336,7 +344,7 @@ class VirtualAuthorityPool:
     def authority_for(self, device_id: str) -> VirtualAuthority:
         idx = self._assignment.get(device_id)
         if idx is None:
-            idx = len(self._assignment) // self.devices_per_authority
+            idx = len(self._assignment) // DEVICES_PER_AUTHORITY
             self._ensure_size(idx + 1)
             self._assignment[device_id] = idx
         return self.authorities[idx]

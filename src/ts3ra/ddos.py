@@ -14,19 +14,23 @@ terms.
 
 from __future__ import annotations
 
+__all__ = [
+    "VERDICT_ATTACK", "VERDICT_BENIGN", "VERDICT_INCONCLUSIVE", "BandwidthPrediction",
+    "BaselineStats", "EntropyReport", "WindowCounts", "classify_window", "entropy_of_counts",
+    "interarrival_inner_edges", "predict_bandwidth", "quarantine", "renyi_entropy",
+    "shannon_entropy", "window_entropies",
+]
+
 import functools
 import math
-from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 DEFAULT_ALPHA = 2.0
 DEFAULT_K_SIGMA = 3.0
 DEFAULT_MIN_PACKETS = 30
-DEFAULT_WINDOW_DURATION = 1.0  # seconds
 MIN_BASELINE_WINDOWS = 10
 N_INTERARRIVAL_BINS = 16
 DEFAULT_DOMINANCE_FACTOR = 3.0  # multiples of the fair per-source share
@@ -129,38 +133,9 @@ class WindowCounts:
 
 
 @dataclass(frozen=True)
-class TrafficWindow:
-    """One tumbling window of traffic arriving at a switch, given packet by
-    packet; its bin and size counts are derived as :class:`WindowCounts`
-    holds them."""
-
-    window_id: int
-    duration: float
-    source_counts: dict[str, int]
-    interarrival_times: tuple[float, ...]
-    packet_sizes: tuple[int, ...]
-    interarrival_bins: list[int] = field(init=False, repr=False, compare=False)
-    size_counts: dict[int, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("duration must be > 0")
-        if any(c < 0 for c in self.source_counts.values()):
-            raise ValueError("counts must be >= 0")
-        edges = interarrival_inner_edges(self.duration)
-        bins = [0] * N_INTERARRIVAL_BINS
-        for gap in self.interarrival_times:
-            bins[bisect_right(edges, gap)] += 1
-        object.__setattr__(self, "interarrival_bins", bins)
-        object.__setattr__(self, "size_counts", dict(Counter(self.packet_sizes)))
-
-    @property
-    def packet_count(self) -> int:
-        return sum(self.source_counts.values())
-
-
-@dataclass(frozen=True)
 class EntropyReport:
+    """The three entropies of one window and the verdict drawn from them."""
+
     h_source: float
     h_interarrival: float
     h_size: float
@@ -172,13 +147,13 @@ class EntropyReport:
             raise ValueError("alpha must be > 0 and != 1")
 
 
-Window = TrafficWindow | WindowCounts
-
 # An empty inter-arrival or size profile counts as one certain outcome.
 _NO_PACKETS = (1.0,)
 
 
-def window_entropies(window: Window, alpha: float = DEFAULT_ALPHA) -> tuple[float, float, float]:
+def window_entropies(
+    window: WindowCounts, alpha: float = DEFAULT_ALPHA
+) -> tuple[float, float, float]:
     """(source, inter-arrival, size) entropies of one window, in bits."""
     _check_alpha(alpha)
     src = _renyi(list(window.source_counts.values()), alpha)
@@ -203,12 +178,6 @@ class BaselineStats:
     n_windows: int
 
     @classmethod
-    def from_windows(
-        cls, windows: Iterable[Window], alpha: float = DEFAULT_ALPHA
-    ) -> "BaselineStats":
-        return cls.from_triples([window_entropies(w, alpha) for w in windows])
-
-    @classmethod
     def from_triples(
         cls, triples: Sequence[tuple[float, float, float]]
     ) -> "BaselineStats":
@@ -226,7 +195,7 @@ class BaselineStats:
 
 
 def classify_window(
-    window: Window,
+    window: WindowCounts,
     baseline: BaselineStats,
     alpha: float = DEFAULT_ALPHA,
     k_sigma: float = DEFAULT_K_SIGMA,
@@ -252,6 +221,8 @@ def classify_window(
 
 @dataclass(frozen=True)
 class BandwidthPrediction:
+    """A switch's predicted usage and the smoothing that produced it."""
+
     switch_id: str
     predicted_usage: float
     smoothing: float

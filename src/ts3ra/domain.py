@@ -7,8 +7,14 @@ other plane consumes.  All types are immutable; all operations are pure.
 
 from __future__ import annotations
 
+__all__ = [
+    "Device", "Flow", "Protocol", "QoSMeasurement", "QoSProfile", "ServiceType", "SlaRatios",
+    "SliceRequest", "SwitchProfile", "compute_sla_ratios", "fairness_weight", "qos_profile_of",
+    "stable_imsi",
+]
+
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -185,7 +191,7 @@ def stable_imsi(subscriber: str) -> int:
 
 @dataclass(frozen=True)
 class Device:
-    """One user device: identity, mobility state seed, and ground truth.
+    """One user device: identity, speed, and ground truth.
 
     ``legitimate`` is evaluation-only ground truth; no component other than
     the metrics collector may branch on it.
@@ -194,8 +200,6 @@ class Device:
     device_id: str
     imsi: int
     speed: float
-    position: tuple[float, float]
-    waypoint: tuple[float, float]
     legitimate: bool = True
 
     def __post_init__(self):
@@ -254,6 +258,8 @@ class SwitchProfile:
 
 
 class Protocol(Enum):
+    """Transport of a flow: a reliable stream resends a lost packet once."""
+
     RELIABLE_STREAM = "reliable-stream"
     DATAGRAM = "datagram"
 

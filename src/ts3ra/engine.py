@@ -508,8 +508,6 @@ class Engine:
                 device_id=device_id,
                 imsi=stable_imsi(device_id),
                 speed=float(self.speeds[i]),
-                position=(float(self.positions[i, 0]), float(self.positions[i, 1])),
-                waypoint=(float(self.waypoints[i, 0]), float(self.waypoints[i, 1])),
                 legitimate=legitimate,
             )
             password = f"pw-{device_id}".encode()
@@ -612,8 +610,6 @@ class Engine:
         self.allocator = hop_mod.HopfieldAllocator(
             demand_reference={st: self.sc.demand_slots(st) for st in ServiceType}
         )
-
-        self.requests_seen = 0
 
     def _seed_events(self) -> None:
         sc = self.sc
@@ -1031,7 +1027,6 @@ class Engine:
             return
         self.auth_accepted += 1
         rt.authenticated = True
-        self.requests_seen += 1
         service = rt.claimed
         rt.request = SliceRequest(
             origin=rt.device.device_id,
@@ -1133,7 +1128,7 @@ class Engine:
             throughput=c.delivered_bits / elapsed,
             fair_sla=rt.request.fair_sla,
             slice_capacity=self.pool_initial[service],
-            arrival_rate=self.requests_seen / elapsed,
+            arrival_rate=self.auth_accepted / elapsed,
             slice_value=SLICE_VALUES[service],
             demand_slots=rt.request.demand_slots,
         )

@@ -9,6 +9,13 @@ which is scaled by request fairness/demand and drawn from a shared pool.
 
 from __future__ import annotations
 
+__all__ = [
+    "AllocationRequest", "HopfieldAllocator", "PoolExhaustedError", "RecallResult",
+    "ResourceAllocation", "ResourceBundle", "ResourcePool", "decode_pattern", "encode_pattern",
+    "grant_modifier", "recall", "storkey_update", "train_patterns", "update_state",
+    "zero_weights",
+]
+
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -26,10 +33,11 @@ class PoolExhaustedError(Exception):
 
 
 def zero_weights(n: int) -> np.ndarray:
+    """The weights of an untrained network of ``n`` nodes."""
     return np.zeros((n, n), dtype=np.float64)
 
 
-def validate_weights(we: np.ndarray) -> None:
+def _validate_weights(we: np.ndarray) -> None:
     if we.ndim != 2 or we.shape[0] != we.shape[1]:
         raise ValueError("weight matrix must be square")
     if not np.all(np.isfinite(we)):
@@ -47,25 +55,6 @@ def _check_bipolar(st: np.ndarray) -> np.ndarray:
     return st
 
 
-def weighted_sum(we: np.ndarray, st: Sequence[float], i: int) -> float:
-    """Field of node ``i``: sum over j of we[i][j] * st[j]."""
-    st = np.asarray(st, dtype=np.float64)
-    n = we.shape[0]
-    if not (0 <= i < n):
-        raise IndexError(f"node index {i} out of range for size {n}")
-    return float(we[i] @ st)
-
-
-def local_field(we: np.ndarray, pattern: Sequence[float], i: int, j: int) -> float:
-    """Field at node ``i`` excluding contributions of nodes ``i`` and ``j``."""
-    if i == j:
-        raise ValueError("local field requires i != j")
-    pattern = np.asarray(pattern, dtype=np.float64)
-    total = float(we[i] @ pattern)
-    # The diagonal is zero, so only the j-term needs removing explicitly.
-    return total - float(we[i, j]) * float(pattern[j])
-
-
 def storkey_update(we_prev: np.ndarray, pattern: Sequence[float]) -> np.ndarray:
     """Fold one bipolar pattern into the weights.
 
@@ -73,7 +62,7 @@ def storkey_update(we_prev: np.ndarray, pattern: Sequence[float]) -> np.ndarray:
     the local fields h computed against the previous weights; the diagonal
     stays zero and symmetry is preserved exactly.
     """
-    validate_weights(we_prev)
+    _validate_weights(we_prev)
     xi = _check_bipolar(pattern)
     n = we_prev.shape[0]
     if xi.shape != (n,):
@@ -115,6 +104,8 @@ def update_state(
 
 @dataclass(frozen=True)
 class RecallResult:
+    """The state recall stopped in, after how many updates, and why."""
+
     state: np.ndarray
     iterations: int
     status: str  # fixed_point | cycle | max_iters
@@ -187,6 +178,8 @@ class ResourceBundle:
 
 @dataclass(frozen=True)
 class ResourceAllocation:
+    """The resources granted to one request, in the recalled slice."""
+
     slice_id: str
     communication: float
     computation: float
@@ -222,18 +215,6 @@ class ResourcePool:
         self.caching -= cache
 
 
-def default_bundles() -> dict[ServiceType, ResourceBundle]:
-    """Base bundles: each slice's guaranteed bandwidth with unit compute/cache."""
-    return {
-        st: ResourceBundle(
-            communication=qos_profile_of(st).min_bandwidth,
-            computation=1.0,
-            caching=1.0,
-        )
-        for st in ServiceType
-    }
-
-
 # Normalization references for the multiplicative grant modifier.
 SINR_REFERENCE_DB = 40.0
 ARRIVAL_RATE_REFERENCE = 10.0  # requests/s
@@ -259,31 +240,22 @@ def grant_modifier(request: AllocationRequest) -> float:
 class HopfieldAllocator:
     """Trained recall network plus the grant policy around it."""
 
-    def __init__(
-        self,
-        *,
-        thresholds: Optional[np.ndarray] = None,
-        max_iters: int = DEFAULT_MAX_ITERS,
-        bundles: Optional[dict[ServiceType, ResourceBundle]] = None,
-        demand_reference: Optional[dict[ServiceType, int]] = None,
-    ):
+    def __init__(self, *, demand_reference: Optional[dict[ServiceType, int]] = None):
         self.patterns = {
             st: encode_pattern(st.indicator)
             for st in (ServiceType.EMBB, ServiceType.URLLC, ServiceType.MMTC)
         }
         self.we = train_patterns(list(self.patterns.values()))
-        self.thresholds = (
-            np.zeros(PATTERN_LENGTH) if thresholds is None else np.asarray(thresholds, float)
-        )
-        if self.thresholds.shape != (PATTERN_LENGTH,):
-            raise ValueError("thresholds must match the node count")
-        self.max_iters = max_iters
-        self.bundles = bundles if bundles is not None else default_bundles()
+        self.thresholds = np.zeros(PATTERN_LENGTH)
+        self.bundles = {
+            st: ResourceBundle(qos_profile_of(st).min_bandwidth, computation=1.0, caching=1.0)
+            for st in ServiceType
+        }
         self.demand_reference = demand_reference or {}
 
     def recall_slice(self, probe: Sequence[float]) -> tuple[ServiceType, RecallResult]:
         """Snap a (possibly corrupted) probe to the nearest stored slice."""
-        result = recall(self.we, self.thresholds, probe, self.max_iters)
+        result = recall(self.we, self.thresholds, probe)
         decoded = decode_pattern(result.state)
         for st in self.patterns:
             if st.indicator == decoded:

@@ -11,6 +11,11 @@ plan labeled non-optimal.
 
 from __future__ import annotations
 
+__all__ = [
+    "FlowAssignment", "Migration", "OffloadGraph", "RebalancePlan", "WeightCoefficients",
+    "build_offload_graph", "edge_weight", "max_weight_assignment", "rebalance",
+]
+
 import bisect
 import itertools
 from dataclasses import dataclass
@@ -88,6 +93,9 @@ def build_offload_graph(
 
 @dataclass(frozen=True)
 class FlowAssignment:
+    """A solved instance: flow to switch, the flows left out, the plan's
+    total weight, and whether the search proved it optimal."""
+
     assignment: dict[str, str]
     unassigned: list[str]
     total_weight: float
@@ -213,33 +221,10 @@ def max_weight_assignment(graph: OffloadGraph) -> FlowAssignment:
     )
 
 
-def brute_force_assignment(graph: OffloadGraph) -> float:
-    """Exhaustive optimum over all capacity-feasible partial assignments.
-
-    Reference oracle for small instances; exponential in the flow count.
-    """
-    n_flows = len(graph.flows)
-    n_switches = len(graph.switches)
-    best = 0.0
-    for combo in itertools.product(range(n_switches + 1), repeat=n_flows):
-        budgets = list(graph.budgets)
-        total = 0.0
-        feasible = True
-        for fi, sj in enumerate(combo):
-            if sj == n_switches:
-                continue
-            if not graph.fits(fi, sj) or graph.flows[fi].rate > budgets[sj] + 1e-12:
-                feasible = False
-                break
-            budgets[sj] -= graph.flows[fi].rate
-            total += graph.weights[sj]
-        if feasible and total > best:
-            best = total
-    return best
-
-
 @dataclass(frozen=True)
 class Migration:
+    """One flow moved from one switch to another."""
+
     flow_id: str
     from_switch: str
     to_switch: str
@@ -247,6 +232,8 @@ class Migration:
 
 @dataclass(frozen=True)
 class RebalancePlan:
+    """The migrations that relieve one overloaded switch."""
+
     migrations: list[Migration]
     resolved: bool
     residual_load: float  # demand left on the trigger after the plan

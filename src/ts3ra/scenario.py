@@ -39,6 +39,12 @@ EVENT_INTERVAL_KEYS = (
 
 # The most rows the engine synthesizes to train its slice selector.
 MAX_TRAIN_SAMPLES = 1_000_000
+# The largest network a scenario may ask for.  The engine's two
+# (switches, devices, 3) int64 count arrays then take at most
+# 48 * MAX_SWITCHES * MAX_DEVICES bytes, about 123 MB.
+MAX_DEVICES = 10_000
+MAX_SWITCHES = 256
+MAX_APS = 1_000
 
 # (rule, test, keys): each key's value must pass the test its rule names.
 RANGE_RULES = (
@@ -51,7 +57,7 @@ RANGE_RULES = (
     (
         "finite and >= 0",
         lambda v: math.isfinite(v) and v >= 0,
-        ("seed", "devices", "auth_delay", "decision_delay", "freshness_window",
+        ("seed", "auth_delay", "decision_delay", "freshness_window",
          "processing_latency", "arrival_window", "delay_bound_embb", "delay_bound_urllc",
          "delay_bound_mmtc", "flood_start", "flood_giveup", "retransmit_delay",
          "speed_min", "speed_max", "queue_delay_bound", "k_sigma", "min_packets"),
@@ -59,8 +65,11 @@ RANGE_RULES = (
     (
         ">= 1",
         lambda v: v >= 1,
-        ("aps", "switches", "demand_embb", "demand_urllc", "demand_mmtc", "packet_length"),
+        ("demand_embb", "demand_urllc", "demand_mmtc", "packet_length"),
     ),
+    (f"in [0, {MAX_DEVICES}]", lambda v: 0 <= v <= MAX_DEVICES, ("devices",)),
+    (f"in [1, {MAX_SWITCHES}]", lambda v: 1 <= v <= MAX_SWITCHES, ("switches",)),
+    (f"in [1, {MAX_APS}]", lambda v: 1 <= v <= MAX_APS, ("aps",)),
     (f"in [1, {MAX_D_MODEL}]", lambda v: 1 <= v <= MAX_D_MODEL, ("d_model",)),
     (f"in [1, {MAX_EPOCHS}]", lambda v: 1 <= v <= MAX_EPOCHS, ("epochs",)),
     (

@@ -13,6 +13,12 @@ idle.
 
 from __future__ import annotations
 
+__all__ = [
+    "GAMMA_BUSY", "GAMMA_IDLE", "GAMMA_VACANT", "ClassCounters", "Decision", "DualQueueState",
+    "QueueClass", "SchedulerConfig", "SchedulerConfigError", "SlotResult", "classify_flow",
+    "enqueue", "next_service_decision", "step_slot", "validate_config",
+]
+
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -32,6 +38,9 @@ class SchedulerConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SchedulerConfig:
+    """Service-rate split, HP exclusivity threshold, quantum length,
+    continue probability and queue capacities (see the module docstring)."""
+
     mu1: float = 0.6
     mu2: float = 0.4
     delta: float = 0.75
@@ -64,11 +73,15 @@ def validate_config(config: SchedulerConfig) -> None:
 
 
 class QueueClass(Enum):
+    """The two FIFOs: high and low priority."""
+
     HP = "HP"
     LP = "LP"
 
 
 class Decision(Enum):
+    """What the server does in one slot."""
+
     SERVE_HP = "ServeHP"
     SERVE_LP = "ServeLP"
     IDLE = "Idle"
@@ -92,6 +105,8 @@ class _Entry:
 
 @dataclass
 class ClassCounters:
+    """Requests of one queue class enqueued, served and dropped."""
+
     enqueued: int = 0
     served: int = 0
     dropped: int = 0
@@ -189,6 +204,8 @@ def next_service_decision(
 
 @dataclass(frozen=True)
 class SlotResult:
+    """One slot's decision, its completions and the state it left."""
+
     slot: int
     decision: Decision
     completions: tuple[SliceRequest, ...]

@@ -9,6 +9,11 @@ section ``SNET``; the allocator's weight matrix uses section ``HOPF``.
 
 from __future__ import annotations
 
+__all__ = [
+    "ContainerFormatError", "load_hopfield", "load_slicenet", "read_container",
+    "save_hopfield", "save_slicenet", "write_container",
+]
+
 import struct
 from pathlib import Path
 from typing import Union
@@ -28,6 +33,7 @@ class ContainerFormatError(ValueError):
 
 
 def write_container(path: Union[str, Path], sections: Sections) -> None:
+    """Write tagged sections of named tensors in the layout above."""
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(sections)))
@@ -47,6 +53,8 @@ def write_container(path: Union[str, Path], sections: Sections) -> None:
 
 
 def read_container(path: Union[str, Path]) -> Sections:
+    """Read every section of a container; raise
+    :class:`ContainerFormatError` on a malformed file."""
     data = Path(path).read_bytes()
     off = 0
 
@@ -89,10 +97,13 @@ def read_container(path: Union[str, Path]) -> Sections:
 
 
 def save_slicenet(model, path: Union[str, Path]) -> None:
+    """Write a slice-selection model's tensors as section ``SNET``."""
     write_container(path, {SNET_TAG: model.parameters()})
 
 
 def load_slicenet(path: Union[str, Path]):
+    """Rebuild a slice-selection model from section ``SNET``, its width
+    read from ``lift_w``."""
     from .slicenet import SliceNetModel
 
     sections = read_container(path)
@@ -114,10 +125,12 @@ def load_slicenet(path: Union[str, Path]):
 
 
 def save_hopfield(we: np.ndarray, thresholds: np.ndarray, path: Union[str, Path]) -> None:
+    """Write an allocator's weights and thresholds as section ``HOPF``."""
     write_container(path, {HOPF_TAG: {"we": we, "thresholds": thresholds}})
 
 
 def load_hopfield(path: Union[str, Path]) -> tuple[np.ndarray, np.ndarray]:
+    """The weights and thresholds of section ``HOPF``."""
     sections = read_container(path)
     if HOPF_TAG not in sections:
         raise ContainerFormatError(f"{path}: no allocator section")

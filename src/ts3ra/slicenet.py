@@ -12,11 +12,17 @@ Everything is implemented directly on float64 NumPy arrays with
 hand-written backward passes so gradients can be finite-difference
 checked.  Inside, activations are held channels-first, as (channels,
 length, batch), so that every contraction is a BLAS matrix product; the
-public functions take and return (length, channels) and (batch, features)
-arrays.
+model's methods take and return (batch, features) arrays.
 """
 
 from __future__ import annotations
+
+__all__ = [
+    "AdamOptimizer", "AttentionParams", "ConvModuleParams", "ConvStepParams",
+    "DivergedModelError", "LossCurve", "SliceDecision", "SliceFeatureVector", "SliceNetModel",
+    "TrainingDivergedError", "accuracy", "make_separable_dataset", "select_slice", "softmax",
+    "train",
+]
 
 import math
 from dataclasses import dataclass, field, fields
@@ -88,6 +94,8 @@ _INDEX_CLASS = {v: k for k, v in _CLASS_INDEX.items()}
 
 @dataclass(frozen=True)
 class SliceDecision:
+    """The slice chosen for a request and the model's confidence in it."""
+
     indicator: tuple[int, int, int]
     slice_id: str
     confidence: float
@@ -105,13 +113,14 @@ class SliceDecision:
 
 
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Normalized exponentials along ``axis``, shifted by the maximum."""
     shifted = z - z.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=axis, keepdims=True)
 
 
 @lru_cache(maxsize=8)
-def timing_signal(length: int, channels: int) -> np.ndarray:
+def _timing_signal(length: int, channels: int) -> np.ndarray:
     """Sinusoidal position table added to the attention target (read-only,
     built once per shape)."""
     pos = np.arange(length, dtype=np.float64)[:, None]
@@ -238,20 +247,6 @@ def _conv_step_bwd(p: ConvStepParams, cache, dout: np.ndarray, grads: dict, pref
     return da * (x > 0.0)
 
 
-def conv_step(params: ConvStepParams, x: np.ndarray) -> np.ndarray:
-    """Single-instance convolution step on a (length, channels) array."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("conv_step input must be (length, channels)")
-    if x.shape[1] != params.dw.shape[1]:
-        raise ValueError(
-            f"channel mismatch: input has {x.shape[1]}, kernel expects {params.dw.shape[1]}"
-        )
-    (band,) = _bands([params.dw], len(x))
-    out, _ = _conv_step_fwd(params, x.T[:, :, None], band)
-    return out[:, :, 0].T
-
-
 @dataclass
 class ConvModuleParams:
     """Four convolution steps with residual additions after steps 2 and 4."""
@@ -299,21 +294,6 @@ def _conv_module_bwd(m: ConvModuleParams, cache, dout: np.ndarray, grads: dict, 
     return dout + dh2 + _conv_step_bwd(m.steps[0], c1, dh1, grads, prefix + "1_")
 
 
-def conv_module(
-    params: ConvModuleParams,
-    x: np.ndarray,
-    mode: str = "inference",
-    rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
-    """Single-instance module: h1..h4 with residuals, dropout when training."""
-    if mode not in ("training", "inference"):
-        raise ValueError("mode must be 'training' or 'inference'")
-    x = np.asarray(x, dtype=np.float64)
-    bands = _bands([step.dw for step in params.steps], len(x))
-    out, _ = _conv_module_fwd(params, x.T[:, :, None], bands, mode == "training", rng)
-    return out[:, :, 0].T
-
-
 @dataclass
 class AttentionParams:
     """Two projection steps feeding scaled dot-product attention."""
@@ -326,7 +306,7 @@ def _attention_fwd(
     p: AttentionParams, source: np.ndarray, target: np.ndarray, bands: Sequence[np.ndarray]
 ):
     ct, lt, _ = target.shape
-    t_in = target + timing_signal(lt, ct).T[:, :, None]
+    t_in = target + _timing_signal(lt, ct).T[:, :, None]
     q1, c1 = _conv_step_fwd(p.proj1, t_in, bands[0])
     q2, c2 = _conv_step_fwd(p.proj2, q1, bands[1])
     scale = 1.0 / math.sqrt(len(source))
@@ -354,28 +334,6 @@ def _attention_bwd(p: AttentionParams, cache, dout: np.ndarray, grads: dict, pre
     d_q1 = _conv_step_bwd(p.proj2, c2, d_q.T, grads, prefix + "2_")
     d_tin = _conv_step_bwd(p.proj1, c1, d_q1, grads, prefix + "1_")
     return d_src.T, d_tin  # timing signal is constant
-
-
-def attention_module(
-    params: AttentionParams, source: np.ndarray, target: np.ndarray
-) -> np.ndarray:
-    """Single-instance attention of the target onto the source positions."""
-    source = np.asarray(source, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if source.ndim != 2 or target.ndim != 2:
-        raise ValueError("source and target must be (length, channels)")
-    bands = _bands([params.proj1.dw, params.proj2.dw], len(target))
-    out, _ = _attention_fwd(params, source.T[:, :, None], target.T[:, :, None], bands)
-    return out[:, :, 0].T
-
-
-def attention_weights(
-    params: AttentionParams, source: np.ndarray, target: np.ndarray
-) -> np.ndarray:
-    """The softmax weight matrix (target positions x source positions)."""
-    bands = _bands([params.proj1.dw, params.proj2.dw], len(target))
-    _, cache = _attention_fwd(params, source.T[:, :, None], target.T[:, :, None], bands)
-    return cache[4][0]
 
 
 # ---------------------------------------------------------------------------
@@ -473,21 +431,14 @@ class SliceNetModel:
         return self.lift_w.T[:, :, None] * features.T + self.lift_b.T[:, :, None]
 
     def _forward(
-        self,
-        features: np.ndarray,
-        history: Optional[np.ndarray],
-        training: bool,
-        rng: Optional[np.random.Generator],
+        self, features: np.ndarray, training: bool, rng: Optional[np.random.Generator]
     ):
         x = self._lift(features)
         steps = [*self.encoder.steps, *self.decoder.steps, self.attention.proj1, self.attention.proj2]
         bands = _bands([step.dw for step in steps], x.shape[1])
         enc, enc_cache = _conv_module_fwd(self.encoder, x, bands[:4], training, rng)
-        if history is None:
-            hist = np.zeros_like(enc)
-        else:
-            hist = np.broadcast_to(history, enc.shape[::-1]).T
-        mix = np.concatenate([enc, hist], axis=0)
+        # the output history is empty: its half of the mixer input is zero
+        mix = np.concatenate([enc, np.zeros_like(enc)], axis=0)
         dec, dec_cache = _conv_module_fwd(self.decoder, mix, bands[4:8], training, rng)
         attn, attn_cache = _attention_fwd(self.attention, enc, dec, bands[8:])
         pooled = np.concatenate([dec, attn], axis=0).mean(axis=1)
@@ -531,7 +482,7 @@ class SliceNetModel:
         bounds = range(LOGITS_CHUNK_ROWS, len(features) - 1, LOGITS_CHUNK_ROWS)
         return np.concatenate(
             [
-                self._forward(chunk, None, training=False, rng=None)[0]
+                self._forward(chunk, training=False, rng=None)[0]
                 for chunk in np.split(features, bounds)
             ]
         )
@@ -547,7 +498,7 @@ class SliceNetModel:
         ``self.flat``."""
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
         labels = np.asarray(labels, dtype=np.int64).ravel()
-        logits, cache = self._forward(features, None, training, rng)
+        logits, cache = self._forward(features, training, rng)
         probs = softmax(logits, axis=-1)
         n = len(labels)
         eps = 1e-300
@@ -557,32 +508,9 @@ class SliceNetModel:
         dlogits /= n
         return loss, self._backward(cache, dlogits)
 
-    def loss_and_grads(
-        self,
-        features: np.ndarray,
-        labels: np.ndarray,
-        training: bool = False,
-        rng: Optional[np.random.Generator] = None,
-    ) -> tuple[float, dict[str, np.ndarray]]:
-        """Mean cross-entropy over a batch plus gradients for every tensor."""
-        loss, flat_grad = self.loss_and_flat_grad(features, labels, training, rng)
-        return loss, self.tensor_views(flat_grad)
-
-
-def encode_mix_decode(
-    model: SliceNetModel,
-    input_features: Sequence[float],
-    output_history: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Full forward pass of one feature row; returns the slice logit row."""
-    features = np.asarray(input_features, dtype=np.float64)[None, :]
-    logits, _ = model._forward(features, output_history, training=False, rng=None)
-    return logits[0]
-
-
 def select_slice(model: SliceNetModel, features: SliceFeatureVector) -> SliceDecision:
     """Deterministic inference: softmax over slices, first-max tie break."""
-    logits = encode_mix_decode(model, features.to_array())
+    logits = model.logits(features.to_array())[0]
     if not np.all(np.isfinite(logits)):
         raise DivergedModelError(f"non-finite logits {logits!r}")
     probs = softmax(logits)
@@ -602,6 +530,8 @@ def select_slice(model: SliceNetModel, features: SliceFeatureVector) -> SliceDec
 
 @dataclass
 class LossCurve:
+    """Mean training loss and accuracy after each epoch."""
+
     epochs: list[int] = field(default_factory=list)
     losses: list[float] = field(default_factory=list)
     accuracies: list[float] = field(default_factory=list)
@@ -641,6 +571,7 @@ class AdamOptimizer:
 
 
 def accuracy(model: SliceNetModel, features: np.ndarray, labels: np.ndarray) -> float:
+    """Share of rows whose largest logit is at their label."""
     preds = np.argmax(model.logits(features), axis=-1)
     return float(np.mean(preds == np.asarray(labels).ravel()))
 

@@ -224,7 +224,7 @@ def test_criterion_5_renyi_entropy():
 
 def test_criterion_6_offload_optimality():
     t0 = time.perf_counter()
-    from tests.test_offload import random_instance
+    from tests.test_offload import brute_force_assignment, random_instance
 
     rng = np.random.default_rng(66)
     ok = True
@@ -232,7 +232,7 @@ def test_criterion_6_offload_optimality():
         graph = random_instance(rng, uniform_rates=(case % 2 == 0))
         result = offload.max_weight_assignment(graph)
         ok &= result.optimal
-        ok &= abs(result.total_weight - offload.brute_force_assignment(graph)) < 1e-9
+        ok &= abs(result.total_weight - brute_force_assignment(graph)) < 1e-9
         used = {sw.switch_id: 0.0 for sw in graph.switches}
         budget = {sw.switch_id: b for sw, b in zip(graph.switches, graph.budgets)}
         for flow in graph.flows:
@@ -258,7 +258,8 @@ def test_criterion_7_slicenet_numerics():
     model = slicenet.SliceNetModel(n_features=4, d_model=8, rng=rng)
     feats = rng.uniform(0, 1, size=(2, 4))
     labels = np.array([0, 2])
-    _, grads = model.loss_and_grads(feats, labels)
+    _, flat_grad = model.loss_and_flat_grad(feats, labels)
+    grads = model.tensor_views(flat_grad)
 
     h = 1e-5
     worst = 0.0
@@ -269,9 +270,9 @@ def test_criterion_7_slicenet_numerics():
         for i in range(0, flat.size, step):
             original = flat[i]
             flat[i] = original + h
-            lp, _ = model.loss_and_grads(feats, labels)
+            lp, _ = model.loss_and_flat_grad(feats, labels)
             flat[i] = original - h
-            lm, _ = model.loss_and_grads(feats, labels)
+            lm, _ = model.loss_and_flat_grad(feats, labels)
             flat[i] = original
             numeric = (lp - lm) / (2 * h)
             denom = max(abs(numeric), abs(g[i]), 1e-8)
@@ -393,14 +394,12 @@ def test_criterion_9_qualitative_trends():
 
 def test_criterion_10_flood_detection():
     t0 = time.perf_counter()
-    from tests.test_ddos import benign_window, flood_window
+    from tests.test_ddos import baseline_of, benign_window, flood_window
 
     recalls, fprs = [], []
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        baseline = ddos.BaselineStats.from_windows(
-            [benign_window(rng, i) for i in range(20)]
-        )
+        baseline = baseline_of([benign_window(rng, i) for i in range(20)])
         fp = sum(
             ddos.classify_window(benign_window(rng, 100 + i), baseline).verdict
             == ddos.VERDICT_ATTACK

@@ -201,6 +201,10 @@ class TestRunCommand:
             ("offload", "alpha", "nan"),
             ("network", "aps", "-1"),
             ("network", "switches", "-1"),
+            # sizes whose world would exhaust memory
+            ("network", "devices", "1000000000"),
+            ("network", "switches", "1000000000"),
+            ("network", "aps", "1000000000"),
             ("network", "switch_service_capacity", "inf"),
             ("flows", "demand_embb", "-1"),
             ("flows", "flood_giveup", "-1"),

@@ -1,5 +1,7 @@
 import itertools
 import math
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import astuple
 from fractions import Fraction
 
@@ -9,14 +11,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ts3ra.ddos import (
+    N_INTERARRIVAL_BINS,
     BaselineStats,
-    TrafficWindow,
     WindowCounts,
     VERDICT_ATTACK,
     VERDICT_BENIGN,
     VERDICT_INCONCLUSIVE,
     classify_window,
     entropy_of_counts,
+    interarrival_inner_edges,
     predict_bandwidth,
     quarantine,
     renyi_entropy,
@@ -113,29 +116,49 @@ class TestRenyiEntropy:
         assert entropy_of_counts([], 2.0) == 0.0
 
 
-def benign_window(rng, wid, n_sources=32, rate=10):
+def window_of(counts, gaps, sizes, duration=1.0):
+    """The counts of a window given packet by packet: packets per source,
+    inter-arrival gaps (seconds) binned as the engine bins them, and
+    packets per size."""
+    edges = interarrival_inner_edges(duration)
+    bins = [0] * N_INTERARRIVAL_BINS
+    for gap in gaps:
+        bins[bisect_right(edges, gap)] += 1
+    return WindowCounts(dict(counts), bins, dict(Counter(sizes)))
+
+
+def baseline_of(windows):
+    """Baseline statistics of the entropies of ``windows``."""
+    return BaselineStats.from_triples([window_entropies(w) for w in windows])
+
+
+def benign_traffic(rng, n_sources=32, rate=10):
+    """(per-source counts, inter-arrival gaps, packet sizes) of one benign
+    window."""
     counts = {f"s{i}": int(rate + rng.integers(-1, 2)) for i in range(n_sources)}
     total = sum(counts.values())
     sizes = tuple(int(s) for s in rng.choice([256, 512, 1024], p=[0.25, 0.5, 0.25], size=total))
     ia = tuple(float(x) for x in rng.exponential(1.0 / total, size=total - 1))
-    return TrafficWindow(wid, 1.0, counts, ia, sizes)
+    return counts, ia, sizes
+
+
+def benign_window(rng, wid, n_sources=32, rate=10):
+    return window_of(*benign_traffic(rng, n_sources, rate))
 
 
 def flood_window(rng, wid, share=0.4, n_sources=32, rate=10):
-    base = benign_window(rng, wid, n_sources, rate)
-    legit_total = sum(base.source_counts.values())
-    n_attack = int(share / (1 - share) * legit_total)
-    counts = dict(base.source_counts)
+    counts, ia, sizes = benign_traffic(rng, n_sources, rate)
+    n_attack = int(share / (1 - share) * sum(counts.values()))
     counts["attacker"] = n_attack
-    sizes = base.packet_sizes + (512,) * n_attack
-    ia = base.interarrival_times + tuple([1.0 / max(n_attack, 1)] * (n_attack - 1))
-    return TrafficWindow(wid, 1.0, counts, ia, sizes)
+    sizes += (512,) * n_attack
+    ia += tuple([1.0 / max(n_attack, 1)] * (n_attack - 1))
+    return window_of(counts, ia, sizes)
 
 
 @pytest.fixture
 def baseline():
     rng = np.random.default_rng(31)
-    return BaselineStats.from_windows([benign_window(rng, i) for i in range(20)])
+    return baseline_of([benign_window(rng, i) for i in range(20)])
 
 
 class TestClassifyWindow:
@@ -151,13 +174,13 @@ class TestClassifyWindow:
         assert classify_window(window, baseline).verdict == VERDICT_BENIGN
 
     def test_small_window_inconclusive(self, baseline):
-        window = TrafficWindow(0, 1.0, {"a": 3, "b": 2}, (0.1, 0.2), (512,) * 5)
+        window = window_of({"a": 3, "b": 2}, (0.1, 0.2), (512,) * 5)
         assert classify_window(window, baseline).verdict == VERDICT_INCONCLUSIVE
 
     def test_baseline_too_small_rejected(self):
         rng = np.random.default_rng(34)
         with pytest.raises(ValueError):
-            BaselineStats.from_windows([benign_window(rng, i) for i in range(5)])
+            baseline_of([benign_window(rng, i) for i in range(5)])
 
     def test_entropies_nonnegative(self, baseline):
         rng = np.random.default_rng(35)
@@ -201,20 +224,18 @@ def numpy_baseline(triples):
     )
 
 
-def list_window_entropies(window, alpha=2.0):
+def list_window_entropies(counts, gaps, sizes, duration, alpha=2.0):
     """The packet-list binning that window counts replaced, kept as the
     oracle: histogram of clipped gaps, ``np.unique`` of the sizes."""
-    src = entropy_of_counts(list(window.source_counts.values()), alpha)
-    times = window.interarrival_times
-    if len(times) == 0:
+    src = entropy_of_counts(list(counts.values()), alpha)
+    if len(gaps) == 0:
         hist = np.array([1.0])
     else:
-        edges = np.geomspace(1e-4, max(window.duration, 1e-3), num=17)
-        hist, _ = np.histogram(np.clip(times, edges[0], edges[-1]), bins=edges)
+        edges = np.geomspace(1e-4, max(duration, 1e-3), num=17)
+        hist, _ = np.histogram(np.clip(gaps, edges[0], edges[-1]), bins=edges)
     ia = entropy_of_counts(hist, alpha)
-    if window.packet_sizes:
-        sizes = np.asarray(window.packet_sizes, dtype=np.int64)
-        _, size_counts = np.unique(sizes, return_counts=True)
+    if sizes:
+        _, size_counts = np.unique(np.asarray(sizes, dtype=np.int64), return_counts=True)
     else:
         size_counts = np.array([1.0])
     return src, ia, entropy_of_counts(size_counts, alpha)
@@ -262,17 +283,18 @@ class TestWindowCounts:
         counts: dict[str, int] = {}
         for src in sources:
             counts[src] = counts.get(src, 0) + 1
-        window = TrafficWindow(0, duration, counts, gaps, tuple(sizes))
-        assert repr(window_entropies(window)) == repr(list_window_entropies(window))
+        window = window_of(counts, gaps, sizes, duration)
+        expected = list_window_entropies(counts, gaps, sizes, duration)
+        assert repr(window_entropies(window)) == repr(expected)
         assert sum(window.interarrival_bins) == len(gaps)
 
     def test_empty_profiles_are_negative_zero(self):
         # detection.csv prints these as -0.000000
-        h = window_entropies(TrafficWindow(0, 0.25, {}, (), ()))
+        h = window_entropies(window_of({}, (), (), 0.25))
         assert repr(h) == "(0.0, -0.0, -0.0)"
 
     def test_gap_on_an_edge_opens_the_upper_bin(self):
-        window = TrafficWindow(0, 1.0, {"a": 4}, (1e-5, 1e-4, 1e-3, 7.0), (512,) * 4)
+        window = window_of({"a": 4}, (1e-5, 1e-4, 1e-3, 7.0), (512,) * 4)
         bins = window.interarrival_bins
         assert (bins[0], bins[4], bins[15]) == (2, 1, 1)
 
@@ -425,9 +447,7 @@ class TestDetectionSuite:
         recalls, fprs = [], []
         for seed in range(5):
             rng = np.random.default_rng(seed)
-            baseline = BaselineStats.from_windows(
-                [benign_window(rng, i) for i in range(20)]
-            )
+            baseline = baseline_of([benign_window(rng, i) for i in range(20)])
             fp = sum(
                 classify_window(benign_window(rng, 100 + i), baseline).verdict
                 == VERDICT_ATTACK

@@ -12,12 +12,10 @@ from ts3ra.hopfield import (
     decode_pattern,
     encode_pattern,
     grant_modifier,
-    local_field,
     recall,
     storkey_update,
     train_patterns,
     update_state,
-    weighted_sum,
     zero_weights,
 )
 
@@ -40,49 +38,6 @@ def brute_force_storkey(we_prev: np.ndarray, xi: np.ndarray) -> np.ndarray:
                 xi[i] * xi[j] - xi[i] * h(j, i) - h(i, j) * xi[j]
             ) / n
     return we
-
-
-class TestWeightedSum:
-    def test_zero_matrix(self):
-        we = zero_weights(4)
-        st = np.ones(4)
-        assert all(weighted_sum(we, st, i) == 0.0 for i in range(4))
-
-    def test_hand_case(self):
-        we = np.array([[0.0, 0.5, -0.5], [0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]])
-        assert weighted_sum(we, np.ones(3), 0) == pytest.approx(0.0)
-
-    def test_global_flip_negates(self):
-        rng = np.random.default_rng(0)
-        we = rng.normal(size=(5, 5))
-        we = (we + we.T) / 2
-        np.fill_diagonal(we, 0.0)
-        st = np.where(rng.random(5) < 0.5, 1.0, -1.0)
-        for i in range(5):
-            assert weighted_sum(we, -st, i) == pytest.approx(-weighted_sum(we, st, i))
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            weighted_sum(zero_weights(3), np.ones(3), 3)
-
-
-class TestLocalField:
-    def test_two_nodes_vacuous_sum(self):
-        assert local_field(zero_weights(2), np.array([1.0, -1.0]), 0, 1) == 0.0
-
-    def test_zero_matrix(self):
-        assert local_field(zero_weights(5), np.ones(5), 1, 3) == 0.0
-
-    def test_hand_case(self):
-        we = zero_weights(4)
-        we[0] = [0.0, 0.25, 0.25, 0.0]
-        we[:, 0] = we[0]
-        xi = np.array([1.0, -1.0, 1.0, -1.0])
-        assert local_field(we, xi, 0, 1) == pytest.approx(0.25)
-
-    def test_same_indices_rejected(self):
-        with pytest.raises(ValueError):
-            local_field(zero_weights(3), np.ones(3), 1, 1)
 
 
 class TestStorkeyUpdate:

@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import numpy as np
@@ -8,7 +9,6 @@ from ts3ra.domain import Flow, ServiceType, SwitchProfile
 from ts3ra.offload import (
     OffloadGraph,
     WeightCoefficients,
-    brute_force_assignment,
     build_offload_graph,
     edge_weight,
     max_weight_assignment,
@@ -28,6 +28,31 @@ def make_switch(i, capacity=10.0, tx=None, loss=0.1, load=0.0):
 
 def make_flow(i, rate=1.0):
     return Flow(f"f{i}", f"d{i}", ServiceType.EMBB, rate=rate, packet_delay=0.1)
+
+
+def brute_force_assignment(graph: OffloadGraph) -> float:
+    """Exhaustive optimum over all capacity-feasible partial assignments.
+
+    Reference oracle for small instances; exponential in the flow count.
+    """
+    n_flows = len(graph.flows)
+    n_switches = len(graph.switches)
+    best = 0.0
+    for combo in itertools.product(range(n_switches + 1), repeat=n_flows):
+        budgets = list(graph.budgets)
+        total = 0.0
+        feasible = True
+        for fi, sj in enumerate(combo):
+            if sj == n_switches:
+                continue
+            if not graph.fits(fi, sj) or graph.flows[fi].rate > budgets[sj] + 1e-12:
+                feasible = False
+                break
+            budgets[sj] -= graph.flows[fi].rate
+            total += graph.weights[sj]
+        if feasible and total > best:
+            best = total
+    return best
 
 
 def random_instance(rng, uniform_rates=False, repeated=False):

@@ -37,9 +37,9 @@ def test_negative_cost_weights_pass():
     Scenario(offload_alpha=-1.0, offload_beta=-1.0, offload_gamma=-1.0).validate()
 
 
-# Each of these used to exhaust memory (or exit 2) while building or training
-# the model, or, for epochs, to train for months on data that never
-# converges; validation rejects them before anything is built.
+# Each of these used to exhaust memory (or exit 2) while building the world or
+# building or training the model, or, for epochs, to train for months on data
+# that never converges; validation rejects them before anything is built.
 @pytest.mark.parametrize(
     ("attr", "value"),
     [
@@ -50,6 +50,12 @@ def test_negative_cost_weights_pass():
         ("train_samples", 1000000000),
         ("epochs", 1001),
         ("epochs", 100000000),
+        ("devices", 10001),
+        ("devices", 1000000000),
+        ("switches", 257),
+        ("switches", 1000000000),
+        ("aps", 1001),
+        ("aps", 1000000000),
     ],
 )
 def test_above_upper_bound_names_the_key(attr, value):
@@ -58,4 +64,6 @@ def test_above_upper_bound_names_the_key(attr, value):
 
 
 def test_upper_bounds_pass():
-    Scenario(d_model=256, train_samples=1000000, epochs=1000).validate()
+    Scenario(
+        d_model=256, train_samples=1000000, epochs=1000, devices=10000, switches=256, aps=1000
+    ).validate()

@@ -23,19 +23,71 @@ from ts3ra.slicenet import (
     SliceFeatureVector,
     SliceNetModel,
     TrainingDivergedError,
+    _attention_fwd,
     _bands,
+    _conv_module_fwd,
+    _conv_step_fwd,
     _depthwise_bwd,
-    attention_module,
-    attention_weights,
-    conv_module,
-    conv_step,
-    encode_mix_decode,
     accuracy,
     make_separable_dataset,
     select_slice,
     softmax,
     train,
 )
+
+
+# The layers one instance at a time, on (length, channels) arrays.
+
+
+def conv_step(params: ConvStepParams, x: np.ndarray) -> np.ndarray:
+    """Single-instance convolution step on a (length, channels) array."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError("conv_step input must be (length, channels)")
+    if x.shape[1] != params.dw.shape[1]:
+        raise ValueError(
+            f"channel mismatch: input has {x.shape[1]}, kernel expects {params.dw.shape[1]}"
+        )
+    (band,) = _bands([params.dw], len(x))
+    out, _ = _conv_step_fwd(params, x.T[:, :, None], band)
+    return out[:, :, 0].T
+
+
+def conv_module(
+    params: ConvModuleParams,
+    x: np.ndarray,
+    mode: str = "inference",
+    rng: np.random.Generator | None = None,
+) -> np.ndarray:
+    """Single-instance module: h1..h4 with residuals, dropout when training."""
+    if mode not in ("training", "inference"):
+        raise ValueError("mode must be 'training' or 'inference'")
+    x = np.asarray(x, dtype=np.float64)
+    bands = _bands([step.dw for step in params.steps], len(x))
+    out, _ = _conv_module_fwd(params, x.T[:, :, None], bands, mode == "training", rng)
+    return out[:, :, 0].T
+
+
+def attention_module(
+    params: AttentionParams, source: np.ndarray, target: np.ndarray
+) -> np.ndarray:
+    """Single-instance attention of the target onto the source positions."""
+    source = np.asarray(source, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    if source.ndim != 2 or target.ndim != 2:
+        raise ValueError("source and target must be (length, channels)")
+    bands = _bands([params.proj1.dw, params.proj2.dw], len(target))
+    out, _ = _attention_fwd(params, source.T[:, :, None], target.T[:, :, None], bands)
+    return out[:, :, 0].T
+
+
+def attention_weights(
+    params: AttentionParams, source: np.ndarray, target: np.ndarray
+) -> np.ndarray:
+    """The softmax weight matrix (target positions x source positions)."""
+    bands = _bands([params.proj1.dw, params.proj2.dw], len(target))
+    _, cache = _attention_fwd(params, source.T[:, :, None], target.T[:, :, None], bands)
+    return cache[4][0]
 
 
 def make_step(rng, kernel=3, c_in=4, c_out=4):
@@ -231,16 +283,9 @@ class TestAttention:
 class TestModelForward:
     def test_end_to_end_logit_row(self):
         model = SliceNetModel(n_features=5, d_model=4, rng=np.random.default_rng(12))
-        logits = encode_mix_decode(model, [0.1, 0.9, 0.0, 0.5, 0.3])
+        logits = model.logits([0.1, 0.9, 0.0, 0.5, 0.3])[0]
         assert logits.shape == (3,)
         assert np.all(np.isfinite(logits))
-
-    def test_empty_history_equals_zero_history(self):
-        model = SliceNetModel(n_features=5, d_model=4, rng=np.random.default_rng(13))
-        features = [0.2, 0.8, 0.1, 0.4, 0.6]
-        none_out = encode_mix_decode(model, features)
-        zero_out = encode_mix_decode(model, features, np.zeros((5, 4)))
-        assert np.allclose(none_out, zero_out)
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(14)
@@ -296,7 +341,7 @@ class TestChunkedLogits:
         feats, _ = make_separable_dataset(
             2 * LOGITS_CHUNK_ROWS + extra, np.random.default_rng(22)
         )
-        full, _ = model._forward(feats, None, training=False, rng=None)
+        full, _ = model._forward(feats, training=False, rng=None)
         assert np.array_equal(model.logits(feats), full)
 
     def test_accuracy_memory_does_not_grow_with_rows(self):
@@ -389,10 +434,11 @@ class TestGradients:
         model = SliceNetModel(n_features=4, d_model=8, rng=rng)
         feats = rng.uniform(0, 1, size=(2, 4))
         labels = np.array([0, 2])
-        _, grads = model.loss_and_grads(feats, labels)
+        _, flat_grad = model.loss_and_flat_grad(feats, labels)
+        grads = model.tensor_views(flat_grad)
 
         def loss_only():
-            value, _ = model.loss_and_grads(feats, labels)
+            value, _ = model.loss_and_flat_grad(feats, labels)
             return value
 
         h = 1e-5
@@ -418,10 +464,9 @@ class TestGradients:
         model = SliceNetModel(n_features=4, d_model=4, rng=rng)
         feats = rng.uniform(0, 1, size=(1, 4))
         labels = np.array([1])
-        loss0, grads = model.loss_and_grads(feats, labels)
-        for name, p in model.parameters().items():
-            p -= 1e-3 * grads[name]
-        loss1, _ = model.loss_and_grads(feats, labels)
+        loss0, flat_grad = model.loss_and_flat_grad(feats, labels)
+        model.flat -= 1e-3 * flat_grad
+        loss1, _ = model.loss_and_flat_grad(feats, labels)
         assert loss1 < loss0
 
 

@@ -1,0 +1,76 @@
+"""Each plane's ``__all__`` is its library API.
+
+Every name a plane lists resolves, and every function and class it lists
+has a docstring.  Every other public top-level function or class of the
+plane is taken by another ``ts3ra`` module, so no entry point that only
+tests call can sit in the package.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(importlib.import_module("ts3ra").__file__).parent
+PLANES = ["auth", "ddos", "domain", "hopfield", "offload", "sched", "serialization", "slicenet"]
+
+
+def top_level_defs(module: str) -> dict[str, ast.AST]:
+    """The functions and classes defined at the top of ``module``'s source."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    return {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+
+
+def names_taken_from(module: str) -> set[str]:
+    """Names the package's other modules import from ``module`` or read as
+    attributes of it."""
+    taken = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.stem == module:
+            continue
+        tree = ast.parse(path.read_text())
+        aliases = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module == module:
+                    taken.update(alias.name for alias in node.names)
+                elif node.module is None:
+                    aliases.update(
+                        alias.asname or alias.name for alias in node.names if alias.name == module
+                    )
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases
+            ):
+                taken.add(node.attr)
+    return taken
+
+
+@pytest.mark.parametrize("module", PLANES)
+def test_listed_names_resolve(module):
+    mod = importlib.import_module(f"ts3ra.{module}")
+    listed = mod.__all__
+    assert listed and len(set(listed)) == len(listed)
+    assert [name for name in listed if not hasattr(mod, name)] == []
+
+
+@pytest.mark.parametrize("module", PLANES)
+def test_listed_functions_and_classes_have_docstrings(module):
+    defs = top_level_defs(module)
+    listed = importlib.import_module(f"ts3ra.{module}").__all__
+    undocumented = [name for name in listed if name in defs and not ast.get_docstring(defs[name])]
+    assert undocumented == []
+
+
+@pytest.mark.parametrize("module", PLANES)
+def test_unlisted_public_names_serve_the_package(module):
+    listed = importlib.import_module(f"ts3ra.{module}").__all__
+    unlisted = {name for name in top_level_defs(module) if not name.startswith("_")} - set(listed)
+    assert sorted(unlisted - names_taken_from(module)) == []
