@@ -33,9 +33,9 @@ __all__ = [
 
 import hashlib
 import hmac
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -44,7 +44,7 @@ MIN_SALT_LENGTH = 8
 DEFAULT_PRF_HASH = "sha256"
 DEFAULT_FRESHNESS_WINDOW = 2.0  # seconds, mirrors the flow-timeout setting
 DEVICES_PER_AUTHORITY = 125
-DEFAULT_CHALLENGES_PER_DEVICE = 8
+CHALLENGES_PER_DEVICE = 8
 
 
 class AuthError(Exception):
@@ -173,7 +173,6 @@ class RegistrationRecord:
     """Credential material the authority holds for one device."""
 
     device_id: str
-    salt: bytes
     derived_key: bytes
     params: KeyDerivationParams
 
@@ -233,21 +232,17 @@ def enroll_device(
     password: bytes,
     puf: SimulatedPuf,
     rng: np.random.Generator,
-    *,
-    n_challenges: int = DEFAULT_CHALLENGES_PER_DEVICE,
-    params: Optional[KeyDerivationParams] = None,
 ) -> KeyDerivationParams:
     """First step of :func:`register_device`: draw the salt and the
-    challenges, enroll the CRPs, and return the key-derivation inputs.
+    ``CHALLENGES_PER_DEVICE`` challenges, enroll the CRPs, and return the
+    key-derivation inputs.
 
     The salt and the challenges are 16 octets each, taken in that order from
     one draw; that gives the same octets, and leaves ``rng`` in the same
-    state, as one 16-octet draw each.  A salt is drawn even when ``params``
-    is given, so that the stream does not depend on it.
+    state, as one 16-octet draw each.
     """
-    octets = rng.integers(0, 256, size=16 * (1 + n_challenges), dtype=np.uint8).tobytes()
-    if params is None:
-        params = KeyDerivationParams(password=password, salt=octets[:16])
+    octets = rng.integers(0, 256, size=16 * (1 + CHALLENGES_PER_DEVICE), dtype=np.uint8).tobytes()
+    params = KeyDerivationParams(password=password, salt=octets[:16])
     for lo in range(16, len(octets), 16):
         challenge = octets[lo : lo + 16]
         puf_enroll(va, PufChallengeResponse(device_id, challenge, puf.respond(challenge)))
@@ -259,12 +254,7 @@ def store_registration(
 ) -> RegistrationRecord:
     """Second step of :func:`register_device`: store the record of a key
     derived from ``params``."""
-    record = RegistrationRecord(
-        device_id=device_id,
-        salt=params.salt,
-        derived_key=derived_key,
-        params=params,
-    )
+    record = RegistrationRecord(device_id=device_id, derived_key=derived_key, params=params)
     va.registered[device_id] = record
     return record
 
@@ -275,14 +265,9 @@ def register_device(
     password: bytes,
     puf: SimulatedPuf,
     rng: np.random.Generator,
-    *,
-    n_challenges: int = DEFAULT_CHALLENGES_PER_DEVICE,
-    params: Optional[KeyDerivationParams] = None,
 ) -> RegistrationRecord:
     """Enroll a device's CRPs, then derive and store its key."""
-    params = enroll_device(
-        va, device_id, password, puf, rng, n_challenges=n_challenges, params=params
-    )
+    params = enroll_device(va, device_id, password, puf, rng)
     return store_registration(va, device_id, params, derive_key(params))
 
 
@@ -312,13 +297,7 @@ def authenticate(
     if not puf_verify(va, device_id, puf_response, rng):
         return AuthVerdict(False, VerdictReason.BAD_PUF)
 
-    attempt = KeyDerivationParams(
-        password=password,
-        salt=record.params.salt,
-        iteration_count=record.params.iteration_count,
-        output_key_length=record.params.output_key_length,
-        prf=record.params.prf,
-    )
+    attempt = replace(record.params, password=password)
     if not hmac.compare_digest(derive_key(attempt), record.derived_key):
         return AuthVerdict(False, VerdictReason.BAD_KEY)
 

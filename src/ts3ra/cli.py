@@ -18,8 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .domain import ServiceType
 from .engine import Engine, InvariantViolation
-from .metrics import METRICS_COLUMNS, SLICE_ORDER
+from .metrics import METRICS_COLUMNS
 from .scenario import Scenario, ScenarioError
 from .scenario_io import apply_override, parse_scenario
 from .serialization import save_hopfield, save_slicenet
@@ -187,7 +188,7 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
             rows_by_slice.setdefault(slice_id, []).append(values)
     numeric_cols = METRICS_COLUMNS[1:]
     print("slice,stat," + ",".join(numeric_cols))
-    order = [st.slice_id for st in SLICE_ORDER] + ["TOTAL"]
+    order = [st.slice_id for st in ServiceType] + ["TOTAL"]
     for slice_id in order:
         if slice_id not in rows_by_slice:
             continue

@@ -8,13 +8,13 @@ other plane consumes.  All types are immutable; all operations are pure.
 from __future__ import annotations
 
 __all__ = [
-    "Device", "Flow", "Protocol", "QoSMeasurement", "QoSProfile", "ServiceType", "SlaRatios",
-    "SliceRequest", "SwitchProfile", "compute_sla_ratios", "fairness_weight", "qos_profile_of",
-    "stable_imsi",
+    "Device", "Flow", "Protocol", "QoSMeasurement", "QoSProfile", "SLICE_ORDER", "SLICE_VALUES",
+    "ServiceType", "SlaRatios", "SliceRequest", "SwitchProfile", "compute_sla_ratios",
+    "fairness_weight", "qos_profile_of", "stable_imsi",
 ]
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
@@ -42,6 +42,10 @@ class ServiceType(Enum):
                 return st
         raise ValueError(f"no service class has indicator {indicator!r}")
 
+
+# The services in declaration order, the order of every per-service table
+# and row; a service's index is its place here.
+SLICE_ORDER = tuple(ServiceType)
 
 _SLICE_IDS = {
     ServiceType.EMBB: "S1",
@@ -94,6 +98,14 @@ _QOS_PROFILES = {
         min_bandwidth=25e3,
         connection_density=1_000_000,
     ),
+}
+
+
+# Per-slice value of service; modulates grant size only.
+SLICE_VALUES = {
+    ServiceType.EMBB: 0.7,
+    ServiceType.URLLC: 1.0,
+    ServiceType.MMTC: 0.4,
 }
 
 
@@ -244,13 +256,7 @@ class SwitchProfile:
             raise ValueError("transmission_rate must not exceed service_capacity")
 
     def with_load(self, load: float) -> "SwitchProfile":
-        return SwitchProfile(
-            switch_id=self.switch_id,
-            service_capacity=self.service_capacity,
-            transmission_rate=self.transmission_rate,
-            loss_rate=self.loss_rate,
-            current_load=load,
-        )
+        return replace(self, current_load=load)
 
     @property
     def remaining_capacity(self) -> float:

@@ -34,6 +34,12 @@ is cut into batches:
 A run's artifacts are therefore the same whether the data plane runs
 before every event or only before the readers, and whatever the batch size.
 
+Per-device state that the data plane reads lives in the engine's arrays, one
+entry per device: its switch (``sw_of``), its slice's index (``slice_of``),
+whether it floods and whether it is quarantined.  A switch's flows are the
+devices whose ``sw_of`` is its index, and a device's counters are its slice's
+in ``Engine.counters``; no second copy of either is kept.
+
 A sink takes text as ``TextIO.write`` does: each call gets one or more whole
 lines, each ending in a newline, so a file's ``write`` is a sink.  Times in
 trace and migration rows are integer microseconds written as seconds with
@@ -60,6 +66,7 @@ import heapq
 import math
 import threading
 from collections import deque
+from dataclasses import replace
 from itertools import chain
 from typing import Callable, Optional
 
@@ -72,6 +79,8 @@ from . import offload as off_mod
 from . import sched as sched_mod
 from . import slicenet as sn_mod
 from .domain import (
+    SLICE_ORDER,
+    SLICE_VALUES,
     Device,
     Flow,
     Protocol,
@@ -82,7 +91,6 @@ from .domain import (
     stable_imsi,
 )
 from .metrics import (
-    SLICE_ORDER,
     MetricsReport,
     SliceCounters,
     aggregate_total,
@@ -116,13 +124,6 @@ KIND_NAMES = {
     WINDOW_CLOSE: "window_close",
     REBALANCE: "rebalance",
     MOBILITY_TICK: "mobility_tick",
-}
-
-# Per-slice value of service; modulates grant size only.
-SLICE_VALUES = {
-    ServiceType.EMBB: 0.7,
-    ServiceType.URLLC: 1.0,
-    ServiceType.MMTC: 0.4,
 }
 
 TRACE_HEADER = "time,kind,device,slice,switch,outcome"
@@ -277,12 +278,7 @@ class _DeviceRt:
         "puf",
         "claimed",
         "_decided",
-        "counters",
-        "_counters_of",
         "forged",
-        "floods",
-        "authenticated",
-        "granted",
         "request",
         "flow",
         "sw",
@@ -299,7 +295,6 @@ class _DeviceRt:
         puf,
         claimed: ServiceType,
         forged: bool,
-        counters_of: dict[ServiceType, SliceCounters],
         sw_of: np.ndarray,
         suffixes: _RowSuffixes,
     ):
@@ -308,7 +303,6 @@ class _DeviceRt:
         self.password = password
         self.puf = puf
         self.claimed = claimed
-        self._counters_of = counters_of
         # the engine's switch index of every device, kept for the data plane
         self._sw_of = sw_of
         # the engine's trace row suffixes, kept for the data plane
@@ -316,10 +310,6 @@ class _DeviceRt:
         self.sw: Optional[_SwitchRt] = None
         self.decided = None
         self.forged = forged
-        # Sends at the flood interval once flooding starts.
-        self.floods = not device.legitimate and not forged
-        self.authenticated = False
-        self.granted = False
         self.request = None
         self.flow: Optional[Flow] = None
         self.arrival_us = 0
@@ -331,9 +321,7 @@ class _DeviceRt:
 
     @decided.setter
     def decided(self, service: Optional[ServiceType]) -> None:
-        # ``counters`` are the decided slice's, or the claimed one's before.
         self._decided = service
-        self.counters = self._counters_of[service or self.claimed]
         self._retag()
 
     def place(self, sw: "_SwitchRt") -> None:
@@ -354,14 +342,12 @@ class _SwitchRt:
     """Mutable per-switch control state; the data plane keeps its packet
     state in the engine's per-switch arrays, row ``index``."""
 
-    __slots__ = ("index", "profile", "loss_rate", "nominal_load", "flows", "baseline_triples")
+    __slots__ = ("index", "profile", "nominal_load", "baseline_triples")
 
     def __init__(self, index: int, profile: SwitchProfile):
         self.index = index
         self.profile = profile
-        self.loss_rate = profile.loss_rate
         self.nominal_load = 0.0
-        self.flows: set[int] = set()
         self.baseline_triples: list[tuple[float, float, float]] = []
 
 
@@ -435,7 +421,6 @@ class Engine:
         self.rebalances = 0
         self.attack_windows = 0
         self.queue_dropped = 0
-        self.quarantined: set[str] = set()
         self.loss_curve = None
 
         self._build_world(model)
@@ -487,9 +472,8 @@ class Engine:
         self.speeds = rng_world.uniform(sc.speed_min, sc.speed_max, size=n)
         fair_slas = rng_world.uniform(0.7, 1.0, size=n)
 
-        mix = [sc.mix_embb, sc.mix_urllc, sc.mix_mmtc]
-        services = rng_world.choice(3, size=n, p=mix)
-        by_index = [ServiceType.EMBB, ServiceType.URLLC, ServiceType.MMTC]
+        mix = [sc.mix_fraction(st) for st in SLICE_ORDER]
+        services = rng_world.choice(len(mix), size=n, p=mix)
 
         self.vap = auth_mod.VirtualAuthorityPool()
         rng_puf = self.hub.substream("puf")
@@ -503,7 +487,7 @@ class Engine:
         for i in range(n):
             device_id = f"d{i:04d}"
             legitimate = i not in illegit
-            claimed = by_index[int(services[i])] if legitimate else ServiceType.MMTC
+            claimed = SLICE_ORDER[services[i]] if legitimate else ServiceType.MMTC
             device = Device(
                 device_id=device_id,
                 imsi=stable_imsi(device_id),
@@ -513,8 +497,7 @@ class Engine:
             password = f"pw-{device_id}".encode()
             puf = auth_mod.SimulatedPuf(bytes(rng_puf.integers(0, 256, size=32, dtype=np.uint8)))
             rt = _DeviceRt(
-                i, device, password, puf, claimed, i in forged, self.counters, self.sw_of,
-                self.suffixes,
+                i, device, password, puf, claimed, i in forged, self.sw_of, self.suffixes
             )
             if not rt.forged:
                 va = self.vap.authority_for(device_id)
@@ -627,11 +610,14 @@ class Engine:
 
     def _init_data_plane(self) -> None:
         n, m = len(self.dev), len(self.switches)
-        # Per device: the time of its next new transmit, whether it floods,
-        # whether it sends a failed packet once more, its slice's index in
-        # SLICE_ORDER, and whether it is quarantined.
+        # Per device: the time of its next new transmit, whether it floods
+        # (sends at the flood interval once flooding starts), whether it sends
+        # a failed packet once more, its slice's index in SLICE_ORDER, and
+        # whether it is quarantined.
         self.next_us = np.full(n, _NEVER, dtype=np.int64)
-        self.floods = np.array([rt.floods for rt in self.dev], dtype=bool)
+        self.floods = np.array(
+            [not rt.device.legitimate and not rt.forged for rt in self.dev], dtype=bool
+        )
         self.reliable = np.zeros(n, dtype=bool)
         self.slice_of = np.zeros(n, dtype=np.int64)
         self.is_quarantined = np.zeros(n, dtype=bool)
@@ -845,7 +831,7 @@ class Engine:
         # Every packet that reaches a switch, served there; then the window
         # and interval counts of them all.
         sw = self.sw_of[di]
-        loss_rates = [sw_rt.loss_rate for sw_rt in self.switches]
+        loss_rates = [sw_rt.profile.loss_rate for sw_rt in self.switches]
         res, prev, extra = self._serve_links(
             end_us, due, t.tolist(), di.tolist(), z.tolist(), sw.tolist(),
             (u < np.array(loss_rates)[sw]).tolist(), retry.tolist(), loss_rates,
@@ -1026,7 +1012,6 @@ class Engine:
             self._trace(AUTH, rt.device.device_id, "", "", f"rejected:{verdict.reason.value}")
             return
         self.auth_accepted += 1
-        rt.authenticated = True
         service = rt.claimed
         rt.request = SliceRequest(
             origin=rt.device.device_id,
@@ -1098,14 +1083,14 @@ class Engine:
     def _on_slice_decide(self, di: int) -> None:
         rt = self.dev[di]
         decision = sn_mod.select_slice(self.model, self._features_for(rt))
-        rt.decided = ServiceType.from_indicator(decision.indicator)
-        rt.counters.requests += 1
+        rt.decided = decision.service
+        self.counters[rt.decided].requests += 1
         if rt.decided is not rt.claimed:
             rt.flow = self._make_flow(rt, rt.decided)
         self._trace(
             SLICE_DECIDE,
             rt.device.device_id,
-            decision.slice_id,
+            rt.decided.slice_id,
             "",
             f"confidence={decision.confidence:.4f}",
         )
@@ -1121,7 +1106,7 @@ class Engine:
         self.unfinished -= 1
         service = rt.decided or rt.claimed
         elapsed = max(self.clock_us / 1e6, 1e-9)
-        c = rt.counters
+        c = self.counters[service]
         request = hop_mod.AllocationRequest(
             slice_indicator=service.indicator,
             sinr=self._sinr_db(di),
@@ -1141,20 +1126,21 @@ class Engine:
         c.granted += 1
         c.granted_comm += alloc.communication
         c.response_sum += (self.clock_us - rt.arrival_us) / 1e6
-        rt.granted = True
 
-        switch_id = self._assign_switch(rt)
-        if switch_id is None:
+        sw = self._assign_switch(rt)
+        if sw is None:
             self._trace(ALLOCATE, rt.device.device_id, service.slice_id, "", "unroutable")
             return
-        self._trace(ALLOCATE, rt.device.device_id, service.slice_id, switch_id, "granted")
+        self._trace(
+            ALLOCATE, rt.device.device_id, service.slice_id, sw.profile.switch_id, "granted"
+        )
         remaining_s = (self.end_us - self.clock_us) / 1e6
         c.flow_active_bps_seconds += rt.flow.rate * remaining_s
         phase = float(self.hub.substream("phase").uniform(0.0, self.sc.packet_interval))
         self._start_transmits(di, self.clock_us + to_us(phase))
 
-    def _assign_switch(self, rt: _DeviceRt) -> Optional[str]:
-        best_id = None
+    def _assign_switch(self, rt: _DeviceRt) -> Optional[_SwitchRt]:
+        best = None
         best_w = None
         for sw in self.switches:
             budget = sw.profile.service_capacity - sw.nominal_load
@@ -1164,14 +1150,11 @@ class Engine:
             w = off_mod.edge_weight(rt.flow, profile, self.coeffs)
             if best_w is None or w > best_w:
                 best_w = w
-                best_id = sw.profile.switch_id
-        if best_id is None:
-            return None
-        sw = self.sw_by_id[best_id]
-        sw.flows.add(rt.index)
-        sw.nominal_load += rt.flow.rate
-        rt.place(sw)
-        return best_id
+                best = sw
+        if best is not None:
+            best.nominal_load += rt.flow.rate
+            rt.place(best)
+        return best
 
     # -- detection -----------------------------------------------------------
 
@@ -1216,7 +1199,6 @@ class Engine:
                     )
                     for dev_id in blocked:
                         self.is_quarantined[self.dev_by_id[dev_id].index] = True
-                        self.quarantined.add(dev_id)
                 else:
                     sw.baseline_triples.append(triple)
                     if len(sw.baseline_triples) > 4 * sc.baseline_windows:
@@ -1255,8 +1237,6 @@ class Engine:
                 drt = device_of[mig.flow_id]
                 src = self.sw_by_id[mig.from_switch]
                 dst = self.sw_by_id[mig.to_switch]
-                src.flows.discard(drt.index)
-                dst.flows.add(drt.index)
                 src.nominal_load -= drt.flow.rate
                 dst.nominal_load += drt.flow.rate
                 drt.place(dst)
@@ -1286,22 +1266,14 @@ class Engine:
         flows = []
         current = {}
         device_of: dict[str, _DeviceRt] = {}
-        for di in sorted(trigger.flows):
+        for di in np.flatnonzero(self.sw_of == trigger.index).tolist():
             drt = self.dev[di]
             if drt.flow is None or self.is_quarantined[di]:
                 continue
             rate = bits_of[di] / interval
             if rate <= 0:
                 rate = drt.flow.rate
-            flow = Flow(
-                flow_id=drt.flow.flow_id,
-                origin=drt.flow.origin,
-                slice=drt.flow.slice,
-                rate=rate,
-                packet_delay=drt.flow.packet_delay,
-                packet_length=drt.flow.packet_length,
-                protocol=drt.flow.protocol,
-            )
+            flow = replace(drt.flow, rate=rate)
             flows.append(flow)
             current[flow.flow_id] = trigger.profile.switch_id
             device_of[flow.flow_id] = drt
@@ -1373,7 +1345,7 @@ class Engine:
             migrations=self.migrations,
             rebalances=self.rebalances,
             attack_windows_flagged=self.attack_windows,
-            quarantined_sources=len(self.quarantined),
+            quarantined_sources=int(np.count_nonzero(self.is_quarantined)),
         )
 
 

@@ -241,10 +241,7 @@ class HopfieldAllocator:
     """Trained recall network plus the grant policy around it."""
 
     def __init__(self, *, demand_reference: Optional[dict[ServiceType, int]] = None):
-        self.patterns = {
-            st: encode_pattern(st.indicator)
-            for st in (ServiceType.EMBB, ServiceType.URLLC, ServiceType.MMTC)
-        }
+        self.patterns = {st: encode_pattern(st.indicator) for st in ServiceType}
         self.we = train_patterns(list(self.patterns.values()))
         self.thresholds = np.zeros(PATTERN_LENGTH)
         self.bundles = {
@@ -256,16 +253,15 @@ class HopfieldAllocator:
     def recall_slice(self, probe: Sequence[float]) -> tuple[ServiceType, RecallResult]:
         """Snap a (possibly corrupted) probe to the nearest stored slice."""
         result = recall(self.we, self.thresholds, probe)
-        decoded = decode_pattern(result.state)
-        for st in self.patterns:
-            if st.indicator == decoded:
-                return st, result
-        # Recall landed on a spurious state: fall back to Hamming distance.
-        best = min(
-            self.patterns,
-            key=lambda st: int(np.sum(self.patterns[st] != result.state)),
-        )
-        return best, result
+        try:
+            return ServiceType.from_indicator(decode_pattern(result.state)), result
+        except ValueError:
+            # Recall landed on a spurious state: fall back to Hamming distance.
+            best = min(
+                self.patterns,
+                key=lambda st: int(np.sum(self.patterns[st] != result.state)),
+            )
+            return best, result
 
     def allocate_resources(
         self, request: AllocationRequest, pool: ResourcePool

@@ -6,8 +6,6 @@ from dataclasses import dataclass, field, fields
 
 from .domain import ServiceType
 
-SLICE_ORDER = (ServiceType.EMBB, ServiceType.URLLC, ServiceType.MMTC)
-
 METRICS_COLUMNS = (
     "slice",
     "requests",
@@ -83,7 +81,7 @@ class MetricsReport:
 
     def to_csv_rows(self) -> list[str]:
         rows = [",".join(METRICS_COLUMNS)]
-        for st in SLICE_ORDER:
+        for st in ServiceType:
             rows.append(_csv_row(self.slices[st]))
         rows.append(_csv_row(self.total))
         return rows

@@ -250,35 +250,21 @@ class Scenario:
         """The ``[scheduler]`` values; each config field has a same-named key."""
         return SchedulerConfig(**{f.name: getattr(self, f.name) for f in fields(SchedulerConfig)})
 
+    def _per_service(self, name: str, st: ServiceType):
+        """The value of ``<name>_<service>``, e.g. ``mix_urllc``."""
+        return getattr(self, f"{name}_{st.name.lower()}")
+
     def mix_fraction(self, st: ServiceType) -> float:
-        return {
-            ServiceType.EMBB: self.mix_embb,
-            ServiceType.URLLC: self.mix_urllc,
-            ServiceType.MMTC: self.mix_mmtc,
-        }[st]
+        return self._per_service("mix", st)
 
     def demand_slots(self, st: ServiceType) -> int:
-        return {
-            ServiceType.EMBB: self.demand_embb,
-            ServiceType.URLLC: self.demand_urllc,
-            ServiceType.MMTC: self.demand_mmtc,
-        }[st]
+        return self._per_service("demand", st)
 
     def delay_bound(self, st: ServiceType) -> float:
-        return {
-            ServiceType.EMBB: self.delay_bound_embb,
-            ServiceType.URLLC: self.delay_bound_urllc,
-            ServiceType.MMTC: self.delay_bound_mmtc,
-        }[st]
+        return self._per_service("delay_bound", st)
 
     def protocol(self, st: ServiceType) -> Protocol:
-        return Protocol(
-            {
-                ServiceType.EMBB: self.protocol_embb,
-                ServiceType.URLLC: self.protocol_urllc,
-                ServiceType.MMTC: self.protocol_mmtc,
-            }[st]
-        )
+        return Protocol(self._per_service("protocol", st))
 
     @property
     def nominal_flow_rate(self) -> float:

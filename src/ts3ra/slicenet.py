@@ -32,11 +32,11 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .domain import ServiceType
+from .domain import SLICE_ORDER, ServiceType
 
 LN_EPS = 1e-5
 DROP_PROB = 0.5
-N_CLASSES = 3
+N_CLASSES = len(ServiceType)
 ENC_KERNELS = (3, 3, 15, 15)
 ATTN_KERNEL = 5
 DEFAULT_D_MODEL = 8
@@ -80,29 +80,22 @@ class SliceFeatureVector:
                 raise ValueError(f"{name} must be normalized to [0, 1] (got {v!r})")
 
     def to_array(self) -> np.ndarray:
-        onehot = [0.0, 0.0, 0.0]
-        onehot[_CLASS_INDEX[self.service_type]] = 1.0
+        onehot = [0.0] * N_CLASSES
+        onehot[SLICE_ORDER.index(self.service_type)] = 1.0
         return np.array(
             onehot + [self.fair_sla, self.imsi_hash, self.capacity, self.mobility],
             dtype=np.float64,
         )
 
 
-_CLASS_INDEX = {ServiceType.EMBB: 0, ServiceType.URLLC: 1, ServiceType.MMTC: 2}
-_INDEX_CLASS = {v: k for k, v in _CLASS_INDEX.items()}
-
-
 @dataclass(frozen=True)
 class SliceDecision:
     """The slice chosen for a request and the model's confidence in it."""
 
-    indicator: tuple[int, int, int]
-    slice_id: str
+    service: ServiceType
     confidence: float
 
     def __post_init__(self):
-        if self.indicator not in ((0, 0, 1), (0, 1, 0), (1, 1, 1)):
-            raise ValueError(f"unknown slice indicator {self.indicator!r}")
         if not (0.0 <= self.confidence <= 1.0):
             raise ValueError("confidence must be in [0, 1]")
 
@@ -515,12 +508,7 @@ def select_slice(model: SliceNetModel, features: SliceFeatureVector) -> SliceDec
         raise DivergedModelError(f"non-finite logits {logits!r}")
     probs = softmax(logits)
     cls = int(np.argmax(probs))
-    service = _INDEX_CLASS[cls]
-    return SliceDecision(
-        indicator=service.indicator,
-        slice_id=service.slice_id,
-        confidence=float(probs[cls]),
-    )
+    return SliceDecision(service=SLICE_ORDER[cls], confidence=float(probs[cls]))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ts3ra.auth import (
+    CHALLENGES_PER_DEVICE,
     AuthVerdict,
     KeyDerivationParams,
     PufChallengeResponse,
@@ -167,13 +168,13 @@ class TestPuf:
             puf_verify(va, "ghost", b"x", rng)
 
 
-def per_challenge_registration(va, device_id, password, puf, rng, n_challenges, params=None):
+def per_challenge_registration(va, device_id, password, puf, rng):
     """Reference: one 16-octet draw for the salt, then one per challenge,
     with the record stored before the challenges are enrolled."""
     salt = bytes(rng.integers(0, 256, size=16, dtype=np.uint8))
-    params = params or KeyDerivationParams(password=password, salt=salt)
-    va.registered[device_id] = RegistrationRecord(device_id, params.salt, derive_key(params), params)
-    for _ in range(n_challenges):
+    params = KeyDerivationParams(password=password, salt=salt)
+    va.registered[device_id] = RegistrationRecord(device_id, derive_key(params), params)
+    for _ in range(CHALLENGES_PER_DEVICE):
         challenge = bytes(rng.integers(0, 256, size=16, dtype=np.uint8))
         puf_enroll(va, PufChallengeResponse(device_id, challenge, puf.respond(challenge)))
 
@@ -192,15 +193,12 @@ class TestRegisterDevice:
         assert one.bit_generator.state == many.bit_generator.state
         assert one.random() == many.random()
 
-    @pytest.mark.parametrize("n_challenges", [0, 1, 8])
-    @pytest.mark.parametrize("given_params", [False, True])
-    def test_equals_per_challenge_draws(self, n_challenges, given_params):
-        params = KeyDerivationParams(b"given", b"s" * 16) if given_params else None
+    def test_equals_per_challenge_draws(self):
         puf = SimulatedPuf(b"\x02" * 32)
         ref_va, ref_rng = VirtualAuthority("VA0"), np.random.default_rng(9)
-        per_challenge_registration(ref_va, "d", b"pw", puf, ref_rng, n_challenges, params)
+        per_challenge_registration(ref_va, "d", b"pw", puf, ref_rng)
         va, rng = VirtualAuthority("VA0"), np.random.default_rng(9)
-        record = register_device(va, "d", b"pw", puf, rng, n_challenges=n_challenges, params=params)
+        record = register_device(va, "d", b"pw", puf, rng)
         assert record == ref_va.registered["d"]
         assert va == ref_va
         assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 from bisect import bisect_right
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -19,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ts3ra import auth as auth_mod
 from ts3ra import engine as engine_mod
-from ts3ra.domain import ServiceType
+from ts3ra.domain import SLICE_ORDER, ServiceType
 from ts3ra.engine import (
     ALLOCATE,
     AUTH,
@@ -38,7 +39,7 @@ from ts3ra.engine import (
     seconds_text,
     size_index,
 )
-from ts3ra.metrics import SLICE_ORDER, SliceCounters, derive_slice_metrics
+from ts3ra.metrics import SliceCounters, derive_slice_metrics
 from ts3ra.rng import RngHub
 from ts3ra.scenario import Scenario, ScenarioError
 from ts3ra.slicenet import TrainingDivergedError
@@ -173,7 +174,7 @@ class ScalarDataPlane(Engine):
         if last >= 0:
             self.win_gaps[j, bisect_right(self.ref_edges, (t - last) / 1e6)] += 1
         self.last_arrival_us[j] = t
-        if u_loss < self.switches[j].loss_rate:
+        if u_loss < self.switches[j].profile.loss_rate:
             code = LOSS
         else:
             backlog = max(self.busy_us[j] - t, 0)
@@ -435,8 +436,11 @@ class TestConservationAndAttribution:
 
     def test_deliveries_only_from_authenticated(self, small_run):
         engine, _, trace, _ = small_run
+        # accepted by authentication, whether or not the queue took them
         authenticated = {
-            rt.device.device_id for rt in engine.dev if rt.authenticated
+            cells[2]
+            for cells in (row.split(",") for row in trace[1:])
+            if cells[1] == "auth" and not cells[5].startswith("rejected:")
         }
         for row in trace[1:]:
             cells = row.split(",")
@@ -445,7 +449,7 @@ class TestConservationAndAttribution:
 
     def test_no_delivery_after_quarantine(self, small_run):
         engine, _, trace, _ = small_run
-        assert engine.quarantined, "scenario should quarantine its flooders"
+        assert engine.is_quarantined.any(), "scenario should quarantine its flooders"
         first_block: dict[str, float] = {}
         for row in trace[1:]:
             cells = row.split(",")
@@ -460,14 +464,21 @@ class TestConservationAndAttribution:
 
 class TestDetectionIntegration:
     def test_flooders_quarantined(self, small_run):
-        engine, report, _, _ = small_run
+        engine, report, trace, _ = small_run
+        # granted resources, whether or not a switch could take their flow
+        granted = {
+            cells[2]
+            for cells in (row.split(",") for row in trace[1:])
+            if cells[1] == "allocate" and cells[5] in ("granted", "unroutable")
+        }
         flooders = {
             rt.device.device_id
             for rt in engine.dev
-            if not rt.device.legitimate and not rt.forged and rt.granted
+            if not rt.device.legitimate and not rt.forged and rt.device.device_id in granted
         }
         assert flooders
-        assert engine.quarantined <= flooders | {
+        quarantined = {rt.device.device_id for rt in engine.dev if engine.is_quarantined[rt.index]}
+        assert quarantined <= flooders | {
             rt.device.device_id for rt in engine.dev if not rt.device.legitimate
         }
         assert report.quarantined_sources >= 1
@@ -552,6 +563,36 @@ class TestRebalanceIntegration:
         )
         assert report.migrations > 0
         assert len(migrations) == report.migrations + 1  # header row
+
+    def test_migrations_replay_to_the_final_placement(self):
+        # From the switches that allocation granted, each migration leaves the
+        # switch its device is on, and the replay ends at the engine's.
+        trace, migrations = Lines(), Lines()
+        engine = Engine(
+            small_scenario(
+                devices=64, switches=16, duration=30.0, illegitimate_fraction=0.5,
+                forged_fraction=0.0, flood_start=20.0, window_duration=0.25,
+            ),
+            trace_sink=trace,
+            migration_sink=migrations,
+        )
+        engine.run()
+        placed = {
+            cells[2]: cells[4]
+            for cells in (row.split(",") for row in trace[1:])
+            if cells[1] == "allocate" and cells[5] == "granted"
+        }
+        device_of = {rt.flow.flow_id: rt.device.device_id for rt in engine.dev if rt.flow}
+        assert len(migrations) > 10
+        for _, flow_id, from_switch, to_switch, _ in (row.split(",") for row in migrations[1:]):
+            device = device_of[flow_id]
+            assert placed[device] == from_switch
+            placed[device] = to_switch
+        assert placed == {
+            rt.device.device_id: engine.switches[engine.sw_of[rt.index]].profile.switch_id
+            for rt in engine.dev
+            if engine.sw_of[rt.index] >= 0
+        }
 
 
 class TestMobility:
@@ -644,8 +685,13 @@ def lossless_engine(trace: Lines, **overrides) -> Engine:
     )
     engine.heap.clear()
     for sw in engine.switches:
-        sw.loss_rate = 0.0
+        set_loss_rate(sw, 0.0)
     return engine
+
+
+def set_loss_rate(sw, loss_rate: float) -> None:
+    """Make switch ``sw`` lose packets at ``loss_rate``."""
+    sw.profile = replace(sw.profile, loss_rate=loss_rate)
 
 
 def cut_everywhere(batch_packets: int = 7):
@@ -678,7 +724,7 @@ def track_batches(engine: Engine) -> list[tuple[int, int]]:
 class TestOutcomeOrdering:
     def test_trace_sink_leaves_metrics_unchanged(self, small_run):
         engine, report, _, _ = small_run
-        assert engine.quarantined
+        assert engine.is_quarantined.any()
         assert run_scenario(small_scenario()).to_csv_rows() == report.to_csv_rows()
 
     def test_outcomes_applied_before_every_event_give_the_same_run(self, small_run):
@@ -723,7 +769,7 @@ class TestOutcomeOrdering:
         rt = engine.dev[0]
         sw = engine.sw_by_id["SW0"]
         rt.place(sw)
-        c = rt.counters
+        c = engine.counters[rt.claimed]
         close_us = 2_000_000
         c.sent += 1
         c.in_flight += 1
@@ -733,7 +779,7 @@ class TestOutcomeOrdering:
         engine.win_counts[sw.index, 1:10, 1] = 1
         sw.baseline_triples = [(3.0, 1.0, 1.0)] * engine.sc.baseline_windows
         engine.step_event((close_us, WINDOW_CLOSE, 0, None))
-        assert engine.is_quarantined[0] and rt.device.device_id in engine.quarantined
+        assert engine.is_quarantined[0]
         engine.collect_metrics()
         assert (c.delivered, c.blocked) == ((1, 0) if delivered else (0, 1))
 
@@ -781,9 +827,9 @@ class TestOutcomeOrdering:
             rt.flow = engine._make_flow(rt, rt.decided)
             rt.place(sw)
         engine.clock_us = first = 1_000_000
-        sw.loss_rate = 1.0
+        set_loss_rate(sw, 1.0)
         self.transmit_now(engine, 0)  # lost, and sent again 20 ms later
-        sw.loss_rate = 0.0
+        set_loss_rate(sw, 0.0)
         engine.clock_us = due = first + engine.retransmit_delay_us
         for di in (2, 1):
             engine._start_transmits(di, due)
@@ -826,7 +872,7 @@ class TestOutcomeOrdering:
         engine.collect_metrics()
         times = [f"{t / 1e6:.6f}" for t in sorted((first, second))]
         assert self.delivery_rows(trace) == [(t, "d0000") for t in times]
-        assert rt.counters.delivered == 2
+        assert engine.counters[rt.claimed].delivered == 2
 
     def test_no_outcome_due_is_held_after_a_reader(self):
         # With a trace, every kind but slots and ticks reads the data plane.
@@ -839,7 +885,7 @@ class TestOutcomeOrdering:
                 assert (engine.held[:, 0] >= due).all()
                 assert all(r[0] >= due for r in engine.retransmits)
                 assert (engine.next_us >= due).all()
-        assert engine.quarantined
+        assert engine.is_quarantined.any()
         engine.collect_metrics()
 
     def test_mobility_ticks_stop_once_every_device_finished(self):
@@ -927,11 +973,11 @@ class TestDataPlaneBoundary:
         rt = engine.dev[0]
         # a reliable-stream slice retransmits a lost packet once
         rt.decided = ServiceType.URLLC
-        engine.sw_by_id["SW0"].loss_rate = 1.0
+        set_loss_rate(engine.sw_by_id["SW0"], 1.0)
         now = 1_000_000
         self.start(engine, 0, now)
         engine.step_event((now, WINDOW_CLOSE, 0, None))
-        c = rt.counters
+        c = engine.counters[rt.decided]
         assert (c.sent, c.dropped, c.in_flight) == (1, 1, 0)
         assert engine.retransmits == []
         assert engine.next_us[0] == now + engine.packet_interval_us
@@ -941,7 +987,7 @@ class TestDataPlaneBoundary:
         while engine.heap:
             engine.step_event(heapq.heappop(engine.heap))
             assert all(entry[1] != TRANSMIT for entry in engine.heap)
-        assert engine.quarantined
+        assert engine.is_quarantined.any()
         engine.collect_metrics()
         assert (engine.next_us == NEVER).all() and engine.retransmits == []
 

@@ -297,7 +297,7 @@ class TestModelForward:
             model = SliceNetModel(rng=np.random.default_rng(seed))
             fv = SliceFeatureVector(ServiceType.MMTC, 0.5, 0.5, 0.5, 0.5)
             decision = select_slice(model, fv)
-            assert decision.indicator in {(0, 0, 1), (0, 1, 0), (1, 1, 1)}
+            assert decision.service.indicator in {(0, 0, 1), (0, 1, 0), (1, 1, 1)}
             assert 0.0 <= decision.confidence <= 1.0
 
     def test_inference_deterministic(self):
@@ -311,7 +311,7 @@ class TestModelForward:
         before = select_slice(model, fv)
         model.head_b += 7.3  # shifts every logit equally
         after = select_slice(model, fv)
-        assert before.indicator == after.indicator
+        assert before.service is after.service
 
     def test_nonfinite_logits_rejected(self):
         model = SliceNetModel(rng=np.random.default_rng(17))
@@ -488,7 +488,7 @@ class TestTraining:
         model = SliceNetModel(rng=np.random.default_rng(3))
         train(model, feats, labels, epochs=4, learning_rate=0.01, rng=np.random.default_rng(4))
         fv = SliceFeatureVector(ServiceType.URLLC, 0.8, 0.3, 0.6, 0.2)
-        assert select_slice(model, fv).indicator == (0, 1, 0)
+        assert select_slice(model, fv).service is ServiceType.URLLC
 
     def test_learning_rate_range_enforced(self):
         model = SliceNetModel(rng=np.random.default_rng(5))

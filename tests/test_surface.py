@@ -4,6 +4,8 @@ Every name a plane lists resolves, and every function and class it lists
 has a docstring.  Every other public top-level function or class of the
 plane is taken by another ``ts3ra`` module, so no entry point that only
 tests call can sit in the package.
+
+The three services' order and per-service tables live in ``domain`` only.
 """
 
 import ast
@@ -11,6 +13,8 @@ import importlib
 from pathlib import Path
 
 import pytest
+
+from ts3ra.domain import ServiceType
 
 PACKAGE = Path(importlib.import_module("ts3ra").__file__).parent
 PLANES = ["auth", "ddos", "domain", "hopfield", "offload", "sched", "serialization", "slicenet"]
@@ -74,3 +78,37 @@ def test_unlisted_public_names_serve_the_package(module):
     listed = importlib.import_module(f"ts3ra.{module}").__all__
     unlisted = {name for name in top_level_defs(module) if not name.startswith("_")} - set(listed)
     assert sorted(unlisted - names_taken_from(module)) == []
+
+
+def service_displays(module: str) -> list[int]:
+    """Lines of the tuple, list, set and dict displays in ``module``'s source
+    that name every ``ServiceType`` member."""
+    lines = []
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            items = node.elts
+        elif isinstance(node, ast.Dict):
+            items = [*node.keys, *node.values]
+        else:
+            continue
+        named = {
+            item.attr
+            for item in items
+            if isinstance(item, ast.Attribute)
+            and isinstance(item.value, ast.Name)
+            and item.value.id == "ServiceType"
+        }
+        if named == set(ServiceType.__members__):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_domain_holds_the_service_tables():
+    assert service_displays("domain")
+
+
+@pytest.mark.parametrize(
+    "module", sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "domain")
+)
+def test_only_domain_lists_every_service(module):
+    assert service_displays(module) == []
