@@ -19,6 +19,14 @@ of the derived key); :func:`register_device` runs both with
 :func:`derive_key` between them.  The split lets a caller derive keys
 elsewhere: the engine runs only the derivations on a second thread, since
 OpenSSL's PBKDF2 releases the GIL while the rest is Python that holds it.
+
+:func:`authenticate` takes the presented credential the way
+:func:`puf_verify` takes a PUF response: either the password, which it
+stretches under the record's inputs, or a responder that is handed those
+inputs and returns a key already derived from them, for a caller that
+derived the presented key elsewhere.  Either way the verdict comes from one
+path: the same precedence, the same draws, and a constant-time comparison
+with the stored key.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ import hashlib
 import hmac
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -202,6 +210,7 @@ def puf_enroll(va: VirtualAuthority, crp: PufChallengeResponse) -> None:
 
 
 PufResponder = Callable[[bytes], bytes]
+KeyResponder = Callable[[KeyDerivationParams], bytes]
 
 
 def puf_verify(
@@ -272,9 +281,9 @@ def register_device(
 
 
 def authenticate(
-    va: VirtualAuthority,
+    va: Optional[VirtualAuthority],
     device_id: str,
-    password: bytes,
+    password: Union[bytes, KeyResponder],
     timestamp: float,
     puf_response: Union[bytes, PufResponder],
     *,
@@ -285,9 +294,13 @@ def authenticate(
     """Admit a device iff timestamp, PUF response and derived key all check.
 
     Failures are reported in fixed precedence: unknown device, stale
-    timestamp, bad PUF, bad key.
+    timestamp, bad PUF, bad key.  ``va`` is the authority that holds the
+    device, or None when none does.  ``password`` is either the presented
+    password, stretched here under the record's inputs, or a responder that
+    is handed those inputs and returns the presented key derived from them;
+    it is called only when the key is checked.
     """
-    record = va.registered.get(device_id)
+    record = va.registered.get(device_id) if va is not None else None
     if record is None or device_id not in va.crp_store:
         return AuthVerdict(False, VerdictReason.UNKNOWN_DEVICE)
 
@@ -297,8 +310,11 @@ def authenticate(
     if not puf_verify(va, device_id, puf_response, rng):
         return AuthVerdict(False, VerdictReason.BAD_PUF)
 
-    attempt = replace(record.params, password=password)
-    if not hmac.compare_digest(derive_key(attempt), record.derived_key):
+    if callable(password):
+        presented = password(record.params)
+    else:
+        presented = derive_key(replace(record.params, password=password))
+    if not hmac.compare_digest(presented, record.derived_key):
         return AuthVerdict(False, VerdictReason.BAD_KEY)
 
     return AuthVerdict(True, VerdictReason.OK)
@@ -309,7 +325,8 @@ class VirtualAuthorityPool:
 
     Sizing follows demand: one authority per ``DEVICES_PER_AUTHORITY``
     unverified devices, never fewer than one while any device is pending.
-    Devices map to authorities by enrollment order.
+    Devices map to authorities by enrollment order: :meth:`authority_for`
+    assigns, :meth:`holder_of` only looks up.
     """
 
     def __init__(self):
@@ -320,7 +337,14 @@ class VirtualAuthorityPool:
         while len(self.authorities) < n:
             self.authorities.append(VirtualAuthority(va_id=f"VA{len(self.authorities)}"))
 
+    def holder_of(self, device_id: str) -> Optional[VirtualAuthority]:
+        """The authority ``device_id`` was assigned, or None; assigns nothing."""
+        idx = self._assignment.get(device_id)
+        return None if idx is None else self.authorities[idx]
+
     def authority_for(self, device_id: str) -> VirtualAuthority:
+        """The authority ``device_id`` was assigned, assigning the next place
+        in enrollment order (and creating its authority) to a new device."""
         idx = self._assignment.get(device_id)
         if idx is None:
             idx = len(self._assignment) // DEVICES_PER_AUTHORITY

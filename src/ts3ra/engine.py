@@ -50,14 +50,23 @@ work starts after it; packets in flight at the horizon drain at the end of
 the run.
 
 Set-up enrolls the devices on the main thread, in device order, so the
-``puf`` stream is drawn as one registration at a time would draw it.  Their
-PBKDF2 key derivations then run on one second thread while the slice
-selector trains on the main one, and their records are stored after it is
-joined, before the first event.  Training stops once it has converged, so
-it can end before the derivations do; the main thread then waits at the
-join.  Only the derivations move: OpenSSL releases the GIL while it
-stretches a key, whereas the draws, HMACs and stores are Python, which
-would wait on the GIL behind training.
+``puf`` stream is drawn as one registration at a time would draw it, and
+draws every arrival time.  Every PBKDF2 derivation then runs on one second
+thread, ``ts3ra-pbkdf2``: first the registration keys, in device order,
+while the slice selector trains on the main thread; then each enrolled
+device's presented key, one derivation of the password it presents under
+its record's inputs, in the order the AUTH events need them (by arrival
+time, then by device).  Set-up waits only for the registration keys and
+stores their records before the first event; each AUTH event waits only for
+its own device's key, which is used once, and nothing is cached by password
+or by inputs.  Only the derivations move: OpenSSL releases the GIL while it
+stretches a key, whereas the draws, HMACs and stores are Python, which would
+wait on the GIL behind training.  The thread takes the GIL back only between
+derivations, at the interpreter's switch interval while the main thread runs
+Python, so the presented keys are derived mostly in the tail of training,
+where the GEMMs release the GIL; arrival order puts the keys needed first
+there.  ``collect_metrics`` joins the thread once every key is derived and
+raises a derivation's error; set-up or a run that fails stops and joins it.
 """
 
 from __future__ import annotations
@@ -248,13 +257,77 @@ def _load_model(path: str) -> sn_mod.SliceNetModel:
     return model
 
 
-def _derive_keys(params: list[auth_mod.KeyDerivationParams], outcome: list) -> None:
-    """Body of the key-derivation thread: appends to ``outcome`` every key,
-    in order, or the error that stopped it, which the main thread raises."""
+class _KeyWorker:
+    """The ``ts3ra-pbkdf2`` thread and the keys it derives: the registration
+    keys, in device order, then one presented key per enrolled device, in
+    the order given (see the module docstring)."""
+
+    def __init__(
+        self,
+        registration: list[auth_mod.KeyDerivationParams],
+        presented: dict[int, auth_mod.KeyDerivationParams],
+    ):
+        self.jobs = [*registration, *presented.values()]
+        self.n_registration = len(registration)
+        # each device's place in ``jobs``, removed when its key is taken
+        self._place = {di: self.n_registration + k for k, di in enumerate(presented)}
+        self.keys: list[bytes] = []  # derived so far, in the order of ``jobs``
+        self.error: Optional[BaseException] = None
+        self.stopped = False
+        self.ended = False
+        self.ready = threading.Condition()
+        self.thread = threading.Thread(target=_derive_keys, args=(self,), name="ts3ra-pbkdf2")
+        self.thread.start()
+
+    def _wait(self, n: int) -> None:
+        """Wait until the first ``n`` keys are derived."""
+        if len(self.keys) >= n:
+            return
+        with self.ready:
+            self.ready.wait_for(lambda: len(self.keys) >= n or self.ended)
+        if len(self.keys) < n:
+            raise self.error or InvariantViolation("key derivation stopped")
+
+    def registration_keys(self) -> list[bytes]:
+        self._wait(self.n_registration)
+        return self.keys[: self.n_registration]
+
+    def presented(self, di: int) -> bytes:
+        """Device ``di``'s presented key; each is taken once."""
+        place = self._place.pop(di)
+        self._wait(place + 1)
+        return self.keys[place]
+
+    def finish(self) -> None:
+        """Join the thread once it has derived every key; raise its error."""
+        self.thread.join()
+        if self.error is not None:
+            raise self.error
+
+    def close(self) -> None:
+        """Stop the thread after its current derivation and join it."""
+        self.stopped = True
+        self.thread.join()
+
+
+def _derive_keys(worker: _KeyWorker) -> None:
+    """Body of the ``ts3ra-pbkdf2`` thread: derives ``worker.jobs`` in order
+    until it is stopped or a derivation fails, and keeps the error for the
+    main thread to raise."""
     try:
-        outcome.append([auth_mod.derive_key(p) for p in params])
+        for params in worker.jobs:
+            if worker.stopped:
+                break
+            key = auth_mod.derive_key(params)
+            with worker.ready:
+                worker.keys.append(key)
+                worker.ready.notify()
     except BaseException as exc:
-        outcome.append(exc)
+        worker.error = exc
+    finally:
+        with worker.ready:
+            worker.ended = True
+            worker.ready.notify()
 
 
 def size_index(u: np.ndarray) -> np.ndarray:
@@ -423,28 +496,35 @@ class Engine:
         self.queue_dropped = 0
         self.loss_curve = None
 
-        self._build_world(model)
-        self.device_ids = [rt.device.device_id for rt in self.dev]
-        self._init_data_plane()
-        # Devices not yet rejected, dropped at the queue or allocated; once
-        # none is left no allocation follows, so nothing reads positions.  At
-        # the end of a run, the pending count: devices not yet arrived, still
-        # queued, or waiting for a slice decision or an allocation.
-        self.unfinished = len(self.dev)
-        self._handlers = (
-            self._on_arrival,
-            self._on_auth,
-            self._on_schedule_slot,
-            self._on_slice_decide,
-            self._on_allocate,
-            self._packet_on_event_heap,
-            self._packet_on_event_heap,
-            self._packet_on_event_heap,
-            self._on_window_close,
-            self._on_rebalance,
-            self._on_mobility_tick,
-        )
-        self._seed_events()
+        self._keys: Optional[_KeyWorker] = None
+        try:
+            self._build_world(model)
+            self.device_ids = [rt.device.device_id for rt in self.dev]
+            self._init_data_plane()
+            # Devices not yet rejected, dropped at the queue or allocated;
+            # once none is left no allocation follows, so nothing reads
+            # positions.  At the end of a run, the pending count: devices not
+            # yet arrived, still queued, or waiting for a slice decision or
+            # an allocation.
+            self.unfinished = len(self.dev)
+            self._handlers = (
+                self._on_arrival,
+                self._on_auth,
+                self._on_schedule_slot,
+                self._on_slice_decide,
+                self._on_allocate,
+                self._packet_on_event_heap,
+                self._packet_on_event_heap,
+                self._packet_on_event_heap,
+                self._on_window_close,
+                self._on_rebalance,
+                self._on_mobility_tick,
+            )
+            self._seed_events()
+        except BaseException:
+            if self._keys is not None:
+                self._keys.close()
+            raise
 
     # -- construction --------------------------------------------------------
 
@@ -483,7 +563,7 @@ class Engine:
         self.sw_of = np.full(n, -1, dtype=np.int64)
         self.suffixes = _RowSuffixes(n)
         self.fair_slas = fair_slas
-        enrolled = []  # (authority, device id, key-derivation inputs)
+        enrolled = []  # (authority, device, key-derivation inputs)
         for i in range(n):
             device_id = f"d{i:04d}"
             legitimate = i not in illegit
@@ -502,7 +582,7 @@ class Engine:
             if not rt.forged:
                 va = self.vap.authority_for(device_id)
                 params = auth_mod.enroll_device(va, device_id, password, puf, rng_puf)
-                enrolled.append((va, device_id, params))
+                enrolled.append((va, rt, params))
             self.dev.append(rt)
             self.dev_by_id[device_id] = rt
 
@@ -537,41 +617,41 @@ class Engine:
         self.sched_active = False
         self.slot_us = to_us(sc.slot_duration)
 
+        # each device's arrival, drawn now: the presented keys are derived
+        # in the order of the AUTH events, by arrival then by device
+        rng_arrivals = self.hub.substream("arrivals")
+        window = sc.arrival_window * sc.duration
+        self.arrivals_us = [to_us(float(rng_arrivals.uniform(0.0, window))) for _ in range(n)]
+        by_arrival = sorted(enrolled, key=lambda e: (self.arrivals_us[e[1].index], e[1].index))
         # the enrolled devices' keys, derived on a second thread while the
         # slice-selection model trains on this one (see the module docstring)
-        outcome: list = []
-        worker = threading.Thread(
-            target=_derive_keys, args=([p for _, _, p in enrolled], outcome), name="ts3ra-pbkdf2"
+        self._keys = _KeyWorker(
+            [params for _, _, params in enrolled],
+            {rt.index: replace(params, password=rt.password) for _, rt, params in by_arrival},
         )
-        worker.start()
-        try:
-            if model is not None:
-                self.model = model
-            elif sc.model_path:
-                self.model = _load_model(sc.model_path)
-            else:
-                feats, labels = sn_mod.make_separable_dataset(
-                    sc.train_samples, self.hub.substream("slicenet-data")
-                )
-                self.model = sn_mod.SliceNetModel(
-                    d_model=sc.d_model, rng=self.hub.substream("slicenet-init")
-                )
-                self.loss_curve = sn_mod.train(
-                    self.model,
-                    feats,
-                    labels,
-                    epochs=sc.epochs,
-                    learning_rate=sc.learning_rate,
-                    rng=self.hub.substream("slicenet-train"),
-                    batch_size=32,
-                )
-        finally:
-            worker.join()
-        (keys,) = outcome
-        if isinstance(keys, BaseException):
-            raise keys
-        for (va, device_id, params), key in zip(enrolled, keys):
-            auth_mod.store_registration(va, device_id, params, key)
+        if model is not None:
+            self.model = model
+        elif sc.model_path:
+            self.model = _load_model(sc.model_path)
+        else:
+            feats, labels = sn_mod.make_separable_dataset(
+                sc.train_samples, self.hub.substream("slicenet-data")
+            )
+            self.model = sn_mod.SliceNetModel(
+                d_model=sc.d_model, rng=self.hub.substream("slicenet-init")
+            )
+            self.loss_curve = sn_mod.train(
+                self.model,
+                feats,
+                labels,
+                epochs=sc.epochs,
+                learning_rate=sc.learning_rate,
+                rng=self.hub.substream("slicenet-train"),
+                batch_size=32,
+            )
+        keys = self._keys.registration_keys()
+        for (va, rt, params), key in zip(enrolled, keys):
+            auth_mod.store_registration(va, rt.device.device_id, params, key)
 
         # resource pools, sized to expected demand with headroom
         expected = {st: 0.0 for st in ServiceType}
@@ -596,11 +676,8 @@ class Engine:
 
     def _seed_events(self) -> None:
         sc = self.sc
-        rng_arrivals = self.hub.substream("arrivals")
-        window = sc.arrival_window * sc.duration
-        for rt in self.dev:
-            t = to_us(float(rng_arrivals.uniform(0.0, window)))
-            self._push(t, ARRIVAL, rt.index)
+        for di, t in enumerate(self.arrivals_us):
+            self._push(t, ARRIVAL, di)
         if sc.devices:
             self._push(to_us(sc.tick_interval), MOBILITY_TICK, None)
         if sc.ddos_enabled:
@@ -977,8 +1054,12 @@ class Engine:
 
     def run(self) -> MetricsReport:
         heap, pop, step = self.heap, heapq.heappop, self.step_event
-        while heap:
-            step(pop(heap))
+        try:
+            while heap:
+                step(pop(heap))
+        except BaseException:
+            self._keys.close()
+            raise
         return self.collect_metrics()
 
     # -- handlers ---------------------------------------------------------------
@@ -995,11 +1076,10 @@ class Engine:
     def _on_auth(self, di: int) -> None:
         rt = self.dev[di]
         now_s = self.clock_us / 1e6
-        va = self.vap.authority_for(rt.device.device_id)
         verdict = auth_mod.authenticate(
-            va,
+            self.vap.holder_of(rt.device.device_id),
             rt.device.device_id,
-            rt.password,
+            lambda _params: self._keys.presented(di),
             timestamp=now_s,
             puf_response=rt.puf.respond,
             now=now_s,
@@ -1317,6 +1397,7 @@ class Engine:
     # -- reporting ----------------------------------------------------------------
 
     def collect_metrics(self) -> MetricsReport:
+        self._keys.finish()
         self._run_data_plane(math.inf)
         for st, c in self.counters.items():
             if c.in_flight != 0:

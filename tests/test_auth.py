@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -265,6 +266,64 @@ class TestAuthenticate:
         with pytest.raises(ValueError):
             AuthVerdict(True, VerdictReason.BAD_KEY)
 
+    def test_no_authority_is_an_unknown_device(self, enrolled):
+        _, puf, _, rng = enrolled
+        state = rng.bit_generator.state
+        verdict = authenticate(
+            None, "dev-1", b"hunter2", timestamp=0.0, puf_response=puf.respond, now=0.0, rng=rng
+        )
+        assert verdict == AuthVerdict(False, VerdictReason.UNKNOWN_DEVICE)
+        assert rng.bit_generator.state == state
+
+
+class TestPresentedKey:
+    """A key derived elsewhere, handed over by a responder, gets the verdict
+    and the draws that its password gets."""
+
+    def responder(self, password, handed):
+        def respond(params):
+            handed.append(params)
+            return derive_key(replace(params, password=password))
+
+        return respond
+
+    @pytest.mark.parametrize(
+        "password,timestamp,good_puf",
+        [
+            (b"hunter2", 100.0, True),
+            (b"wrong-pw", 100.0, True),
+            (b"hunter2", 90.0, True),
+            (b"hunter2", 100.0, False),
+        ],
+    )
+    def test_same_verdict_and_draws_as_the_password(self, password, timestamp, good_puf):
+        def attempt(presented):
+            rng = np.random.default_rng(5)
+            va, puf = VirtualAuthority("VA0"), SimulatedPuf(b"\x01" * 32)
+            register_device(va, "dev-1", b"hunter2", puf, rng)
+            verdict = authenticate(
+                va, "dev-1", presented, timestamp=timestamp,
+                puf_response=puf.respond if good_puf else b"wrong", now=100.0, rng=rng,
+            )
+            return verdict, rng.bit_generator.state, va.registered["dev-1"]
+
+        handed = []
+        by_password = attempt(password)
+        by_responder = attempt(self.responder(password, handed))
+        assert by_responder == by_password
+        # handed the record's inputs, and only once the key is checked
+        checked = timestamp == 100.0 and good_puf
+        assert handed == ([by_responder[2].params] if checked else [])
+
+    def test_unknown_device_calls_no_responder(self, enrolled):
+        va, puf, _, rng = enrolled
+        handed = []
+        verdict = authenticate(
+            va, "ghost", self.responder(b"pw", handed), timestamp=0.0,
+            puf_response=puf.respond, now=0.0, rng=rng,
+        )
+        assert verdict.reason is VerdictReason.UNKNOWN_DEVICE and not handed
+
 
 class TestAuthorityPool:
     def test_one_authority_per_125_devices(self):
@@ -279,3 +338,11 @@ class TestAuthorityPool:
         for i in range(200):
             pool.authority_for(f"d{i}")
         assert pool.authority_for("d0") is first
+
+    def test_lookup_assigns_nothing(self):
+        pool = VirtualAuthorityPool()
+        first = pool.authority_for("d0")
+        assert pool.holder_of("d0") is first
+        assert pool.holder_of("ghost") is None
+        assert pool.authorities == [first]
+        assert pool.authority_for("d1") is first

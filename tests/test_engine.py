@@ -42,6 +42,7 @@ from ts3ra.engine import (
 from ts3ra.metrics import SliceCounters, derive_slice_metrics
 from ts3ra.rng import RngHub
 from ts3ra.scenario import Scenario, ScenarioError
+from ts3ra.scenario_io import apply_override, parse_scenario
 from ts3ra.slicenet import TrainingDivergedError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -293,31 +294,62 @@ class TestDeterminism:
         assert trace_a == trace_b
 
 
-class TestDeviceRegistration:
-    """Keys are derived on a second thread while the model trains."""
+# The longest a test holds the key-derivation thread back.
+WAIT_S = 10.0
 
-    def scenario(self) -> Scenario:
+
+def pbkdf2_threads() -> set[threading.Thread]:
+    """The live key-derivation threads."""
+    return {t for t in threading.enumerate() if t.name == "ts3ra-pbkdf2"}
+
+
+def spy_derive_key(monkeypatch, on_presented=None) -> list:
+    """Record every ``derive_key`` call as (thread, params), and call
+    ``on_presented`` before deriving a presented key: one whose inputs were
+    derived before, since a device presents the password it enrolled with.
+    Threads already live, of engines that were built and not run, are left
+    alone."""
+    calls, derive_key, earlier = [], auth_mod.derive_key, pbkdf2_threads()
+
+    def spy(params):
+        if threading.current_thread() in earlier:
+            return derive_key(params)
+        if on_presented is not None and any(params == p for _, p in calls):
+            on_presented()
+        calls.append((threading.current_thread(), params))
+        return derive_key(params)
+
+    monkeypatch.setattr(auth_mod, "derive_key", spy)
+    return calls
+
+
+class TestDeviceRegistration:
+    """Keys are derived on a second thread: the registration keys while the
+    model trains, then each enrolled device's presented key, in the order of
+    the AUTH events.  Set-up waits only for the registration keys; the run
+    joins the thread."""
+
+    def scenario(self, **overrides) -> Scenario:
         # half the devices illegitimate and half of those forged: some
         # devices register and some do not
         return small_scenario(
-            devices=12, train_samples=60, epochs=1, illegitimate_fraction=0.5, forged_fraction=0.5
+            devices=12,
+            train_samples=60,
+            epochs=1,
+            illegitimate_fraction=0.5,
+            forged_fraction=0.5,
+            **overrides,
         )
 
     def test_records_equal_sequential_registration(self, monkeypatch):
-        threads, derive_key = [], auth_mod.derive_key
-
-        def spy(params):
-            threads.append(threading.current_thread())
-            return derive_key(params)
-
-        monkeypatch.setattr(auth_mod, "derive_key", spy)
+        calls = spy_derive_key(monkeypatch)
         sc = self.scenario()
         engine = Engine(sc)
+        engine.run()
         monkeypatch.undo()
         registered = [rt for rt in engine.dev if not rt.forged]
         assert 0 < len(registered) < len(engine.dev)
-        assert len(threads) == len(registered)
-        assert threading.main_thread() not in threads
+        assert threading.main_thread() not in {thread for thread, _ in calls}
 
         rng_puf = RngHub(sc.seed).substream("puf")
         pool = auth_mod.VirtualAuthorityPool()
@@ -327,39 +359,178 @@ class TestDeviceRegistration:
                 va = pool.authority_for(rt.device.device_id)
                 auth_mod.register_device(va, rt.device.device_id, rt.password, puf, rng_puf)
         assert engine.vap.authorities == pool.authorities
+        params = {}
         for rt in registered:
-            record = engine.vap.authority_for(rt.device.device_id).registered[rt.device.device_id]
+            record = engine.vap.holder_of(rt.device.device_id).registered[rt.device.device_id]
             assert record.derived_key == auth_mod.derive_key(record.params)
+            params[rt.index] = record.params
+        # one registration key per enrolled device, in device order, then one
+        # presented key each, by arrival then by device
+        by_arrival = sorted(params, key=lambda di: (engine.arrivals_us[di], di))
+        assert [p for _, p in calls] == [*params.values()] + [
+            replace(params[di], password=engine.dev[di].password) for di in by_arrival
+        ]
 
     def test_thread_joined_after_training(self):
-        before = threading.active_count()
-        Engine(self.scenario())
-        assert threading.active_count() == before
+        before = pbkdf2_threads()
+        engine = Engine(self.scenario())
+        # set-up stored every record before the first event
+        for rt in engine.dev:
+            assert (engine.vap.holder_of(rt.device.device_id) is None) == rt.forged
+        engine.run()
+        assert not pbkdf2_threads() - before
 
     def test_thread_joined_with_a_supplied_model(self):
-        before = threading.active_count()
-        Engine(self.scenario(), model=tiny_model())
-        assert threading.active_count() == before
+        before = pbkdf2_threads()
+        engine = Engine(self.scenario(), model=tiny_model())
+        assert engine.loss_curve is None
+        engine.run()
+        assert not pbkdf2_threads() - before
 
     def test_thread_joined_when_training_diverges(self, monkeypatch):
+        # Training fails while the thread is in its registration phase: it
+        # derives no key before training fails.
+        gate, derive_key = threading.Event(), auth_mod.derive_key
+
+        def gated(params):
+            assert gate.wait(WAIT_S)
+            return derive_key(params)
+
         def diverge(*args, **kwargs):
+            gate.set()
             raise TrainingDivergedError("loss became non-finite")
 
+        monkeypatch.setattr(auth_mod, "derive_key", gated)
         monkeypatch.setattr(engine_mod.sn_mod, "train", diverge)
-        before = threading.active_count()
+        before = pbkdf2_threads()
         with pytest.raises(TrainingDivergedError):
             Engine(self.scenario())
-        assert threading.active_count() == before
+        assert not pbkdf2_threads() - before
+
+    def test_thread_joined_when_set_up_fails_after_registration(self, monkeypatch):
+        # Set-up fails once the registration keys are in: the thread is in
+        # its presented-key phase, or done.
+        def fail(*args):
+            raise RuntimeError("store failed")
+
+        monkeypatch.setattr(auth_mod, "store_registration", fail)
+        before = pbkdf2_threads()
+        with pytest.raises(RuntimeError, match="store failed"):
+            Engine(self.scenario())
+        assert not pbkdf2_threads() - before
 
     def test_key_derivation_error_surfaces(self, monkeypatch):
         def fail(params):
             raise ValueError("key derivation failed")
 
         monkeypatch.setattr(auth_mod, "derive_key", fail)
-        before = threading.active_count()
+        before = pbkdf2_threads()
         with pytest.raises(ValueError, match="key derivation failed"):
             Engine(self.scenario())
-        assert threading.active_count() == before
+        assert not pbkdf2_threads() - before
+
+    @pytest.mark.parametrize("auth_delay", [1e-3, 100.0])
+    def test_presented_key_error_raised_from_the_run(self, monkeypatch, auth_delay):
+        # The first presented key fails.  Set-up does not wait for it; the run
+        # raises the error at the first AUTH event or, when every AUTH event
+        # is past the horizon, at its end.
+        def fail():
+            raise ValueError("key derivation failed")
+
+        spy_derive_key(monkeypatch, on_presented=fail)
+        before = pbkdf2_threads()
+        engine = Engine(self.scenario(auth_delay=auth_delay))
+        with pytest.raises(ValueError, match="key derivation failed"):
+            engine.run()
+        assert not pbkdf2_threads() - before
+
+    def test_thread_joined_when_the_run_raises(self, monkeypatch):
+        # The presented keys are held back until the first event fails, so
+        # the thread is still deriving when the run raises.
+        held = threading.Event()
+
+        def fail(engine, di):
+            held.set()
+            raise RuntimeError("arrival failed")
+
+        spy_derive_key(monkeypatch, on_presented=lambda: held.wait(WAIT_S))
+        monkeypatch.setattr(Engine, "_on_arrival", fail)
+        before = pbkdf2_threads()
+        engine = Engine(self.scenario())
+        with pytest.raises(RuntimeError, match="arrival failed"):
+            engine.run()
+        assert not pbkdf2_threads() - before
+
+    def test_thread_joined_by_collect_metrics_in_a_stepped_run(self, monkeypatch):
+        # Every AUTH event is past the horizon, and the presented keys are
+        # held back until the last event: only the join ends the thread in time.
+        held = threading.Event()
+        spy_derive_key(monkeypatch, on_presented=lambda: held.wait(WAIT_S))
+        before = pbkdf2_threads()
+        engine = Engine(self.scenario(auth_delay=100.0))
+        while engine.heap:
+            engine.step_event(heapq.heappop(engine.heap))
+        held.set()
+        engine.collect_metrics()
+        assert not pbkdf2_threads() - before
+
+    def test_every_auth_past_the_horizon(self, monkeypatch):
+        # No AUTH event runs, yet each enrolled device's presented key is
+        # derived once and the run joins the thread.
+        calls = spy_derive_key(monkeypatch)
+        before = pbkdf2_threads()
+        engine = Engine(self.scenario(auth_delay=100.0))
+        report = engine.run()
+        assert report.auth_accepted == report.auth_rejected == 0
+        assert not pbkdf2_threads() - before
+        n_registered = sum(1 for rt in engine.dev if not rt.forged)
+        assert len(calls) == 2 * n_registered
+
+
+class TestAuthentication:
+    """``_on_auth`` gives ``authenticate`` the presented key derived on the
+    key-derivation thread."""
+
+    def test_bad_key_rejected(self, monkeypatch):
+        # One device is enrolled under another password than the one it presents.
+        sc = small_scenario(devices=12, train_samples=60, epochs=1, forged_fraction=0.0)
+        enroll = auth_mod.enroll_device
+
+        def enroll_under_another_password(va, device_id, password, puf, rng):
+            if device_id == "d0005":
+                password = b"another password"
+            return enroll(va, device_id, password, puf, rng)
+
+        monkeypatch.setattr(auth_mod, "enroll_device", enroll_under_another_password)
+        calls = spy_derive_key(monkeypatch)
+        trace = Lines()
+        engine = Engine(sc, trace_sink=trace)
+        report = engine.run()
+        rejected = [row for row in trace if ",auth," in row and ",rejected:" in row]
+        assert len(rejected) == report.auth_rejected == 1
+        assert rejected[0].endswith(",auth,d0005,,,rejected:bad_key")
+        rt = engine.dev_by_id["d0005"]
+        record = engine.vap.holder_of("d0005").registered["d0005"]
+        assert record.params.password == b"another password"
+        presented = [thread for thread, p in calls if p == replace(record.params, password=rt.password)]
+        assert len(presented) == 1 and presented[0] is not threading.main_thread()
+
+    def test_unknown_device_adds_no_authority(self):
+        # 125 devices fill the first authority; the one forged device, never
+        # enrolled, is rejected without being given a place in the pool.
+        scenario = parse_scenario((ROOT / "scenarios" / "smoke.cfg").read_text())
+        for key, value in {
+            "devices": "126", "duration": "10", "arrival_window": "0.2", "epochs": "1"
+        }.items():
+            apply_override(scenario, key, value)
+        trace = Lines()
+        engine = Engine(scenario, trace_sink=trace)
+        engine.run()
+        forged = [rt.device.device_id for rt in engine.dev if rt.forged]
+        assert len(forged) == 1
+        assert [(va.va_id, len(va.registered)) for va in engine.vap.authorities] == [("VA0", 125)]
+        assert engine.vap.holder_of(forged[0]) is None
+        assert any(row.endswith(f",auth,{forged[0]},,,rejected:unknown_device") for row in trace)
 
 
 class TestPipelineSteps:
