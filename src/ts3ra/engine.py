@@ -28,8 +28,10 @@ is cut into batches:
   (time, kind, packet) order, before the next event that reads them.  A
   delivery whose source was quarantined in the meantime is dropped then.
   An application writes all its trace rows in one sink call, formatted with
-  NumPy from integer microseconds and a per-(outcome, device) table of row
-  suffixes that each device keeps current as its slice and switch change.
+  NumPy from integer microseconds and two tables of text built once for a
+  traced run: ``,kind,device,`` per (outcome, device), and
+  ``slice,switch,outcome`` per (switch, slice, outcome), taken by the
+  device's ``sw_of`` and ``slice_of`` as they are when the outcome applies.
 
 A run's artifacts are therefore the same whether the data plane runs
 before every event or only before the readers, and whatever the batch size.
@@ -168,17 +170,21 @@ _NEVER = np.iinfo(np.int64).max
 
 
 def _words(texts) -> np.ndarray:
-    """Four-byte ``texts`` as 32-bit words, in memory order."""
-    return np.frombuffer("".join(texts).encode(), dtype=np.uint32)
+    """``texts`` as rows of 32-bit words in memory order, each padded with
+    NULs to the whole words of the longest."""
+    rows = [text.encode() for text in texts]
+    width = -(-max(map(len, rows), default=0) // 4)
+    block = b"".join(row.ljust(4 * width, b"\0") for row in rows)
+    return np.frombuffer(block, dtype=np.uint32).reshape(len(rows), width)
 
 
 # Each number below 1000 as a word of trace text, a NUL standing for nothing:
 # three digits then a NUL; without leading zeros, and no digit at all for 0;
 # the same, but "0" for 0; a point then three digits.
-_FULL = _words(f"{i:03d}\0" for i in range(1000))
-_LEAD = _words(str(i or "").rjust(3, "\0") + "\0" for i in range(1000))
-_LEAD_LAST = _words(str(i).rjust(3, "\0") + "\0" for i in range(1000))
-_POINT = _words(f".{i:03d}" for i in range(1000))
+_FULL = _words(f"{i:03d}\0" for i in range(1000)).ravel()
+_LEAD = _words(str(i or "").rjust(3, "\0") + "\0" for i in range(1000)).ravel()
+_LEAD_LAST = _words(str(i).rjust(3, "\0") + "\0" for i in range(1000)).ravel()
+_POINT = _words(f".{i:03d}" for i in range(1000)).ravel()
 
 
 class InvariantViolation(RuntimeError):
@@ -190,10 +196,10 @@ def seconds_text(us: int) -> str:
     return f"{us // 1_000_000}.{us % 1_000_000:06d}"
 
 
-def rows_text(time: np.ndarray, suffixes: np.ndarray) -> str:
+def rows_text(time: np.ndarray, *parts: np.ndarray) -> str:
     """One line per time in ``time`` (microseconds): the time as
-    :func:`seconds_text` writes it, then row ``i`` of ``suffixes``, words of
-    text padded with NULs."""
+    :func:`seconds_text` writes it, then row ``i`` of each of ``parts`` in
+    turn, words of text padded with NULs."""
     ms, lo = np.divmod(time, 1000)
     sec, hi = np.divmod(ms, 1000)
     # the seconds in groups of three digits, the most significant first
@@ -201,7 +207,8 @@ def rows_text(time: np.ndarray, suffixes: np.ndarray) -> str:
     while groups[0].max() >= 1000:
         groups[:1] = np.divmod(groups[0], 1000)
     n_sec = len(groups)
-    text = np.empty((len(time), n_sec + 2 + suffixes.shape[1]), dtype=np.uint32)
+    col = n_sec + 2
+    text = np.empty((len(time), col + sum(p.shape[1] for p in parts)), dtype=np.uint32)
     text[:, 0] = (_LEAD_LAST if n_sec == 1 else _LEAD).take(groups[0])
     for g in range(1, n_sec):
         # a group after a digit keeps its leading zeros
@@ -210,34 +217,29 @@ def rows_text(time: np.ndarray, suffixes: np.ndarray) -> str:
         text[:, g] = np.where(after, _FULL.take(groups[g]), lead.take(groups[g]))
     text[:, n_sec] = _POINT.take(hi)
     text[:, n_sec + 1] = _FULL.take(lo)
-    text[:, n_sec + 2 :] = suffixes
-    text = text.view(np.uint8)
-    return text[text != 0].tobytes().decode()
+    for part in parts:
+        text[:, col : col + part.shape[1]] = part
+        col += part.shape[1]
+    return text.tobytes().translate(None, b"\0").decode()
 
 
-class _RowSuffixes:
-    """Per outcome code and device, row ``code * n_dev + device`` of
-    ``cells``: what follows the time in the device's outcome rows,
-    ``,kind,tag,outcome`` and a newline, as words of text padded with NULs."""
-
-    __slots__ = ("n_dev", "cells")
-
-    def __init__(self, n_dev: int):
-        self.n_dev = n_dev
-        self.cells = np.zeros((len(_OUTCOME_CELLS) * n_dev, 0), dtype=np.uint32)
-
-    def set(self, di: int, tag: str) -> None:
-        rows = [f"{kind}{tag}{outcome}\n".encode() for kind, outcome in _OUTCOME_CELLS]
-        grow = -(-max(map(len, rows)) // 4) - self.cells.shape[1]  # in whole words
-        if grow > 0:
-            self.cells = np.pad(self.cells, ((0, 0), (0, grow)))
-        width = 4 * self.cells.shape[1]
-        block = b"".join(row.ljust(width, b"\0") for row in rows)
-        self.cells[di :: self.n_dev] = np.frombuffer(block, dtype=np.uint32).reshape(len(rows), -1)
-
-    def of(self, code: np.ndarray, di: np.ndarray) -> np.ndarray:
-        """The suffix of each (code, device) pair, a row each."""
-        return self.cells.take(code * self.n_dev + di, axis=0)
+def _row_tables(
+    device_ids: list[str], slice_ids: list[str], switch_ids: list[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """What follows the time in an outcome row, in two tables of words of
+    text padded with NULs: the heads ``,kind,device,``, row
+    ``code * len(device_ids) + device``, and the tails ``slice,switch,outcome``
+    and a newline, row ``(switch * len(slice_ids) + slice) * len(_OUTCOME_CELLS)
+    + code``.  Switch -1, an unplaced device, gives a negative row: one of the
+    last block of tails, whose switch cell is empty."""
+    heads = _words(f"{kind}{device_id}," for kind, _ in _OUTCOME_CELLS for device_id in device_ids)
+    tails = _words(
+        f"{slice_id},{switch_id}{outcome}\n"
+        for switch_id in (*switch_ids, "")
+        for slice_id in slice_ids
+        for _, outcome in _OUTCOME_CELLS
+    )
+    return heads, tails
 
 
 def _load_model(path: str) -> sn_mod.SliceNetModel:
@@ -350,13 +352,10 @@ class _DeviceRt:
         "password",
         "puf",
         "claimed",
-        "_decided",
+        "decided",
         "forged",
         "request",
         "flow",
-        "sw",
-        "_sw_of",
-        "_suffixes",
         "arrival_us",
     )
 
@@ -368,47 +367,18 @@ class _DeviceRt:
         puf,
         claimed: ServiceType,
         forged: bool,
-        sw_of: np.ndarray,
-        suffixes: _RowSuffixes,
     ):
         self.index = index
         self.device = device
         self.password = password
         self.puf = puf
         self.claimed = claimed
-        # the engine's switch index of every device, kept for the data plane
-        self._sw_of = sw_of
-        # the engine's trace row suffixes, kept for the data plane
-        self._suffixes = suffixes
-        self.sw: Optional[_SwitchRt] = None
-        self.decided = None
+        # the slice the controller decided; None before the decision
+        self.decided: Optional[ServiceType] = None
         self.forged = forged
         self.request = None
         self.flow: Optional[Flow] = None
         self.arrival_us = 0
-
-    @property
-    def decided(self) -> Optional[ServiceType]:
-        """The slice the controller decided; None before the decision."""
-        return self._decided
-
-    @decided.setter
-    def decided(self, service: Optional[ServiceType]) -> None:
-        self._decided = service
-        self._retag()
-
-    def place(self, sw: "_SwitchRt") -> None:
-        """Route this device's packets through ``sw``."""
-        self.sw = sw
-        self._sw_of[self.index] = sw.index
-        self._retag()
-
-    def _retag(self) -> None:
-        # The device,slice,switch part of this device's outcome rows.
-        service = self._decided or self.claimed
-        switch_id = self.sw.profile.switch_id if self.sw else ""
-        tag = f"{self.device.device_id},{service.slice_id},{switch_id}"
-        self._suffixes.set(self.index, tag)
 
 
 class _SwitchRt:
@@ -500,6 +470,16 @@ class Engine:
         try:
             self._build_world(model)
             self.device_ids = [rt.device.device_id for rt in self.dev]
+            # the text of outcome rows after the time, for a traced run
+            self.row_tables = (
+                _row_tables(
+                    self.device_ids,
+                    [st.slice_id for st in SLICE_ORDER],
+                    [sw.profile.switch_id for sw in self.switches],
+                )
+                if trace_sink is not None
+                else None
+            )
             self._init_data_plane()
             # Devices not yet rejected, dropped at the queue or allocated;
             # once none is left no allocation follows, so nothing reads
@@ -561,7 +541,6 @@ class Engine:
         self.dev_by_id: dict[str, _DeviceRt] = {}
         # each device's switch index, -1 before it is placed
         self.sw_of = np.full(n, -1, dtype=np.int64)
-        self.suffixes = _RowSuffixes(n)
         self.fair_slas = fair_slas
         enrolled = []  # (authority, device, key-derivation inputs)
         for i in range(n):
@@ -576,9 +555,7 @@ class Engine:
             )
             password = f"pw-{device_id}".encode()
             puf = auth_mod.SimulatedPuf(bytes(rng_puf.integers(0, 256, size=32, dtype=np.uint8)))
-            rt = _DeviceRt(
-                i, device, password, puf, claimed, i in forged, self.sw_of, self.suffixes
-            )
+            rt = _DeviceRt(i, device, password, puf, claimed, i in forged)
             if not rt.forged:
                 va = self.vap.authority_for(device_id)
                 params = auth_mod.enroll_device(va, device_id, password, puf, rng_puf)
@@ -1035,7 +1012,8 @@ class Engine:
         code = np.where((code == OK) & self.is_quarantined.take(di), QUARANTINED, code)
         sl = self.slice_of.take(di)
         n_codes = len(_OUTCOME_CELLS)
-        counts = np.bincount(sl * n_codes + code, minlength=3 * n_codes).reshape(3, n_codes)
+        slice_code = sl * n_codes + code
+        counts = np.bincount(slice_code, minlength=3 * n_codes).reshape(3, n_codes)
         ok = code == OK
         bits_sum = np.bincount(sl, weights=bits * ok, minlength=3)
         latency_sum = np.bincount(sl, weights=latency * ok, minlength=3)
@@ -1050,7 +1028,14 @@ class Engine:
             c.delivered_bits += int(b)
             c.latency_us += int(lat)
         if sink is not None:
-            sink(rows_text(time, self.suffixes.of(code, di)))
+            heads, tails = self.row_tables
+            sink(
+                rows_text(
+                    time,
+                    heads.take(code * len(self.dev) + di, axis=0),
+                    tails.take(self.sw_of.take(di) * (3 * n_codes) + slice_code, axis=0),
+                )
+            )
 
     def run(self) -> MetricsReport:
         heap, pop, step = self.heap, heapq.heappop, self.step_event
@@ -1233,7 +1218,7 @@ class Engine:
                 best = sw
         if best is not None:
             best.nominal_load += rt.flow.rate
-            rt.place(best)
+            self.sw_of[rt.index] = best.index
         return best
 
     # -- detection -----------------------------------------------------------
@@ -1319,7 +1304,7 @@ class Engine:
                 dst = self.sw_by_id[mig.to_switch]
                 src.nominal_load -= drt.flow.rate
                 dst.nominal_load += drt.flow.rate
-                drt.place(dst)
+                self.sw_of[drt.index] = dst.index
                 self.migrations += 1
                 if self.migration_sink is not None:
                     self.migration_sink(

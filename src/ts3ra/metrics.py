@@ -2,29 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .domain import ServiceType
-
-METRICS_COLUMNS = (
-    "slice",
-    "requests",
-    "granted",
-    "sent",
-    "delivered",
-    "dropped",
-    "blocked",
-    "throughput_bps",
-    "latency_s",
-    "response_s",
-    "ptr",
-    "plr",
-    "capacity_utilization",
-    "bandwidth_bps",
-    "acceptance_ratio",
-    "degenerate",
-)
-
 
 @dataclass
 class SliceCounters:
@@ -66,6 +46,17 @@ class SliceMetrics:
     degenerate: bool
 
 
+# metrics.csv has a column per field of SliceMetrics, "slice" for slice_id,
+# each cell written by the field's declared type.
+METRICS_COLUMNS = tuple("slice" if f.name == "slice_id" else f.name for f in fields(SliceMetrics))
+_CELL_FORMATS = {
+    "str": str,
+    "int": str,
+    "float": "{:.9g}".format,
+    "bool": lambda b: "1" if b else "0",
+}
+
+
 @dataclass(frozen=True)
 class MetricsReport:
     duration: float
@@ -87,31 +78,8 @@ class MetricsReport:
         return rows
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
-
-
 def _csv_row(m: SliceMetrics) -> str:
-    return ",".join(
-        [
-            m.slice_id,
-            str(m.requests),
-            str(m.granted),
-            str(m.sent),
-            str(m.delivered),
-            str(m.dropped),
-            str(m.blocked),
-            _fmt(m.throughput_bps),
-            _fmt(m.latency_s),
-            _fmt(m.response_s),
-            _fmt(m.ptr),
-            _fmt(m.plr),
-            _fmt(m.capacity_utilization),
-            _fmt(m.bandwidth_bps),
-            _fmt(m.acceptance_ratio),
-            "1" if m.degenerate else "0",
-        ]
-    )
+    return ",".join(_CELL_FORMATS[f.type](getattr(m, f.name)) for f in fields(m))
 
 
 def derive_slice_metrics(

@@ -197,6 +197,7 @@ class TestRunCommand:
             ("network", "switch_transmission_rate", "-1"),
             ("network", "pool_headroom", "nan"),
             ("network", "pool_headroom", "-1"),
+            ("network", "pool_headroom", "1e308"),
             ("network", "freshness_window", "nan"),
             ("offload", "alpha", "nan"),
             ("network", "aps", "-1"),

@@ -73,6 +73,12 @@ def hold_delivery(engine: Engine, time_us: int, di: int) -> None:
     engine._hold(*(np.array([v]) for v in (time_us, OK, 0, di, 4096, 1500)))
 
 
+def place(engine: Engine, di: int, sw_id: str) -> None:
+    """Route device ``di``'s packets through switch ``sw_id``, as allocation
+    and migration do."""
+    engine.sw_of[di] = engine.sw_by_id[sw_id].index
+
+
 class Lines(list):
     """A sink that takes text as ``TextIO.write`` does and keeps its lines;
     ``writes`` counts its calls and ``text`` is all the text it was given."""
@@ -212,7 +218,8 @@ class ScalarDataPlane(Engine):
             rt = self.dev[d]
             kind = "deliver" if code == OK else "drop"
             reason = {OK: "ok", LOSS: "loss", OVERFLOW: "overflow"}.get(code, "quarantined")
-            switch_id = rt.sw.profile.switch_id if rt.sw else ""
+            j = self.sw_of[d]
+            switch_id = self.switches[j].profile.switch_id if j >= 0 else ""
             tag = f"{rt.device.device_id},{(rt.decided or rt.claimed).slice_id},{switch_id}"
             self.trace_sink(f"{time_us / 1e6:.6f},{kind},{tag},{reason}\n")
 
@@ -549,7 +556,7 @@ class TestPipelineSteps:
         engine = self.make_engine()
         rt = engine.dev[0]
         rt.decided = ServiceType.URLLC
-        rt.place(engine.sw_by_id["SW0"])
+        place(engine, 0, "SW0")
         before = {st: engine.counters[st].delivered for st in ServiceType}
         engine.counters[ServiceType.URLLC].in_flight += 1
         hold_delivery(engine, 0, 0)
@@ -564,7 +571,7 @@ class TestPipelineSteps:
         rt.decided = ServiceType.MMTC
         engine.is_quarantined[1] = True
         rt.flow = engine._make_flow(rt, ServiceType.MMTC)
-        rt.place(engine.sw_by_id["SW0"])
+        place(engine, 1, "SW0")
         engine.heap.clear()
         engine._start_transmits(1, engine.clock_us)
         engine._run_data_plane(engine.clock_us + 1)
@@ -939,7 +946,7 @@ class TestOutcomeOrdering:
         engine.heap.clear()
         rt = engine.dev[0]
         sw = engine.sw_by_id["SW0"]
-        rt.place(sw)
+        place(engine, 0, "SW0")
         c = engine.counters[rt.claimed]
         close_us = 2_000_000
         c.sent += 1
@@ -976,7 +983,7 @@ class TestOutcomeOrdering:
         for di, sw_id in ((0, "SW1"), (1, "SW0")):
             rt = engine.dev[di]
             rt.flow = engine._make_flow(rt, rt.claimed)
-            rt.place(engine.sw_by_id[sw_id])
+            place(engine, di, sw_id)
             engine._start_transmits(di, engine.clock_us)
         engine._run_data_plane(engine.clock_us + 1)
         engine.next_us[:] = NEVER
@@ -996,7 +1003,7 @@ class TestOutcomeOrdering:
             rt = engine.dev[di]
             rt.decided = ServiceType.URLLC  # reliable: a lost packet is sent again
             rt.flow = engine._make_flow(rt, rt.decided)
-            rt.place(sw)
+            place(engine, di, "SW0")
         engine.clock_us = first = 1_000_000
         set_loss_rate(sw, 1.0)
         self.transmit_now(engine, 0)  # lost, and sent again 20 ms later
@@ -1016,7 +1023,7 @@ class TestOutcomeOrdering:
         trace = Lines()
         engine = lossless_engine(trace)
         for di in (0, 1):
-            engine.dev[di].place(engine.sw_by_id["SW0"])
+            place(engine, di, "SW0")
             engine.counters[engine.dev[di].claimed].in_flight += 1
         hold_delivery(engine, 2_000_000, 0)
         # the drop's packet sorts first, but deliveries go before drops
@@ -1030,19 +1037,20 @@ class TestOutcomeOrdering:
         engine = lossless_engine(trace)
         rt = engine.dev[0]
         rt.flow = engine._make_flow(rt, rt.claimed)
-        old, new = engine.sw_by_id["SW0"], engine.sw_by_id["SW1"]
         engine.clock_us = 1_000_000
-        engine.busy_us[old.index] = engine.clock_us + old_backlog_us
-        rt.place(old)
+        engine.busy_us[engine.sw_by_id["SW0"].index] = engine.clock_us + old_backlog_us
+        place(engine, 0, "SW0")
         self.transmit_now(engine, 0)
         engine.clock_us += 1_000
-        rt.place(new)  # migrated with its first packet still on the old link
+        place(engine, 0, "SW1")  # migrated with its first packet still on the old link
         self.transmit_now(engine, 0)
         first, second = engine.held[:, 0].tolist()
         assert (first < second) == (old_backlog_us == 0)
         engine.collect_metrics()
         times = [f"{t / 1e6:.6f}" for t in sorted((first, second))]
         assert self.delivery_rows(trace) == [(t, "d0000") for t in times]
+        # both rows name the device's slice and switch when they are applied
+        assert [row.split(",")[3:] for row in trace[1:]] == [[rt.claimed.slice_id, "SW1", "ok"]] * 2
         assert engine.counters[rt.claimed].delivered == 2
 
     def test_no_outcome_due_is_held_after_a_reader(self):
@@ -1102,7 +1110,7 @@ class TestDataPlaneBoundary:
     def start(engine: Engine, di: int, first_us: int, sw_id: str = "SW0") -> None:
         rt = engine.dev[di]
         rt.flow = engine._make_flow(rt, rt.decided or rt.claimed)
-        rt.place(engine.sw_by_id[sw_id])
+        place(engine, di, sw_id)
         engine._start_transmits(di, first_us)
 
     def test_transmit_at_window_close_is_counted_in_that_window(self, monkeypatch):
@@ -1208,16 +1216,29 @@ class TestDataPlaneBoundary:
 
 # Times whose text changes length or rounds badly in floating point.
 TIME_EDGES = (0, 1, 999_999, 10**6, 10**9 - 1, 10**9, 2**52 - 1)
-# Tag text: printable, with neither a newline nor a NUL.
-TAGS = st.text(st.characters(min_codepoint=32, max_codepoint=126), min_size=1, max_size=40)
+# Cell text: printable, with neither a newline nor a NUL.
+CELL_TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126), min_size=1, max_size=40)
 CELLS = engine_mod._OUTCOME_CELLS
 
 
-def f_string_rows(times, codes, devices, tags) -> str:
-    """Trace rows as the scalar data plane writes them, one f-string each."""
+def f_string_rows(rows, device_ids, slice_ids, switch_ids) -> str:
+    """Trace rows as the scalar data plane writes them, one f-string each;
+    a row is (time, code, device, slice, switch), switch -1 for none."""
     return "".join(
-        f"{t / 1e6:.6f}{CELLS[c][0]}{tags[d]}{CELLS[c][1]}\n"
-        for t, c, d in zip(times, codes, devices)
+        f"{t / 1e6:.6f}{CELLS[c][0]}{device_ids[d]},{slice_ids[s]},"
+        f"{switch_ids[j] if j >= 0 else ''}{CELLS[c][1]}\n"
+        for t, c, d, s, j in rows
+    )
+
+
+def table_rows(rows, device_ids, slice_ids, switch_ids) -> str:
+    """The same rows in one block, from the engine's two row tables."""
+    heads, tails = engine_mod._row_tables(device_ids, slice_ids, switch_ids)
+    t, c, d, s, j = (np.array(col, dtype=np.int64) for col in zip(*rows))
+    return rows_text(
+        t,
+        heads.take(c * len(device_ids) + d, axis=0),
+        tails.take((j * len(slice_ids) + s) * len(CELLS) + c, axis=0),
     )
 
 
@@ -1235,34 +1256,41 @@ class TestTraceRows:
                 st.one_of(st.sampled_from(TIME_EDGES), st.integers(0, 2**52 - 1)),
                 st.integers(0, len(CELLS) - 1),
                 st.integers(0, 3),
+                st.integers(0, 2),
+                st.integers(-1, 2),
             ),
             min_size=1,
             max_size=40,
         ),
-        tags=st.lists(st.tuples(TAGS, TAGS), min_size=4, max_size=4),
+        device_ids=st.lists(CELL_TEXT, min_size=4, max_size=4),
+        slice_ids=st.lists(CELL_TEXT, min_size=3, max_size=3),
+        switch_ids=st.lists(CELL_TEXT, min_size=3, max_size=3),
     )
     @settings(max_examples=300, deadline=None)
-    def test_block_equals_the_per_row_f_strings(self, rows, tags):
-        # Each device is tagged twice, as a migration retags it: the second
-        # tag, longer or shorter, must replace the first.
-        suffixes = engine_mod._RowSuffixes(len(tags))
-        for di, (first, second) in enumerate(tags):
-            suffixes.set(di, first)
-            suffixes.set(di, second)
-        times, codes, devices = (np.array(col, dtype=np.int64) for col in zip(*rows))
-        got = rows_text(times, suffixes.of(codes, devices))
-        assert got == f_string_rows(*zip(*rows), [second for _, second in tags])
+    def test_block_equals_the_per_row_f_strings(self, rows, device_ids, slice_ids, switch_ids):
+        ids = (device_ids, slice_ids, switch_ids)
+        assert table_rows(rows, *ids) == f_string_rows(rows, *ids)
 
     def test_every_edge_with_every_outcome_code(self):
-        tags = ["d0000,S1,SW0", "x" * 40, ","]
-        suffixes = engine_mod._RowSuffixes(len(tags))
-        for di, tag in enumerate(tags):
-            suffixes.set(di, tag)
+        ids = (["d0000", "x" * 40, ","], ["S1", "y" * 40], ["SW0", "z" * 40])
         rows = [
-            (t, c, d) for t in TIME_EDGES for c in range(len(CELLS)) for d in range(len(tags))
+            (t, c, d, s, j)
+            for t in TIME_EDGES
+            for c in range(len(CELLS))
+            for d in range(len(ids[0]))
+            for s in range(len(ids[1]))
+            for j in range(-1, len(ids[2]))
         ]
-        times, codes, devices = (np.array(col, dtype=np.int64) for col in zip(*rows))
-        assert rows_text(times, suffixes.of(codes, devices)) == f_string_rows(*zip(*rows), tags)
+        assert table_rows(rows, *ids) == f_string_rows(rows, *ids)
+
+    def test_an_untraced_engine_builds_no_row_tables(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("row tables built for a run without a trace")
+
+        monkeypatch.setattr(engine_mod, "_row_tables", refuse)
+        engine = Engine(small_scenario(devices=4, duration=5.0, train_samples=60, epochs=1))
+        assert engine.row_tables is None
+        assert engine.run().generated > 0
 
     def test_one_sink_call_per_outcome_application(self):
         trace = Lines()
@@ -1270,12 +1298,15 @@ class TestTraceRows:
         assert trace.writes == 1  # the header
         engine._apply_outcomes(math.inf)
         assert trace.writes == 1  # nothing held, nothing written
-        for di in range(3):
+        for di, service in enumerate(SLICE_ORDER):
+            engine.dev[di].decided = service
             hold_delivery(engine, 1_000_000 + di, di)
+        place(engine, 1, "SW1")
         engine._apply_outcomes(math.inf)
         assert trace.writes == 2
-        assert [row.split(",")[:3] for row in trace[1:]] == [
-            [f"1.00000{di}", "deliver", f"d000{di}"] for di in range(3)
+        assert [row.split(",") for row in trace[1:]] == [
+            [f"1.00000{di}", "deliver", f"d000{di}", service.slice_id, switch_id, "ok"]
+            for (di, service), switch_id in zip(enumerate(SLICE_ORDER), ("", "SW1", ""))
         ]
 
     def test_a_traced_run_writes_blocks(self, small_run):
