@@ -17,8 +17,7 @@ Registration is two steps, :func:`enroll_device` (draw the salt and the
 challenges, store the CRPs) and :func:`store_registration` (store the record
 of the derived key); :func:`register_device` runs both with
 :func:`derive_key` between them.  The split lets a caller derive keys
-elsewhere: the engine runs only the derivations on a second thread, since
-OpenSSL's PBKDF2 releases the GIL while the rest is Python that holds it.
+elsewhere, on the :class:`KeyWorker` thread.
 
 :func:`authenticate` takes the presented credential the way
 :func:`puf_verify` takes a PUF response: either the password, which it
@@ -27,6 +26,16 @@ inputs and returns a key already derived from them, for a caller that
 derived the presented key elsewhere.  Either way the verdict comes from one
 path: the same precedence, the same draws, and a constant-time comparison
 with the stored key.
+
+:class:`KeyWorker` runs one second thread, ``ts3ra-pbkdf2``, which derives
+a list of keys in order; a caller waits only for the key it needs.  Only the
+derivations move there: OpenSSL releases the GIL while it stretches a key,
+whereas the draws, HMACs and stores are Python, which would wait on the GIL
+behind the caller's own work.  The thread takes the GIL back only between
+derivations, at the interpreter's switch interval while the main thread
+runs Python; so the keys queued after the engine's registration keys are
+derived mostly in the tail of its slice-selector training, where the GEMMs
+release the GIL.
 """
 
 from __future__ import annotations
@@ -41,6 +50,7 @@ __all__ = [
 
 import hashlib
 import hmac
+import threading
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Optional, Union
@@ -278,6 +288,79 @@ def register_device(
     """Enroll a device's CRPs, then derive and store its key."""
     params = enroll_device(va, device_id, password, puf, rng)
     return store_registration(va, device_id, params, derive_key(params))
+
+
+class KeyWorker:
+    """The ``ts3ra-pbkdf2`` thread and the keys it derives: the registration
+    keys, in the order given, then one presented key per device, in the
+    order given (see the module docstring)."""
+
+    def __init__(
+        self,
+        registration: list[KeyDerivationParams],
+        presented: dict[int, KeyDerivationParams],
+    ):
+        self.jobs = [*registration, *presented.values()]
+        self.n_registration = len(registration)
+        # each device's place in ``jobs``, removed when its key is taken
+        self._place = {di: self.n_registration + k for k, di in enumerate(presented)}
+        self.keys: list[bytes] = []  # derived so far, in the order of ``jobs``
+        self.error: Optional[BaseException] = None
+        self.stopped = False
+        self.ended = False
+        self.ready = threading.Condition()
+        self.thread = threading.Thread(target=_derive_keys, args=(self,), name="ts3ra-pbkdf2")
+        self.thread.start()
+
+    def _wait(self, n: int) -> None:
+        """Wait until the first ``n`` keys are derived."""
+        if len(self.keys) >= n:
+            return
+        with self.ready:
+            self.ready.wait_for(lambda: len(self.keys) >= n or self.ended)
+        if len(self.keys) < n:
+            raise self.error or RuntimeError("key derivation stopped")
+
+    def registration_keys(self) -> list[bytes]:
+        self._wait(self.n_registration)
+        return self.keys[: self.n_registration]
+
+    def presented(self, di: int) -> bytes:
+        """Device ``di``'s presented key; each is taken once."""
+        place = self._place.pop(di)
+        self._wait(place + 1)
+        return self.keys[place]
+
+    def finish(self) -> None:
+        """Join the thread once it has derived every key; raise its error."""
+        self.thread.join()
+        if self.error is not None:
+            raise self.error
+
+    def close(self) -> None:
+        """Stop the thread after its current derivation and join it."""
+        self.stopped = True
+        self.thread.join()
+
+
+def _derive_keys(worker: KeyWorker) -> None:
+    """Body of the ``ts3ra-pbkdf2`` thread: derives ``worker.jobs`` in order
+    until it is stopped or a derivation fails, and keeps the error for the
+    main thread to raise."""
+    try:
+        for params in worker.jobs:
+            if worker.stopped:
+                break
+            key = derive_key(params)
+            with worker.ready:
+                worker.keys.append(key)
+                worker.ready.notify()
+    except BaseException as exc:
+        worker.error = exc
+    finally:
+        with worker.ready:
+            worker.ended = True
+            worker.ready.notify()
 
 
 def authenticate(

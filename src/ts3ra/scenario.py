@@ -39,8 +39,9 @@ EVENT_INTERVAL_KEYS = (
 
 # The most rows the engine synthesizes to train its slice selector.
 MAX_TRAIN_SAMPLES = 1_000_000
-# The largest network a scenario may ask for.  The engine's two
-# (switches, devices, 3) int64 count arrays then take at most
+# The largest network a scenario may ask for.  The data plane's window
+# counts, a (switches, devices, 3) int64 array, and each batch's transient
+# count array of the same shape then take at most
 # 48 * MAX_SWITCHES * MAX_DEVICES bytes, about 123 MB.
 MAX_DEVICES = 10_000
 MAX_SWITCHES = 256

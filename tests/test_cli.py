@@ -24,6 +24,7 @@ epochs = 2
 """
 
 DEFAULT_CFG = Path(__file__).resolve().parent.parent / "scenarios" / "default.cfg"
+SMOKE_CFG = DEFAULT_CFG.with_name("smoke.cfg")
 
 
 class TestParse:
@@ -226,6 +227,22 @@ class TestRunCommand:
         bad.write_text(SMALL + f"\n[{section}]\n{key} = {value}\n")
         assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "out")]) == 1
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("interval", ["1e13", "1e300"])
+    def test_flood_interval_past_int64_runs_as_one_past_the_horizon(self, tmp_path, interval):
+        # Any interval longer than the run sends the same packets: 1000 s is
+        # past the smoke horizon, and 1e13 s is past int64 microseconds.
+        files = {}
+        for value in ("1e3", interval):
+            scenario = parse_scenario(SMOKE_CFG.read_text())
+            apply_override(scenario, "flows.flood_packet_interval", value)
+            cfg = tmp_path / f"{value}.cfg"
+            cfg.write_text(serialize_scenario(scenario))
+            out = tmp_path / value
+            assert main(["run", "--scenario", str(cfg), "--out", str(out), "--trace"]) == 0
+            files[value] = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert "trace.csv" in files["1e3"]
+        assert files[interval] == files["1e3"]
 
     def test_negative_seed_flag_exit_one(self, tmp_path, scenario_file, capsys):
         args = ["run", "--scenario", str(scenario_file), "--out", str(tmp_path / "o"), "--seed", "-1"]

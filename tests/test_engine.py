@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import copy
 import functools
 import heapq
@@ -19,29 +20,33 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ts3ra import auth as auth_mod
+from ts3ra import dataplane as dataplane_mod
 from ts3ra import engine as engine_mod
-from ts3ra.domain import SLICE_ORDER, ServiceType
-from ts3ra.engine import (
-    ALLOCATE,
-    AUTH,
+from ts3ra.dataplane import (
     LOSS,
-    MOBILITY_TICK,
     OK,
     OVERFLOW,
     QUARANTINED,
     REFUSED,
+    DataPlane,
+    rows_text,
+    size_index,
+)
+from ts3ra.domain import SLICE_ORDER, Protocol, ServiceType
+from ts3ra.engine import (
+    ALLOCATE,
+    AUTH,
+    MOBILITY_TICK,
     TRANSMIT,
     WINDOW_CLOSE,
     Engine,
     InvariantViolation,
-    rows_text,
     run_scenario,
     seconds_text,
-    size_index,
 )
 from ts3ra.metrics import SliceCounters, derive_slice_metrics
 from ts3ra.rng import RngHub
-from ts3ra.scenario import Scenario, ScenarioError
+from ts3ra.scenario import Scenario, ScenarioError, to_us
 from ts3ra.scenario_io import apply_override, parse_scenario
 from ts3ra.slicenet import TrainingDivergedError
 
@@ -69,14 +74,22 @@ def hold_delivery(engine: Engine, time_us: int, di: int) -> None:
     """Hold a 4096-bit delivery of device ``di`` due at ``time_us``, as the
     data plane does, on the device's slice."""
     rt = engine.dev[di]
-    engine.slice_of[di] = SLICE_ORDER.index(rt.decided or rt.claimed)
-    engine._hold(*(np.array([v]) for v in (time_us, OK, 0, di, 4096, 1500)))
+    engine.dp.slice_of[di] = SLICE_ORDER.index(rt.decided or rt.claimed)
+    engine.dp._hold(*(np.array([v]) for v in (time_us, OK, 0, di, 4096, 1500)))
 
 
 def place(engine: Engine, di: int, sw_id: str) -> None:
     """Route device ``di``'s packets through switch ``sw_id``, as allocation
     and migration do."""
-    engine.sw_of[di] = engine.sw_by_id[sw_id].index
+    engine.dp.place(di, engine.sw_by_id[sw_id].index)
+
+
+def start_transmits(engine: Engine, di: int, first_us: int) -> None:
+    """Start device ``di``'s packets at ``first_us``, as allocation does:
+    with its flow's protocol and on its slice."""
+    rt = engine.dev[di]
+    reliable = rt.flow.protocol is Protocol.RELIABLE_STREAM
+    engine.dp.start(di, first_us, reliable, SLICE_ORDER.index(rt.decided or rt.claimed))
 
 
 class Lines(list):
@@ -107,24 +120,27 @@ def packet_size(u: float, length: int) -> int:
     return length * 2
 
 
-class ScalarDataPlane(Engine):
+class ScalarDataPlane(DataPlane):
     """The data plane one packet at a time, in canonical order (time, device,
-    retransmit), with the engine's draws; outcomes are applied one at a time
-    in (time, kind, packet) order.  It shares only the state that the
-    control plane reads and writes, and is the reference that the batched
-    engine must match exactly.  Each outcome's trace row is its own f-string
-    of the time in seconds, and its own sink call."""
+    retransmit), with the same draws; outcomes are applied one at a time in
+    (time, kind, packet) order.  It is the reference that the batched data
+    plane must match exactly.  Each outcome's trace row is its own f-string
+    of the time in seconds, and its own sink call, with the slice and switch
+    taken from the engine's devices and switches (``engine``, given once the
+    engine is built; see :func:`scalar_data_plane`)."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.engine: Engine = None
         self.ref_retransmits: list = []  # heap of (time, device, size, loss draw)
         self.ref_outcomes: list = []  # (time, drop?, packet, device, code, bits, latency)
         self.ref_edges = tuple(self.ia_edges.tolist())
 
-    def _run_data_plane(self, until_us: float) -> None:
+    def run(self, until_us: float) -> None:
+        n_dev = len(self.next_us)
         while True:
-            d = int(np.argmin(self.next_us)) if len(self.dev) else 0
-            t_new = int(self.next_us[d]) if len(self.dev) else NEVER
+            d = int(np.argmin(self.next_us)) if n_dev else 0
+            t_new = int(self.next_us[d]) if n_dev else NEVER
             retx = self.ref_retransmits[0] if self.ref_retransmits else (NEVER, 0)
             new_first = (t_new, d) <= retx[:2]
             t = t_new if new_first else retx[0]
@@ -149,18 +165,18 @@ class ScalarDataPlane(Engine):
         size = packet_size(u_size, sc.packet_length) if sc.size_jitter and not flood else sc.packet_length
         nxt = t + (self.flood_packet_interval_us if flood else self.packet_interval_us)
         self.next_us[d] = nxt if nxt < self.end_us else NEVER
-        key = (t * len(self.dev) + d) * 2
+        key = (t * len(self.next_us) + d) * 2
         if self.is_quarantined[d]:
             self._ref_block(d)
             self.ref_outcomes.append((t, 1, key, d, REFUSED, 0, 0))
             return
-        c = self._slice_counters[self.slice_of[d]]
+        c = self.counters[self.slice_of[d]]
         c.sent += 1
         c.in_flight += 1
         self._ref_arrive(t, d, size, u_loss, key, u_retx if self.reliable[d] else None)
 
     def _ref_retransmit(self, t: int, d: int, size: int, u_loss: float) -> None:
-        key = (t * len(self.dev) + d) * 2 + 1
+        key = (t * len(self.next_us) + d) * 2 + 1
         if self.is_quarantined[d]:
             self._ref_block(d)
             self.ref_outcomes.append((t, 1, key, d, QUARANTINED, 0, 0))
@@ -176,12 +192,12 @@ class ScalarDataPlane(Engine):
         sc = self.sc
         j = int(self.sw_of[d])
         self.win_counts[j, d, self.sizes.index(size)] += 1
-        self.interval_counts[j, d, self.sizes.index(size)] += 1
+        self.interval_bits[d] += size * 8
         last = self.last_arrival_us[j]
         if last >= 0:
             self.win_gaps[j, bisect_right(self.ref_edges, (t - last) / 1e6)] += 1
         self.last_arrival_us[j] = t
-        if u_loss < self.switches[j].profile.loss_rate:
+        if u_loss < self.loss_rate:
             code = LOSS
         else:
             backlog = max(self.busy_us[j] - t, 0)
@@ -198,7 +214,7 @@ class ScalarDataPlane(Engine):
             self.ref_outcomes.append((t, 1, key, d, code, 0, 0))
 
     def _ref_apply(self, time_us, d, code, bits, latency) -> None:
-        c = self._slice_counters[self.slice_of[d]]
+        c = self.counters[self.slice_of[d]]
         if code == OK and self.is_quarantined[d]:
             code = QUARANTINED
         if code == OK:
@@ -215,13 +231,21 @@ class ScalarDataPlane(Engine):
             c.dropped += 1
             c.blocked += code == QUARANTINED
         if self.trace_sink is not None:
-            rt = self.dev[d]
+            rt = self.engine.dev[d]
             kind = "deliver" if code == OK else "drop"
             reason = {OK: "ok", LOSS: "loss", OVERFLOW: "overflow"}.get(code, "quarantined")
             j = self.sw_of[d]
-            switch_id = self.switches[j].profile.switch_id if j >= 0 else ""
+            switch_id = self.engine.switches[j].profile.switch_id if j >= 0 else ""
             tag = f"{rt.device.device_id},{(rt.decided or rt.claimed).slice_id},{switch_id}"
             self.trace_sink(f"{time_us / 1e6:.6f},{kind},{tag},{reason}\n")
+
+
+@contextlib.contextmanager
+def scalar_data_plane():
+    """Build engines on :class:`ScalarDataPlane`; set its ``engine`` once the
+    engine is built."""
+    with mock.patch.object(engine_mod, "DataPlane", ScalarDataPlane):
+        yield
 
 
 @pytest.fixture(scope="module")
@@ -436,17 +460,29 @@ class TestDeviceRegistration:
             Engine(self.scenario())
         assert not pbkdf2_threads() - before
 
+    @staticmethod
+    def cut_auth(engine: Engine) -> None:
+        """Check that the horizon cuts ``engine``'s AUTH events, and make
+        every device answer with another PUF than the one it enrolled, so
+        that each AUTH event within the horizon rejects it and takes no key."""
+        auth_us = [engine.arrivals_us[rt.index] + to_us(engine.sc.auth_delay) for rt in engine.dev]
+        assert min(auth_us) <= engine.end_us < max(auth_us)
+        for rt in engine.dev:
+            rt.puf = auth_mod.SimulatedPuf(b"not the enrolled secret")
+
     @pytest.mark.parametrize("auth_delay", [1e-3, 100.0])
     def test_presented_key_error_raised_from_the_run(self, monkeypatch, auth_delay):
         # The first presented key fails.  Set-up does not wait for it; the run
-        # raises the error at the first AUTH event or, when every AUTH event
-        # is past the horizon, at its end.
+        # raises the error at the first AUTH event or, when no AUTH event
+        # takes a key, at its end.
         def fail():
             raise ValueError("key derivation failed")
 
         spy_derive_key(monkeypatch, on_presented=fail)
         before = pbkdf2_threads()
-        engine = Engine(self.scenario(auth_delay=auth_delay))
+        engine = Engine(self.scenario(auth_delay=auth_delay, duration=auth_delay + 5.0))
+        if auth_delay > 1.0:
+            self.cut_auth(engine)
         with pytest.raises(ValueError, match="key derivation failed"):
             engine.run()
         assert not pbkdf2_threads() - before
@@ -469,21 +505,30 @@ class TestDeviceRegistration:
         assert not pbkdf2_threads() - before
 
     def test_thread_joined_by_collect_metrics_in_a_stepped_run(self, monkeypatch):
-        # Every AUTH event is past the horizon, and the presented keys are
-        # held back until the last event: only the join ends the thread in time.
+        # No AUTH event takes a key, and the presented keys are held back
+        # until the last event: only the join ends the thread in time.
         held = threading.Event()
-        spy_derive_key(monkeypatch, on_presented=lambda: held.wait(WAIT_S))
+        calls = spy_derive_key(monkeypatch, on_presented=lambda: held.wait(WAIT_S))
         before = pbkdf2_threads()
-        engine = Engine(self.scenario(auth_delay=100.0))
+        engine = Engine(self.scenario(auth_delay=100.0, duration=105.0))
+        self.cut_auth(engine)
         while engine.heap:
             engine.step_event(heapq.heappop(engine.heap))
         held.set()
         engine.collect_metrics()
         assert not pbkdf2_threads() - before
+        # a presented key for each enrolled device whose AUTH event ran
+        auth_us = to_us(engine.sc.auth_delay)
+        in_time = [
+            rt for rt in engine.dev
+            if not rt.forged and engine.arrivals_us[rt.index] + auth_us <= engine.end_us
+        ]
+        assert 0 < len(in_time) < sum(not rt.forged for rt in engine.dev)
+        assert len(calls) == sum(not rt.forged for rt in engine.dev) + len(in_time)
 
     def test_every_auth_past_the_horizon(self, monkeypatch):
-        # No AUTH event runs, yet each enrolled device's presented key is
-        # derived once and the run joins the thread.
+        # No AUTH event runs, so only the registration keys are derived, and
+        # the run joins the thread.
         calls = spy_derive_key(monkeypatch)
         before = pbkdf2_threads()
         engine = Engine(self.scenario(auth_delay=100.0))
@@ -491,7 +536,7 @@ class TestDeviceRegistration:
         assert report.auth_accepted == report.auth_rejected == 0
         assert not pbkdf2_threads() - before
         n_registered = sum(1 for rt in engine.dev if not rt.forged)
-        assert len(calls) == 2 * n_registered
+        assert len(calls) == n_registered
 
 
 class TestAuthentication:
@@ -560,7 +605,7 @@ class TestPipelineSteps:
         before = {st: engine.counters[st].delivered for st in ServiceType}
         engine.counters[ServiceType.URLLC].in_flight += 1
         hold_delivery(engine, 0, 0)
-        engine._apply_outcomes(math.inf)
+        engine.dp._apply_outcomes(math.inf)
         after = {st: engine.counters[st].delivered for st in ServiceType}
         deltas = [after[st] - before[st] for st in ServiceType]
         assert sorted(deltas) == [0, 0, 1]
@@ -569,15 +614,15 @@ class TestPipelineSteps:
         engine = self.make_engine()
         rt = engine.dev[1]
         rt.decided = ServiceType.MMTC
-        engine.is_quarantined[1] = True
+        engine.dp.quarantine(1)
         rt.flow = engine._make_flow(rt, ServiceType.MMTC)
         place(engine, 1, "SW0")
         engine.heap.clear()
-        engine._start_transmits(1, engine.clock_us)
-        engine._run_data_plane(engine.clock_us + 1)
+        start_transmits(engine, 1, engine.clock_us)
+        engine.dp.run(engine.clock_us + 1)
         c = engine.counters[ServiceType.MMTC]
         assert (c.sent, c.dropped, c.blocked, c.in_flight) == (1, 1, 1, 0)
-        assert engine.win_counts.sum() == 0  # it never reached a switch
+        assert engine.dp.win_counts.sum() == 0  # it never reached a switch
         while engine.heap:
             engine.step_event(heapq.heappop(engine.heap))
         engine.collect_metrics()
@@ -627,7 +672,7 @@ class TestConservationAndAttribution:
 
     def test_no_delivery_after_quarantine(self, small_run):
         engine, _, trace, _ = small_run
-        assert engine.is_quarantined.any(), "scenario should quarantine its flooders"
+        assert engine.dp.is_quarantined.any(), "scenario should quarantine its flooders"
         first_block: dict[str, float] = {}
         for row in trace[1:]:
             cells = row.split(",")
@@ -655,7 +700,9 @@ class TestDetectionIntegration:
             if not rt.device.legitimate and not rt.forged and rt.device.device_id in granted
         }
         assert flooders
-        quarantined = {rt.device.device_id for rt in engine.dev if engine.is_quarantined[rt.index]}
+        quarantined = {
+            rt.device.device_id for rt in engine.dev if engine.dp.is_quarantined[rt.index]
+        }
         assert quarantined <= flooders | {
             rt.device.device_id for rt in engine.dev if not rt.device.legitimate
         }
@@ -697,17 +744,18 @@ class TestDetectionIntegration:
                 devices=20, duration=12.0, ddos_enabled=False, train_samples=60, epochs=1
             )
         )
-        shapes = [a.shape for a in (engine.win_counts, engine.win_gaps)]
+        shapes = [a.shape for a in (engine.dp.win_counts, engine.dp.win_gaps)]
         engine.run()
-        assert engine.generated > 1000
+        assert engine.dp.generated > 1000
         n_sw, n_dev = len(engine.switches), len(engine.dev)
         assert shapes == [(n_sw, n_dev, 3), (n_sw, 16)]
-        assert [a.shape for a in (engine.win_counts, engine.win_gaps)] == shapes
+        assert [a.shape for a in (engine.dp.win_counts, engine.dp.win_gaps)] == shapes
         # never reset, so the one window has counted every packet admitted,
         # and every gap but each switch's first
-        arrived = engine.win_counts.sum()
+        arrived = engine.dp.win_counts.sum()
         assert arrived > 1000
-        assert engine.win_gaps.sum() == arrived - np.count_nonzero(engine.win_counts.sum(axis=(1, 2)))
+        first_arrivals = np.count_nonzero(engine.dp.win_counts.sum(axis=(1, 2)))
+        assert engine.dp.win_gaps.sum() == arrived - first_arrivals
 
     def test_forged_devices_rejected_at_auth(self):
         report = run_scenario(
@@ -767,9 +815,9 @@ class TestRebalanceIntegration:
             assert placed[device] == from_switch
             placed[device] = to_switch
         assert placed == {
-            rt.device.device_id: engine.switches[engine.sw_of[rt.index]].profile.switch_id
+            rt.device.device_id: engine.switches[engine.dp.sw_of[rt.index]].profile.switch_id
             for rt in engine.dev
-            if engine.sw_of[rt.index] >= 0
+            if engine.dp.sw_of[rt.index] >= 0
         }
 
 
@@ -857,52 +905,45 @@ def lossless_engine(trace: Lines, **overrides) -> Engine:
     """A 4-device engine with no event queued and no switch losing packets."""
     engine = Engine(
         small_scenario(
-            devices=4, duration=5.0, train_samples=60, epochs=1, size_jitter=False, **overrides
+            devices=4, duration=5.0, train_samples=60, epochs=1, size_jitter=False,
+            switch_loss_rate=0.0, **overrides
         ),
         trace_sink=trace,
     )
     engine.heap.clear()
-    for sw in engine.switches:
-        set_loss_rate(sw, 0.0)
     return engine
 
 
-def set_loss_rate(sw, loss_rate: float) -> None:
-    """Make switch ``sw`` lose packets at ``loss_rate``."""
-    sw.profile = replace(sw.profile, loss_rate=loss_rate)
-
-
+@contextlib.contextmanager
 def cut_everywhere(batch_packets: int = 7):
     """Run the data plane before every event, in batches of at most
     ``batch_packets`` new transmits."""
-    return mock.patch.multiple(
-        engine_mod,
-        _BLIND_KINDS=frozenset(),
-        _TRACE_ONLY_KINDS=frozenset(),
-        BATCH_PACKETS=batch_packets,
-    )
+    with mock.patch.multiple(
+        engine_mod, _BLIND_KINDS=frozenset(), _TRACE_ONLY_KINDS=frozenset()
+    ), mock.patch.object(dataplane_mod, "BATCH_PACKETS", batch_packets):
+        yield
 
 
 def track_batches(engine: Engine) -> list[tuple[int, int]]:
     """Record each batch's new transmits and the outcomes held after it and
     the outcomes due by its end are applied."""
     record: list[tuple[int, int]] = []
-    run_batch, apply = engine._run_batch, engine._apply_outcomes
+    run_batch, apply = engine.dp._run_batch, engine.dp._apply_outcomes
 
     def batch(end_us, *plan):
-        generated = engine.generated
+        generated = engine.dp.generated
         run_batch(end_us, *plan)
         apply(end_us)
-        record.append((engine.generated - generated, len(engine.held)))
+        record.append((engine.dp.generated - generated, len(engine.dp.held)))
 
-    engine._run_batch = batch
+    engine.dp._run_batch = batch
     return record
 
 
 class TestOutcomeOrdering:
     def test_trace_sink_leaves_metrics_unchanged(self, small_run):
         engine, report, _, _ = small_run
-        assert engine.is_quarantined.any()
+        assert engine.dp.is_quarantined.any()
         assert run_scenario(small_scenario()).to_csv_rows() == report.to_csv_rows()
 
     def test_outcomes_applied_before_every_event_give_the_same_run(self, small_run):
@@ -920,7 +961,7 @@ class TestOutcomeOrdering:
         assert eager_detection == detection
 
     def test_batches_bound_held_outcomes_without_detection(self, monkeypatch):
-        monkeypatch.setattr(engine_mod, "BATCH_PACKETS", 64)
+        monkeypatch.setattr(dataplane_mod, "BATCH_PACKETS", 64)
         engine = Engine(
             small_scenario(devices=20, duration=12.0, ddos_enabled=False, offload_enabled=False)
         )
@@ -928,16 +969,16 @@ class TestOutcomeOrdering:
         while engine.heap:
             engine.step_event(heapq.heappop(engine.heap))
         engine.collect_metrics()
-        assert engine.generated > 1000
+        assert engine.dp.generated > 1000
         # Without the bound the run's last batch takes most of its packets.
         assert max(n for n, _ in record) <= 64
         assert max(held for _, held in record) <= 64
-        assert sum(n for n, _ in record) == engine.generated
+        assert sum(n for n, _ in record) == engine.dp.generated
 
     def test_run_leaves_no_outcome_queued(self, small_run):
         engine, _, _, _ = small_run
-        assert len(engine.held) == 0 and engine.retransmits == []
-        assert (engine.next_us == NEVER).all()
+        assert len(engine.dp.held) == 0 and engine.dp.retransmits == []
+        assert (engine.dp.next_us == NEVER).all()
         assert all(c.in_flight == 0 for c in engine.counters.values())
 
     @pytest.mark.parametrize("delay_us,delivered", [(0, True), (1, False)])
@@ -953,11 +994,11 @@ class TestOutcomeOrdering:
         c.in_flight += 1
         hold_delivery(engine, close_us + delay_us, 0)
         # One source dominates a window on SW0 whose size entropy collapses.
-        engine.win_counts[sw.index, 0, 1] = 1000
-        engine.win_counts[sw.index, 1:10, 1] = 1
+        engine.dp.win_counts[sw.index, 0, 1] = 1000
+        engine.dp.win_counts[sw.index, 1:10, 1] = 1
         sw.baseline_triples = [(3.0, 1.0, 1.0)] * engine.sc.baseline_windows
         engine.step_event((close_us, WINDOW_CLOSE, 0, None))
-        assert engine.is_quarantined[0]
+        assert engine.dp.is_quarantined[0]
         engine.collect_metrics()
         assert (c.delivered, c.blocked) == ((1, 0) if delivered else (0, 1))
 
@@ -965,9 +1006,9 @@ class TestOutcomeOrdering:
     def transmit_now(engine: Engine, di: int) -> None:
         """Send one packet of device ``di`` at the clock; its successor packet
         is not sent."""
-        engine._start_transmits(di, engine.clock_us)
-        engine._run_data_plane(engine.clock_us + 1)
-        engine.next_us[di] = NEVER
+        start_transmits(engine, di, engine.clock_us)
+        engine.dp.run(engine.clock_us + 1)
+        engine.dp.next_us[di] = NEVER
 
     @staticmethod
     def delivery_rows(trace: list[str]) -> list[tuple[str, str]]:
@@ -984,10 +1025,10 @@ class TestOutcomeOrdering:
             rt = engine.dev[di]
             rt.flow = engine._make_flow(rt, rt.claimed)
             place(engine, di, sw_id)
-            engine._start_transmits(di, engine.clock_us)
-        engine._run_data_plane(engine.clock_us + 1)
-        engine.next_us[:] = NEVER
-        (due, *_), (other, *_) = engine.held.tolist()
+            start_transmits(engine, di, engine.clock_us)
+        engine.dp.run(engine.clock_us + 1)
+        engine.dp.next_us[:] = NEVER
+        (due, *_), (other, *_) = engine.dp.held.tolist()
         assert due == other
         engine.collect_metrics()
         t = f"{due / 1e6:.6f}"
@@ -998,24 +1039,23 @@ class TestOutcomeOrdering:
         # packets of devices 1 and 2, all due at once on SW0.
         trace = Lines()
         engine = lossless_engine(trace, retransmit_delay=0.02)
-        sw = engine.sw_by_id["SW0"]
         for di in (0, 1, 2):
             rt = engine.dev[di]
             rt.decided = ServiceType.URLLC  # reliable: a lost packet is sent again
             rt.flow = engine._make_flow(rt, rt.decided)
             place(engine, di, "SW0")
         engine.clock_us = first = 1_000_000
-        set_loss_rate(sw, 1.0)
+        engine.dp.loss_rate = 1.0
         self.transmit_now(engine, 0)  # lost, and sent again 20 ms later
-        set_loss_rate(sw, 0.0)
-        engine.clock_us = due = first + engine.retransmit_delay_us
+        engine.dp.loss_rate = 0.0
+        engine.clock_us = due = first + engine.dp.retransmit_delay_us
         for di in (2, 1):
-            engine._start_transmits(di, due)
-        engine._run_data_plane(due + 1)
-        engine.next_us[:] = NEVER
+            start_transmits(engine, di, due)
+        engine.dp.run(due + 1)
+        engine.dp.next_us[:] = NEVER
         engine.collect_metrics()
-        tx = int(engine.size_tx_us[1])
-        latency = engine.processing_latency_us + tx
+        tx = int(engine.dp.size_tx_us[1])
+        latency = engine.dp.processing_latency_us + tx
         t = [f"{(due + latency + k * tx) / 1e6:.6f}" for k in range(3)]
         assert self.delivery_rows(trace) == [(t[0], "d0000"), (t[1], "d0001"), (t[2], "d0002")]
 
@@ -1027,8 +1067,8 @@ class TestOutcomeOrdering:
             engine.counters[engine.dev[di].claimed].in_flight += 1
         hold_delivery(engine, 2_000_000, 0)
         # the drop's packet sorts first, but deliveries go before drops
-        engine._hold(*(np.array([v]) for v in (2_000_000, LOSS, -1, 1, 0, 0)))
-        engine._apply_outcomes(2_000_001)
+        engine.dp._hold(*(np.array([v]) for v in (2_000_000, LOSS, -1, 1, 0, 0)))
+        engine.dp._apply_outcomes(2_000_001)
         assert [row.split(",")[1] for row in trace[1:]] == ["deliver", "drop"]
 
     @pytest.mark.parametrize("old_backlog_us", [0, 5_000])
@@ -1038,13 +1078,13 @@ class TestOutcomeOrdering:
         rt = engine.dev[0]
         rt.flow = engine._make_flow(rt, rt.claimed)
         engine.clock_us = 1_000_000
-        engine.busy_us[engine.sw_by_id["SW0"].index] = engine.clock_us + old_backlog_us
+        engine.dp.busy_us[engine.sw_by_id["SW0"].index] = engine.clock_us + old_backlog_us
         place(engine, 0, "SW0")
         self.transmit_now(engine, 0)
         engine.clock_us += 1_000
         place(engine, 0, "SW1")  # migrated with its first packet still on the old link
         self.transmit_now(engine, 0)
-        first, second = engine.held[:, 0].tolist()
+        first, second = engine.dp.held[:, 0].tolist()
         assert (first < second) == (old_backlog_us == 0)
         engine.collect_metrics()
         times = [f"{t / 1e6:.6f}" for t in sorted((first, second))]
@@ -1061,10 +1101,10 @@ class TestOutcomeOrdering:
             engine.step_event(event)
             if event[1] not in engine_mod._BLIND_KINDS:
                 due = event[0] + 1 if event[1] > engine_mod.DROP else event[0]
-                assert (engine.held[:, 0] >= due).all()
-                assert all(r[0] >= due for r in engine.retransmits)
-                assert (engine.next_us >= due).all()
-        assert engine.is_quarantined.any()
+                assert (engine.dp.held[:, 0] >= due).all()
+                assert all(r[0] >= due for r in engine.dp.retransmits)
+                assert (engine.dp.next_us >= due).all()
+        assert engine.dp.is_quarantined.any()
         engine.collect_metrics()
 
     def test_mobility_ticks_stop_once_every_device_finished(self):
@@ -1111,7 +1151,7 @@ class TestDataPlaneBoundary:
         rt = engine.dev[di]
         rt.flow = engine._make_flow(rt, rt.decided or rt.claimed)
         place(engine, di, sw_id)
-        engine._start_transmits(di, first_us)
+        start_transmits(engine, di, first_us)
 
     def test_transmit_at_window_close_is_counted_in_that_window(self, monkeypatch):
         engine = lossless_engine(Lines())
@@ -1128,8 +1168,8 @@ class TestDataPlaneBoundary:
         monkeypatch.setattr(engine_mod.ddos_mod, "window_entropies", spy)
         engine.step_event((close_us, WINDOW_CLOSE, 0, None))
         assert counted[0] == 1  # SW0's window, closed first
-        assert engine.next_us[1] == close_us + 1
-        assert engine.win_counts.sum() == 0
+        assert engine.dp.next_us[1] == close_us + 1
+        assert engine.dp.win_counts.sum() == 0
 
     def test_transmit_at_allocate_runs_after_it(self):
         engine = lossless_engine(Lines())
@@ -1138,37 +1178,37 @@ class TestDataPlaneBoundary:
         self.start(engine, 1, at_us)
         seen: list[int] = []
         handlers = list(engine._handlers)
-        handlers[ALLOCATE] = lambda di: seen.append(engine.generated)
+        handlers[ALLOCATE] = lambda di: seen.append(engine.dp.generated)
         engine._handlers = tuple(handlers)
         engine.step_event((at_us, ALLOCATE, 0, 1))
         assert seen == [1]
-        assert engine.next_us[1] == at_us
-        engine._run_data_plane(at_us + 1)
-        assert engine.generated == 2
+        assert engine.dp.next_us[1] == at_us
+        engine.dp.run(at_us + 1)
+        assert engine.dp.generated == 2
 
     def test_retransmit_rounding_to_no_time_runs_in_the_same_advance(self):
         engine = lossless_engine(Lines(), retransmit_delay=4e-7)
-        assert engine.retransmit_delay_us == 0
+        assert engine.dp.retransmit_delay_us == 0
         rt = engine.dev[0]
         # a reliable-stream slice retransmits a lost packet once
         rt.decided = ServiceType.URLLC
-        set_loss_rate(engine.sw_by_id["SW0"], 1.0)
+        engine.dp.loss_rate = 1.0
         now = 1_000_000
         self.start(engine, 0, now)
         engine.step_event((now, WINDOW_CLOSE, 0, None))
         c = engine.counters[rt.decided]
         assert (c.sent, c.dropped, c.in_flight) == (1, 1, 0)
-        assert engine.retransmits == []
-        assert engine.next_us[0] == now + engine.packet_interval_us
+        assert engine.dp.retransmits == []
+        assert engine.dp.next_us[0] == now + engine.dp.packet_interval_us
 
     def test_event_heap_holds_only_control_events(self):
         engine = Engine(small_scenario())
         while engine.heap:
             engine.step_event(heapq.heappop(engine.heap))
             assert all(entry[1] != TRANSMIT for entry in engine.heap)
-        assert engine.is_quarantined.any()
+        assert engine.dp.is_quarantined.any()
         engine.collect_metrics()
-        assert (engine.next_us == NEVER).all() and engine.retransmits == []
+        assert (engine.dp.next_us == NEVER).all() and engine.dp.retransmits == []
 
     def test_transmits_left_when_the_event_heap_empties_run_at_collection(self):
         trace = Lines()
@@ -1182,15 +1222,15 @@ class TestDataPlaneBoundary:
         while engine.heap:
             engine.step_event(heapq.heappop(engine.heap))
         assert engine.clock_us < engine.end_us / 2
-        assert (engine.next_us < NEVER).any()
+        assert (engine.dp.next_us < NEVER).any()
         engine.collect_metrics()
-        assert (engine.next_us == NEVER).all()
+        assert (engine.dp.next_us == NEVER).all()
         # the last packets were sent within one interval of the horizon
         last_s = max(float(row.split(",")[0]) for row in trace[1:])
-        assert last_s * 1e6 >= engine.end_us - engine.packet_interval_us
+        assert last_s * 1e6 >= engine.end_us - engine.dp.packet_interval_us
 
     def test_batches_bound_held_outcomes_within_the_data_plane(self, monkeypatch):
-        monkeypatch.setattr(engine_mod, "BATCH_PACKETS", 64)
+        monkeypatch.setattr(dataplane_mod, "BATCH_PACKETS", 64)
         engine = Engine(
             small_scenario(
                 devices=8, duration=12.0, ddos_enabled=False, offload_enabled=False,
@@ -1199,14 +1239,31 @@ class TestDataPlaneBoundary:
         )
         while engine.heap:
             engine.step_event(heapq.heappop(engine.heap))
-        sent = engine.generated
+        sent = engine.dp.generated
         record = track_batches(engine)
-        engine._run_data_plane(math.inf)
-        assert engine.generated - sent > 500
-        assert len(record) >= (engine.generated - sent) // 64
+        engine.dp.run(math.inf)
+        assert engine.dp.generated - sent > 500
+        assert len(record) >= (engine.dp.generated - sent) // 64
         assert max(n for n, _ in record) <= 64
         assert max(held for _, held in record) <= 64
         engine.collect_metrics()
+
+    def test_packet_state_lives_in_the_data_plane(self):
+        engine = lossless_engine(Lines())
+        packet_state = ("next_us", "held", "win_counts", "win_gaps", "retransmits", "busy_us")
+        for name in (*packet_state, "sw_of"):
+            assert not hasattr(engine, name) and hasattr(engine.dp, name), name
+        assert not any(hasattr(x, "interval_counts") for x in (engine, engine.dp))
+        # each device's bits, not a (switch, device, size) array
+        assert engine.dp.interval_bits.shape == (len(engine.dev),)
+
+    def test_start_before_packets_already_run_is_fatal(self):
+        engine = lossless_engine(Lines())
+        rt = engine.dev[0]
+        rt.flow = engine._make_flow(rt, rt.claimed)
+        engine.dp.run(1_000_000)
+        with pytest.raises(InvariantViolation, match="packets ran to 1000000"):
+            start_transmits(engine, 0, 999_999)
 
     def test_transmit_on_event_heap_is_fatal(self):
         engine = lossless_engine(Lines())
@@ -1218,7 +1275,7 @@ class TestDataPlaneBoundary:
 TIME_EDGES = (0, 1, 999_999, 10**6, 10**9 - 1, 10**9, 2**52 - 1)
 # Cell text: printable, with neither a newline nor a NUL.
 CELL_TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126), min_size=1, max_size=40)
-CELLS = engine_mod._OUTCOME_CELLS
+CELLS = dataplane_mod._OUTCOME_CELLS
 
 
 def f_string_rows(rows, device_ids, slice_ids, switch_ids) -> str:
@@ -1233,7 +1290,7 @@ def f_string_rows(rows, device_ids, slice_ids, switch_ids) -> str:
 
 def table_rows(rows, device_ids, slice_ids, switch_ids) -> str:
     """The same rows in one block, from the engine's two row tables."""
-    heads, tails = engine_mod._row_tables(device_ids, slice_ids, switch_ids)
+    heads, tails = dataplane_mod._row_tables(device_ids, slice_ids, switch_ids)
     t, c, d, s, j = (np.array(col, dtype=np.int64) for col in zip(*rows))
     return rows_text(
         t,
@@ -1287,22 +1344,22 @@ class TestTraceRows:
         def refuse(*_):
             raise AssertionError("row tables built for a run without a trace")
 
-        monkeypatch.setattr(engine_mod, "_row_tables", refuse)
+        monkeypatch.setattr(dataplane_mod, "_row_tables", refuse)
         engine = Engine(small_scenario(devices=4, duration=5.0, train_samples=60, epochs=1))
-        assert engine.row_tables is None
+        assert engine.dp.row_tables is None
         assert engine.run().generated > 0
 
     def test_one_sink_call_per_outcome_application(self):
         trace = Lines()
         engine = lossless_engine(trace)
         assert trace.writes == 1  # the header
-        engine._apply_outcomes(math.inf)
+        engine.dp._apply_outcomes(math.inf)
         assert trace.writes == 1  # nothing held, nothing written
         for di, service in enumerate(SLICE_ORDER):
             engine.dev[di].decided = service
             hold_delivery(engine, 1_000_000 + di, di)
         place(engine, 1, "SW1")
-        engine._apply_outcomes(math.inf)
+        engine.dp._apply_outcomes(math.inf)
         assert trace.writes == 2
         assert [row.split(",") for row in trace[1:]] == [
             [f"1.00000{di}", "deliver", f"d000{di}", service.slice_id, switch_id, "ok"]
@@ -1317,7 +1374,9 @@ class TestTraceRows:
 @functools.cache
 def tiny_model():
     # One trained model serves every drawn scenario: training is not under test.
-    return Engine(Scenario(devices=0, duration=1.0, train_samples=60, epochs=1)).model
+    # Trained to convergence (well short of the epoch cap), it keeps each
+    # device on its claimed slice, so the drawn runs use all three.
+    return Engine(Scenario(devices=0, duration=1.0, train_samples=240, epochs=1000)).model
 
 
 def flood_scenario(**values) -> Scenario:
@@ -1355,6 +1414,9 @@ def flood_scenarios(draw) -> Scenario:
         flood_packet_interval=draw(st.sampled_from([4e-7, 0.004, 0.02, 0.05])),
         retransmit_delay=draw(st.floats(-0.001, 0.05)),
         offload_enabled=draw(st.booleans()),
+        # 0.37 s is no multiple of the 0.1 s window: a flow can move while a
+        # window is open
+        rebalance_interval=draw(st.sampled_from([0.5, 0.37])),
         # with neither plane on, the event heap empties while packets are due
         ddos_enabled=draw(st.booleans()),
         # a queue of one or two refuses some enqueues
@@ -1364,8 +1426,7 @@ def flood_scenarios(draw) -> Scenario:
         demand_embb=draw(st.sampled_from([1, 30, 10**4])),
         demand_urllc=draw(st.sampled_from([1, 30, 10**4])),
         demand_mmtc=draw(st.sampled_from([1, 30, 10**4])),
-        # the slice model sends every device to eMBB: a reliable eMBB
-        # retransmits what it loses
+        # a reliable eMBB, like URLLC, retransmits what it loses
         protocol_embb=draw(st.sampled_from(["datagram", "reliable-stream"])),
         # a quarantined source gives up at once, soon or late
         flood_giveup=draw(st.sampled_from([0, 3, 200])),
@@ -1373,16 +1434,27 @@ def flood_scenarios(draw) -> Scenario:
 
 
 class TestConservationProperty:
+    # ``slices``: for an example, the slices its outcome rows fall on.
     @settings(max_examples=30, deadline=None)
-    @given(sc=flood_scenarios())
+    @given(sc=flood_scenarios(), slices=st.none())
     # Few draws both migrate and quarantine; this one migrates 2 flows and
     # quarantines 1 source, which gives up.
+    @example(
+        sc=flood_scenario(
+            seed=17, devices=12, switches=2, flood_packet_interval=0.004,
+            switch_loss_rate=0.1, queue_delay_bound=0.05, retransmit_delay=0.01,
+            protocol_embb="reliable-stream",
+        ),
+        slices={"S1", "S2", "S3"},
+    )
+    # The same at seed 18 quarantines 2 sources, which give up.
     @example(
         sc=flood_scenario(
             seed=18, devices=12, switches=2, flood_packet_interval=0.004,
             switch_loss_rate=0.1, queue_delay_bound=0.05, retransmit_delay=0.01,
             protocol_embb="reliable-stream",
-        )
+        ),
+        slices={"S1", "S2", "S3"},
     )
     # A retransmit lands with its device's next packet, a packet interval
     # later, on a congested link.
@@ -1390,17 +1462,21 @@ class TestConservationProperty:
         sc=flood_scenario(
             seed=3, devices=12, switches=1, switch_loss_rate=0.3, queue_delay_bound=0.05,
             retransmit_delay=0.05, protocol_embb="reliable-stream",
-        )
+        ),
+        slices={"S1", "S3"},
     )
-    def test_scenario_rejected_or_conserves_packets_in_any_outcome_order(self, sc):
-        def run(drive=Engine.run, engine_class=Engine):
+    def test_scenario_rejected_or_conserves_packets_in_any_outcome_order(self, sc, slices):
+        def run(drive=Engine.run, data_plane=contextlib.nullcontext):
             trace = Lines()
             detection = Lines()
             migrations = Lines()
-            engine = engine_class(
-                sc, trace_sink=trace, detection_sink=detection,
-                migration_sink=migrations, model=tiny_model(),
-            )
+            with data_plane():
+                engine = Engine(
+                    sc, trace_sink=trace, detection_sink=detection,
+                    migration_sink=migrations, model=tiny_model(),
+                )
+            if isinstance(engine.dp, ScalarDataPlane):
+                engine.dp.engine = engine
             rows = drive(engine).to_csv_rows()
             # Scheduler conservation: every accepted device was enqueued once,
             # and each queue-full drop is one refused enqueue.
@@ -1432,15 +1508,18 @@ class TestConservationProperty:
         for c in engine.counters.values():
             assert c.sent == c.delivered + c.dropped
             assert c.in_flight == 0
-        assert len(engine.held) == 0 and engine.retransmits == []
-        assert (engine.next_us == NEVER).all()
+        assert len(engine.dp.held) == 0 and engine.dp.retransmits == []
+        assert (engine.dp.next_us == NEVER).all()
+        if slices is not None:
+            trace_rows = (line.split(",") for line in artifacts[1].splitlines()[1:])
+            assert {cells[3] for cells in trace_rows if cells[1] in ("deliver", "drop")} == slices
         with cut_everywhere():
             _, *eager = run()
         assert eager == artifacts
         _, *traced = run(stepped)
         assert traced == artifacts
         # One packet at a time, in canonical order, with the same draws.
-        _, *scalar = run(engine_class=ScalarDataPlane)
+        _, *scalar = run(data_plane=scalar_data_plane)
         assert scalar == artifacts
 
 

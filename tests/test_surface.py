@@ -17,7 +17,10 @@ import pytest
 from ts3ra.domain import ServiceType
 
 PACKAGE = Path(importlib.import_module("ts3ra").__file__).parent
-PLANES = ["auth", "ddos", "domain", "hopfield", "offload", "sched", "serialization", "slicenet"]
+PLANES = [
+    "auth", "dataplane", "ddos", "domain", "hopfield", "offload", "sched", "serialization",
+    "slicenet",
+]
 
 
 def top_level_defs(module: str) -> dict[str, ast.AST]:
