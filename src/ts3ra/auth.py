@@ -27,15 +27,21 @@ derived the presented key elsewhere.  Either way the verdict comes from one
 path: the same precedence, the same draws, and a constant-time comparison
 with the stored key.
 
-:class:`KeyWorker` runs one second thread, ``ts3ra-pbkdf2``, which derives
-a list of keys in order; a caller waits only for the key it needs.  Only the
-derivations move there: OpenSSL releases the GIL while it stretches a key,
-whereas the draws, HMACs and stores are Python, which would wait on the GIL
-behind the caller's own work.  The thread takes the GIL back only between
-derivations, at the interpreter's switch interval while the main thread
-runs Python; so the keys queued after the engine's registration keys are
-derived mostly in the tail of its slice-selector training, where the GEMMs
-release the GIL.
+:class:`KeyWorker` derives the keys on one worker thread, ``ts3ra-pbkdf2``,
+of a :class:`~concurrent.futures.ThreadPoolExecutor`, in the order they are
+submitted.  The registration keys share one future, since their caller waits
+for all of them; each presented key has its own, so a caller waits only for
+the key it needs.  (A future holds about 1.3 KB, most of it the condition it
+waits on; a future per registration key would add about 6 MB to peak memory
+at 4 000 devices.)  The executor is shut down once every key is submitted, so
+the worker ends when it has derived them, whether or not anyone waits.  Only
+the derivations move there: OpenSSL releases the GIL while it stretches a
+key, whereas the draws, HMACs and stores are Python, which would wait on the
+GIL behind the caller's own work.  The worker takes the GIL back only
+between derivations, at the interpreter's switch interval while the main
+thread runs Python; so the keys queued after the engine's registration keys
+are derived mostly in the tail of its slice-selector training, where the
+GEMMs release the GIL.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ __all__ = [
 import hashlib
 import hmac
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Optional, Union
@@ -291,76 +298,47 @@ def register_device(
 
 
 class KeyWorker:
-    """The ``ts3ra-pbkdf2`` thread and the keys it derives: the registration
-    keys, in the order given, then one presented key per device, in the
-    order given (see the module docstring)."""
+    """The ``ts3ra-pbkdf2`` worker and the keys it derives: the registration
+    keys, in the order given, as one future, then one presented key per
+    device, in the order given, a future each (see the module docstring)."""
 
     def __init__(
         self,
         registration: list[KeyDerivationParams],
         presented: dict[int, KeyDerivationParams],
     ):
-        self.jobs = [*registration, *presented.values()]
-        self.n_registration = len(registration)
-        # each device's place in ``jobs``, removed when its key is taken
-        self._place = {di: self.n_registration + k for k, di in enumerate(presented)}
-        self.keys: list[bytes] = []  # derived so far, in the order of ``jobs``
-        self.error: Optional[BaseException] = None
-        self.stopped = False
-        self.ended = False
-        self.ready = threading.Condition()
-        self.thread = threading.Thread(target=_derive_keys, args=(self,), name="ts3ra-pbkdf2")
-        self.thread.start()
+        self._pool = ThreadPoolExecutor(max_workers=1, initializer=_name_worker)
 
-    def _wait(self, n: int) -> None:
-        """Wait until the first ``n`` keys are derived."""
-        if len(self.keys) >= n:
-            return
-        with self.ready:
-            self.ready.wait_for(lambda: len(self.keys) >= n or self.ended)
-        if len(self.keys) < n:
-            raise self.error or RuntimeError("key derivation stopped")
+        def derive(params: KeyDerivationParams) -> bytes:
+            return derive_key(params)  # looked up when the key is derived
+
+        self._registration = self._pool.submit(lambda: [derive(params) for params in registration])
+        self._presented = {di: self._pool.submit(derive, p) for di, p in presented.items()}
+        # the worker ends once it has derived every key
+        self._pool.shutdown(wait=False)
 
     def registration_keys(self) -> list[bytes]:
-        self._wait(self.n_registration)
-        return self.keys[: self.n_registration]
+        return self._registration.result()
 
     def presented(self, di: int) -> bytes:
         """Device ``di``'s presented key; each is taken once."""
-        place = self._place.pop(di)
-        self._wait(place + 1)
-        return self.keys[place]
+        return self._presented.pop(di).result()
 
     def finish(self) -> None:
-        """Join the thread once it has derived every key; raise its error."""
-        self.thread.join()
-        if self.error is not None:
-            raise self.error
+        """Join the worker once it has derived every key; raise the error of
+        the first key not taken whose derivation failed."""
+        self._pool.shutdown(wait=True)
+        for future in self._presented.values():
+            future.result()
 
     def close(self) -> None:
-        """Stop the thread after its current derivation and join it."""
-        self.stopped = True
-        self.thread.join()
+        """Cancel the jobs not yet started and join the worker; the
+        registration keys are one job."""
+        self._pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _derive_keys(worker: KeyWorker) -> None:
-    """Body of the ``ts3ra-pbkdf2`` thread: derives ``worker.jobs`` in order
-    until it is stopped or a derivation fails, and keeps the error for the
-    main thread to raise."""
-    try:
-        for params in worker.jobs:
-            if worker.stopped:
-                break
-            key = derive_key(params)
-            with worker.ready:
-                worker.keys.append(key)
-                worker.ready.notify()
-    except BaseException as exc:
-        worker.error = exc
-    finally:
-        with worker.ready:
-            worker.ended = True
-            worker.ready.notify()
+def _name_worker() -> None:
+    threading.current_thread().name = "ts3ra-pbkdf2"
 
 
 def authenticate(

@@ -37,8 +37,10 @@ A device changes switch only when it is first placed, before it sends, and
 at a rebalance, after the interval has been closed.  So the open rebalance
 interval keeps one count of bits per device, and a switch's load in it is
 the sum over the devices whose ``sw_of`` is that switch.  A detection window
-can stay open across a rebalance, so it keeps its counts per (switch,
-device, size index).
+can stay open across a rebalance, so it counts each device's packets on its
+current switch, and :meth:`DataPlane.place` moves a moving device's count to
+one per (switch left, device).  Its state grows with devices, switches and
+moves, not with packets, and closing it visits only the devices that sent.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ __all__ = [
     "rows_text", "size_index",
 ]
 
-from collections import deque
+from collections import Counter, deque
 from itertools import chain
 from typing import Callable, Optional
 
@@ -228,11 +230,14 @@ class DataPlane:
         self.blocked_packets = [0] * n
         # Per switch: the time its link is busy until, and its last arrival
         # (-1 before the first).  The open detection window counts arrivals
-        # per (switch, device, size index) and per inter-arrival bin; the open
-        # rebalance interval counts each device's bits.
+        # per device, per (switch left, device), per (switch, size index) and
+        # per (switch, inter-arrival bin); the open rebalance interval counts
+        # each device's bits.
         self.busy_us = [0] * m
         self.last_arrival_us = [-1] * m
-        self.win_counts = np.zeros((m, n, len(self.sizes)), dtype=np.int64)
+        self.win_sent = np.zeros(n, dtype=np.int64)
+        self.win_left: Counter[tuple[int, int]] = Counter()
+        self.win_sizes = np.zeros((m, len(self.sizes)), dtype=np.int64)
         self.win_gaps = np.zeros((m, ddos_mod.N_INTERARRIVAL_BINS), dtype=np.int64)
         self.interval_bits = np.zeros(n, dtype=np.int64)
         # Retransmits due in a later batch: (time, device, size index, loss draw).
@@ -258,7 +263,12 @@ class DataPlane:
         self.slice_of[di] = slice_index
 
     def place(self, di: int, switch: int) -> None:
-        """Route device ``di``'s packets through switch index ``switch``."""
+        """Route device ``di``'s packets through switch index ``switch``; its
+        arrivals in the open window stay counted on the switch it leaves."""
+        old, sent = int(self.sw_of[di]), int(self.win_sent[di])
+        if sent and old != switch:
+            self.win_left[old, di] += sent
+            self.win_sent[di] = 0
         self.sw_of[di] = switch
 
     def quarantine(self, di: int) -> None:
@@ -266,12 +276,14 @@ class DataPlane:
         self.is_quarantined[di] = True
 
     def close_window(self) -> list[ddos_mod.WindowCounts]:
-        """The open detection window's counts, one per switch; a new window
-        opens empty."""
-        per_source = self.win_counts.sum(axis=2)
-        at, of = np.nonzero(per_source)
+        """The open detection window's counts, one per switch, each with its
+        sources in device order; a new window opens empty."""
+        sent = np.flatnonzero(self.win_sent)
+        counts = self.win_left
+        for i, j, c in zip(sent.tolist(), self.sw_of[sent].tolist(), self.win_sent[sent].tolist()):
+            counts[j, i] += c
         sources: list[dict[str, int]] = [{} for _ in self.busy_us]
-        for j, i, c in zip(at.tolist(), of.tolist(), per_source[at, of].tolist()):
+        for (j, i), c in sorted(counts.items()):
             sources[j][self.device_ids[i]] = c
         windows = [
             ddos_mod.WindowCounts(
@@ -280,10 +292,12 @@ class DataPlane:
                 size_counts={size: c for size, c in zip(self.sizes, sizes) if c},
             )
             for source_counts, gaps, sizes in zip(
-                sources, self.win_gaps.tolist(), self.win_counts.sum(axis=1).tolist()
+                sources, self.win_gaps.tolist(), self.win_sizes.tolist()
             )
         ]
-        self.win_counts.fill(0)
+        self.win_sent[sent] = 0
+        self.win_left = Counter()
+        self.win_sizes.fill(0)
         self.win_gaps.fill(0)
         return windows
 
@@ -442,8 +456,8 @@ class DataPlane:
             t, di, z, sw, res, prev, key = (
                 np.concatenate(pair) for pair in zip((t, di, z, sw, res, prev, key), (*ex, ex_key))
             )
-        counts = np.bincount((sw * n_dev + di) * 3 + z, minlength=n_sw * n_dev * 3)
-        self.win_counts += counts.reshape(n_sw, n_dev, 3)
+        self.win_sent += np.bincount(di, minlength=n_dev)
+        self.win_sizes += np.bincount(sw * 3 + z, minlength=n_sw * 3).reshape(n_sw, 3)
         np.add.at(self.interval_bits, di, self.size_bits[z])
         gap = prev >= 0
         bins = np.searchsorted(self.ia_edges, (t[gap] - prev[gap]) / 1e6, side="right")

@@ -30,15 +30,15 @@ the run.
 Set-up enrolls the devices on the main thread, in device order, so the
 ``puf`` stream is drawn as one registration at a time would draw it, and
 draws every arrival time.  Every PBKDF2 derivation then runs on the
-:class:`~ts3ra.auth.KeyWorker` thread: first the registration keys, in
-device order, while the slice selector trains on the main thread; then the
-presented key of each enrolled device whose AUTH event falls within the
+:class:`~ts3ra.auth.KeyWorker`'s worker thread: first the registration keys,
+in device order, while the slice selector trains on the main thread; then
+the presented key of each enrolled device whose AUTH event falls within the
 horizon, in the order of those events (by arrival time, then by device),
 which puts the keys needed first in the tail of training.  Set-up waits
 only for the registration keys and stores their records before the first
-event; each AUTH event waits only for its own device's key.
-``collect_metrics`` joins the thread once every key is derived and raises a
-derivation's error; set-up or a run that fails stops and joins it.
+event; each AUTH event waits only for its own device's key.  The worker
+ends once every key is derived; ``collect_metrics`` joins it and raises a
+derivation's error; set-up or a run that fails cancels what is queued.
 """
 
 from __future__ import annotations

@@ -39,10 +39,10 @@ EVENT_INTERVAL_KEYS = (
 
 # The most rows the engine synthesizes to train its slice selector.
 MAX_TRAIN_SAMPLES = 1_000_000
-# The largest network a scenario may ask for.  The data plane's window
-# counts, a (switches, devices, 3) int64 array, and each batch's transient
-# count array of the same shape then take at most
-# 48 * MAX_SWITCHES * MAX_DEVICES bytes, about 123 MB.
+# The largest network a scenario may ask for.  The data plane's state grows
+# with devices plus switches; what grows with their product is placement,
+# which weighs every switch for each granted device: at most
+# MAX_DEVICES * MAX_SWITCHES edge weights, 2.56 million, in a run.
 MAX_DEVICES = 10_000
 MAX_SWITCHES = 256
 MAX_APS = 1_000

@@ -127,7 +127,9 @@ class ScalarDataPlane(DataPlane):
     plane must match exactly.  Each outcome's trace row is its own f-string
     of the time in seconds, and its own sink call, with the slice and switch
     taken from the engine's devices and switches (``engine``, given once the
-    engine is built; see :func:`scalar_data_plane`)."""
+    engine is built; see :func:`scalar_data_plane`).  Its detection window
+    counts arrivals per (switch, device, size) and per (switch, inter-arrival
+    bin), in arrays of its own, and :meth:`close_window` reduces those."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -135,6 +137,28 @@ class ScalarDataPlane(DataPlane):
         self.ref_retransmits: list = []  # heap of (time, device, size, loss draw)
         self.ref_outcomes: list = []  # (time, drop?, packet, device, code, bits, latency)
         self.ref_edges = tuple(self.ia_edges.tolist())
+        n_sw, n_dev = len(self.busy_us), len(self.next_us)
+        self.ref_counts = np.zeros((n_sw, n_dev, len(self.sizes)), dtype=np.int64)
+        self.ref_gaps = np.zeros_like(self.win_gaps)
+
+    def close_window(self) -> list:
+        per_source = self.ref_counts.sum(axis=2)
+        sources: list[dict[str, int]] = [{} for _ in self.busy_us]
+        for j, i in zip(*np.nonzero(per_source)):
+            sources[j][self.device_ids[i]] = int(per_source[j, i])
+        windows = [
+            engine_mod.ddos_mod.WindowCounts(
+                source_counts=source_counts,
+                interarrival_bins=gaps,
+                size_counts={size: c for size, c in zip(self.sizes, sizes) if c},
+            )
+            for source_counts, gaps, sizes in zip(
+                sources, self.ref_gaps.tolist(), self.ref_counts.sum(axis=1).tolist()
+            )
+        ]
+        self.ref_counts.fill(0)
+        self.ref_gaps.fill(0)
+        return windows
 
     def run(self, until_us: float) -> None:
         n_dev = len(self.next_us)
@@ -191,11 +215,11 @@ class ScalarDataPlane(DataPlane):
     def _ref_arrive(self, t, d, size, u_loss, key, u_retx) -> None:
         sc = self.sc
         j = int(self.sw_of[d])
-        self.win_counts[j, d, self.sizes.index(size)] += 1
+        self.ref_counts[j, d, self.sizes.index(size)] += 1
         self.interval_bits[d] += size * 8
         last = self.last_arrival_us[j]
         if last >= 0:
-            self.win_gaps[j, bisect_right(self.ref_edges, (t - last) / 1e6)] += 1
+            self.ref_gaps[j, bisect_right(self.ref_edges, (t - last) / 1e6)] += 1
         self.last_arrival_us[j] = t
         if u_loss < self.loss_rate:
             code = LOSS
@@ -539,6 +563,20 @@ class TestDeviceRegistration:
         assert len(calls) == n_registered
 
 
+class TestKeyWorker:
+    def test_no_worker_lingers_after_an_engine_built_and_not_run(self, monkeypatch):
+        # Nothing waits for the presented keys of an engine that is never
+        # run: its worker ends once it has derived them.
+        calls = spy_derive_key(monkeypatch)
+        before = pbkdf2_threads()
+        engine = Engine(small_scenario(devices=12, train_samples=60, epochs=1))
+        for thread in pbkdf2_threads() - before:
+            thread.join(WAIT_S)
+            assert not thread.is_alive()
+        enrolled = sum(not rt.forged for rt in engine.dev)
+        assert len(calls) == 2 * enrolled > 0
+
+
 class TestAuthentication:
     """``_on_auth`` gives ``authenticate`` the presented key derived on the
     key-derivation thread."""
@@ -622,7 +660,7 @@ class TestPipelineSteps:
         engine.dp.run(engine.clock_us + 1)
         c = engine.counters[ServiceType.MMTC]
         assert (c.sent, c.dropped, c.blocked, c.in_flight) == (1, 1, 1, 0)
-        assert engine.dp.win_counts.sum() == 0  # it never reached a switch
+        assert engine.dp.win_sent.sum() == 0  # it never reached a switch
         while engine.heap:
             engine.step_event(heapq.heappop(engine.heap))
         engine.collect_metrics()
@@ -744,18 +782,22 @@ class TestDetectionIntegration:
                 devices=20, duration=12.0, ddos_enabled=False, train_samples=60, epochs=1
             )
         )
-        shapes = [a.shape for a in (engine.dp.win_counts, engine.dp.win_gaps)]
+        dp = engine.dp
+        shapes = [a.shape for a in (dp.win_sent, dp.win_sizes, dp.win_gaps)]
         engine.run()
-        assert engine.dp.generated > 1000
+        assert dp.generated > 1000
         n_sw, n_dev = len(engine.switches), len(engine.dev)
-        assert shapes == [(n_sw, n_dev, 3), (n_sw, 16)]
-        assert [a.shape for a in (engine.dp.win_counts, engine.dp.win_gaps)] == shapes
+        assert shapes == [(n_dev,), (n_sw, 3), (n_sw, 16)]
+        assert [a.shape for a in (dp.win_sent, dp.win_sizes, dp.win_gaps)] == shapes
+        # at most one count per move for the switches devices left
+        assert len(dp.win_left) <= engine.migrations
         # never reset, so the one window has counted every packet admitted,
         # and every gap but each switch's first
-        arrived = engine.dp.win_counts.sum()
+        arrived = dp.win_sizes.sum()
         assert arrived > 1000
-        first_arrivals = np.count_nonzero(engine.dp.win_counts.sum(axis=(1, 2)))
-        assert engine.dp.win_gaps.sum() == arrived - first_arrivals
+        assert dp.win_sent.sum() + sum(dp.win_left.values()) == arrived
+        first_arrivals = np.count_nonzero(dp.win_sizes.sum(axis=1))
+        assert dp.win_gaps.sum() == arrived - first_arrivals
 
     def test_forged_devices_rejected_at_auth(self):
         report = run_scenario(
@@ -987,15 +1029,17 @@ class TestOutcomeOrdering:
         engine.heap.clear()
         rt = engine.dev[0]
         sw = engine.sw_by_id["SW0"]
-        place(engine, 0, "SW0")
+        for di in range(10):
+            place(engine, di, "SW0")
         c = engine.counters[rt.claimed]
         close_us = 2_000_000
         c.sent += 1
         c.in_flight += 1
         hold_delivery(engine, close_us + delay_us, 0)
         # One source dominates a window on SW0 whose size entropy collapses.
-        engine.dp.win_counts[sw.index, 0, 1] = 1000
-        engine.dp.win_counts[sw.index, 1:10, 1] = 1
+        engine.dp.win_sent[0] = 1000
+        engine.dp.win_sent[1:10] = 1
+        engine.dp.win_sizes[sw.index, 1] = 1009
         sw.baseline_triples = [(3.0, 1.0, 1.0)] * engine.sc.baseline_windows
         engine.step_event((close_us, WINDOW_CLOSE, 0, None))
         assert engine.dp.is_quarantined[0]
@@ -1169,7 +1213,44 @@ class TestDataPlaneBoundary:
         engine.step_event((close_us, WINDOW_CLOSE, 0, None))
         assert counted[0] == 1  # SW0's window, closed first
         assert engine.dp.next_us[1] == close_us + 1
-        assert engine.dp.win_counts.sum() == 0
+        assert engine.dp.win_sent.sum() == 0
+
+    @pytest.mark.parametrize("moves", [["SW1"], ["SW1", "SW0"], ["SW1", "SW0", "SW1"]])
+    def test_device_moving_in_an_open_window_counts_where_it_arrived(self, moves):
+        # Device 1 moves while the window is open (away, away and back, or
+        # away twice), and the windows equal the scalar reference's, in the
+        # order of their sources too; the next window counts only where it is.
+        def windows(data_plane) -> list:
+            with data_plane():
+                engine = Engine(
+                    small_scenario(devices=4, switches=2, duration=5.0, train_samples=60, epochs=1)
+                )
+            engine.heap.clear()
+            for di in range(3):
+                self.start(engine, di, 1_000_000 + di, "SW1" if di == 2 else "SW0")
+            now = 1_000_000
+            for sw_id in moves:
+                now += 300_000
+                engine.dp.run(now)
+                place(engine, 1, sw_id)
+            closed = []
+            for _ in range(2):
+                now += 300_000
+                engine.dp.run(now)
+                closed.append(engine.dp.close_window())
+            return [
+                [(list(w.source_counts.items()), w.interarrival_bins, w.size_counts) for w in ws]
+                for ws in closed
+            ]
+
+        batched = windows(contextlib.nullcontext)
+        assert batched == windows(scalar_data_plane)
+        (sw0, sw1), (next_sw0, next_sw1) = ([dict(w[0]) for w in ws] for ws in batched)
+        # the device is counted on each switch it sent through, and each
+        # switch's sources are in device order
+        assert list(sw0) == ["d0000", "d0001"] and list(sw1) == ["d0001", "d0002"]
+        assert "d0001" in (next_sw0 if moves[-1] == "SW0" else next_sw1)
+        assert "d0001" not in (next_sw1 if moves[-1] == "SW0" else next_sw0)
 
     def test_transmit_at_allocate_runs_after_it(self):
         engine = lossless_engine(Lines())
@@ -1250,12 +1331,16 @@ class TestDataPlaneBoundary:
 
     def test_packet_state_lives_in_the_data_plane(self):
         engine = lossless_engine(Lines())
-        packet_state = ("next_us", "held", "win_counts", "win_gaps", "retransmits", "busy_us")
+        packet_state = (
+            "next_us", "held", "win_sent", "win_sizes", "win_gaps", "retransmits", "busy_us"
+        )
         for name in (*packet_state, "sw_of"):
             assert not hasattr(engine, name) and hasattr(engine.dp, name), name
         assert not any(hasattr(x, "interval_counts") for x in (engine, engine.dp))
-        # each device's bits, not a (switch, device, size) array
+        assert not hasattr(engine.dp, "win_counts")
+        # each device's bits and packets, not a (switch, device, size) array
         assert engine.dp.interval_bits.shape == (len(engine.dev),)
+        assert engine.dp.win_sent.shape == (len(engine.dev),)
 
     def test_start_before_packets_already_run_is_fatal(self):
         engine = lossless_engine(Lines())
