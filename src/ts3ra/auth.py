@@ -17,7 +17,7 @@ Registration is two steps, :func:`enroll_device` (draw the salt and the
 challenges, store the CRPs) and :func:`store_registration` (store the record
 of the derived key); :func:`register_device` runs both with
 :func:`derive_key` between them.  The split lets a caller derive keys
-elsewhere, on the :class:`KeyWorker` thread.
+elsewhere, such as on another thread.
 
 :func:`authenticate` takes the presented credential the way
 :func:`puf_verify` takes a PUF response: either the password, which it
@@ -25,23 +25,9 @@ stretches under the record's inputs, or a responder that is handed those
 inputs and returns a key already derived from them, for a caller that
 derived the presented key elsewhere.  Either way the verdict comes from one
 path: the same precedence, the same draws, and a constant-time comparison
-with the stored key.
-
-:class:`KeyWorker` derives the keys on one worker thread, ``ts3ra-pbkdf2``,
-of a :class:`~concurrent.futures.ThreadPoolExecutor`, in the order they are
-submitted.  The registration keys share one future, since their caller waits
-for all of them; each presented key has its own, so a caller waits only for
-the key it needs.  (A future holds about 1.3 KB, most of it the condition it
-waits on; a future per registration key would add about 6 MB to peak memory
-at 4 000 devices.)  The executor is shut down once every key is submitted, so
-the worker ends when it has derived them, whether or not anyone waits.  Only
-the derivations move there: OpenSSL releases the GIL while it stretches a
-key, whereas the draws, HMACs and stores are Python, which would wait on the
-GIL behind the caller's own work.  The worker takes the GIL back only
-between derivations, at the interpreter's switch interval while the main
-thread runs Python; so the keys queued after the engine's registration keys
-are derived mostly in the tail of its slice-selector training, where the
-GEMMs release the GIL.
+with the stored key.  A derived key is a pure function of its
+:class:`KeyDerivationParams`, so a caller may derive each distinct input
+once and answer every check of that input with the same key.
 """
 
 from __future__ import annotations
@@ -56,8 +42,6 @@ __all__ = [
 
 import hashlib
 import hmac
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Optional, Union
@@ -295,50 +279,6 @@ def register_device(
     """Enroll a device's CRPs, then derive and store its key."""
     params = enroll_device(va, device_id, password, puf, rng)
     return store_registration(va, device_id, params, derive_key(params))
-
-
-class KeyWorker:
-    """The ``ts3ra-pbkdf2`` worker and the keys it derives: the registration
-    keys, in the order given, as one future, then one presented key per
-    device, in the order given, a future each (see the module docstring)."""
-
-    def __init__(
-        self,
-        registration: list[KeyDerivationParams],
-        presented: dict[int, KeyDerivationParams],
-    ):
-        self._pool = ThreadPoolExecutor(max_workers=1, initializer=_name_worker)
-
-        def derive(params: KeyDerivationParams) -> bytes:
-            return derive_key(params)  # looked up when the key is derived
-
-        self._registration = self._pool.submit(lambda: [derive(params) for params in registration])
-        self._presented = {di: self._pool.submit(derive, p) for di, p in presented.items()}
-        # the worker ends once it has derived every key
-        self._pool.shutdown(wait=False)
-
-    def registration_keys(self) -> list[bytes]:
-        return self._registration.result()
-
-    def presented(self, di: int) -> bytes:
-        """Device ``di``'s presented key; each is taken once."""
-        return self._presented.pop(di).result()
-
-    def finish(self) -> None:
-        """Join the worker once it has derived every key; raise the error of
-        the first key not taken whose derivation failed."""
-        self._pool.shutdown(wait=True)
-        for future in self._presented.values():
-            future.result()
-
-    def close(self) -> None:
-        """Cancel the jobs not yet started and join the worker; the
-        registration keys are one job."""
-        self._pool.shutdown(wait=True, cancel_futures=True)
-
-
-def _name_worker() -> None:
-    threading.current_thread().name = "ts3ra-pbkdf2"
 
 
 def authenticate(

@@ -28,23 +28,29 @@ work starts after it; packets in flight at the horizon drain at the end of
 the run.
 
 Set-up enrolls the devices on the main thread, in device order, so the
-``puf`` stream is drawn as one registration at a time would draw it, and
-draws every arrival time.  Every PBKDF2 derivation then runs on the
-:class:`~ts3ra.auth.KeyWorker`'s worker thread: first the registration keys,
-in device order, while the slice selector trains on the main thread; then
-the presented key of each enrolled device whose AUTH event falls within the
-horizon, in the order of those events (by arrival time, then by device),
-which puts the keys needed first in the tail of training.  Set-up waits
-only for the registration keys and stores their records before the first
-event; each AUTH event waits only for its own device's key.  The worker
-ends once every key is derived; ``collect_metrics`` joins it and raises a
-derivation's error; set-up or a run that fails cancels what is queued.
+``puf`` stream is drawn as one registration at a time would draw it.  It
+then derives one key for each distinct key-derivation input: each record's,
+and that of the password each enrolled device presents.  A key is a pure
+function of its input, and every device presents the password it enrolled
+with, so the two inputs are one unless a device enrolled under another
+password; such a device gets its own derivation and is rejected at AUTH.
+The derivations run as one job on a one-worker thread pool, whose thread is
+named ``ts3ra-pbkdf2``, while the slice selector trains on the main thread.
+Only the derivations move there: OpenSSL releases the GIL while it stretches
+a key, whereas the draws, HMACs and stores are Python that would contend for
+the GIL.  Set-up stores every record before the first event and joins the
+worker, on success or failure, so no thread outlives the constructor; a
+failed derivation raises from it.  Each AUTH event looks its presented key
+up.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import Callable, Optional
 
@@ -118,6 +124,10 @@ _BLIND_KINDS = frozenset({SCHEDULE_SLOT, MOBILITY_TICK})
 _TRACE_ONLY_KINDS = frozenset({ARRIVAL, AUTH, SLICE_DECIDE})
 
 
+def _name_worker() -> None:
+    threading.current_thread().name = "ts3ra-pbkdf2"
+
+
 def seconds_text(us: int) -> str:
     """``us`` microseconds as seconds with six decimals."""
     return f"{us // 1_000_000}.{us % 1_000_000:06d}"
@@ -184,11 +194,15 @@ class _SwitchRt:
 
     __slots__ = ("index", "profile", "nominal_load", "baseline_triples")
 
-    def __init__(self, index: int, profile: SwitchProfile):
+    def __init__(self, index: int, profile: SwitchProfile, baseline_windows: int):
         self.index = index
         self.profile = profile
         self.nominal_load = 0.0
-        self.baseline_triples: list[tuple[float, float, float]] = []
+        # the benign windows' entropy triples, the oldest dropped past
+        # four baselines
+        self.baseline_triples: deque[tuple[float, float, float]] = deque(
+            maxlen=4 * baseline_windows
+        )
 
 
 # Takes one or more whole lines, each ending in a newline (see the module
@@ -244,39 +258,32 @@ class Engine:
         self.queue_dropped = 0
         self.loss_curve = None
 
-        self._keys: Optional[auth_mod.KeyWorker] = None
-        try:
-            self._build_world(model)
-            floods = np.array([not rt.device.legitimate and not rt.forged for rt in self.dev], bool)
-            self.dp = DataPlane(
-                scenario, self.hub, [rt.device.device_id for rt in self.dev], floods,
-                [sw.profile.switch_id for sw in self.switches],
-                [self.counters[st] for st in SLICE_ORDER], trace_sink,
-            )
-            # Devices not yet rejected, dropped at the queue or allocated;
-            # once none is left no allocation follows, so nothing reads
-            # positions.  At the end of a run, the pending count: devices not
-            # yet arrived, still queued, or waiting for a slice decision or
-            # an allocation.
-            self.unfinished = len(self.dev)
-            self._handlers = (
-                self._on_arrival,
-                self._on_auth,
-                self._on_schedule_slot,
-                self._on_slice_decide,
-                self._on_allocate,
-                self._packet_on_event_heap,
-                self._packet_on_event_heap,
-                self._packet_on_event_heap,
-                self._on_window_close,
-                self._on_rebalance,
-                self._on_mobility_tick,
-            )
-            self._seed_events()
-        except BaseException:
-            if self._keys is not None:
-                self._keys.close()
-            raise
+        self._build_world(model)
+        floods = np.array([not rt.device.legitimate and not rt.forged for rt in self.dev], bool)
+        self.dp = DataPlane(
+            scenario, self.hub, [rt.device.device_id for rt in self.dev], floods,
+            [sw.profile.switch_id for sw in self.switches],
+            [self.counters[st] for st in SLICE_ORDER], trace_sink,
+        )
+        # Devices not yet rejected, dropped at the queue or allocated; once
+        # none is left no allocation follows, so nothing reads positions.  At
+        # the end of a run, the pending count: devices not yet arrived, still
+        # queued, or waiting for a slice decision or an allocation.
+        self.unfinished = len(self.dev)
+        self._handlers = (
+            self._on_arrival,
+            self._on_auth,
+            self._on_schedule_slot,
+            self._on_slice_decide,
+            self._on_allocate,
+            self._packet_on_event_heap,
+            self._packet_on_event_heap,
+            self._packet_on_event_heap,
+            self._on_window_close,
+            self._on_rebalance,
+            self._on_mobility_tick,
+        )
+        self._seed_events()
 
     # -- construction --------------------------------------------------------
 
@@ -343,7 +350,7 @@ class Engine:
                 transmission_rate=sc.switch_transmission_rate,
                 loss_rate=sc.switch_loss_rate,
             )
-            rt = _SwitchRt(j, profile)
+            rt = _SwitchRt(j, profile, sc.baseline_windows)
             self.switches.append(rt)
             self.sw_by_id[profile.switch_id] = rt
 
@@ -364,46 +371,39 @@ class Engine:
         self.sched_active = False
         self.slot_us = to_us(sc.slot_duration)
 
-        # each device's arrival, drawn now: the presented keys are derived
-        # in the order of the AUTH events, by arrival then by device, for the
-        # AUTH events that ``_push`` will queue
-        rng_arrivals = self.hub.substream("arrivals")
-        window = sc.arrival_window * sc.duration
-        self.arrivals_us = [to_us(float(rng_arrivals.uniform(0.0, window))) for _ in range(n)]
-        auth_us = to_us(sc.auth_delay)
-        by_arrival = sorted(
-            (e for e in enrolled if self.arrivals_us[e[1].index] + auth_us <= self.end_us),
-            key=lambda e: (self.arrivals_us[e[1].index], e[1].index),
+        # one key per distinct input, the records' and the presented
+        # passwords', derived on a second thread while the slice-selection
+        # model trains on this one (see the module docstring)
+        inputs = dict.fromkeys(
+            [params for _, _, params in enrolled]
+            + [replace(params, password=rt.password) for _, rt, params in enrolled]
         )
-        # the enrolled devices' keys, derived on a second thread while the
-        # slice-selection model trains on this one (see the module docstring)
-        self._keys = auth_mod.KeyWorker(
-            [params for _, _, params in enrolled],
-            {rt.index: replace(params, password=rt.password) for _, rt, params in by_arrival},
-        )
-        if model is not None:
-            self.model = model
-        elif sc.model_path:
-            self.model = _load_model(sc.model_path)
-        else:
-            feats, labels = sn_mod.make_separable_dataset(
-                sc.train_samples, self.hub.substream("slicenet-data")
-            )
-            self.model = sn_mod.SliceNetModel(
-                d_model=sc.d_model, rng=self.hub.substream("slicenet-init")
-            )
-            self.loss_curve = sn_mod.train(
-                self.model,
-                feats,
-                labels,
-                epochs=sc.epochs,
-                learning_rate=sc.learning_rate,
-                rng=self.hub.substream("slicenet-train"),
-                batch_size=32,
-            )
-        keys = self._keys.registration_keys()
-        for (va, rt, params), key in zip(enrolled, keys):
-            auth_mod.store_registration(va, rt.device.device_id, params, key)
+        with ThreadPoolExecutor(max_workers=1, initializer=_name_worker) as pool:
+            # ``auth_mod.derive_key`` is looked up when the keys are derived
+            keys = pool.submit(lambda: {p: auth_mod.derive_key(p) for p in inputs})
+            if model is not None:
+                self.model = model
+            elif sc.model_path:
+                self.model = _load_model(sc.model_path)
+            else:
+                feats, labels = sn_mod.make_separable_dataset(
+                    sc.train_samples, self.hub.substream("slicenet-data")
+                )
+                self.model = sn_mod.SliceNetModel(
+                    d_model=sc.d_model, rng=self.hub.substream("slicenet-init")
+                )
+                self.loss_curve = sn_mod.train(
+                    self.model,
+                    feats,
+                    labels,
+                    epochs=sc.epochs,
+                    learning_rate=sc.learning_rate,
+                    rng=self.hub.substream("slicenet-train"),
+                    batch_size=32,
+                )
+            self.key_of: dict[auth_mod.KeyDerivationParams, bytes] = keys.result()
+        for va, rt, params in enrolled:
+            auth_mod.store_registration(va, rt.device.device_id, params, self.key_of[params])
 
         # resource pools, sized to expected demand with headroom
         expected = {st: 0.0 for st in ServiceType}
@@ -428,8 +428,10 @@ class Engine:
 
     def _seed_events(self) -> None:
         sc = self.sc
-        for di, t in enumerate(self.arrivals_us):
-            self._push(t, ARRIVAL, di)
+        rng_arrivals = self.hub.substream("arrivals")
+        window = sc.arrival_window * sc.duration
+        for di in range(sc.devices):
+            self._push(to_us(float(rng_arrivals.uniform(0.0, window))), ARRIVAL, di)
         if sc.devices:
             self._push(to_us(sc.tick_interval), MOBILITY_TICK, None)
         if sc.ddos_enabled:
@@ -482,12 +484,8 @@ class Engine:
 
     def run(self) -> MetricsReport:
         heap, pop, step = self.heap, heapq.heappop, self.step_event
-        try:
-            while heap:
-                step(pop(heap))
-        except BaseException:
-            self._keys.close()
-            raise
+        while heap:
+            step(pop(heap))
         return self.collect_metrics()
 
     # -- handlers ---------------------------------------------------------------
@@ -507,7 +505,7 @@ class Engine:
         verdict = auth_mod.authenticate(
             self.vap.holder_of(rt.device.device_id),
             rt.device.device_id,
-            lambda _params: self._keys.presented(di),
+            lambda params: self.key_of[replace(params, password=rt.password)],
             timestamp=now_s,
             puf_response=rt.puf.respond,
             now=now_s,
@@ -698,8 +696,6 @@ class Engine:
                         self.dp.quarantine(self.dev_by_id[dev_id].index)
                 else:
                     sw.baseline_triples.append(triple)
-                    if len(sw.baseline_triples) > 4 * sc.baseline_windows:
-                        del sw.baseline_triples[0]
             if self.detection_sink is not None:
                 self.detection_sink(
                     f"{start_s:.6f},{sw.profile.switch_id},"
@@ -813,7 +809,6 @@ class Engine:
     # -- reporting ----------------------------------------------------------------
 
     def collect_metrics(self) -> MetricsReport:
-        self._keys.finish()
         self.dp.run(math.inf)
         for st, c in self.counters.items():
             if c.in_flight != 0:

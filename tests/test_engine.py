@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 from bisect import bisect_right
+from collections import deque
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -46,7 +47,7 @@ from ts3ra.engine import (
 )
 from ts3ra.metrics import SliceCounters, derive_slice_metrics
 from ts3ra.rng import RngHub
-from ts3ra.scenario import Scenario, ScenarioError, to_us
+from ts3ra.scenario import Scenario, ScenarioError
 from ts3ra.scenario_io import apply_override, parse_scenario
 from ts3ra.slicenet import TrainingDivergedError
 
@@ -358,19 +359,11 @@ def pbkdf2_threads() -> set[threading.Thread]:
     return {t for t in threading.enumerate() if t.name == "ts3ra-pbkdf2"}
 
 
-def spy_derive_key(monkeypatch, on_presented=None) -> list:
-    """Record every ``derive_key`` call as (thread, params), and call
-    ``on_presented`` before deriving a presented key: one whose inputs were
-    derived before, since a device presents the password it enrolled with.
-    Threads already live, of engines that were built and not run, are left
-    alone."""
-    calls, derive_key, earlier = [], auth_mod.derive_key, pbkdf2_threads()
+def spy_derive_key(monkeypatch) -> list:
+    """Record every ``derive_key`` call as (thread, params)."""
+    calls, derive_key = [], auth_mod.derive_key
 
     def spy(params):
-        if threading.current_thread() in earlier:
-            return derive_key(params)
-        if on_presented is not None and any(params == p for _, p in calls):
-            on_presented()
         calls.append((threading.current_thread(), params))
         return derive_key(params)
 
@@ -379,10 +372,9 @@ def spy_derive_key(monkeypatch, on_presented=None) -> list:
 
 
 class TestDeviceRegistration:
-    """Keys are derived on a second thread: the registration keys while the
-    model trains, then each enrolled device's presented key, in the order of
-    the AUTH events.  Set-up waits only for the registration keys; the run
-    joins the thread."""
+    """Set-up derives one key per distinct key-derivation input on a second
+    thread while the model trains, and joins that thread before ``Engine()``
+    returns, whether set-up succeeds or fails."""
 
     def scenario(self, **overrides) -> Scenario:
         # half the devices illegitimate and half of those forged: some
@@ -414,37 +406,35 @@ class TestDeviceRegistration:
                 va = pool.authority_for(rt.device.device_id)
                 auth_mod.register_device(va, rt.device.device_id, rt.password, puf, rng_puf)
         assert engine.vap.authorities == pool.authorities
-        params = {}
+        params = []
         for rt in registered:
             record = engine.vap.holder_of(rt.device.device_id).registered[rt.device.device_id]
             assert record.derived_key == auth_mod.derive_key(record.params)
-            params[rt.index] = record.params
-        # one registration key per enrolled device, in device order, then one
-        # presented key each, by arrival then by device
-        by_arrival = sorted(params, key=lambda di: (engine.arrivals_us[di], di))
-        assert [p for _, p in calls] == [*params.values()] + [
-            replace(params[di], password=engine.dev[di].password) for di in by_arrival
-        ]
+            # every device presents the password it enrolled with
+            assert replace(record.params, password=rt.password) == record.params
+            params.append(record.params)
+        # one derivation per enrolled device, in device order: each presented
+        # input is its record's, so none is derived twice
+        assert [p for _, p in calls] == params
 
     def test_thread_joined_after_training(self):
-        before = pbkdf2_threads()
         engine = Engine(self.scenario())
+        assert not pbkdf2_threads()
         # set-up stored every record before the first event
         for rt in engine.dev:
             assert (engine.vap.holder_of(rt.device.device_id) is None) == rt.forged
-        engine.run()
-        assert not pbkdf2_threads() - before
 
-    def test_thread_joined_with_a_supplied_model(self):
-        before = pbkdf2_threads()
+    def test_thread_joined_with_a_supplied_model(self, monkeypatch):
+        calls = spy_derive_key(monkeypatch)
         engine = Engine(self.scenario(), model=tiny_model())
         assert engine.loss_curve is None
-        engine.run()
-        assert not pbkdf2_threads() - before
+        assert not pbkdf2_threads()
+        assert len(calls) == sum(not rt.forged for rt in engine.dev) > 0
+        assert threading.main_thread() not in {thread for thread, _ in calls}
 
     def test_thread_joined_when_training_diverges(self, monkeypatch):
-        # Training fails while the thread is in its registration phase: it
-        # derives no key before training fails.
+        # Training fails while the thread derives: it derives no key before
+        # training fails.
         gate, derive_key = threading.Event(), auth_mod.derive_key
 
         def gated(params):
@@ -457,129 +447,106 @@ class TestDeviceRegistration:
 
         monkeypatch.setattr(auth_mod, "derive_key", gated)
         monkeypatch.setattr(engine_mod.sn_mod, "train", diverge)
-        before = pbkdf2_threads()
         with pytest.raises(TrainingDivergedError):
             Engine(self.scenario())
-        assert not pbkdf2_threads() - before
+        assert not pbkdf2_threads()
 
     def test_thread_joined_when_set_up_fails_after_registration(self, monkeypatch):
-        # Set-up fails once the registration keys are in: the thread is in
-        # its presented-key phase, or done.
+        # Set-up fails once every key is derived.
         def fail(*args):
             raise RuntimeError("store failed")
 
         monkeypatch.setattr(auth_mod, "store_registration", fail)
-        before = pbkdf2_threads()
         with pytest.raises(RuntimeError, match="store failed"):
             Engine(self.scenario())
-        assert not pbkdf2_threads() - before
+        assert not pbkdf2_threads()
 
     def test_key_derivation_error_surfaces(self, monkeypatch):
         def fail(params):
             raise ValueError("key derivation failed")
 
         monkeypatch.setattr(auth_mod, "derive_key", fail)
-        before = pbkdf2_threads()
         with pytest.raises(ValueError, match="key derivation failed"):
             Engine(self.scenario())
-        assert not pbkdf2_threads() - before
-
-    @staticmethod
-    def cut_auth(engine: Engine) -> None:
-        """Check that the horizon cuts ``engine``'s AUTH events, and make
-        every device answer with another PUF than the one it enrolled, so
-        that each AUTH event within the horizon rejects it and takes no key."""
-        auth_us = [engine.arrivals_us[rt.index] + to_us(engine.sc.auth_delay) for rt in engine.dev]
-        assert min(auth_us) <= engine.end_us < max(auth_us)
-        for rt in engine.dev:
-            rt.puf = auth_mod.SimulatedPuf(b"not the enrolled secret")
+        assert not pbkdf2_threads()
 
     @pytest.mark.parametrize("auth_delay", [1e-3, 100.0])
-    def test_presented_key_error_raised_from_the_run(self, monkeypatch, auth_delay):
-        # The first presented key fails.  Set-up does not wait for it; the run
-        # raises the error at the first AUTH event or, when no AUTH event
-        # takes a key, at its end.
-        def fail():
-            raise ValueError("key derivation failed")
+    def test_presented_key_error_raised_from_set_up(self, monkeypatch, auth_delay):
+        # The first enrolled device enrolls under another password, so the
+        # password it presents is an input of its own, and deriving it fails.
+        # Set-up derives it and raises, whether the device's AUTH event falls
+        # within the horizon or past it.
+        enroll, derive_key, enrolled = auth_mod.enroll_device, auth_mod.derive_key, []
 
-        spy_derive_key(monkeypatch, on_presented=fail)
-        before = pbkdf2_threads()
-        engine = Engine(self.scenario(auth_delay=auth_delay, duration=auth_delay + 5.0))
-        if auth_delay > 1.0:
-            self.cut_auth(engine)
+        def enroll_first_under_another_password(va, device_id, password, puf, rng):
+            params = enroll(va, device_id, password if enrolled else b"another password", puf, rng)
+            enrolled.append(params)
+            return params
+
+        def derive(params):
+            if params.salt == enrolled[0].salt and params != enrolled[0]:
+                raise ValueError("key derivation failed")
+            return derive_key(params)
+
+        monkeypatch.setattr(auth_mod, "enroll_device", enroll_first_under_another_password)
+        monkeypatch.setattr(auth_mod, "derive_key", derive)
         with pytest.raises(ValueError, match="key derivation failed"):
-            engine.run()
-        assert not pbkdf2_threads() - before
+            Engine(self.scenario(auth_delay=auth_delay, duration=auth_delay + 5.0))
+        assert not pbkdf2_threads()
 
     def test_thread_joined_when_the_run_raises(self, monkeypatch):
-        # The presented keys are held back until the first event fails, so
-        # the thread is still deriving when the run raises.
-        held = threading.Event()
-
         def fail(engine, di):
-            held.set()
             raise RuntimeError("arrival failed")
 
-        spy_derive_key(monkeypatch, on_presented=lambda: held.wait(WAIT_S))
+        calls = spy_derive_key(monkeypatch)
         monkeypatch.setattr(Engine, "_on_arrival", fail)
-        before = pbkdf2_threads()
         engine = Engine(self.scenario())
+        derived = len(calls)
         with pytest.raises(RuntimeError, match="arrival failed"):
             engine.run()
-        assert not pbkdf2_threads() - before
+        assert len(calls) == derived and not pbkdf2_threads()
 
-    def test_thread_joined_by_collect_metrics_in_a_stepped_run(self, monkeypatch):
-        # No AUTH event takes a key, and the presented keys are held back
-        # until the last event: only the join ends the thread in time.
-        held = threading.Event()
-        calls = spy_derive_key(monkeypatch, on_presented=lambda: held.wait(WAIT_S))
-        before = pbkdf2_threads()
-        engine = Engine(self.scenario(auth_delay=100.0, duration=105.0))
-        self.cut_auth(engine)
+    def test_stepped_run_derives_no_key(self, monkeypatch):
+        # Each AUTH event looks up a key derived in set-up: stepping every
+        # event and collecting the metrics derives none.
+        calls = spy_derive_key(monkeypatch)
+        engine = Engine(self.scenario())
+        derived = len(calls)
         while engine.heap:
             engine.step_event(heapq.heappop(engine.heap))
-        held.set()
-        engine.collect_metrics()
-        assert not pbkdf2_threads() - before
-        # a presented key for each enrolled device whose AUTH event ran
-        auth_us = to_us(engine.sc.auth_delay)
-        in_time = [
-            rt for rt in engine.dev
-            if not rt.forged and engine.arrivals_us[rt.index] + auth_us <= engine.end_us
-        ]
-        assert 0 < len(in_time) < sum(not rt.forged for rt in engine.dev)
-        assert len(calls) == sum(not rt.forged for rt in engine.dev) + len(in_time)
+        report = engine.collect_metrics()
+        assert report.auth_accepted > 0
+        assert len(calls) == derived == sum(not rt.forged for rt in engine.dev)
+        assert not pbkdf2_threads()
 
     def test_every_auth_past_the_horizon(self, monkeypatch):
-        # No AUTH event runs, so only the registration keys are derived, and
-        # the run joins the thread.
+        # No AUTH event runs; set-up derives each enrolled device's one
+        # input all the same.
         calls = spy_derive_key(monkeypatch)
-        before = pbkdf2_threads()
         engine = Engine(self.scenario(auth_delay=100.0))
         report = engine.run()
         assert report.auth_accepted == report.auth_rejected == 0
-        assert not pbkdf2_threads() - before
+        assert not pbkdf2_threads()
         n_registered = sum(1 for rt in engine.dev if not rt.forged)
         assert len(calls) == n_registered
 
 
 class TestKeyWorker:
+    """The ``ts3ra-pbkdf2`` key-derivation thread."""
+
     def test_no_worker_lingers_after_an_engine_built_and_not_run(self, monkeypatch):
-        # Nothing waits for the presented keys of an engine that is never
-        # run: its worker ends once it has derived them.
+        # The thread is joined by the time ``Engine()`` returns; nothing is
+        # left to derive for a run that never comes.
         calls = spy_derive_key(monkeypatch)
-        before = pbkdf2_threads()
         engine = Engine(small_scenario(devices=12, train_samples=60, epochs=1))
-        for thread in pbkdf2_threads() - before:
-            thread.join(WAIT_S)
-            assert not thread.is_alive()
+        assert not pbkdf2_threads()
         enrolled = sum(not rt.forged for rt in engine.dev)
-        assert len(calls) == 2 * enrolled > 0
+        assert len(calls) == len({p for _, p in calls}) == enrolled > 0
 
 
 class TestAuthentication:
-    """``_on_auth`` gives ``authenticate`` the presented key derived on the
-    key-derivation thread."""
+    """``_on_auth`` gives ``authenticate`` the presented key derived in
+    set-up on the key-derivation thread."""
 
     def test_bad_key_rejected(self, monkeypatch):
         # One device is enrolled under another password than the one it presents.
@@ -775,6 +742,29 @@ class TestDetectionIntegration:
         assert calls["window_entropies"] == len(rows) == sc.switches * 32
         classified = sum(row[5] in ("benign", "attack") for row in rows)
         assert calls["classify_window"] == classified > 0
+
+    def test_baseline_keeps_the_latest_learning_and_benign_windows(self):
+        # A switch's baseline is its last 4 * baseline_windows learning and
+        # benign windows; attack and inconclusive windows never enter it.
+        detection = Lines()
+        sc = small_scenario(
+            devices=12, duration=16.0, window_duration=0.25, min_packets=3,
+            flood_start=8.0, train_samples=60, epochs=1,
+        )
+        engine = Engine(sc, detection_sink=detection)
+        engine.run()
+        rows = [line.split(",") for line in detection[1:]]
+        cap = 4 * sc.baseline_windows
+        trimmed = 0
+        for sw in engine.switches:
+            kept = [
+                [float(x) for x in row[2:5]]
+                for row in rows
+                if row[1] == sw.profile.switch_id and row[5] in ("learning", "benign")
+            ]
+            trimmed += len(kept) > cap
+            assert np.array(sw.baseline_triples) == pytest.approx(np.array(kept[-cap:]), abs=1e-6)
+        assert trimmed and any(row[5] == "attack" for row in rows)
 
     def test_window_state_stays_bounded_without_detection(self):
         engine = Engine(
@@ -1040,7 +1030,9 @@ class TestOutcomeOrdering:
         engine.dp.win_sent[0] = 1000
         engine.dp.win_sent[1:10] = 1
         engine.dp.win_sizes[sw.index, 1] = 1009
-        sw.baseline_triples = [(3.0, 1.0, 1.0)] * engine.sc.baseline_windows
+        sw.baseline_triples = deque(
+            [(3.0, 1.0, 1.0)] * engine.sc.baseline_windows, maxlen=4 * engine.sc.baseline_windows
+        )
         engine.step_event((close_us, WINDOW_CLOSE, 0, None))
         assert engine.dp.is_quarantined[0]
         engine.collect_metrics()
