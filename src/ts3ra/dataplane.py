@@ -31,7 +31,9 @@ Per-device state lives in the data plane's arrays, one entry per device:
 its switch (``sw_of``), its slice's index (``slice_of``), whether it floods
 and whether it is quarantined.  A switch's flows are the devices whose
 ``sw_of`` is its index, and a device's counters are its slice's, in the
-counters the engine passes; no second copy of either is kept.
+counters the engine passes; no second copy of either is kept.  A switch's
+nominal load is its devices in ``sw_of`` at the flow rate; the engine keeps
+no per-switch ledger.
 
 A device changes switch only when it is first placed, before it sends, and
 at a rebalance, after the interval has been closed.  So the open rebalance

@@ -16,7 +16,10 @@ drives it through a few calls: run to a time, start a device's packets,
 place a device on a switch, quarantine a device, and close the detection
 window or the rebalance interval, each of which returns its counts.  It
 reads each device's switch (``sw_of``) and quarantine flag from the data
-plane, and writes none of its arrays.
+plane, and writes none of its arrays.  Every flow runs at the scenario's
+nominal rate and every switch has the scenario's one profile, so a switch's
+nominal load is its devices in ``sw_of`` at that rate; the engine keeps no
+per-switch ledger.  A switch is its index in ``Engine.switches``.
 
 A sink takes text as ``TextIO.write`` does: each call gets one or more whole
 lines, each ending in a newline, so a file's ``write`` is a sink.  Times in
@@ -160,7 +163,6 @@ class _DeviceRt:
         "puf",
         "claimed",
         "decided",
-        "forged",
         "request",
         "flow",
         "arrival_us",
@@ -173,7 +175,6 @@ class _DeviceRt:
         password: bytes,
         puf,
         claimed: ServiceType,
-        forged: bool,
     ):
         self.index = index
         self.device = device
@@ -182,27 +183,9 @@ class _DeviceRt:
         self.claimed = claimed
         # the slice the controller decided; None before the decision
         self.decided: Optional[ServiceType] = None
-        self.forged = forged
         self.request = None
         self.flow: Optional[Flow] = None
         self.arrival_us = 0
-
-
-class _SwitchRt:
-    """Mutable per-switch control state; the data plane keeps its packet
-    state in its per-switch arrays, row ``index``."""
-
-    __slots__ = ("index", "profile", "nominal_load", "baseline_triples")
-
-    def __init__(self, index: int, profile: SwitchProfile, baseline_windows: int):
-        self.index = index
-        self.profile = profile
-        self.nominal_load = 0.0
-        # the benign windows' entropy triples, the oldest dropped past
-        # four baselines
-        self.baseline_triples: deque[tuple[float, float, float]] = deque(
-            maxlen=4 * baseline_windows
-        )
 
 
 # Takes one or more whole lines, each ending in a newline (see the module
@@ -258,11 +241,10 @@ class Engine:
         self.queue_dropped = 0
         self.loss_curve = None
 
-        self._build_world(model)
-        floods = np.array([not rt.device.legitimate and not rt.forged for rt in self.dev], bool)
+        floods = self._build_world(model)
         self.dp = DataPlane(
             scenario, self.hub, [rt.device.device_id for rt in self.dev], floods,
-            [sw.profile.switch_id for sw in self.switches],
+            [sw.switch_id for sw in self.switches],
             [self.counters[st] for st in SLICE_ORDER], trace_sink,
         )
         # Devices not yet rejected, dropped at the queue or allocated; once
@@ -287,7 +269,9 @@ class Engine:
 
     # -- construction --------------------------------------------------------
 
-    def _build_world(self, model) -> None:
+    def _build_world(self, model) -> np.ndarray:
+        """Build the devices, switches, scheduler, model and pools; return
+        which devices flood: the illegitimate ones that are not forged."""
         sc = self.sc
         n = sc.devices
         rng_world = self.hub.substream("world")
@@ -301,13 +285,13 @@ class Engine:
                 rng_world.uniform(0, sc.area_width, size=n),
                 rng_world.uniform(0, sc.area_height, size=n),
             ]
-        ) if n else np.zeros((0, 2))
+        )
         self.waypoints = np.column_stack(
             [
                 rng_world.uniform(0, sc.area_width, size=n),
                 rng_world.uniform(0, sc.area_height, size=n),
             ]
-        ) if n else np.zeros((0, 2))
+        )
         self.speeds = rng_world.uniform(sc.speed_min, sc.speed_max, size=n)
         fair_slas = rng_world.uniform(0.7, 1.0, size=n)
 
@@ -332,27 +316,31 @@ class Engine:
             )
             password = f"pw-{device_id}".encode()
             puf = auth_mod.SimulatedPuf(bytes(rng_puf.integers(0, 256, size=32, dtype=np.uint8)))
-            rt = _DeviceRt(i, device, password, puf, claimed, i in forged)
-            if not rt.forged:
+            rt = _DeviceRt(i, device, password, puf, claimed)
+            if i not in forged:
                 va = self.vap.authority_for(device_id)
                 params = auth_mod.enroll_device(va, device_id, password, puf, rng_puf)
                 enrolled.append((va, rt, params))
             self.dev.append(rt)
             self.dev_by_id[device_id] = rt
 
-        # switches
-        self.switches: list[_SwitchRt] = []
-        self.sw_by_id: dict[str, _SwitchRt] = {}
-        for j in range(sc.switches):
-            profile = SwitchProfile(
+        # switches, each at no load; the data plane keeps a switch's packet
+        # state in its per-switch arrays, row j
+        self.switches = [
+            SwitchProfile(
                 switch_id=f"SW{j}",
                 service_capacity=sc.switch_service_capacity,
                 transmission_rate=sc.switch_transmission_rate,
                 loss_rate=sc.switch_loss_rate,
             )
-            rt = _SwitchRt(j, profile, sc.baseline_windows)
-            self.switches.append(rt)
-            self.sw_by_id[profile.switch_id] = rt
+            for j in range(sc.switches)
+        ]
+        self.switch_index = {sw.switch_id: j for j, sw in enumerate(self.switches)}
+        # each switch's benign windows' entropy triples, the oldest dropped
+        # past four baselines
+        self.baselines: list[deque[tuple[float, float, float]]] = [
+            deque(maxlen=4 * sc.baseline_windows) for _ in self.switches
+        ]
 
         # per-column upper bounds of a position
         self.area = np.array([sc.area_width, sc.area_height])
@@ -406,10 +394,8 @@ class Engine:
             auth_mod.store_registration(va, rt.device.device_id, params, self.key_of[params])
 
         # resource pools, sized to expected demand with headroom
-        expected = {st: 0.0 for st in ServiceType}
         n_legit = n - n_illegit
-        for st in ServiceType:
-            expected[st] = n_legit * sc.mix_fraction(st)
+        expected = {st: n_legit * sc.mix_fraction(st) for st in ServiceType}
         expected[ServiceType.MMTC] += n_illegit
         self.pool_initial: dict[ServiceType, float] = {}
         self.pools: dict[ServiceType, hop_mod.ResourcePool] = {}
@@ -425,6 +411,7 @@ class Engine:
         self.allocator = hop_mod.HopfieldAllocator(
             demand_reference={st: self.sc.demand_slots(st) for st in ServiceType}
         )
+        return np.array([i in illegit and i not in forged for i in range(n)], bool)
 
     def _seed_events(self) -> None:
         sc = self.sc
@@ -633,12 +620,12 @@ class Engine:
         c.granted_comm += alloc.communication
         c.response_sum += (self.clock_us - rt.arrival_us) / 1e6
 
-        sw = self._assign_switch(rt)
-        if sw is None:
+        j = self._assign_switch(rt)
+        if j is None:
             self._trace(ALLOCATE, rt.device.device_id, service.slice_id, "", "unroutable")
             return
         self._trace(
-            ALLOCATE, rt.device.device_id, service.slice_id, sw.profile.switch_id, "granted"
+            ALLOCATE, rt.device.device_id, service.slice_id, self.switches[j].switch_id, "granted"
         )
         remaining_s = (self.end_us - self.clock_us) / 1e6
         c.flow_active_bps_seconds += rt.flow.rate * remaining_s
@@ -646,41 +633,50 @@ class Engine:
         reliable = rt.flow.protocol is Protocol.RELIABLE_STREAM
         self.dp.start(di, self.clock_us + to_us(phase), reliable, SLICE_ORDER.index(service))
 
-    def _assign_switch(self, rt: _DeviceRt) -> Optional[_SwitchRt]:
-        best = None
-        best_w = None
-        for sw in self.switches:
-            budget = sw.profile.service_capacity - sw.nominal_load
-            if rt.flow.rate > budget:
-                continue
-            profile = sw.profile.with_load(sw.nominal_load)
-            w = off_mod.edge_weight(rt.flow, profile, self.coeffs)
-            if best_w is None or w > best_w:
-                best_w = w
-                best = sw
+    def _assign_switch(self, rt: _DeviceRt) -> Optional[int]:
+        """Place ``rt`` on the first switch of largest edge weight with room
+        for its flow and return its index; None if no switch has room.
+
+        A switch's nominal load is its devices in ``sw_of`` at the flow rate
+        (see the module docstring), so switches with as many devices weigh
+        the same, and each distinct count is weighed once.
+        """
+        sw_of = self.dp.sw_of
+        counts = np.bincount(sw_of[sw_of >= 0], minlength=len(self.switches)).tolist()
+        profile, rate = self.switches[0], rt.flow.rate
+        weight = {
+            n: off_mod.edge_weight(rt.flow, profile.with_load(n * rate), self.coeffs)
+            for n in set(counts)
+            if rate <= profile.service_capacity - n * rate
+        }
+        best = max(
+            (j for j, n in enumerate(counts) if n in weight),
+            key=lambda j: weight[counts[j]],
+            default=None,
+        )
         if best is not None:
-            best.nominal_load += rt.flow.rate
-            self.dp.place(rt.index, best.index)
+            self.dp.place(rt.index, best)
         return best
 
     # -- detection -----------------------------------------------------------
 
     def _on_window_close(self, _payload=None) -> None:
         sc = self.sc
-        start_s = self.clock_us / 1e6 - sc.window_duration
-        for sw, window in zip(self.switches, self.dp.close_window()):
+        window_us = to_us(sc.window_duration)
+        start = seconds_text(self.clock_us - window_us)
+        for sw, baseline, window in zip(self.switches, self.baselines, self.dp.close_window()):
             blocked: list[str] = []
             if window.packet_count < sc.min_packets:
                 verdict = ddos_mod.VERDICT_INCONCLUSIVE
                 triple = ddos_mod.window_entropies(window, sc.ddos_alpha)
-            elif len(sw.baseline_triples) < sc.baseline_windows:
+            elif len(baseline) < sc.baseline_windows:
                 verdict = "learning"
                 triple = ddos_mod.window_entropies(window, sc.ddos_alpha)
-                sw.baseline_triples.append(triple)
+                baseline.append(triple)
             else:
                 report = ddos_mod.classify_window(
                     window,
-                    ddos_mod.BaselineStats.from_triples(sw.baseline_triples),
+                    ddos_mod.BaselineStats.from_triples(baseline),
                     alpha=sc.ddos_alpha,
                     k_sigma=sc.k_sigma,
                     min_packets=sc.min_packets,
@@ -695,14 +691,14 @@ class Engine:
                     for dev_id in blocked:
                         self.dp.quarantine(self.dev_by_id[dev_id].index)
                 else:
-                    sw.baseline_triples.append(triple)
+                    baseline.append(triple)
             if self.detection_sink is not None:
                 self.detection_sink(
-                    f"{start_s:.6f},{sw.profile.switch_id},"
+                    f"{start},{sw.switch_id},"
                     f"{triple[0]:.6f},{triple[1]:.6f},{triple[2]:.6f},"
                     f"{verdict},{';'.join(blocked)}\n"
                 )
-        self._push(self.clock_us + to_us(sc.window_duration), WINDOW_CLOSE, None)
+        self._push(self.clock_us + window_us, WINDOW_CLOSE, None)
 
     # -- rebalancing -----------------------------------------------------------
 
@@ -714,13 +710,9 @@ class Engine:
         sw_of = self.dp.sw_of
         placed = sw_of >= 0
         load = np.bincount(sw_of[placed], weights=bits_of[placed], minlength=len(self.switches))
-        measured = {
-            sw.profile.switch_id: bits / interval for sw, bits in zip(self.switches, load.tolist())
-        }
+        measured = (load / interval).tolist()
         overloaded = [
-            sw
-            for sw in self.switches
-            if measured[sw.profile.switch_id] > sw.profile.service_capacity
+            j for j, sw in enumerate(self.switches) if measured[j] > sw.service_capacity
         ]
         for trigger in overloaded:
             planned = self._plan_rebalance(trigger, measured, bits_of.tolist())
@@ -729,11 +721,7 @@ class Engine:
             plan, device_of = planned
             for mig in plan.migrations:
                 drt = device_of[mig.flow_id]
-                src = self.sw_by_id[mig.from_switch]
-                dst = self.sw_by_id[mig.to_switch]
-                src.nominal_load -= drt.flow.rate
-                dst.nominal_load += drt.flow.rate
-                self.dp.place(drt.index, dst.index)
+                self.dp.place(drt.index, self.switch_index[mig.to_switch])
                 self.migrations += 1
                 if self.migration_sink is not None:
                     self.migration_sink(
@@ -751,32 +739,30 @@ class Engine:
                 self.rebalances += 1
         self._push(self.clock_us + to_us(interval), REBALANCE, None)
 
-    def _plan_rebalance(self, trigger: _SwitchRt, measured: dict[str, float], bits_of: list[int]):
-        """The trigger's rebalance plan and each planned flow's device;
-        ``bits_of`` holds each device's bits in this interval."""
+    def _plan_rebalance(self, trigger: int, measured: list[float], bits_of: list[int]):
+        """Switch ``trigger``'s rebalance plan and each planned flow's device;
+        ``measured`` holds each switch's measured load and ``bits_of`` each
+        device's bits in this interval."""
         interval = self.sc.rebalance_interval
         flows = []
         current = {}
         device_of: dict[str, _DeviceRt] = {}
-        for di in np.flatnonzero(self.dp.sw_of == trigger.index).tolist():
-            drt = self.dev[di]
-            if drt.flow is None or self.dp.is_quarantined[di]:
+        trigger_id = self.switches[trigger].switch_id
+        for di in np.flatnonzero(self.dp.sw_of == trigger).tolist():
+            if self.dp.is_quarantined[di]:
                 continue
+            drt = self.dev[di]
             rate = bits_of[di] / interval
             if rate <= 0:
                 rate = drt.flow.rate
             flow = replace(drt.flow, rate=rate)
             flows.append(flow)
-            current[flow.flow_id] = trigger.profile.switch_id
+            current[flow.flow_id] = trigger_id
             device_of[flow.flow_id] = drt
         if not flows:
             return None
-        profiles = [
-            sw.profile.with_load(measured[sw.profile.switch_id]) for sw in self.switches
-        ]
-        plan = off_mod.rebalance(
-            profiles, flows, current, trigger.profile.switch_id, self.coeffs
-        )
+        profiles = [sw.with_load(load) for sw, load in zip(self.switches, measured)]
+        plan = off_mod.rebalance(profiles, flows, current, trigger_id, self.coeffs)
         return plan, device_of
 
     # -- mobility ----------------------------------------------------------------

@@ -40,9 +40,9 @@ EVENT_INTERVAL_KEYS = (
 # The most rows the engine synthesizes to train its slice selector.
 MAX_TRAIN_SAMPLES = 1_000_000
 # The largest network a scenario may ask for.  The data plane's state grows
-# with devices plus switches; what grows with their product is placement,
-# which weighs every switch for each granted device: at most
-# MAX_DEVICES * MAX_SWITCHES edge weights, 2.56 million, in a run.
+# with devices plus switches; placement, per granted device, costs one count
+# over the devices plus one edge weight per distinct flow count among the
+# switches.
 MAX_DEVICES = 10_000
 MAX_SWITCHES = 256
 MAX_APS = 1_000

@@ -82,7 +82,12 @@ def hold_delivery(engine: Engine, time_us: int, di: int) -> None:
 def place(engine: Engine, di: int, sw_id: str) -> None:
     """Route device ``di``'s packets through switch ``sw_id``, as allocation
     and migration do."""
-    engine.dp.place(di, engine.sw_by_id[sw_id].index)
+    engine.dp.place(di, engine.switch_index[sw_id])
+
+
+def enrolled(engine: Engine, rt) -> bool:
+    """Whether set-up enrolled device ``rt``: every device but the forged ones."""
+    return engine.vap.holder_of(rt.device.device_id) is not None
 
 
 def start_transmits(engine: Engine, di: int, first_us: int) -> None:
@@ -260,7 +265,7 @@ class ScalarDataPlane(DataPlane):
             kind = "deliver" if code == OK else "drop"
             reason = {OK: "ok", LOSS: "loss", OVERFLOW: "overflow"}.get(code, "quarantined")
             j = self.sw_of[d]
-            switch_id = self.engine.switches[j].profile.switch_id if j >= 0 else ""
+            switch_id = self.engine.switches[j].switch_id if j >= 0 else ""
             tag = f"{rt.device.device_id},{(rt.decided or rt.claimed).slice_id},{switch_id}"
             self.trace_sink(f"{time_us / 1e6:.6f},{kind},{tag},{reason}\n")
 
@@ -394,7 +399,7 @@ class TestDeviceRegistration:
         engine = Engine(sc)
         engine.run()
         monkeypatch.undo()
-        registered = [rt for rt in engine.dev if not rt.forged]
+        registered = [rt for rt in engine.dev if enrolled(engine, rt)]
         assert 0 < len(registered) < len(engine.dev)
         assert threading.main_thread() not in {thread for thread, _ in calls}
 
@@ -402,7 +407,7 @@ class TestDeviceRegistration:
         pool = auth_mod.VirtualAuthorityPool()
         for rt in engine.dev:
             puf = auth_mod.SimulatedPuf(bytes(rng_puf.integers(0, 256, size=32, dtype=np.uint8)))
-            if not rt.forged:
+            if enrolled(engine, rt):
                 va = pool.authority_for(rt.device.device_id)
                 auth_mod.register_device(va, rt.device.device_id, rt.password, puf, rng_puf)
         assert engine.vap.authorities == pool.authorities
@@ -420,16 +425,18 @@ class TestDeviceRegistration:
     def test_thread_joined_after_training(self):
         engine = Engine(self.scenario())
         assert not pbkdf2_threads()
-        # set-up stored every record before the first event
-        for rt in engine.dev:
-            assert (engine.vap.holder_of(rt.device.device_id) is None) == rt.forged
+        # set-up stored every record before the first event: all but the
+        # forged devices', a half of the illegitimate half
+        unenrolled = [rt for rt in engine.dev if not enrolled(engine, rt)]
+        assert len(unenrolled) == 3
+        assert not any(rt.device.legitimate for rt in unenrolled)
 
     def test_thread_joined_with_a_supplied_model(self, monkeypatch):
         calls = spy_derive_key(monkeypatch)
         engine = Engine(self.scenario(), model=tiny_model())
         assert engine.loss_curve is None
         assert not pbkdf2_threads()
-        assert len(calls) == sum(not rt.forged for rt in engine.dev) > 0
+        assert len(calls) == sum(enrolled(engine, rt) for rt in engine.dev) > 0
         assert threading.main_thread() not in {thread for thread, _ in calls}
 
     def test_thread_joined_when_training_diverges(self, monkeypatch):
@@ -516,7 +523,7 @@ class TestDeviceRegistration:
             engine.step_event(heapq.heappop(engine.heap))
         report = engine.collect_metrics()
         assert report.auth_accepted > 0
-        assert len(calls) == derived == sum(not rt.forged for rt in engine.dev)
+        assert len(calls) == derived == sum(enrolled(engine, rt) for rt in engine.dev)
         assert not pbkdf2_threads()
 
     def test_every_auth_past_the_horizon(self, monkeypatch):
@@ -527,7 +534,7 @@ class TestDeviceRegistration:
         report = engine.run()
         assert report.auth_accepted == report.auth_rejected == 0
         assert not pbkdf2_threads()
-        n_registered = sum(1 for rt in engine.dev if not rt.forged)
+        n_registered = sum(enrolled(engine, rt) for rt in engine.dev)
         assert len(calls) == n_registered
 
 
@@ -540,8 +547,8 @@ class TestKeyWorker:
         calls = spy_derive_key(monkeypatch)
         engine = Engine(small_scenario(devices=12, train_samples=60, epochs=1))
         assert not pbkdf2_threads()
-        enrolled = sum(not rt.forged for rt in engine.dev)
-        assert len(calls) == len({p for _, p in calls}) == enrolled > 0
+        n_enrolled = sum(enrolled(engine, rt) for rt in engine.dev)
+        assert len(calls) == len({p for _, p in calls}) == n_enrolled > 0
 
 
 class TestAuthentication:
@@ -583,10 +590,10 @@ class TestAuthentication:
         trace = Lines()
         engine = Engine(scenario, trace_sink=trace)
         engine.run()
-        forged = [rt.device.device_id for rt in engine.dev if rt.forged]
+        forged = [rt.device.device_id for rt in engine.dev if not enrolled(engine, rt)]
         assert len(forged) == 1
         assert [(va.va_id, len(va.registered)) for va in engine.vap.authorities] == [("VA0", 125)]
-        assert engine.vap.holder_of(forged[0]) is None
+        assert not engine.dev_by_id[forged[0]].device.legitimate
         assert any(row.endswith(f",auth,{forged[0]},,,rejected:unknown_device") for row in trace)
 
 
@@ -702,7 +709,7 @@ class TestDetectionIntegration:
         flooders = {
             rt.device.device_id
             for rt in engine.dev
-            if not rt.device.legitimate and not rt.forged and rt.device.device_id in granted
+            if not rt.device.legitimate and enrolled(engine, rt) and rt.device.device_id in granted
         }
         assert flooders
         quarantined = {
@@ -756,15 +763,30 @@ class TestDetectionIntegration:
         rows = [line.split(",") for line in detection[1:]]
         cap = 4 * sc.baseline_windows
         trimmed = 0
-        for sw in engine.switches:
+        for sw, baseline in zip(engine.switches, engine.baselines):
             kept = [
                 [float(x) for x in row[2:5]]
                 for row in rows
-                if row[1] == sw.profile.switch_id and row[5] in ("learning", "benign")
+                if row[1] == sw.switch_id and row[5] in ("learning", "benign")
             ]
             trimmed += len(kept) > cap
-            assert np.array(sw.baseline_triples) == pytest.approx(np.array(kept[-cap:]), abs=1e-6)
+            assert np.array(baseline) == pytest.approx(np.array(kept[-cap:]), abs=1e-6)
         assert trimmed and any(row[5] == "attack" for row in rows)
+
+    def test_window_start_is_the_previous_close(self):
+        # A window duration that is not a whole number of microseconds is
+        # rounded to one; each window starts at the previous close, written
+        # by the rule of the other time columns, so the first starts at 0.
+        scenario = parse_scenario((ROOT / "scenarios" / "smoke.cfg").read_text())
+        for key, value in {"ddos.window_duration": "0.2500004", "duration": "2"}.items():
+            apply_override(scenario, key, value)
+        detection = Lines()
+        Engine(scenario, detection_sink=detection).run()
+        starts = [row.split(",", 1)[0] for row in detection[1:]]
+        assert starts == [
+            seconds_text(k * 250_000) for k in range(8) for _ in range(scenario.switches)
+        ]
+        assert starts[0] == "0.000000"
 
     def test_window_state_stays_bounded_without_detection(self):
         engine = Engine(
@@ -802,6 +824,45 @@ class TestDetectionIntegration:
         )
         assert report.auth_rejected >= 1
         assert report.auth_accepted + report.auth_rejected == 30
+
+
+class TestPlacement:
+    def test_placement_reads_the_flows_that_place_moved(self):
+        # Each switch has room for two flows at the nominal 40 960 bit/s.
+        # Placement counts the devices in ``sw_of``, so a device that
+        # ``dp.place`` moves off SW0 frees room on SW0 and takes it on SW1.
+        engine = Engine(
+            small_scenario(
+                devices=6, switches=2, switch_service_capacity=1e5,
+                switch_transmission_rate=1e5, train_samples=60, epochs=1,
+            )
+        )
+        assert engine.sc.nominal_flow_rate == 40960.0
+        for rt in engine.dev:
+            rt.flow = engine._make_flow(rt, rt.claimed)
+        assert [engine._assign_switch(engine.dev[di]) for di in (0, 1)] == [0, 1]
+        place(engine, 0, "SW1")
+        assert [engine._assign_switch(engine.dev[di]) for di in (2, 3, 4)] == [0, 0, None]
+        assert engine.dp.sw_of.tolist() == [1, 1, 0, 0, -1, -1]
+
+    def test_each_flow_count_weighed_once(self, monkeypatch):
+        # Switches with as many devices weigh the same; placement weighs each
+        # distinct count among the switches with room once.
+        engine = Engine(small_scenario(devices=8, switches=4, train_samples=60, epochs=1))
+        for rt in engine.dev:
+            rt.flow = engine._make_flow(rt, rt.claimed)
+        for di, j in ((0, 0), (1, 0), (2, 2)):
+            engine.dp.place(di, j)
+        weighed = []
+        edge_weight = engine_mod.off_mod.edge_weight
+
+        def spy(flow, switch, coeffs):
+            weighed.append(switch.current_load)
+            return edge_weight(flow, switch, coeffs)
+
+        monkeypatch.setattr(engine_mod.off_mod, "edge_weight", spy)
+        assert engine._assign_switch(engine.dev[3]) == 1
+        assert sorted(weighed) == [0.0, 40960.0, 2 * 40960.0]
 
 
 class TestRebalanceIntegration:
@@ -847,7 +908,7 @@ class TestRebalanceIntegration:
             assert placed[device] == from_switch
             placed[device] = to_switch
         assert placed == {
-            rt.device.device_id: engine.switches[engine.dp.sw_of[rt.index]].profile.switch_id
+            rt.device.device_id: engine.switches[engine.dp.sw_of[rt.index]].switch_id
             for rt in engine.dev
             if engine.dp.sw_of[rt.index] >= 0
         }
@@ -1018,7 +1079,7 @@ class TestOutcomeOrdering:
         engine = Engine(small_scenario(devices=12, duration=5.0, train_samples=60, epochs=1))
         engine.heap.clear()
         rt = engine.dev[0]
-        sw = engine.sw_by_id["SW0"]
+        j = engine.switch_index["SW0"]
         for di in range(10):
             place(engine, di, "SW0")
         c = engine.counters[rt.claimed]
@@ -1029,8 +1090,8 @@ class TestOutcomeOrdering:
         # One source dominates a window on SW0 whose size entropy collapses.
         engine.dp.win_sent[0] = 1000
         engine.dp.win_sent[1:10] = 1
-        engine.dp.win_sizes[sw.index, 1] = 1009
-        sw.baseline_triples = deque(
+        engine.dp.win_sizes[j, 1] = 1009
+        engine.baselines[j] = deque(
             [(3.0, 1.0, 1.0)] * engine.sc.baseline_windows, maxlen=4 * engine.sc.baseline_windows
         )
         engine.step_event((close_us, WINDOW_CLOSE, 0, None))
@@ -1114,7 +1175,7 @@ class TestOutcomeOrdering:
         rt = engine.dev[0]
         rt.flow = engine._make_flow(rt, rt.claimed)
         engine.clock_us = 1_000_000
-        engine.dp.busy_us[engine.sw_by_id["SW0"].index] = engine.clock_us + old_backlog_us
+        engine.dp.busy_us[engine.switch_index["SW0"]] = engine.clock_us + old_backlog_us
         place(engine, 0, "SW0")
         self.transmit_now(engine, 0)
         engine.clock_us += 1_000
