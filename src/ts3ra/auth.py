@@ -17,7 +17,7 @@ Registration is two steps, :func:`enroll_device` (draw the salt and the
 challenges, store the CRPs) and :func:`store_registration` (store the record
 of the derived key); :func:`register_device` runs both with
 :func:`derive_key` between them.  The split lets a caller derive keys
-elsewhere, such as on another thread.
+elsewhere, such as once per distinct input after every device is enrolled.
 
 :func:`authenticate` takes the presented credential the way
 :func:`puf_verify` takes a PUF response: either the password, which it

@@ -37,23 +37,18 @@ and that of the password each enrolled device presents.  A key is a pure
 function of its input, and every device presents the password it enrolled
 with, so the two inputs are one unless a device enrolled under another
 password; such a device gets its own derivation and is rejected at AUTH.
-The derivations run as one job on a one-worker thread pool, whose thread is
-named ``ts3ra-pbkdf2``, while the slice selector trains on the main thread.
-Only the derivations move there: OpenSSL releases the GIL while it stretches
-a key, whereas the draws, HMACs and stores are Python that would contend for
-the GIL.  Set-up stores every record before the first event and joins the
-worker, on success or failure, so no thread outlives the constructor; a
-failed derivation raises from it.  Each AUTH event looks its presented key
-up.
+Once the slice selector is trained, loaded or supplied, the main thread
+derives the keys, the records' in device order and then any other presented
+one; set-up starts no thread.  It stores every record before the first
+event, and a failed derivation raises from the constructor.  Each AUTH event
+looks its presented key up.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import Callable, Optional
 
@@ -125,10 +120,6 @@ _BLIND_KINDS = frozenset({SCHEDULE_SLOT, MOBILITY_TICK})
 # Kinds that read no packet state but write trace rows: blind in a run
 # without a trace.
 _TRACE_ONLY_KINDS = frozenset({ARRIVAL, AUTH, SLICE_DECIDE})
-
-
-def _name_worker() -> None:
-    threading.current_thread().name = "ts3ra-pbkdf2"
 
 
 def seconds_text(us: int) -> str:
@@ -359,37 +350,37 @@ class Engine:
         self.sched_active = False
         self.slot_us = to_us(sc.slot_duration)
 
+        if model is not None:
+            self.model = model
+        elif sc.model_path:
+            self.model = _load_model(sc.model_path)
+        else:
+            feats, labels = sn_mod.make_separable_dataset(
+                sc.train_samples, self.hub.substream("slicenet-data")
+            )
+            self.model = sn_mod.SliceNetModel(
+                d_model=sc.d_model, rng=self.hub.substream("slicenet-init")
+            )
+            self.loss_curve = sn_mod.train(
+                self.model,
+                feats,
+                labels,
+                epochs=sc.epochs,
+                learning_rate=sc.learning_rate,
+                rng=self.hub.substream("slicenet-train"),
+                batch_size=32,
+            )
+
         # one key per distinct input, the records' and the presented
-        # passwords', derived on a second thread while the slice-selection
-        # model trains on this one (see the module docstring)
+        # passwords', derived on this thread once the slice-selection model
+        # is ready (see the module docstring)
         inputs = dict.fromkeys(
             [params for _, _, params in enrolled]
             + [replace(params, password=rt.password) for _, rt, params in enrolled]
         )
-        with ThreadPoolExecutor(max_workers=1, initializer=_name_worker) as pool:
-            # ``auth_mod.derive_key`` is looked up when the keys are derived
-            keys = pool.submit(lambda: {p: auth_mod.derive_key(p) for p in inputs})
-            if model is not None:
-                self.model = model
-            elif sc.model_path:
-                self.model = _load_model(sc.model_path)
-            else:
-                feats, labels = sn_mod.make_separable_dataset(
-                    sc.train_samples, self.hub.substream("slicenet-data")
-                )
-                self.model = sn_mod.SliceNetModel(
-                    d_model=sc.d_model, rng=self.hub.substream("slicenet-init")
-                )
-                self.loss_curve = sn_mod.train(
-                    self.model,
-                    feats,
-                    labels,
-                    epochs=sc.epochs,
-                    learning_rate=sc.learning_rate,
-                    rng=self.hub.substream("slicenet-train"),
-                    batch_size=32,
-                )
-            self.key_of: dict[auth_mod.KeyDerivationParams, bytes] = keys.result()
+        self.key_of: dict[auth_mod.KeyDerivationParams, bytes] = {
+            p: auth_mod.derive_key(p) for p in inputs
+        }
         for va, rt, params in enrolled:
             auth_mod.store_registration(va, rt.device.device_id, params, self.key_of[params])
 

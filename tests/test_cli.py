@@ -414,6 +414,19 @@ def test_cli_import_leaves_process_pool_unloaded():
     assert run_probe(probe) == "[]"
 
 
+def test_engine_run_leaves_thread_pool_unloaded():
+    # Set-up derives its keys on the main thread: building and running an
+    # engine loads no executor.
+    probe = (
+        "import sys, ts3ra.cli\n"
+        "from ts3ra.engine import Engine\n"
+        "from ts3ra.scenario import Scenario\n"
+        "Engine(Scenario(devices=12, duration=5.0, train_samples=60, epochs=1)).run()\n"
+        "print('concurrent.futures' in sys.modules)"
+    )
+    assert run_probe(probe) == "False"
+
+
 class TestSummarize:
     HEADER = (
         "slice,requests,granted,sent,delivered,dropped,blocked,throughput_bps,"

@@ -355,15 +355,6 @@ class TestDeterminism:
         assert trace_a == trace_b
 
 
-# The longest a test holds the key-derivation thread back.
-WAIT_S = 10.0
-
-
-def pbkdf2_threads() -> set[threading.Thread]:
-    """The live key-derivation threads."""
-    return {t for t in threading.enumerate() if t.name == "ts3ra-pbkdf2"}
-
-
 def spy_derive_key(monkeypatch) -> list:
     """Record every ``derive_key`` call as (thread, params)."""
     calls, derive_key = [], auth_mod.derive_key
@@ -376,10 +367,14 @@ def spy_derive_key(monkeypatch) -> list:
     return calls
 
 
+def on_main_thread(calls: list) -> bool:
+    """Whether every recorded ``derive_key`` call ran on the main thread."""
+    return all(thread is threading.main_thread() for thread, _ in calls)
+
+
 class TestDeviceRegistration:
-    """Set-up derives one key per distinct key-derivation input on a second
-    thread while the model trains, and joins that thread before ``Engine()``
-    returns, whether set-up succeeds or fails."""
+    """Set-up derives one key per distinct key-derivation input on the main
+    thread, once the model is trained, loaded or supplied."""
 
     def scenario(self, **overrides) -> Scenario:
         # half the devices illegitimate and half of those forged: some
@@ -401,7 +396,7 @@ class TestDeviceRegistration:
         monkeypatch.undo()
         registered = [rt for rt in engine.dev if enrolled(engine, rt)]
         assert 0 < len(registered) < len(engine.dev)
-        assert threading.main_thread() not in {thread for thread, _ in calls}
+        assert calls and on_main_thread(calls)
 
         rng_puf = RngHub(sc.seed).substream("puf")
         pool = auth_mod.VirtualAuthorityPool()
@@ -422,51 +417,46 @@ class TestDeviceRegistration:
         # input is its record's, so none is derived twice
         assert [p for _, p in calls] == params
 
-    def test_thread_joined_after_training(self):
+    def test_records_stored_before_the_first_event(self):
         engine = Engine(self.scenario())
-        assert not pbkdf2_threads()
         # set-up stored every record before the first event: all but the
         # forged devices', a half of the illegitimate half
         unenrolled = [rt for rt in engine.dev if not enrolled(engine, rt)]
         assert len(unenrolled) == 3
         assert not any(rt.device.legitimate for rt in unenrolled)
 
-    def test_thread_joined_with_a_supplied_model(self, monkeypatch):
+    def test_keys_derived_on_the_main_thread_with_a_supplied_model(self, monkeypatch):
         calls = spy_derive_key(monkeypatch)
         engine = Engine(self.scenario(), model=tiny_model())
         assert engine.loss_curve is None
-        assert not pbkdf2_threads()
-        assert len(calls) == sum(enrolled(engine, rt) for rt in engine.dev) > 0
-        assert threading.main_thread() not in {thread for thread, _ in calls}
+        registered = [rt for rt in engine.dev if enrolled(engine, rt)]
+        assert registered and on_main_thread(calls)
+        # one derivation per enrolled device, in device order
+        assert [p for _, p in calls] == [
+            engine.vap.holder_of(rt.device.device_id).registered[rt.device.device_id].params
+            for rt in registered
+        ]
 
-    def test_thread_joined_when_training_diverges(self, monkeypatch):
-        # Training fails while the thread derives: it derives no key before
-        # training fails.
-        gate, derive_key = threading.Event(), auth_mod.derive_key
-
-        def gated(params):
-            assert gate.wait(WAIT_S)
-            return derive_key(params)
-
+    def test_no_key_derived_when_training_diverges(self, monkeypatch):
         def diverge(*args, **kwargs):
-            gate.set()
             raise TrainingDivergedError("loss became non-finite")
 
-        monkeypatch.setattr(auth_mod, "derive_key", gated)
+        calls = spy_derive_key(monkeypatch)
         monkeypatch.setattr(engine_mod.sn_mod, "train", diverge)
         with pytest.raises(TrainingDivergedError):
             Engine(self.scenario())
-        assert not pbkdf2_threads()
+        assert calls == []
 
-    def test_thread_joined_when_set_up_fails_after_registration(self, monkeypatch):
-        # Set-up fails once every key is derived.
+    def test_store_error_raised_after_every_key_is_derived(self, monkeypatch):
         def fail(*args):
             raise RuntimeError("store failed")
 
+        calls = spy_derive_key(monkeypatch)
         monkeypatch.setattr(auth_mod, "store_registration", fail)
         with pytest.raises(RuntimeError, match="store failed"):
             Engine(self.scenario())
-        assert not pbkdf2_threads()
+        # 12 devices, 3 of them forged
+        assert len(calls) == len({p for _, p in calls}) == 9
 
     def test_key_derivation_error_surfaces(self, monkeypatch):
         def fail(params):
@@ -475,7 +465,6 @@ class TestDeviceRegistration:
         monkeypatch.setattr(auth_mod, "derive_key", fail)
         with pytest.raises(ValueError, match="key derivation failed"):
             Engine(self.scenario())
-        assert not pbkdf2_threads()
 
     @pytest.mark.parametrize("auth_delay", [1e-3, 100.0])
     def test_presented_key_error_raised_from_set_up(self, monkeypatch, auth_delay):
@@ -499,9 +488,8 @@ class TestDeviceRegistration:
         monkeypatch.setattr(auth_mod, "derive_key", derive)
         with pytest.raises(ValueError, match="key derivation failed"):
             Engine(self.scenario(auth_delay=auth_delay, duration=auth_delay + 5.0))
-        assert not pbkdf2_threads()
 
-    def test_thread_joined_when_the_run_raises(self, monkeypatch):
+    def test_failed_run_derives_no_key(self, monkeypatch):
         def fail(engine, di):
             raise RuntimeError("arrival failed")
 
@@ -511,7 +499,7 @@ class TestDeviceRegistration:
         derived = len(calls)
         with pytest.raises(RuntimeError, match="arrival failed"):
             engine.run()
-        assert len(calls) == derived and not pbkdf2_threads()
+        assert len(calls) == derived
 
     def test_stepped_run_derives_no_key(self, monkeypatch):
         # Each AUTH event looks up a key derived in set-up: stepping every
@@ -524,7 +512,6 @@ class TestDeviceRegistration:
         report = engine.collect_metrics()
         assert report.auth_accepted > 0
         assert len(calls) == derived == sum(enrolled(engine, rt) for rt in engine.dev)
-        assert not pbkdf2_threads()
 
     def test_every_auth_past_the_horizon(self, monkeypatch):
         # No AUTH event runs; set-up derives each enrolled device's one
@@ -533,27 +520,28 @@ class TestDeviceRegistration:
         engine = Engine(self.scenario(auth_delay=100.0))
         report = engine.run()
         assert report.auth_accepted == report.auth_rejected == 0
-        assert not pbkdf2_threads()
         n_registered = sum(enrolled(engine, rt) for rt in engine.dev)
         assert len(calls) == n_registered
 
+    @pytest.mark.parametrize("supplied", [False, True], ids=["trained", "supplied"])
+    def test_engine_and_run_start_no_thread(self, monkeypatch, supplied):
+        started, start = [], threading.Thread.start
 
-class TestKeyWorker:
-    """The ``ts3ra-pbkdf2`` key-derivation thread."""
+        def record(thread):
+            started.append(thread)
+            start(thread)
 
-    def test_no_worker_lingers_after_an_engine_built_and_not_run(self, monkeypatch):
-        # The thread is joined by the time ``Engine()`` returns; nothing is
-        # left to derive for a run that never comes.
-        calls = spy_derive_key(monkeypatch)
-        engine = Engine(small_scenario(devices=12, train_samples=60, epochs=1))
-        assert not pbkdf2_threads()
-        n_enrolled = sum(enrolled(engine, rt) for rt in engine.dev)
-        assert len(calls) == len({p for _, p in calls}) == n_enrolled > 0
+        before = threading.enumerate()
+        monkeypatch.setattr(threading.Thread, "start", record)
+        engine = Engine(self.scenario(), model=tiny_model() if supplied else None)
+        engine.run()
+        assert started == []
+        assert threading.enumerate() == before
 
 
 class TestAuthentication:
     """``_on_auth`` gives ``authenticate`` the presented key derived in
-    set-up on the key-derivation thread."""
+    set-up."""
 
     def test_bad_key_rejected(self, monkeypatch):
         # One device is enrolled under another password than the one it presents.
@@ -576,8 +564,10 @@ class TestAuthentication:
         rt = engine.dev_by_id["d0005"]
         record = engine.vap.holder_of("d0005").registered["d0005"]
         assert record.params.password == b"another password"
-        presented = [thread for thread, p in calls if p == replace(record.params, password=rt.password)]
-        assert len(presented) == 1 and presented[0] is not threading.main_thread()
+        # each record's input in device order, then d0005's presented one
+        records = [engine.vap.holder_of(d).registered[d].params for d in engine.dev_by_id]
+        assert [p for _, p in calls] == records + [replace(record.params, password=rt.password)]
+        assert on_main_thread(calls)
 
     def test_unknown_device_adds_no_authority(self):
         # 125 devices fill the first authority; the one forged device, never
