@@ -13,12 +13,6 @@ a plain three-way conjunction of timestamp, PUF and key validity.  Both are
 kept because the gate expression is part of the external contract and the
 conjunction is what admission must actually do.
 
-Registration is two steps, :func:`enroll_device` (draw the salt and the
-challenges, store the CRPs) and :func:`store_registration` (store the record
-of the derived key); :func:`register_device` runs both with
-:func:`derive_key` between them.  The split lets a caller derive keys
-elsewhere, such as once per distinct input after every device is enrolled.
-
 :func:`authenticate` takes the presented credential the way
 :func:`puf_verify` takes a PUF response: either the password, which it
 stretches under the record's inputs, or a responder that is handed those
@@ -36,8 +30,7 @@ __all__ = [
     "AuthError", "AuthVerdict", "KeyDerivationParams", "PufChallengeResponse",
     "RegistrationRecord", "SimulatedPuf", "TamperError", "UnknownDeviceError", "VerdictReason",
     "VirtualAuthority", "VirtualAuthorityPool", "authenticate", "boolean_gate_literal",
-    "derive_key", "enroll_device", "pbkdf2_bytes", "puf_enroll", "puf_verify",
-    "register_device", "store_registration",
+    "derive_key", "pbkdf2_bytes", "puf_enroll", "puf_verify", "register_device",
 ]
 
 import hashlib
@@ -236,39 +229,6 @@ def puf_verify(
     return hmac.compare_digest(pairs[challenge], supplied)
 
 
-def enroll_device(
-    va: VirtualAuthority,
-    device_id: str,
-    password: bytes,
-    puf: SimulatedPuf,
-    rng: np.random.Generator,
-) -> KeyDerivationParams:
-    """First step of :func:`register_device`: draw the salt and the
-    ``CHALLENGES_PER_DEVICE`` challenges, enroll the CRPs, and return the
-    key-derivation inputs.
-
-    The salt and the challenges are 16 octets each, taken in that order from
-    one draw; that gives the same octets, and leaves ``rng`` in the same
-    state, as one 16-octet draw each.
-    """
-    octets = rng.integers(0, 256, size=16 * (1 + CHALLENGES_PER_DEVICE), dtype=np.uint8).tobytes()
-    params = KeyDerivationParams(password=password, salt=octets[:16])
-    for lo in range(16, len(octets), 16):
-        challenge = octets[lo : lo + 16]
-        puf_enroll(va, PufChallengeResponse(device_id, challenge, puf.respond(challenge)))
-    return params
-
-
-def store_registration(
-    va: VirtualAuthority, device_id: str, params: KeyDerivationParams, derived_key: bytes
-) -> RegistrationRecord:
-    """Second step of :func:`register_device`: store the record of a key
-    derived from ``params``."""
-    record = RegistrationRecord(device_id=device_id, derived_key=derived_key, params=params)
-    va.registered[device_id] = record
-    return record
-
-
 def register_device(
     va: VirtualAuthority,
     device_id: str,
@@ -276,9 +236,20 @@ def register_device(
     puf: SimulatedPuf,
     rng: np.random.Generator,
 ) -> RegistrationRecord:
-    """Enroll a device's CRPs, then derive and store its key."""
-    params = enroll_device(va, device_id, password, puf, rng)
-    return store_registration(va, device_id, params, derive_key(params))
+    """Enroll a device's CRPs, then derive and store its key.
+
+    The salt and the ``CHALLENGES_PER_DEVICE`` challenges are 16 octets each,
+    taken in that order from one draw; that gives the same octets, and leaves
+    ``rng`` in the same state, as one 16-octet draw each.
+    """
+    octets = rng.integers(0, 256, size=16 * (1 + CHALLENGES_PER_DEVICE), dtype=np.uint8).tobytes()
+    params = KeyDerivationParams(password=password, salt=octets[:16])
+    for lo in range(16, len(octets), 16):
+        challenge = octets[lo : lo + 16]
+        puf_enroll(va, PufChallengeResponse(device_id, challenge, puf.respond(challenge)))
+    record = RegistrationRecord(device_id=device_id, derived_key=derive_key(params), params=params)
+    va.registered[device_id] = record
+    return record
 
 
 def authenticate(

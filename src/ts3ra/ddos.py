@@ -21,7 +21,6 @@ __all__ = [
     "shannon_entropy", "window_entropies",
 ]
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -104,7 +103,6 @@ def entropy_of_counts(counts: Sequence[float], alpha: float) -> float:
     return _renyi(c.tolist(), alpha)
 
 
-@functools.lru_cache(maxsize=8)
 def interarrival_inner_edges(duration: float) -> tuple[float, ...]:
     """The 15 inner edges of the geometric inter-arrival bins, from 0.1 ms
     up to the window.  ``bisect_right(edges, gap_s)`` is the bin of a gap:

@@ -30,18 +30,11 @@ No event is scheduled after the horizon (``Engine.end_us``), so no control
 work starts after it; packets in flight at the horizon drain at the end of
 the run.
 
-Set-up enrolls the devices on the main thread, in device order, so the
-``puf`` stream is drawn as one registration at a time would draw it.  It
-then derives one key for each distinct key-derivation input: each record's,
-and that of the password each enrolled device presents.  A key is a pure
-function of its input, and every device presents the password it enrolled
-with, so the two inputs are one unless a device enrolled under another
-password; such a device gets its own derivation and is rejected at AUTH.
-Once the slice selector is trained, loaded or supplied, the main thread
-derives the keys, the records' in device order and then any other presented
-one; set-up starts no thread.  It stores every record before the first
-event, and a failed derivation raises from the constructor.  Each AUTH event
-looks its presented key up.
+Set-up registers the devices in device order, one
+:func:`~ts3ra.auth.register_device` call each, and keeps each record's key
+by its input.  A key is a pure function of its input, so each AUTH event
+looks its presented key up and derives only an input that no record has:
+that of a device that enrolled under another password, which is rejected.
 """
 
 from __future__ import annotations
@@ -294,7 +287,9 @@ class Engine:
         self.dev: list[_DeviceRt] = []
         self.dev_by_id: dict[str, _DeviceRt] = {}
         self.fair_slas = fair_slas
-        enrolled = []  # (authority, device, key-derivation inputs)
+        # each record's key by its key-derivation input (see the module
+        # docstring)
+        self.key_of: dict[auth_mod.KeyDerivationParams, bytes] = {}
         for i in range(n):
             device_id = f"d{i:04d}"
             legitimate = i not in illegit
@@ -310,8 +305,8 @@ class Engine:
             rt = _DeviceRt(i, device, password, puf, claimed)
             if i not in forged:
                 va = self.vap.authority_for(device_id)
-                params = auth_mod.enroll_device(va, device_id, password, puf, rng_puf)
-                enrolled.append((va, rt, params))
+                record = auth_mod.register_device(va, device_id, password, puf, rng_puf)
+                self.key_of[record.params] = record.derived_key
             self.dev.append(rt)
             self.dev_by_id[device_id] = rt
 
@@ -370,19 +365,6 @@ class Engine:
                 rng=self.hub.substream("slicenet-train"),
                 batch_size=32,
             )
-
-        # one key per distinct input, the records' and the presented
-        # passwords', derived on this thread once the slice-selection model
-        # is ready (see the module docstring)
-        inputs = dict.fromkeys(
-            [params for _, _, params in enrolled]
-            + [replace(params, password=rt.password) for _, rt, params in enrolled]
-        )
-        self.key_of: dict[auth_mod.KeyDerivationParams, bytes] = {
-            p: auth_mod.derive_key(p) for p in inputs
-        }
-        for va, rt, params in enrolled:
-            auth_mod.store_registration(va, rt.device.device_id, params, self.key_of[params])
 
         # resource pools, sized to expected demand with headroom
         n_legit = n - n_illegit
@@ -480,10 +462,15 @@ class Engine:
     def _on_auth(self, di: int) -> None:
         rt = self.dev[di]
         now_s = self.clock_us / 1e6
+
+        def presented_key(params: auth_mod.KeyDerivationParams) -> bytes:
+            presented = replace(params, password=rt.password)
+            return self.key_of.get(presented) or auth_mod.derive_key(presented)
+
         verdict = auth_mod.authenticate(
             self.vap.holder_of(rt.device.device_id),
             rt.device.device_id,
-            lambda params: self.key_of[replace(params, password=rt.password)],
+            presented_key,
             timestamp=now_s,
             puf_response=rt.puf.respond,
             now=now_s,
@@ -588,7 +575,7 @@ class Engine:
     def _on_allocate(self, di: int) -> None:
         rt = self.dev[di]
         self.unfinished -= 1
-        service = rt.decided or rt.claimed
+        service = rt.decided
         elapsed = max(self.clock_us / 1e6, 1e-9)
         c = self.counters[service]
         request = hop_mod.AllocationRequest(

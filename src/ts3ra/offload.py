@@ -43,7 +43,7 @@ def edge_weight(flow: Flow, switch: SwitchProfile, coeffs: WeightCoefficients) -
 
     The weight depends on the switch alone, never on ``flow``; the search
     and its bounds rely on that.  ``flow`` stays in the public
-    signature, which the tests and ``perfbench/child.py`` call.
+    signature, which the tests call and ``perfbench/child.py`` wraps by name.
     """
     cap = switch.service_capacity
     return (

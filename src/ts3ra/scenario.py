@@ -39,6 +39,12 @@ EVENT_INTERVAL_KEYS = (
 
 # The most rows the engine synthesizes to train its slice selector.
 MAX_TRAIN_SAMPLES = 1_000_000
+# The most benign windows a switch learns before it classifies.  A run has
+# fewer windows than this: its horizon is below 2**61 us (see the packet-time
+# check in ``Scenario.validate``) and a window lasts at least 1 us.  So any
+# larger value classifies no window, as this one does, and four times this
+# one still fits the length of the engine's baseline deque.
+MAX_BASELINE_WINDOWS = 2**61 - 1
 # The largest network a scenario may ask for.  The data plane's state grows
 # with devices plus switches; placement, per granted device, costs one count
 # over the devices plus one edge weight per distinct flow count among the
@@ -78,7 +84,11 @@ RANGE_RULES = (
         lambda v: 1 <= v <= MAX_TRAIN_SAMPLES,
         ("train_samples",),
     ),
-    (">= 10", lambda v: v >= 10, ("baseline_windows",)),
+    (
+        f"in [10, {MAX_BASELINE_WINDOWS}]",
+        lambda v: 10 <= v <= MAX_BASELINE_WINDOWS,
+        ("baseline_windows",),
+    ),
     (
         "in [0, 1]",
         lambda v: 0 <= v <= 1,

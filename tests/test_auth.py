@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ts3ra import auth as auth_mod
 from ts3ra.auth import (
     CHALLENGES_PER_DEVICE,
     AuthVerdict,
@@ -19,12 +20,10 @@ from ts3ra.auth import (
     authenticate,
     boolean_gate_literal,
     derive_key,
-    enroll_device,
     pbkdf2_bytes,
     puf_enroll,
     puf_verify,
     register_device,
-    store_registration,
 )
 
 # Published key-stretching vectors (HMAC-SHA-1, salts shorter than the
@@ -204,13 +203,21 @@ class TestRegisterDevice:
         assert va == ref_va
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
-    def test_enroll_stores_no_record_until_the_second_step(self):
-        va = VirtualAuthority("VA0")
-        params = enroll_device(va, "d", b"pw", SimulatedPuf(b"\x03" * 32), np.random.default_rng(4))
+    def test_enroll_stores_no_record_until_the_second_step(self, monkeypatch):
+        # the CRPs are enrolled first; the record is stored only once its
+        # key is derived, so a failed derivation leaves no record
+        def fail(params):
+            raise RuntimeError("derivation failed")
+
+        va, puf = VirtualAuthority("VA0"), SimulatedPuf(b"\x03" * 32)
+        monkeypatch.setattr(auth_mod, "derive_key", fail)
+        with pytest.raises(RuntimeError, match="derivation failed"):
+            register_device(va, "d", b"pw", puf, np.random.default_rng(4))
         assert len(va.crp_store["d"]) == 8 and not va.registered
-        record = store_registration(va, "d", params, derive_key(params))
-        assert va.registered == {"d": record}
-        assert record.derived_key == derive_key(KeyDerivationParams(b"pw", params.salt))
+        monkeypatch.undo()
+        record = register_device(va, "e", b"pw", puf, np.random.default_rng(4))
+        assert va.registered == {"e": record} and len(va.crp_store["e"]) == 8
+        assert record.derived_key == derive_key(KeyDerivationParams(b"pw", record.params.salt))
 
 
 class TestAuthenticate:

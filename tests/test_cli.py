@@ -214,6 +214,8 @@ class TestRunCommand:
             ("flows", "delay_bound_urllc", "inf"),
             ("flows", "delay_bound_mmtc", "-1"),
             ("ddos", "min_packets", "-1"),
+            # a deque's length must fit a C ssize_t
+            ("ddos", "baseline_windows", "10000000000000000000"),
             # packet times must stay within int64 microseconds
             ("packets", "retransmit_delay", "1e13"),
             ("network", "processing_latency", "1e13"),

@@ -356,25 +356,20 @@ class TestDeterminism:
 
 
 def spy_derive_key(monkeypatch) -> list:
-    """Record every ``derive_key`` call as (thread, params)."""
+    """Record the params of every ``derive_key`` call."""
     calls, derive_key = [], auth_mod.derive_key
 
     def spy(params):
-        calls.append((threading.current_thread(), params))
+        calls.append(params)
         return derive_key(params)
 
     monkeypatch.setattr(auth_mod, "derive_key", spy)
     return calls
 
 
-def on_main_thread(calls: list) -> bool:
-    """Whether every recorded ``derive_key`` call ran on the main thread."""
-    return all(thread is threading.main_thread() for thread, _ in calls)
-
-
 class TestDeviceRegistration:
-    """Set-up derives one key per distinct key-derivation input on the main
-    thread, once the model is trained, loaded or supplied."""
+    """Set-up registers each enrolled device with one ``register_device``
+    call, in device order, and so derives one key per distinct input."""
 
     def scenario(self, **overrides) -> Scenario:
         # half the devices illegitimate and half of those forged: some
@@ -396,7 +391,6 @@ class TestDeviceRegistration:
         monkeypatch.undo()
         registered = [rt for rt in engine.dev if enrolled(engine, rt)]
         assert 0 < len(registered) < len(engine.dev)
-        assert calls and on_main_thread(calls)
 
         rng_puf = RngHub(sc.seed).substream("puf")
         pool = auth_mod.VirtualAuthorityPool()
@@ -415,7 +409,7 @@ class TestDeviceRegistration:
             params.append(record.params)
         # one derivation per enrolled device, in device order: each presented
         # input is its record's, so none is derived twice
-        assert [p for _, p in calls] == params
+        assert calls == params
 
     def test_records_stored_before_the_first_event(self):
         engine = Engine(self.scenario())
@@ -430,14 +424,33 @@ class TestDeviceRegistration:
         engine = Engine(self.scenario(), model=tiny_model())
         assert engine.loss_curve is None
         registered = [rt for rt in engine.dev if enrolled(engine, rt)]
-        assert registered and on_main_thread(calls)
+        assert registered
         # one derivation per enrolled device, in device order
-        assert [p for _, p in calls] == [
+        assert calls == [
             engine.vap.holder_of(rt.device.device_id).registered[rt.device.device_id].params
             for rt in registered
         ]
 
-    def test_no_key_derived_when_training_diverges(self, monkeypatch):
+    def test_one_register_device_call_per_enrolled_device(self, monkeypatch):
+        register, registered = auth_mod.register_device, []
+
+        def spy(va, device_id, password, puf, rng):
+            registered.append(device_id)
+            return register(va, device_id, password, puf, rng)
+
+        monkeypatch.setattr(auth_mod, "register_device", spy)
+        calls = spy_derive_key(monkeypatch)
+        engine = Engine(self.scenario())
+        engine.run()
+        ids = [rt.device.device_id for rt in engine.dev if enrolled(engine, rt)]
+        # 12 devices, 3 of them forged, registered in device order
+        assert registered == ids and len(ids) == 9
+        # each record's input derived once, by its registration; the run
+        # looks every presented key up
+        assert calls == [engine.vap.holder_of(d).registered[d].params for d in ids]
+        assert len(set(calls)) == len(calls)
+
+    def test_training_divergence_raises_after_registration(self, monkeypatch):
         def diverge(*args, **kwargs):
             raise TrainingDivergedError("loss became non-finite")
 
@@ -445,18 +458,16 @@ class TestDeviceRegistration:
         monkeypatch.setattr(engine_mod.sn_mod, "train", diverge)
         with pytest.raises(TrainingDivergedError):
             Engine(self.scenario())
-        assert calls == []
+        # every key is derived before training: 12 devices, 3 of them forged
+        assert len(calls) == 9
 
-    def test_store_error_raised_after_every_key_is_derived(self, monkeypatch):
+    def test_registration_error_raised_from_set_up(self, monkeypatch):
         def fail(*args):
-            raise RuntimeError("store failed")
+            raise RuntimeError("registration failed")
 
-        calls = spy_derive_key(monkeypatch)
-        monkeypatch.setattr(auth_mod, "store_registration", fail)
-        with pytest.raises(RuntimeError, match="store failed"):
+        monkeypatch.setattr(auth_mod, "register_device", fail)
+        with pytest.raises(RuntimeError, match="registration failed"):
             Engine(self.scenario())
-        # 12 devices, 3 of them forged
-        assert len(calls) == len({p for _, p in calls}) == 9
 
     def test_key_derivation_error_surfaces(self, monkeypatch):
         def fail(params):
@@ -467,27 +478,32 @@ class TestDeviceRegistration:
             Engine(self.scenario())
 
     @pytest.mark.parametrize("auth_delay", [1e-3, 100.0])
-    def test_presented_key_error_raised_from_set_up(self, monkeypatch, auth_delay):
-        # The first enrolled device enrolls under another password, so the
-        # password it presents is an input of its own, and deriving it fails.
-        # Set-up derives it and raises, whether the device's AUTH event falls
-        # within the horizon or past it.
-        enroll, derive_key, enrolled = auth_mod.enroll_device, auth_mod.derive_key, []
+    def test_presented_key_derived_only_by_its_auth(self, monkeypatch, auth_delay):
+        # The first enrolled device registers under another password, so the
+        # password it presents is an input that no record has, and deriving
+        # it fails.  Set-up does not derive it: its AUTH event does, and raises
+        # from run(), unless that event falls past the horizon.
+        register, derive_key, records = auth_mod.register_device, auth_mod.derive_key, []
 
-        def enroll_first_under_another_password(va, device_id, password, puf, rng):
-            params = enroll(va, device_id, password if enrolled else b"another password", puf, rng)
-            enrolled.append(params)
-            return params
+        def register_first_under_another_password(va, device_id, password, puf, rng):
+            record = register(va, device_id, password if records else b"another password", puf, rng)
+            records.append(record)
+            return record
 
         def derive(params):
-            if params.salt == enrolled[0].salt and params != enrolled[0]:
+            if records and params.salt == records[0].params.salt and params != records[0].params:
                 raise ValueError("key derivation failed")
             return derive_key(params)
 
-        monkeypatch.setattr(auth_mod, "enroll_device", enroll_first_under_another_password)
+        monkeypatch.setattr(auth_mod, "register_device", register_first_under_another_password)
         monkeypatch.setattr(auth_mod, "derive_key", derive)
-        with pytest.raises(ValueError, match="key derivation failed"):
-            Engine(self.scenario(auth_delay=auth_delay, duration=auth_delay + 5.0))
+        engine = Engine(self.scenario(auth_delay=auth_delay))
+        if auth_delay < engine.sc.duration:
+            with pytest.raises(ValueError, match="key derivation failed"):
+                engine.run()
+        else:
+            report = engine.run()
+            assert report.auth_accepted == report.auth_rejected == 0
 
     def test_failed_run_derives_no_key(self, monkeypatch):
         def fail(engine, di):
@@ -540,20 +556,21 @@ class TestDeviceRegistration:
 
 
 class TestAuthentication:
-    """``_on_auth`` gives ``authenticate`` the presented key derived in
-    set-up."""
+    """``_on_auth`` gives ``authenticate`` the presented key: its record's,
+    looked up, or for a device that registered under another password, one
+    derived at AUTH."""
 
     def test_bad_key_rejected(self, monkeypatch):
-        # One device is enrolled under another password than the one it presents.
+        # One device registers under another password than the one it presents.
         sc = small_scenario(devices=12, train_samples=60, epochs=1, forged_fraction=0.0)
-        enroll = auth_mod.enroll_device
+        register = auth_mod.register_device
 
-        def enroll_under_another_password(va, device_id, password, puf, rng):
+        def register_under_another_password(va, device_id, password, puf, rng):
             if device_id == "d0005":
                 password = b"another password"
-            return enroll(va, device_id, password, puf, rng)
+            return register(va, device_id, password, puf, rng)
 
-        monkeypatch.setattr(auth_mod, "enroll_device", enroll_under_another_password)
+        monkeypatch.setattr(auth_mod, "register_device", register_under_another_password)
         calls = spy_derive_key(monkeypatch)
         trace = Lines()
         engine = Engine(sc, trace_sink=trace)
@@ -566,8 +583,7 @@ class TestAuthentication:
         assert record.params.password == b"another password"
         # each record's input in device order, then d0005's presented one
         records = [engine.vap.holder_of(d).registered[d].params for d in engine.dev_by_id]
-        assert [p for _, p in calls] == records + [replace(record.params, password=rt.password)]
-        assert on_main_thread(calls)
+        assert calls == records + [replace(record.params, password=rt.password)]
 
     def test_unknown_device_adds_no_authority(self):
         # 125 devices fill the first authority; the one forged device, never
