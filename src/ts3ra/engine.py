@@ -21,6 +21,14 @@ nominal rate and every switch has the scenario's one profile, so a switch's
 nominal load is its devices in ``sw_of`` at that rate; the engine keeps no
 per-switch ledger.  A switch is its index in ``Engine.switches``.
 
+The engine keeps each per-device fact once, in lists indexed by device:
+``device_ids`` (the list the data plane takes), ``index_of`` (id to index),
+``pufs``, ``claimed``, ``decided`` (None before SLICE_DECIDE) and
+``arrival_us``; a password is a function of the id.  It builds a
+:class:`~ts3ra.domain.SliceRequest` and a :class:`~ts3ra.domain.Flow` only
+where a plane takes one: the request for the scheduler queue, the flow for
+the AP's classifier and for a rebalance plan.
+
 A sink takes text as ``TextIO.write`` does: each call gets one or more whole
 lines, each ending in a newline, so a file's ``write`` is a sink.  Times in
 trace and migration rows are integer microseconds written as seconds with
@@ -57,7 +65,6 @@ from .dataplane import DataPlane, InvariantViolation
 from .domain import (
     SLICE_ORDER,
     SLICE_VALUES,
-    Device,
     Flow,
     Protocol,
     ServiceType,
@@ -137,39 +144,9 @@ def _load_model(path: str) -> sn_mod.SliceNetModel:
     return model
 
 
-class _DeviceRt:
-    """Mutable per-device simulation state."""
-
-    __slots__ = (
-        "index",
-        "device",
-        "password",
-        "puf",
-        "claimed",
-        "decided",
-        "request",
-        "flow",
-        "arrival_us",
-    )
-
-    def __init__(
-        self,
-        index: int,
-        device: Device,
-        password: bytes,
-        puf,
-        claimed: ServiceType,
-    ):
-        self.index = index
-        self.device = device
-        self.password = password
-        self.puf = puf
-        self.claimed = claimed
-        # the slice the controller decided; None before the decision
-        self.decided: Optional[ServiceType] = None
-        self.request = None
-        self.flow: Optional[Flow] = None
-        self.arrival_us = 0
+def _password(device_id: str) -> bytes:
+    """The password device ``device_id`` enrolls with and presents."""
+    return f"pw-{device_id}".encode()
 
 
 # Takes one or more whole lines, each ending in a newline (see the module
@@ -227,7 +204,7 @@ class Engine:
 
         floods = self._build_world(model)
         self.dp = DataPlane(
-            scenario, self.hub, [rt.device.device_id for rt in self.dev], floods,
+            scenario, self.hub, self.device_ids, floods,
             [sw.switch_id for sw in self.switches],
             [self.counters[st] for st in SLICE_ORDER], trace_sink,
         )
@@ -235,7 +212,7 @@ class Engine:
         # none is left no allocation follows, so nothing reads positions.  At
         # the end of a run, the pending count: devices not yet arrived, still
         # queued, or waiting for a slice decision or an allocation.
-        self.unfinished = len(self.dev)
+        self.unfinished = scenario.devices
         self._handlers = (
             self._on_arrival,
             self._on_auth,
@@ -284,31 +261,28 @@ class Engine:
 
         self.vap = auth_mod.VirtualAuthorityPool()
         rng_puf = self.hub.substream("puf")
-        self.dev: list[_DeviceRt] = []
-        self.dev_by_id: dict[str, _DeviceRt] = {}
         self.fair_slas = fair_slas
+        # per-device facts, indexed by device (see the module docstring)
+        self.device_ids = [f"d{i:04d}" for i in range(n)]
+        self.index_of = {device_id: i for i, device_id in enumerate(self.device_ids)}
+        self.claimed = [
+            ServiceType.MMTC if i in illegit else SLICE_ORDER[services[i]] for i in range(n)
+        ]
+        self.decided: list[Optional[ServiceType]] = [None] * n
+        self.arrival_us = [0] * n
+        self.pufs: list[auth_mod.SimulatedPuf] = []
         # each record's key by its key-derivation input (see the module
         # docstring)
         self.key_of: dict[auth_mod.KeyDerivationParams, bytes] = {}
-        for i in range(n):
-            device_id = f"d{i:04d}"
-            legitimate = i not in illegit
-            claimed = SLICE_ORDER[services[i]] if legitimate else ServiceType.MMTC
-            device = Device(
-                device_id=device_id,
-                imsi=stable_imsi(device_id),
-                speed=float(self.speeds[i]),
-                legitimate=legitimate,
-            )
-            password = f"pw-{device_id}".encode()
+        for i, device_id in enumerate(self.device_ids):
             puf = auth_mod.SimulatedPuf(bytes(rng_puf.integers(0, 256, size=32, dtype=np.uint8)))
-            rt = _DeviceRt(i, device, password, puf, claimed)
+            self.pufs.append(puf)
             if i not in forged:
                 va = self.vap.authority_for(device_id)
-                record = auth_mod.register_device(va, device_id, password, puf, rng_puf)
+                record = auth_mod.register_device(
+                    va, device_id, _password(device_id), puf, rng_puf
+                )
                 self.key_of[record.params] = record.derived_key
-            self.dev.append(rt)
-            self.dev_by_id[device_id] = rt
 
         # switches, each at no load; the data plane keeps a switch's packet
         # state in its per-switch arrays, row j
@@ -454,25 +428,24 @@ class Engine:
         raise InvariantViolation(f"packet event {payload!r} on the event heap")
 
     def _on_arrival(self, di: int) -> None:
-        rt = self.dev[di]
-        rt.arrival_us = self.clock_us
-        self._trace(ARRIVAL, rt.device.device_id, "", "", "request")
+        self.arrival_us[di] = self.clock_us
+        self._trace(ARRIVAL, self.device_ids[di], "", "", "request")
         self._push(self.clock_us + to_us(self.sc.auth_delay), AUTH, di)
 
     def _on_auth(self, di: int) -> None:
-        rt = self.dev[di]
+        device_id = self.device_ids[di]
         now_s = self.clock_us / 1e6
 
         def presented_key(params: auth_mod.KeyDerivationParams) -> bytes:
-            presented = replace(params, password=rt.password)
+            presented = replace(params, password=_password(device_id))
             return self.key_of.get(presented) or auth_mod.derive_key(presented)
 
         verdict = auth_mod.authenticate(
-            self.vap.holder_of(rt.device.device_id),
-            rt.device.device_id,
+            self.vap.holder_of(device_id),
+            device_id,
             presented_key,
             timestamp=now_s,
-            puf_response=rt.puf.respond,
+            puf_response=self.pufs[di].respond,
             now=now_s,
             rng=self._rng_auth,
             freshness_window=self.sc.freshness_window,
@@ -480,26 +453,24 @@ class Engine:
         if not verdict.accepted:
             self.auth_rejected += 1
             self.unfinished -= 1
-            self._trace(AUTH, rt.device.device_id, "", "", f"rejected:{verdict.reason.value}")
+            self._trace(AUTH, device_id, "", "", f"rejected:{verdict.reason.value}")
             return
         self.auth_accepted += 1
-        service = rt.claimed
-        rt.request = SliceRequest(
-            origin=rt.device.device_id,
+        service = self.claimed[di]
+        request = SliceRequest(
+            origin=device_id,
             service_type=service,
             demand_slots=self.sc.demand_slots(service),
             fair_sla=float(self.fair_slas[di]),
             slice_capacity_hint=self.pool_initial[service],
-            arrival_time=rt.arrival_us / 1e6,
+            arrival_time=self.arrival_us[di] / 1e6,
         )
-        # The AP classifies on the requested flow's parameters; the data-plane
-        # flow is rebuilt later from the slice the controller actually decides.
-        rt.flow = self._make_flow(rt, service)
-        cls = sched_mod.classify_flow(rt.flow)
-        accepted = sched_mod.enqueue(self.qstate, rt.request, cls, self.qconfig)
+        # The AP classifies on the requested flow's parameters.
+        cls = sched_mod.classify_flow(self._make_flow(di, service, self.sc.nominal_flow_rate))
+        accepted = sched_mod.enqueue(self.qstate, request, cls, self.qconfig)
         self._trace(
             AUTH,
-            rt.device.device_id,
+            device_id,
             service.slice_id,
             "",
             f"accepted:{cls.value}" if accepted else "queue_full",
@@ -514,54 +485,52 @@ class Engine:
 
     def _on_schedule_slot(self, _payload=None) -> None:
         result = sched_mod.step_slot(self.qstate, self.qconfig, self._rng_sched)
+        decide_us = self.clock_us + to_us(self.sc.decision_delay)
         for request in result.completions:
-            rt = self.dev_by_id[request.origin]
-            self._push(self.clock_us + to_us(self.sc.decision_delay), SLICE_DECIDE, rt.index)
+            self._push(decide_us, SLICE_DECIDE, self.index_of[request.origin])
         if self.qstate.n_in_system > 0 or self.qstate.phase == sched_mod.GAMMA_VACANT:
             self._push(self.clock_us + self.slot_us, SCHEDULE_SLOT, None)
         else:
             self.sched_active = False
 
-    def _features_for(self, rt: _DeviceRt) -> sn_mod.SliceFeatureVector:
-        service = rt.claimed
+    def _features_for(self, di: int) -> sn_mod.SliceFeatureVector:
+        service = self.claimed[di]
         pool = self.pools[service]
         initial = self.pool_initial[service]
         capacity = min(max(pool.communication / initial, 0.0), 1.0) if initial else 0.0
-        imsi_norm = (rt.device.imsi % (2**32)) / 2**32
+        imsi_norm = (stable_imsi(self.device_ids[di]) % (2**32)) / 2**32
         mobility = 0.0
         span = self.sc.speed_max - self.sc.speed_min
         if span > 0:
-            mobility = (rt.device.speed - self.sc.speed_min) / span
+            mobility = (float(self.speeds[di]) - self.sc.speed_min) / span
         return sn_mod.SliceFeatureVector(
             service_type=service,
-            fair_sla=rt.request.fair_sla,
+            fair_sla=float(self.fair_slas[di]),
             imsi_hash=imsi_norm,
             capacity=capacity,
             mobility=min(max(mobility, 0.0), 1.0),
         )
 
-    def _make_flow(self, rt: _DeviceRt, service: ServiceType) -> Flow:
+    def _make_flow(self, di: int, service: ServiceType, rate: float) -> Flow:
+        device_id = self.device_ids[di]
         return Flow(
-            flow_id=f"{rt.device.device_id}-f",
-            origin=rt.device.device_id,
+            flow_id=f"{device_id}-f",
+            origin=device_id,
             slice=service,
-            rate=self.sc.nominal_flow_rate,
+            rate=rate,
             packet_delay=self.sc.delay_bound(service),
             packet_length=self.sc.packet_length,
             protocol=self.sc.protocol(service),
         )
 
     def _on_slice_decide(self, di: int) -> None:
-        rt = self.dev[di]
-        decision = sn_mod.select_slice(self.model, self._features_for(rt))
-        rt.decided = decision.service
-        self.counters[rt.decided].requests += 1
-        if rt.decided is not rt.claimed:
-            rt.flow = self._make_flow(rt, rt.decided)
+        decision = sn_mod.select_slice(self.model, self._features_for(di))
+        decided = self.decided[di] = decision.service
+        self.counters[decided].requests += 1
         self._trace(
             SLICE_DECIDE,
-            rt.device.device_id,
-            rt.decided.slice_id,
+            self.device_ids[di],
+            decided.slice_id,
             "",
             f"confidence={decision.confidence:.4f}",
         )
@@ -573,47 +542,45 @@ class Engine:
         return float(min(max(50.0 - 15.0 * math.log10(max(d, 1.0)), 0.0), 50.0))
 
     def _on_allocate(self, di: int) -> None:
-        rt = self.dev[di]
+        device_id = self.device_ids[di]
         self.unfinished -= 1
-        service = rt.decided
+        service = self.decided[di]
         elapsed = max(self.clock_us / 1e6, 1e-9)
         c = self.counters[service]
         request = hop_mod.AllocationRequest(
             slice_indicator=service.indicator,
             sinr=self._sinr_db(di),
             throughput=c.delivered_bits / elapsed,
-            fair_sla=rt.request.fair_sla,
+            fair_sla=float(self.fair_slas[di]),
             slice_capacity=self.pool_initial[service],
             arrival_rate=self.auth_accepted / elapsed,
             slice_value=SLICE_VALUES[service],
-            demand_slots=rt.request.demand_slots,
+            demand_slots=self.sc.demand_slots(self.claimed[di]),
         )
         try:
             alloc = self.allocator.allocate_resources(request, self.pools[service])
         except hop_mod.PoolExhaustedError:
             c.rejected += 1
-            self._trace(ALLOCATE, rt.device.device_id, service.slice_id, "", "rejected:pool")
+            self._trace(ALLOCATE, device_id, service.slice_id, "", "rejected:pool")
             return
         c.granted += 1
         c.granted_comm += alloc.communication
-        c.response_sum += (self.clock_us - rt.arrival_us) / 1e6
+        c.response_sum += (self.clock_us - self.arrival_us[di]) / 1e6
 
-        j = self._assign_switch(rt)
+        j = self._assign_switch(di)
         if j is None:
-            self._trace(ALLOCATE, rt.device.device_id, service.slice_id, "", "unroutable")
+            self._trace(ALLOCATE, device_id, service.slice_id, "", "unroutable")
             return
-        self._trace(
-            ALLOCATE, rt.device.device_id, service.slice_id, self.switches[j].switch_id, "granted"
-        )
+        self._trace(ALLOCATE, device_id, service.slice_id, self.switches[j].switch_id, "granted")
         remaining_s = (self.end_us - self.clock_us) / 1e6
-        c.flow_active_bps_seconds += rt.flow.rate * remaining_s
+        c.flow_active_bps_seconds += self.sc.nominal_flow_rate * remaining_s
         phase = float(self.hub.substream("phase").uniform(0.0, self.sc.packet_interval))
-        reliable = rt.flow.protocol is Protocol.RELIABLE_STREAM
+        reliable = self.sc.protocol(service) is Protocol.RELIABLE_STREAM
         self.dp.start(di, self.clock_us + to_us(phase), reliable, SLICE_ORDER.index(service))
 
-    def _assign_switch(self, rt: _DeviceRt) -> Optional[int]:
-        """Place ``rt`` on the first switch of largest edge weight with room
-        for its flow and return its index; None if no switch has room.
+    def _assign_switch(self, di: int) -> Optional[int]:
+        """Place device ``di`` on the first switch of largest edge weight with
+        room for its flow and return its index; None if no switch has room.
 
         A switch's nominal load is its devices in ``sw_of`` at the flow rate
         (see the module docstring), so switches with as many devices weigh
@@ -621,9 +588,9 @@ class Engine:
         """
         sw_of = self.dp.sw_of
         counts = np.bincount(sw_of[sw_of >= 0], minlength=len(self.switches)).tolist()
-        profile, rate = self.switches[0], rt.flow.rate
+        profile, rate = self.switches[0], self.sc.nominal_flow_rate
         weight = {
-            n: off_mod.edge_weight(rt.flow, profile.with_load(n * rate), self.coeffs)
+            n: off_mod.edge_weight(profile.with_load(n * rate), self.coeffs)
             for n in set(counts)
             if rate <= profile.service_capacity - n * rate
         }
@@ -633,7 +600,7 @@ class Engine:
             default=None,
         )
         if best is not None:
-            self.dp.place(rt.index, best)
+            self.dp.place(di, best)
         return best
 
     # -- detection -----------------------------------------------------------
@@ -667,7 +634,7 @@ class Engine:
                         report, window.source_counts, sc.dominance_factor
                     )
                     for dev_id in blocked:
-                        self.dp.quarantine(self.dev_by_id[dev_id].index)
+                        self.dp.quarantine(self.index_of[dev_id])
                 else:
                     baseline.append(triple)
             if self.detection_sink is not None:
@@ -692,14 +659,15 @@ class Engine:
         overloaded = [
             j for j, sw in enumerate(self.switches) if measured[j] > sw.service_capacity
         ]
+        bits = bits_of.tolist()
         for trigger in overloaded:
-            planned = self._plan_rebalance(trigger, measured, bits_of.tolist())
+            planned = self._plan_rebalance(trigger, measured, bits)
             if planned is None:
                 continue
             plan, device_of = planned
             for mig in plan.migrations:
-                drt = device_of[mig.flow_id]
-                self.dp.place(drt.index, self.switch_index[mig.to_switch])
+                di = device_of[mig.flow_id]
+                self.dp.place(di, self.switch_index[mig.to_switch])
                 self.migrations += 1
                 if self.migration_sink is not None:
                     self.migration_sink(
@@ -708,8 +676,8 @@ class Engine:
                     )
                 self._trace(
                     REBALANCE,
-                    drt.device.device_id,
-                    (drt.decided or drt.claimed).slice_id,
+                    self.device_ids[di],
+                    self.decided[di].slice_id,
                     mig.to_switch,
                     f"migrated_from:{mig.from_switch}",
                 )
@@ -718,25 +686,25 @@ class Engine:
         self._push(self.clock_us + to_us(interval), REBALANCE, None)
 
     def _plan_rebalance(self, trigger: int, measured: list[float], bits_of: list[int]):
-        """Switch ``trigger``'s rebalance plan and each planned flow's device;
-        ``measured`` holds each switch's measured load and ``bits_of`` each
-        device's bits in this interval."""
+        """Switch ``trigger``'s rebalance plan and each planned flow's device
+        index; ``measured`` holds each switch's measured load and ``bits_of``
+        each device's bits in this interval.  A flow that sent nothing in the
+        interval counts at the nominal rate."""
         interval = self.sc.rebalance_interval
         flows = []
         current = {}
-        device_of: dict[str, _DeviceRt] = {}
+        device_of: dict[str, int] = {}
         trigger_id = self.switches[trigger].switch_id
         for di in np.flatnonzero(self.dp.sw_of == trigger).tolist():
             if self.dp.is_quarantined[di]:
                 continue
-            drt = self.dev[di]
             rate = bits_of[di] / interval
-            if rate <= 0:
-                rate = drt.flow.rate
-            flow = replace(drt.flow, rate=rate)
+            flow = self._make_flow(
+                di, self.decided[di], rate if rate > 0 else self.sc.nominal_flow_rate
+            )
             flows.append(flow)
             current[flow.flow_id] = trigger_id
-            device_of[flow.flow_id] = drt
+            device_of[flow.flow_id] = di
         if not flows:
             return None
         profiles = [sw.with_load(load) for sw, load in zip(self.switches, measured)]

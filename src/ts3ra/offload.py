@@ -38,12 +38,11 @@ class WeightCoefficients:
     gamma: float = 1.0  # loss-rate penalty
 
 
-def edge_weight(flow: Flow, switch: SwitchProfile, coeffs: WeightCoefficients) -> float:
+def edge_weight(switch: SwitchProfile, coeffs: WeightCoefficients) -> float:
     """alpha*(remaining/capacity) + beta*(tx_rate/capacity) - gamma*loss_rate.
 
-    The weight depends on the switch alone, never on ``flow``; the search
-    and its bounds rely on that.  ``flow`` stays in the public
-    signature, which the tests call and ``perfbench/child.py`` wraps by name.
+    The weight depends on the switch alone, so placing any flow on the
+    switch earns it; the search and its bounds rely on that.
     """
     cap = switch.service_capacity
     return (
@@ -58,9 +57,8 @@ class OffloadGraph:
     """Flows and switches with one budget and one weight per switch.
 
     ``budgets[j]`` is how much demand switch j may still take on and
-    ``weights[j]`` is what placing any flow there earns (empty when there
-    are no flows).  Flow i may use switch j only when its rate fits
-    ``budgets[j]`` (:meth:`fits`).
+    ``weights[j]`` is what placing any flow there earns.  Flow i may use
+    switch j only when its rate fits ``budgets[j]`` (:meth:`fits`).
     """
 
     flows: list[Flow]
@@ -78,8 +76,7 @@ def build_offload_graph(
     coeffs: WeightCoefficients = WeightCoefficients(),
     budgets: Optional[Sequence[float]] = None,
 ) -> OffloadGraph:
-    """Price every switch once; any flow stands for all, as the weight
-    reads the switch alone."""
+    """Price every switch once, as the weight reads the switch alone."""
     flows = list(flows)
     switches = list(switches)
     if budgets is None:
@@ -87,7 +84,7 @@ def build_offload_graph(
     budgets = [float(b) for b in budgets]
     if len(budgets) != len(switches):
         raise ValueError("one budget per switch required")
-    weights = [edge_weight(flows[0], sw, coeffs) for sw in switches] if flows else []
+    weights = [edge_weight(sw, coeffs) for sw in switches]
     return OffloadGraph(flows=flows, switches=switches, budgets=budgets, weights=weights)
 
 

@@ -73,9 +73,8 @@ def small_scenario(**overrides) -> Scenario:
 
 def hold_delivery(engine: Engine, time_us: int, di: int) -> None:
     """Hold a 4096-bit delivery of device ``di`` due at ``time_us``, as the
-    data plane does, on the device's slice."""
-    rt = engine.dev[di]
-    engine.dp.slice_of[di] = SLICE_ORDER.index(rt.decided or rt.claimed)
+    data plane does, on the device's decided slice."""
+    engine.dp.slice_of[di] = SLICE_ORDER.index(engine.decided[di])
     engine.dp._hold(*(np.array([v]) for v in (time_us, OK, 0, di, 4096, 1500)))
 
 
@@ -85,17 +84,17 @@ def place(engine: Engine, di: int, sw_id: str) -> None:
     engine.dp.place(di, engine.switch_index[sw_id])
 
 
-def enrolled(engine: Engine, rt) -> bool:
-    """Whether set-up enrolled device ``rt``: every device but the forged ones."""
-    return engine.vap.holder_of(rt.device.device_id) is not None
+def enrolled(engine: Engine, device_id: str) -> bool:
+    """Whether set-up enrolled ``device_id``: every device but the forged ones."""
+    return engine.vap.holder_of(device_id) is not None
 
 
 def start_transmits(engine: Engine, di: int, first_us: int) -> None:
     """Start device ``di``'s packets at ``first_us``, as allocation does:
-    with its flow's protocol and on its slice."""
-    rt = engine.dev[di]
-    reliable = rt.flow.protocol is Protocol.RELIABLE_STREAM
-    engine.dp.start(di, first_us, reliable, SLICE_ORDER.index(rt.decided or rt.claimed))
+    with its decided slice's protocol and on that slice."""
+    decided = engine.decided[di]
+    reliable = engine.sc.protocol(decided) is Protocol.RELIABLE_STREAM
+    engine.dp.start(di, first_us, reliable, SLICE_ORDER.index(decided))
 
 
 class Lines(list):
@@ -132,7 +131,7 @@ class ScalarDataPlane(DataPlane):
     (time, kind, packet) order.  It is the reference that the batched data
     plane must match exactly.  Each outcome's trace row is its own f-string
     of the time in seconds, and its own sink call, with the slice and switch
-    taken from the engine's devices and switches (``engine``, given once the
+    taken from the engine's decisions and switches (``engine``, given once the
     engine is built; see :func:`scalar_data_plane`).  Its detection window
     counts arrivals per (switch, device, size) and per (switch, inter-arrival
     bin), in arrays of its own, and :meth:`close_window` reduces those."""
@@ -261,12 +260,11 @@ class ScalarDataPlane(DataPlane):
             c.dropped += 1
             c.blocked += code == QUARANTINED
         if self.trace_sink is not None:
-            rt = self.engine.dev[d]
             kind = "deliver" if code == OK else "drop"
             reason = {OK: "ok", LOSS: "loss", OVERFLOW: "overflow"}.get(code, "quarantined")
             j = self.sw_of[d]
             switch_id = self.engine.switches[j].switch_id if j >= 0 else ""
-            tag = f"{rt.device.device_id},{(rt.decided or rt.claimed).slice_id},{switch_id}"
+            tag = f"{self.device_ids[d]},{self.engine.decided[d].slice_id},{switch_id}"
             self.trace_sink(f"{time_us / 1e6:.6f},{kind},{tag},{reason}\n")
 
 
@@ -389,23 +387,24 @@ class TestDeviceRegistration:
         engine = Engine(sc)
         engine.run()
         monkeypatch.undo()
-        registered = [rt for rt in engine.dev if enrolled(engine, rt)]
-        assert 0 < len(registered) < len(engine.dev)
+        registered = [d for d in engine.device_ids if enrolled(engine, d)]
+        assert 0 < len(registered) < len(engine.device_ids)
 
         rng_puf = RngHub(sc.seed).substream("puf")
         pool = auth_mod.VirtualAuthorityPool()
-        for rt in engine.dev:
+        for device_id in engine.device_ids:
             puf = auth_mod.SimulatedPuf(bytes(rng_puf.integers(0, 256, size=32, dtype=np.uint8)))
-            if enrolled(engine, rt):
-                va = pool.authority_for(rt.device.device_id)
-                auth_mod.register_device(va, rt.device.device_id, rt.password, puf, rng_puf)
+            if enrolled(engine, device_id):
+                va = pool.authority_for(device_id)
+                auth_mod.register_device(va, device_id, f"pw-{device_id}".encode(), puf, rng_puf)
         assert engine.vap.authorities == pool.authorities
         params = []
-        for rt in registered:
-            record = engine.vap.holder_of(rt.device.device_id).registered[rt.device.device_id]
+        for device_id in registered:
+            record = engine.vap.holder_of(device_id).registered[device_id]
             assert record.derived_key == auth_mod.derive_key(record.params)
             # every device presents the password it enrolled with
-            assert replace(record.params, password=rt.password) == record.params
+            presented = engine_mod._password(device_id)
+            assert replace(record.params, password=presented) == record.params
             params.append(record.params)
         # one derivation per enrolled device, in device order: each presented
         # input is its record's, so none is derived twice
@@ -415,21 +414,23 @@ class TestDeviceRegistration:
         engine = Engine(self.scenario())
         # set-up stored every record before the first event: all but the
         # forged devices', a half of the illegitimate half
-        unenrolled = [rt for rt in engine.dev if not enrolled(engine, rt)]
+        unenrolled = [d for d in engine.device_ids if not enrolled(engine, d)]
         assert len(unenrolled) == 3
-        assert not any(rt.device.legitimate for rt in unenrolled)
+        # the forged devices and the flooders make up the illegitimate half;
+        # an illegitimate device claims mMTC
+        assert len(unenrolled) + engine.dp.floods.sum() == 6
+        for d in unenrolled:
+            di = engine.index_of[d]
+            assert engine.claimed[di] is ServiceType.MMTC and not engine.dp.floods[di]
 
     def test_keys_derived_on_the_main_thread_with_a_supplied_model(self, monkeypatch):
         calls = spy_derive_key(monkeypatch)
         engine = Engine(self.scenario(), model=tiny_model())
         assert engine.loss_curve is None
-        registered = [rt for rt in engine.dev if enrolled(engine, rt)]
+        registered = [d for d in engine.device_ids if enrolled(engine, d)]
         assert registered
         # one derivation per enrolled device, in device order
-        assert calls == [
-            engine.vap.holder_of(rt.device.device_id).registered[rt.device.device_id].params
-            for rt in registered
-        ]
+        assert calls == [engine.vap.holder_of(d).registered[d].params for d in registered]
 
     def test_one_register_device_call_per_enrolled_device(self, monkeypatch):
         register, registered = auth_mod.register_device, []
@@ -442,7 +443,7 @@ class TestDeviceRegistration:
         calls = spy_derive_key(monkeypatch)
         engine = Engine(self.scenario())
         engine.run()
-        ids = [rt.device.device_id for rt in engine.dev if enrolled(engine, rt)]
+        ids = [d for d in engine.device_ids if enrolled(engine, d)]
         # 12 devices, 3 of them forged, registered in device order
         assert registered == ids and len(ids) == 9
         # each record's input derived once, by its registration; the run
@@ -527,7 +528,7 @@ class TestDeviceRegistration:
             engine.step_event(heapq.heappop(engine.heap))
         report = engine.collect_metrics()
         assert report.auth_accepted > 0
-        assert len(calls) == derived == sum(enrolled(engine, rt) for rt in engine.dev)
+        assert len(calls) == derived == sum(enrolled(engine, d) for d in engine.device_ids)
 
     def test_every_auth_past_the_horizon(self, monkeypatch):
         # No AUTH event runs; set-up derives each enrolled device's one
@@ -536,7 +537,7 @@ class TestDeviceRegistration:
         engine = Engine(self.scenario(auth_delay=100.0))
         report = engine.run()
         assert report.auth_accepted == report.auth_rejected == 0
-        n_registered = sum(enrolled(engine, rt) for rt in engine.dev)
+        n_registered = sum(enrolled(engine, d) for d in engine.device_ids)
         assert len(calls) == n_registered
 
     @pytest.mark.parametrize("supplied", [False, True], ids=["trained", "supplied"])
@@ -578,12 +579,11 @@ class TestAuthentication:
         rejected = [row for row in trace if ",auth," in row and ",rejected:" in row]
         assert len(rejected) == report.auth_rejected == 1
         assert rejected[0].endswith(",auth,d0005,,,rejected:bad_key")
-        rt = engine.dev_by_id["d0005"]
         record = engine.vap.holder_of("d0005").registered["d0005"]
         assert record.params.password == b"another password"
         # each record's input in device order, then d0005's presented one
-        records = [engine.vap.holder_of(d).registered[d].params for d in engine.dev_by_id]
-        assert calls == records + [replace(record.params, password=rt.password)]
+        records = [engine.vap.holder_of(d).registered[d].params for d in engine.device_ids]
+        assert calls == records + [replace(record.params, password=b"pw-d0005")]
 
     def test_unknown_device_adds_no_authority(self):
         # 125 devices fill the first authority; the one forged device, never
@@ -596,10 +596,12 @@ class TestAuthentication:
         trace = Lines()
         engine = Engine(scenario, trace_sink=trace)
         engine.run()
-        forged = [rt.device.device_id for rt in engine.dev if not enrolled(engine, rt)]
+        forged = [d for d in engine.device_ids if not enrolled(engine, d)]
         assert len(forged) == 1
         assert [(va.va_id, len(va.registered)) for va in engine.vap.authorities] == [("VA0", 125)]
-        assert not engine.dev_by_id[forged[0]].device.legitimate
+        # illegitimate, and not a flooder: it claims mMTC and floods not
+        di = engine.index_of[forged[0]]
+        assert engine.claimed[di] is ServiceType.MMTC and not engine.dp.floods[di]
         assert any(row.endswith(f",auth,{forged[0]},,,rejected:unknown_device") for row in trace)
 
 
@@ -617,8 +619,7 @@ class TestPipelineSteps:
 
     def test_deliver_increments_exactly_one_slice(self):
         engine = self.make_engine()
-        rt = engine.dev[0]
-        rt.decided = ServiceType.URLLC
+        engine.decided[0] = ServiceType.URLLC
         place(engine, 0, "SW0")
         before = {st: engine.counters[st].delivered for st in ServiceType}
         engine.counters[ServiceType.URLLC].in_flight += 1
@@ -630,10 +631,8 @@ class TestPipelineSteps:
 
     def test_transmit_on_blocked_source_emits_drop(self):
         engine = self.make_engine()
-        rt = engine.dev[1]
-        rt.decided = ServiceType.MMTC
+        engine.decided[1] = ServiceType.MMTC
         engine.dp.quarantine(1)
-        rt.flow = engine._make_flow(rt, ServiceType.MMTC)
         place(engine, 1, "SW0")
         engine.heap.clear()
         start_transmits(engine, 1, engine.clock_us)
@@ -652,6 +651,57 @@ class TestPipelineSteps:
         engine.clock_us = 1000
         with pytest.raises(InvariantViolation):
             engine.step_event((500, TRANSMIT, 0, (0, False, 0)))
+
+
+class TestDecisionLeavingTheClaim:
+    def test_device_decided_urllc_is_served_on_s2_reliably(self, monkeypatch):
+        # The first eMBB claimant to be decided is decided URLLC.  Every packet
+        # is lost, so each outcome is a drop: at the send time on a datagram
+        # slice, a retransmit delay later on reliable-stream URLLC, which sends
+        # a lost packet again.  The delay exceeds the packet interval, and
+        # with it the phase of a device's first packet.
+        select_slice, calls, moved = engine_mod.sn_mod.select_slice, [], []
+
+        def decide_one_embb_claim_urllc(model, features):
+            decision = select_slice(model, features)
+            if features.service_type is ServiceType.EMBB and not moved:
+                moved.append(len(calls))
+                decision = replace(decision, service=ServiceType.URLLC)
+            calls.append(decision.service)
+            return decision
+
+        monkeypatch.setattr(engine_mod.sn_mod, "select_slice", decide_one_embb_claim_urllc)
+        sc = small_scenario(
+            devices=12, duration=5.0, illegitimate_fraction=0.0, ddos_enabled=False,
+            demand_embb=4, demand_urllc=2, demand_mmtc=3,
+            switch_loss_rate=1.0, packet_interval=0.1, retransmit_delay=0.25,
+        )
+        trace = Lines()
+        engine = Engine(sc, trace_sink=trace, model=tiny_model())
+        engine.run()
+        rows = [row.split(",") for row in trace[1:]]
+        decided = [cells for cells in rows if cells[1] == "slice_decide"]
+        assert [cells[3] for cells in decided] == [service.slice_id for service in calls]
+        device = decided[moved[0]][2]
+        assert [c[3] for c in rows if c[1] == "auth" and c[2] == device] == ["S1"]
+
+        allocated = {c[2]: (float(c[0]), c[3]) for c in rows if c[1] == "allocate"}
+        assert allocated[device][1] == "S2"
+        outcomes = [c for c in rows if c[1] in ("deliver", "drop")]
+        mine = [c for c in outcomes if c[2] == device]
+        assert mine and {(c[1], c[3], c[5]) for c in mine} == {("drop", "S2", "loss")}
+        # S2's counters hold every S2 outcome, the device's among them
+        s2 = engine.counters[ServiceType.URLLC]
+        assert s2.sent == s2.dropped == sum(cells[3] == "S2" for cells in outcomes)
+
+        first_drop = {}
+        for cells in outcomes:
+            first_drop.setdefault(cells[2], float(cells[0]))
+        assert first_drop[device] - allocated[device][0] >= sc.retransmit_delay
+        datagram = [d for d, (_, sl) in allocated.items() if sl == "S1" and d in first_drop]
+        assert datagram
+        for d in datagram:
+            assert first_drop[d] - allocated[d][0] < sc.packet_interval
 
 
 class TestConservationAndAttribution:
@@ -712,17 +762,13 @@ class TestDetectionIntegration:
             for cells in (row.split(",") for row in trace[1:])
             if cells[1] == "allocate" and cells[5] in ("granted", "unroutable")
         }
-        flooders = {
-            rt.device.device_id
-            for rt in engine.dev
-            if not rt.device.legitimate and enrolled(engine, rt) and rt.device.device_id in granted
-        }
+        # the illegitimate devices: the enrolled ones flood, the others are forged
+        floods = {d for d, f in zip(engine.device_ids, engine.dp.floods) if f}
+        flooders = floods & granted
         assert flooders
-        quarantined = {
-            rt.device.device_id for rt in engine.dev if engine.dp.is_quarantined[rt.index]
-        }
-        assert quarantined <= flooders | {
-            rt.device.device_id for rt in engine.dev if not rt.device.legitimate
+        quarantined = {d for d, q in zip(engine.device_ids, engine.dp.is_quarantined) if q}
+        assert quarantined <= flooders | floods | {
+            d for d in engine.device_ids if not enrolled(engine, d)
         }
         assert report.quarantined_sources >= 1
 
@@ -804,7 +850,7 @@ class TestDetectionIntegration:
         shapes = [a.shape for a in (dp.win_sent, dp.win_sizes, dp.win_gaps)]
         engine.run()
         assert dp.generated > 1000
-        n_sw, n_dev = len(engine.switches), len(engine.dev)
+        n_sw, n_dev = len(engine.switches), len(engine.device_ids)
         assert shapes == [(n_dev,), (n_sw, 3), (n_sw, 16)]
         assert [a.shape for a in (dp.win_sent, dp.win_sizes, dp.win_gaps)] == shapes
         # at most one count per move for the switches devices left
@@ -844,30 +890,26 @@ class TestPlacement:
             )
         )
         assert engine.sc.nominal_flow_rate == 40960.0
-        for rt in engine.dev:
-            rt.flow = engine._make_flow(rt, rt.claimed)
-        assert [engine._assign_switch(engine.dev[di]) for di in (0, 1)] == [0, 1]
+        assert [engine._assign_switch(di) for di in (0, 1)] == [0, 1]
         place(engine, 0, "SW1")
-        assert [engine._assign_switch(engine.dev[di]) for di in (2, 3, 4)] == [0, 0, None]
+        assert [engine._assign_switch(di) for di in (2, 3, 4)] == [0, 0, None]
         assert engine.dp.sw_of.tolist() == [1, 1, 0, 0, -1, -1]
 
     def test_each_flow_count_weighed_once(self, monkeypatch):
         # Switches with as many devices weigh the same; placement weighs each
         # distinct count among the switches with room once.
         engine = Engine(small_scenario(devices=8, switches=4, train_samples=60, epochs=1))
-        for rt in engine.dev:
-            rt.flow = engine._make_flow(rt, rt.claimed)
         for di, j in ((0, 0), (1, 0), (2, 2)):
             engine.dp.place(di, j)
         weighed = []
         edge_weight = engine_mod.off_mod.edge_weight
 
-        def spy(flow, switch, coeffs):
+        def spy(switch, coeffs):
             weighed.append(switch.current_load)
-            return edge_weight(flow, switch, coeffs)
+            return edge_weight(switch, coeffs)
 
         monkeypatch.setattr(engine_mod.off_mod, "edge_weight", spy)
-        assert engine._assign_switch(engine.dev[3]) == 1
+        assert engine._assign_switch(3) == 1
         assert sorted(weighed) == [0.0, 40960.0, 2 * 40960.0]
 
 
@@ -907,16 +949,15 @@ class TestRebalanceIntegration:
             for cells in (row.split(",") for row in trace[1:])
             if cells[1] == "allocate" and cells[5] == "granted"
         }
-        device_of = {rt.flow.flow_id: rt.device.device_id for rt in engine.dev if rt.flow}
         assert len(migrations) > 10
         for _, flow_id, from_switch, to_switch, _ in (row.split(",") for row in migrations[1:]):
-            device = device_of[flow_id]
+            device = flow_id.removesuffix("-f")
             assert placed[device] == from_switch
             placed[device] = to_switch
         assert placed == {
-            rt.device.device_id: engine.switches[engine.dp.sw_of[rt.index]].switch_id
-            for rt in engine.dev
-            if engine.dp.sw_of[rt.index] >= 0
+            d: engine.switches[j].switch_id
+            for d, j in zip(engine.device_ids, engine.dp.sw_of.tolist())
+            if j >= 0
         }
 
 
@@ -1084,11 +1125,11 @@ class TestOutcomeOrdering:
     def test_delivery_at_quarantining_window_close(self, delay_us, delivered):
         engine = Engine(small_scenario(devices=12, duration=5.0, train_samples=60, epochs=1))
         engine.heap.clear()
-        rt = engine.dev[0]
+        engine.decided[0] = engine.claimed[0]
         j = engine.switch_index["SW0"]
         for di in range(10):
             place(engine, di, "SW0")
-        c = engine.counters[rt.claimed]
+        c = engine.counters[engine.decided[0]]
         close_us = 2_000_000
         c.sent += 1
         c.in_flight += 1
@@ -1125,8 +1166,7 @@ class TestOutcomeOrdering:
         # The lower-numbered device goes to the higher-numbered switch, so
         # applying deliveries switch by switch would put it second.
         for di, sw_id in ((0, "SW1"), (1, "SW0")):
-            rt = engine.dev[di]
-            rt.flow = engine._make_flow(rt, rt.claimed)
+            engine.decided[di] = engine.claimed[di]
             place(engine, di, sw_id)
             start_transmits(engine, di, engine.clock_us)
         engine.dp.run(engine.clock_us + 1)
@@ -1143,9 +1183,7 @@ class TestOutcomeOrdering:
         trace = Lines()
         engine = lossless_engine(trace, retransmit_delay=0.02)
         for di in (0, 1, 2):
-            rt = engine.dev[di]
-            rt.decided = ServiceType.URLLC  # reliable: a lost packet is sent again
-            rt.flow = engine._make_flow(rt, rt.decided)
+            engine.decided[di] = ServiceType.URLLC  # reliable: a lost packet is sent again
             place(engine, di, "SW0")
         engine.clock_us = first = 1_000_000
         engine.dp.loss_rate = 1.0
@@ -1166,8 +1204,9 @@ class TestOutcomeOrdering:
         trace = Lines()
         engine = lossless_engine(trace)
         for di in (0, 1):
+            engine.decided[di] = engine.claimed[di]
             place(engine, di, "SW0")
-            engine.counters[engine.dev[di].claimed].in_flight += 1
+            engine.counters[engine.decided[di]].in_flight += 1
         hold_delivery(engine, 2_000_000, 0)
         # the drop's packet sorts first, but deliveries go before drops
         engine.dp._hold(*(np.array([v]) for v in (2_000_000, LOSS, -1, 1, 0, 0)))
@@ -1178,8 +1217,7 @@ class TestOutcomeOrdering:
     def test_migrated_device_delivery_on_old_lane_applied_in_time_order(self, old_backlog_us):
         trace = Lines()
         engine = lossless_engine(trace)
-        rt = engine.dev[0]
-        rt.flow = engine._make_flow(rt, rt.claimed)
+        decided = engine.decided[0] = engine.claimed[0]
         engine.clock_us = 1_000_000
         engine.dp.busy_us[engine.switch_index["SW0"]] = engine.clock_us + old_backlog_us
         place(engine, 0, "SW0")
@@ -1193,8 +1231,8 @@ class TestOutcomeOrdering:
         times = [f"{t / 1e6:.6f}" for t in sorted((first, second))]
         assert self.delivery_rows(trace) == [(t, "d0000") for t in times]
         # both rows name the device's slice and switch when they are applied
-        assert [row.split(",")[3:] for row in trace[1:]] == [[rt.claimed.slice_id, "SW1", "ok"]] * 2
-        assert engine.counters[rt.claimed].delivered == 2
+        assert [row.split(",")[3:] for row in trace[1:]] == [[decided.slice_id, "SW1", "ok"]] * 2
+        assert engine.counters[decided].delivered == 2
 
     def test_no_outcome_due_is_held_after_a_reader(self):
         # With a trace, every kind but slots and ticks reads the data plane.
@@ -1251,8 +1289,10 @@ class TestDataPlaneBoundary:
 
     @staticmethod
     def start(engine: Engine, di: int, first_us: int, sw_id: str = "SW0") -> None:
-        rt = engine.dev[di]
-        rt.flow = engine._make_flow(rt, rt.decided or rt.claimed)
+        """Place device ``di`` and start its packets, on the slice it claimed
+        unless a decision was set."""
+        if engine.decided[di] is None:
+            engine.decided[di] = engine.claimed[di]
         place(engine, di, sw_id)
         start_transmits(engine, di, first_us)
 
@@ -1329,14 +1369,13 @@ class TestDataPlaneBoundary:
     def test_retransmit_rounding_to_no_time_runs_in_the_same_advance(self):
         engine = lossless_engine(Lines(), retransmit_delay=4e-7)
         assert engine.dp.retransmit_delay_us == 0
-        rt = engine.dev[0]
         # a reliable-stream slice retransmits a lost packet once
-        rt.decided = ServiceType.URLLC
+        engine.decided[0] = ServiceType.URLLC
         engine.dp.loss_rate = 1.0
         now = 1_000_000
         self.start(engine, 0, now)
         engine.step_event((now, WINDOW_CLOSE, 0, None))
-        c = engine.counters[rt.decided]
+        c = engine.counters[engine.decided[0]]
         assert (c.sent, c.dropped, c.in_flight) == (1, 1, 0)
         assert engine.dp.retransmits == []
         assert engine.dp.next_us[0] == now + engine.dp.packet_interval_us
@@ -1398,13 +1437,12 @@ class TestDataPlaneBoundary:
         assert not any(hasattr(x, "interval_counts") for x in (engine, engine.dp))
         assert not hasattr(engine.dp, "win_counts")
         # each device's bits and packets, not a (switch, device, size) array
-        assert engine.dp.interval_bits.shape == (len(engine.dev),)
-        assert engine.dp.win_sent.shape == (len(engine.dev),)
+        assert engine.dp.interval_bits.shape == (len(engine.device_ids),)
+        assert engine.dp.win_sent.shape == (len(engine.device_ids),)
 
     def test_start_before_packets_already_run_is_fatal(self):
         engine = lossless_engine(Lines())
-        rt = engine.dev[0]
-        rt.flow = engine._make_flow(rt, rt.claimed)
+        engine.decided[0] = engine.claimed[0]
         engine.dp.run(1_000_000)
         with pytest.raises(InvariantViolation, match="packets ran to 1000000"):
             start_transmits(engine, 0, 999_999)
@@ -1500,7 +1538,7 @@ class TestTraceRows:
         engine.dp._apply_outcomes(math.inf)
         assert trace.writes == 1  # nothing held, nothing written
         for di, service in enumerate(SLICE_ORDER):
-            engine.dev[di].decided = service
+            engine.decided[di] = service
             hold_delivery(engine, 1_000_000 + di, di)
         place(engine, 1, "SW1")
         engine.dp._apply_outcomes(math.inf)

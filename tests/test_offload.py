@@ -139,22 +139,20 @@ def assert_within_budgets(graph, result):
 
 class TestEdgeWeight:
     def test_loss_penalty_strict(self):
-        flow = make_flow(0)
         lossless = make_switch(0, loss=0.0)
         lossy = make_switch(1, loss=1.0)
         coeffs = WeightCoefficients()
-        assert edge_weight(flow, lossy, coeffs) < edge_weight(flow, lossless, coeffs)
+        assert edge_weight(lossy, coeffs) < edge_weight(lossless, coeffs)
 
     def test_fully_loaded_unit_weight(self):
         # remaining 0, tx = capacity, loss 0 -> 0 + 1 - 0
         sw = make_switch(0, capacity=5.0, tx=5.0, loss=0.0, load=5.0)
-        assert edge_weight(make_flow(0), sw, WeightCoefficients()) == pytest.approx(1.0)
+        assert edge_weight(sw, WeightCoefficients()) == pytest.approx(1.0)
 
     def test_monotone_in_remaining_capacity(self):
-        flow = make_flow(0)
         coeffs = WeightCoefficients()
         weights = [
-            edge_weight(flow, make_switch(0, capacity=10.0, load=load), coeffs)
+            edge_weight(make_switch(0, capacity=10.0, load=load), coeffs)
             for load in (8.0, 4.0, 0.0)
         ]
         assert weights[0] < weights[1] < weights[2]

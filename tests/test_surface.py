@@ -5,7 +5,9 @@ has a docstring.  Every other public top-level function or class of the
 plane is taken by another ``ts3ra`` module, so no entry point that only
 tests call can sit in the package.
 
-The three services' order and per-service tables live in ``domain`` only.
+The three services' order and per-service tables live in ``domain`` only,
+and every module but the package's ``__init__`` reads each name it imports
+at top level.
 """
 
 import ast
@@ -81,6 +83,28 @@ def test_unlisted_public_names_serve_the_package(module):
     listed = importlib.import_module(f"ts3ra.{module}").__all__
     unlisted = {name for name in top_level_defs(module) if not name.startswith("_")} - set(listed)
     assert sorted(unlisted - names_taken_from(module)) == []
+
+
+def unread_imports(module: str) -> list[str]:
+    """Names that ``module`` imports at top level and never reads."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    imported = [
+        (alias.asname or alias.name).split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in read]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
+)
+def test_every_top_level_import_is_read(module):
+    # The package's ``__init__`` imports names only to re-export them.
+    assert unread_imports(module) == []
 
 
 def service_displays(module: str) -> list[int]:
