@@ -10,7 +10,6 @@ plus CLI tying them together.
 __version__ = "0.1.0"
 
 from .domain import (  # noqa: F401
-    Device,
     Flow,
     Protocol,
     QoSProfile,

@@ -183,7 +183,6 @@ class RegistrationRecord:
 class VirtualAuthority:
     """One elastic authentication worker: CRP store plus registrations."""
 
-    va_id: str
     crp_store: dict[str, dict[bytes, bytes]] = field(default_factory=dict)
     registered: dict[str, RegistrationRecord] = field(default_factory=dict)
 
@@ -307,7 +306,7 @@ class VirtualAuthorityPool:
 
     def _ensure_size(self, n: int) -> None:
         while len(self.authorities) < n:
-            self.authorities.append(VirtualAuthority(va_id=f"VA{len(self.authorities)}"))
+            self.authorities.append(VirtualAuthority())
 
     def holder_of(self, device_id: str) -> Optional[VirtualAuthority]:
         """The authority ``device_id`` was assigned, or None; assigns nothing."""

@@ -137,12 +137,7 @@ class EntropyReport:
     h_source: float
     h_interarrival: float
     h_size: float
-    alpha: float
     verdict: str
-
-    def __post_init__(self):
-        if self.alpha <= 0 or self.alpha == 1.0:
-            raise ValueError("alpha must be > 0 and != 1")
 
 
 # An empty inter-arrival or size profile counts as one certain outcome.
@@ -165,12 +160,11 @@ def window_entropies(
 
 @dataclass
 class BaselineStats:
-    """Mean/stddev of each entropy over a set of benign windows."""
+    """Mean/stddev of the source and size entropies over a set of benign
+    windows, the two that :func:`classify_window` judges."""
 
     mean_source: float
     std_source: float
-    mean_interarrival: float
-    std_interarrival: float
     mean_size: float
     std_size: float
     n_windows: int
@@ -179,14 +173,16 @@ class BaselineStats:
     def from_triples(
         cls, triples: Sequence[tuple[float, float, float]]
     ) -> "BaselineStats":
-        """Statistics of (source, inter-arrival, size) entropy triples."""
+        """Source and size statistics of (source, inter-arrival, size)
+        entropy triples."""
         if len(triples) < MIN_BASELINE_WINDOWS:
             raise ValueError(
                 f"baseline needs at least {MIN_BASELINE_WINDOWS} benign windows"
             )
         n = len(triples)
+        sources, _, sizes = zip(*triples)
         stats = []
-        for col in zip(*triples):
+        for col in (sources, sizes):
             m = math.fsum(col) / n
             stats += [m, math.sqrt(math.fsum((x - m) ** 2 for x in col) / n)]
         return cls(*stats, n_windows=n)
@@ -207,14 +203,12 @@ def classify_window(
         raise ValueError("baseline too small to classify against")
     h_src, h_ia, h_size = window_entropies(window, alpha)
     if window.packet_count < min_packets:
-        return EntropyReport(h_src, h_ia, h_size, alpha, VERDICT_INCONCLUSIVE)
+        return EntropyReport(h_src, h_ia, h_size, VERDICT_INCONCLUSIVE)
 
     src_floor = baseline.mean_source - k_sigma * max(baseline.std_source, _SIGMA_FLOOR)
     size_floor = baseline.mean_size - k_sigma * max(baseline.std_size, _SIGMA_FLOOR)
     attack = h_src < src_floor or h_size < size_floor
-    return EntropyReport(
-        h_src, h_ia, h_size, alpha, VERDICT_ATTACK if attack else VERDICT_BENIGN
-    )
+    return EntropyReport(h_src, h_ia, h_size, VERDICT_ATTACK if attack else VERDICT_BENIGN)
 
 
 @dataclass(frozen=True)

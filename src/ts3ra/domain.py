@@ -1,14 +1,14 @@
 """Shared vocabulary of the simulated network.
 
 Service classes, QoS profiles, SLA ratios and their fairness aggregate,
-plus the value objects (devices, flows, switches, slice requests) every
-other plane consumes.  All types are immutable; all operations are pure.
+plus the value objects (flows, switches, slice requests) every other
+plane consumes.  All types are immutable; all operations are pure.
 """
 
 from __future__ import annotations
 
 __all__ = [
-    "Device", "Flow", "Protocol", "QoSMeasurement", "QoSProfile", "SLICE_ORDER", "SLICE_VALUES",
+    "Flow", "Protocol", "QoSMeasurement", "QoSProfile", "SLICE_ORDER", "SLICE_VALUES",
     "ServiceType", "SlaRatios", "SliceRequest", "SwitchProfile", "compute_sla_ratios",
     "fairness_weight", "qos_profile_of", "stable_imsi",
 ]
@@ -70,10 +70,8 @@ class QoSProfile:
     """
 
     min_bandwidth: float
-    peak_throughput: Optional[float] = None
     latency_bound: Optional[float] = None
     reliability: Optional[float] = None
-    connection_density: Optional[int] = None
 
     def __post_init__(self):
         if self.min_bandwidth <= 0:
@@ -85,19 +83,13 @@ class QoSProfile:
 
 
 _QOS_PROFILES = {
-    ServiceType.EMBB: QoSProfile(
-        min_bandwidth=100e3,
-        peak_throughput=20e9,
-    ),
+    ServiceType.EMBB: QoSProfile(min_bandwidth=100e3),
     ServiceType.URLLC: QoSProfile(
         min_bandwidth=100e3,
         latency_bound=1e-3,
         reliability=1.0 - 1e-9,
     ),
-    ServiceType.MMTC: QoSProfile(
-        min_bandwidth=25e3,
-        connection_density=1_000_000,
-    ),
+    ServiceType.MMTC: QoSProfile(min_bandwidth=25e3),
 }
 
 
@@ -148,7 +140,6 @@ class QoSMeasurement:
     response_time: float
     throughput: float
     reliability: float
-    degenerate: bool = False
 
 
 # Response-time target used when a class declares no latency bound.
@@ -202,24 +193,6 @@ def stable_imsi(subscriber: str) -> int:
 
 
 @dataclass(frozen=True)
-class Device:
-    """One user device: identity, speed, and ground truth.
-
-    ``legitimate`` is evaluation-only ground truth; no component other than
-    the metrics collector may branch on it.
-    """
-
-    device_id: str
-    imsi: int
-    speed: float
-    legitimate: bool = True
-
-    def __post_init__(self):
-        if self.speed < 0:
-            raise ValueError("speed must be >= 0")
-
-
-@dataclass(frozen=True)
 class SliceRequest:
     """A device's demand for slice service."""
 
@@ -227,8 +200,6 @@ class SliceRequest:
     service_type: ServiceType
     demand_slots: int
     fair_sla: float
-    slice_capacity_hint: float
-    arrival_time: float
 
     def __post_init__(self):
         if self.demand_slots < 1:

@@ -316,7 +316,6 @@ class Engine:
         # scheduler
         self.qconfig = sc.scheduler_config()
         self.qstate = sched_mod.DualQueueState()
-        self.sched_active = False
         self.slot_us = to_us(sc.slot_duration)
 
         if model is not None:
@@ -462,11 +461,11 @@ class Engine:
             service_type=service,
             demand_slots=self.sc.demand_slots(service),
             fair_sla=float(self.fair_slas[di]),
-            slice_capacity_hint=self.pool_initial[service],
-            arrival_time=self.arrival_us[di] / 1e6,
         )
         # The AP classifies on the requested flow's parameters.
         cls = sched_mod.classify_flow(self._make_flow(di, service, self.sc.nominal_flow_rate))
+        # A slot is pending exactly while the server is not idle.
+        was_idle = self.qstate.phase == sched_mod.GAMMA_IDLE
         accepted = sched_mod.enqueue(self.qstate, request, cls, self.qconfig)
         self._trace(
             AUTH,
@@ -479,8 +478,7 @@ class Engine:
             self.queue_dropped += 1
             self.unfinished -= 1
             return
-        if not self.sched_active:
-            self.sched_active = True
+        if was_idle:
             self._push(self.clock_us + self.slot_us, SCHEDULE_SLOT, None)
 
     def _on_schedule_slot(self, _payload=None) -> None:
@@ -490,8 +488,6 @@ class Engine:
             self._push(decide_us, SLICE_DECIDE, self.index_of[request.origin])
         if self.qstate.n_in_system > 0 or self.qstate.phase == sched_mod.GAMMA_VACANT:
             self._push(self.clock_us + self.slot_us, SCHEDULE_SLOT, None)
-        else:
-            self.sched_active = False
 
     def _features_for(self, di: int) -> sn_mod.SliceFeatureVector:
         service = self.claimed[di]
@@ -768,7 +764,6 @@ class Engine:
             generated=self.dp.generated,
             migrations=self.migrations,
             rebalances=self.rebalances,
-            attack_windows_flagged=self.attack_windows,
             quarantined_sources=int(np.count_nonzero(self.dp.is_quarantined)),
         )
 

@@ -67,7 +67,6 @@ class MetricsReport:
     generated: int
     migrations: int
     rebalances: int
-    attack_windows_flagged: int
     quarantined_sources: int
 
     def to_csv_rows(self) -> list[str]:

@@ -123,7 +123,6 @@ class DualQueueState:
 
     hp: deque = field(default_factory=deque)
     lp: deque = field(default_factory=deque)
-    slot: int = 0
     phase: str = GAMMA_IDLE
     hp_exclusive: bool = False
     quantum_class: Optional[QueueClass] = None
@@ -204,30 +203,23 @@ def next_service_decision(
 
 @dataclass(frozen=True)
 class SlotResult:
-    """One slot's decision, its completions and the state it left."""
+    """One slot's decision and the requests it completed."""
 
-    slot: int
     decision: Decision
     completions: tuple[SliceRequest, ...]
-    hp_len: int
-    lp_len: int
-    gamma: int
 
 
 def step_slot(
     state: DualQueueState, config: SchedulerConfig, rng: np.random.Generator
 ) -> SlotResult:
     """Advance one slot: serve one step of the head request of the chosen class."""
-    state.slot += 1
     completions: list[SliceRequest] = []
 
     if state.phase == GAMMA_VACANT:
         # Cooldown slot after a drained busy period; no service happens.
         state.phase = GAMMA_BUSY if state.n_in_system else GAMMA_IDLE
         state.window_size = 0
-        return SlotResult(
-            state.slot, Decision.IDLE, (), len(state.hp), len(state.lp), state.gamma_code
-        )
+        return SlotResult(Decision.IDLE, ())
 
     if state.quantum_left > 0 and state.quantum_class is not None:
         committed = state.hp if state.quantum_class is QueueClass.HP else state.lp
@@ -247,9 +239,7 @@ def step_slot(
 
     if decision is Decision.IDLE:
         state.phase = GAMMA_IDLE if state.n_in_system == 0 else state.phase
-        return SlotResult(
-            state.slot, decision, (), len(state.hp), len(state.lp), state.gamma_code
-        )
+        return SlotResult(decision, ())
 
     state.phase = GAMMA_BUSY
     cls = QueueClass.HP if decision is Decision.SERVE_HP else QueueClass.LP
@@ -271,11 +261,4 @@ def step_slot(
                 state.phase = GAMMA_IDLE
                 state.window_size = 0
 
-    return SlotResult(
-        state.slot,
-        decision,
-        tuple(completions),
-        len(state.hp),
-        len(state.lp),
-        state.gamma_code,
-    )
+    return SlotResult(decision, tuple(completions))

@@ -84,7 +84,7 @@ def test_criterion_2_admission_gate():
         symbolic = int((not ((t and p) and (t or p))) and k)
         ok &= auth.boolean_gate_literal(t, p, k) == symbolic
     rng = np.random.default_rng(2)
-    va = auth.VirtualAuthority("VA0")
+    va = auth.VirtualAuthority()
     puf = auth.SimulatedPuf(b"\x07" * 32)
     auth.register_device(va, "dev", b"pw", puf, rng)
 
@@ -328,8 +328,6 @@ def test_criterion_8_scheduler():
                 service_type=ServiceType.MMTC,
                 demand_slots=int(arrival_rng.integers(1, 4)),
                 fair_sla=1.0,
-                slice_capacity_hint=1.0,
-                arrival_time=0.0,
             )
             sched.enqueue(state, request, cls, cfg)
         hp_before = len(state.hp)

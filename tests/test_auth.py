@@ -121,7 +121,7 @@ class TestBooleanGate:
 @pytest.fixture
 def enrolled():
     rng = np.random.default_rng(3)
-    va = VirtualAuthority("VA0")
+    va = VirtualAuthority()
     puf = SimulatedPuf(b"\x01" * 32)
     record = register_device(va, "dev-1", b"hunter2", puf, rng)
     return va, puf, record, rng
@@ -129,25 +129,25 @@ def enrolled():
 
 class TestPuf:
     def test_enroll_then_lookup(self):
-        va = VirtualAuthority("VA0")
+        va = VirtualAuthority()
         puf_enroll(va, PufChallengeResponse("d", b"c1", b"r1"))
         assert va.crp_store["d"][b"c1"] == b"r1"
 
     def test_enroll_idempotent(self):
-        va = VirtualAuthority("VA0")
+        va = VirtualAuthority()
         crp = PufChallengeResponse("d", b"c1", b"r1")
         puf_enroll(va, crp)
         puf_enroll(va, crp)
         assert len(va.crp_store["d"]) == 1
 
     def test_conflicting_response_is_tamper(self):
-        va = VirtualAuthority("VA0")
+        va = VirtualAuthority()
         puf_enroll(va, PufChallengeResponse("d", b"c1", b"r1"))
         with pytest.raises(TamperError):
             puf_enroll(va, PufChallengeResponse("d", b"c1", b"r2"))
 
     def test_store_monotone_under_enrolls(self):
-        va = VirtualAuthority("VA0")
+        va = VirtualAuthority()
         size = 0
         for i in range(20):
             puf_enroll(va, PufChallengeResponse("d", f"c{i}".encode(), b"r"))
@@ -195,9 +195,9 @@ class TestRegisterDevice:
 
     def test_equals_per_challenge_draws(self):
         puf = SimulatedPuf(b"\x02" * 32)
-        ref_va, ref_rng = VirtualAuthority("VA0"), np.random.default_rng(9)
+        ref_va, ref_rng = VirtualAuthority(), np.random.default_rng(9)
         per_challenge_registration(ref_va, "d", b"pw", puf, ref_rng)
-        va, rng = VirtualAuthority("VA0"), np.random.default_rng(9)
+        va, rng = VirtualAuthority(), np.random.default_rng(9)
         record = register_device(va, "d", b"pw", puf, rng)
         assert record == ref_va.registered["d"]
         assert va == ref_va
@@ -209,7 +209,7 @@ class TestRegisterDevice:
         def fail(params):
             raise RuntimeError("derivation failed")
 
-        va, puf = VirtualAuthority("VA0"), SimulatedPuf(b"\x03" * 32)
+        va, puf = VirtualAuthority(), SimulatedPuf(b"\x03" * 32)
         monkeypatch.setattr(auth_mod, "derive_key", fail)
         with pytest.raises(RuntimeError, match="derivation failed"):
             register_device(va, "d", b"pw", puf, np.random.default_rng(4))
@@ -306,7 +306,7 @@ class TestPresentedKey:
     def test_same_verdict_and_draws_as_the_password(self, password, timestamp, good_puf):
         def attempt(presented):
             rng = np.random.default_rng(5)
-            va, puf = VirtualAuthority("VA0"), SimulatedPuf(b"\x01" * 32)
+            va, puf = VirtualAuthority(), SimulatedPuf(b"\x01" * 32)
             register_device(va, "dev-1", b"hunter2", puf, rng)
             verdict = authenticate(
                 va, "dev-1", presented, timestamp=timestamp,

@@ -219,8 +219,7 @@ def numpy_baseline(triples):
     arr = np.asarray(triples)
     means, stds = arr.mean(axis=0), arr.std(axis=0)
     return BaselineStats(
-        float(means[0]), float(stds[0]), float(means[1]), float(stds[1]),
-        float(means[2]), float(stds[2]), len(triples),
+        float(means[0]), float(stds[0]), float(means[2]), float(stds[2]), len(triples)
     )
 
 

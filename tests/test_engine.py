@@ -598,7 +598,7 @@ class TestAuthentication:
         engine.run()
         forged = [d for d in engine.device_ids if not enrolled(engine, d)]
         assert len(forged) == 1
-        assert [(va.va_id, len(va.registered)) for va in engine.vap.authorities] == [("VA0", 125)]
+        assert [len(va.registered) for va in engine.vap.authorities] == [125]
         # illegitimate, and not a flooder: it claims mMTC and floods not
         di = engine.index_of[forged[0]]
         assert engine.claimed[di] is ServiceType.MMTC and not engine.dp.floods[di]
@@ -1282,6 +1282,68 @@ class TestHorizon:
         # The requests still queued are pending, not decided or allocated.
         assert engine.unfinished >= engine.qstate.n_in_system
         assert all(c.in_flight == 0 for c in engine.counters.values())
+
+
+class TestSlotScheduling:
+    """One SCHEDULE_SLOT is pending exactly while the scheduler is busy."""
+
+    @staticmethod
+    def step_through(engine: Engine) -> tuple[int, list[int]]:
+        """Run ``engine`` event by event, checking the pending slots around
+        each; returns the busy periods started and the slot times run."""
+        slot_us = engine.slot_us
+
+        def pending() -> list[int]:
+            return sorted(e[0] for e in engine.heap if e[1] == engine_mod.SCHEDULE_SLOT)
+
+        def admitted() -> int:
+            return sum(c.enqueued - c.dropped for c in engine.qstate.counters.values())
+
+        starts, slot_times = 0, []
+        while engine.heap:
+            event = heapq.heappop(engine.heap)
+            before, admitted_before = pending(), admitted()
+            was_idle = engine.qstate.phase == engine_mod.sched_mod.GAMMA_IDLE
+            engine.step_event(event)
+            after = pending()
+            assert len(after) <= 1
+            assert all(t <= engine.end_us for t in after)
+            if event[1] == engine_mod.SCHEDULE_SLOT:
+                slot_times.append(event[0])
+                assert after in ([], [event[0] + slot_us])
+            elif event[1] == AUTH and admitted() > admitted_before and not before:
+                # An accepted request on an idle server opens a busy period.
+                assert was_idle
+                starts += 1
+                assert after == ([event[0] + slot_us] if event[0] + slot_us <= engine.end_us else [])
+            else:
+                assert after == before
+        return starts, slot_times
+
+    def test_each_busy_period_starts_one_slot_after_its_auth(self):
+        engine = Engine(
+            small_scenario(
+                devices=12, duration=6.0, train_samples=60, epochs=1,
+                demand_embb=3, demand_urllc=2, demand_mmtc=2,
+            )
+        )
+        starts, _ = self.step_through(engine)
+        # The queues drained to idle between arrivals and restarted each time.
+        assert starts >= 3
+        assert engine.qstate.n_in_system == 0
+
+    def test_no_slot_is_pushed_past_the_horizon(self):
+        # Every request needs 10^4 slots of 10 ms: the queue outlasts a 2 s run.
+        engine = Engine(
+            small_scenario(
+                devices=6, duration=2.0, train_samples=60, epochs=1,
+                demand_embb=10**4, demand_urllc=10**4, demand_mmtc=10**4,
+            )
+        )
+        starts, slot_times = self.step_through(engine)
+        assert starts == 1
+        assert engine.qstate.n_in_system > 0
+        assert engine.end_us - engine.slot_us < slot_times[-1] <= engine.end_us
 
 
 class TestDataPlaneBoundary:

@@ -23,8 +23,6 @@ def make_request(i: int, demand: int = 1) -> SliceRequest:
         service_type=ServiceType.MMTC,
         demand_slots=demand,
         fair_sla=1.0,
-        slice_capacity_hint=1.0,
-        arrival_time=0.0,
     )
 
 

@@ -7,11 +7,14 @@ tests call can sit in the package.
 
 The three services' order and per-service tables live in ``domain`` only,
 and every module but the package's ``__init__`` reads each name it imports
-at top level.
+at top level.  Every dataclass field is read in the package, written to an
+artifact, or allowlisted with the reader outside the package that keeps it.
 """
 
 import ast
+import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -19,6 +22,7 @@ import pytest
 from ts3ra.domain import ServiceType
 
 PACKAGE = Path(importlib.import_module("ts3ra").__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
 PLANES = [
     "auth", "dataplane", "ddos", "domain", "hopfield", "offload", "sched", "serialization",
     "slicenet",
@@ -139,3 +143,109 @@ def test_domain_holds_the_service_tables():
 )
 def test_only_domain_lists_every_service(module):
     assert service_displays(module) == []
+
+
+# Dataclasses whose every field reaches an artifact through ``fields()``.
+ARTIFACT_CLASSES = {
+    "SliceMetrics": "a metrics.csv column per field",
+    "Scenario": "a serialize_scenario key per field",
+}
+
+# "Class.field": (reader outside the package, why the field stays).
+FIELD_READERS = {
+    "SliceCounters.rejected": ("perfbench/child.py", "the hopfield.pool_rejected count"),
+    "SlotResult.decision": ("tests/test_acceptance.py", "criterion 8"),
+    "FlowAssignment.total_weight": ("tests/test_acceptance.py", "criterion 6"),
+    "FlowAssignment.optimal": ("tests/test_offload.py", "ROADMAP item 1 writes it"),
+    "FlowAssignment.unassigned": ("tests/test_offload.py", "ROADMAP item 1 writes it"),
+    "RebalancePlan.resolved": ("tests/test_offload.py", "ROADMAP item 1 writes it"),
+    "RebalancePlan.residual_load": ("tests/test_offload.py", "ROADMAP item 1 writes it"),
+    "RecallResult.status": ("tests/test_hopfield.py", "ROADMAP item 1 writes it"),
+    "RecallResult.iterations": ("tests/test_hopfield.py", "ROADMAP item 1 writes it"),
+    "MetricsReport.quarantined_sources": ("tests/test_engine.py", "ROADMAP item 1 writes it"),
+}
+
+
+def dataclass_fields() -> dict[str, str]:
+    """``"Class.field"`` -> defining module, for every dataclass in the package."""
+    found = {}
+    for path in PACKAGE.glob("*.py"):
+        if path.stem == "__init__":
+            continue
+        mod = importlib.import_module(f"ts3ra.{path.stem}")
+        for name, cls in vars(mod).items():
+            if inspect.isclass(cls) and cls.__module__ == mod.__name__ and dataclasses.is_dataclass(cls):
+                found.update({f"{name}.{f.name}": path.stem for f in dataclasses.fields(cls)})
+    return found
+
+
+def attributes_read(tree: ast.AST) -> set[str]:
+    """Names read as attributes anywhere in ``tree``."""
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def package_readers() -> dict[str, tuple[set[str], set[str]]]:
+    """Module -> (the package modules it defines or imports, the attribute
+    names it reads)."""
+    readers = {}
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        seen = {path.stem}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                seen.update([node.module] if node.module else [a.name for a in node.names])
+        readers[path.stem] = (seen, attributes_read(tree))
+    return readers
+
+
+def fields_called_on() -> set[str]:
+    """Names passed to ``fields()`` in the package."""
+    return {
+        node.args[0].id
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "fields"
+        and node.args
+        and isinstance(node.args[0], ast.Name)
+    }
+
+
+def fields_without_a_package_reader() -> set[str]:
+    """Fields that no module defining or importing their class reads by name,
+    and whose class reaches no artifact."""
+    readers = package_readers().values()
+    return {
+        qualified
+        for qualified, module in dataclass_fields().items()
+        if qualified.split(".")[0] not in ARTIFACT_CLASSES
+        and not any(
+            module in seen and qualified.split(".")[1] in read for seen, read in readers
+        )
+    }
+
+
+def test_artifact_classes_are_walked_by_fields():
+    classes = {qualified.split(".")[0] for qualified in dataclass_fields()}
+    assert set(ARTIFACT_CLASSES) <= classes & fields_called_on()
+
+
+def test_every_dataclass_field_has_a_reader():
+    # A read counts in a module that defines or imports the class's module,
+    # so an attribute of the same name on another plane's class does not.
+    unread = fields_without_a_package_reader()
+    assert sorted(unread - FIELD_READERS.keys()) == []
+    # An allowlisted field that the package now reads leaves the allowlist.
+    assert sorted(FIELD_READERS.keys() - unread) == []
+
+
+@pytest.mark.parametrize("qualified", sorted(FIELD_READERS))
+def test_allowlisted_field_is_read_by_its_reader(qualified):
+    reader, _ = FIELD_READERS[qualified]
+    tree = ast.parse((ROOT / reader).read_text())
+    assert qualified.split(".")[1] in attributes_read(tree)
