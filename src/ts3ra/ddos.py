@@ -213,9 +213,8 @@ def classify_window(
 
 @dataclass(frozen=True)
 class BandwidthPrediction:
-    """A switch's predicted usage and the smoothing that produced it."""
+    """A predicted usage and the smoothing that produced it."""
 
-    switch_id: str
     predicted_usage: float
     smoothing: float
 
@@ -226,9 +225,7 @@ class BandwidthPrediction:
             raise ValueError("smoothing must be in (0, 1]")
 
 
-def predict_bandwidth(
-    history: Sequence[float], smoothing: float = 0.3, switch_id: str = ""
-) -> BandwidthPrediction:
+def predict_bandwidth(history: Sequence[float], smoothing: float = 0.3) -> BandwidthPrediction:
     """Exponentially weighted moving average of a usage series."""
     if len(history) == 0:
         raise ValueError("history must be nonempty")
@@ -237,7 +234,7 @@ def predict_bandwidth(
     pred = float(history[0])
     for x in history[1:]:
         pred = smoothing * float(x) + (1.0 - smoothing) * pred
-    return BandwidthPrediction(switch_id=switch_id, predicted_usage=pred, smoothing=smoothing)
+    return BandwidthPrediction(predicted_usage=pred, smoothing=smoothing)
 
 
 def quarantine(

@@ -1,8 +1,9 @@
 """Shared vocabulary of the simulated network.
 
 Service classes, QoS profiles, SLA ratios and their fairness aggregate,
-plus the value objects (flows, switches, slice requests) every other
-plane consumes.  All types are immutable; all operations are pure.
+plus the value objects the planes take: a slice request as the scheduler
+queues it, a flow as the AP's classifier and the offload plane read it,
+and a switch profile.  All types are immutable; all operations are pure.
 """
 
 from __future__ import annotations
@@ -194,18 +195,15 @@ def stable_imsi(subscriber: str) -> int:
 
 @dataclass(frozen=True)
 class SliceRequest:
-    """A device's demand for slice service."""
+    """A device's demand for slice service: who asks, and for how many
+    scheduler slots."""
 
     origin: str
-    service_type: ServiceType
     demand_slots: int
-    fair_sla: float
 
     def __post_init__(self):
         if self.demand_slots < 1:
             raise ValueError("demand_slots must be >= 1")
-        if not (0.0 <= self.fair_sla <= 1.0):
-            raise ValueError("fair_sla must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -241,23 +239,16 @@ class Protocol(Enum):
     DATAGRAM = "datagram"
 
 
-DEFAULT_PACKET_LENGTH = 512  # bytes
-
-
 @dataclass(frozen=True)
 class Flow:
-    """One device's traffic stream toward its slice."""
+    """One device's traffic stream toward its slice: its class and delay
+    bound for the AP's classifier, its id and rate for a rebalance plan."""
 
     flow_id: str
-    origin: str
     slice: ServiceType
     rate: float
     packet_delay: float
-    packet_length: int = DEFAULT_PACKET_LENGTH
-    protocol: Protocol = Protocol.DATAGRAM
 
     def __post_init__(self):
         if self.rate <= 0:
             raise ValueError("rate must be > 0")
-        if self.packet_length <= 0:
-            raise ValueError("packet_length must be > 0")

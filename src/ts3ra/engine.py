@@ -17,9 +17,10 @@ place a device on a switch, quarantine a device, and close the detection
 window or the rebalance interval, each of which returns its counts.  It
 reads each device's switch (``sw_of``) and quarantine flag from the data
 plane, and writes none of its arrays.  Every flow runs at the scenario's
-nominal rate and every switch has the scenario's one profile, so a switch's
-nominal load is its devices in ``sw_of`` at that rate; the engine keeps no
-per-switch ledger.  A switch is its index in ``Engine.switches``.
+nominal rate and every switch has the scenario's one profile
+(``Engine.switch_profile``), so a switch's nominal load is its devices in
+``sw_of`` at that rate; the engine keeps no per-switch ledger.  A switch is
+its index in ``Engine.switch_ids``.
 
 The engine keeps each per-device fact once, in lists indexed by device:
 ``device_ids`` (the list the data plane takes), ``index_of`` (id to index),
@@ -205,7 +206,7 @@ class Engine:
         floods = self._build_world(model)
         self.dp = DataPlane(
             scenario, self.hub, self.device_ids, floods,
-            [sw.switch_id for sw in self.switches],
+            self.switch_ids,
             [self.counters[st] for st in SLICE_ORDER], trace_sink,
         )
         # Devices not yet rejected, dropped at the queue or allocated; once
@@ -284,22 +285,22 @@ class Engine:
                 )
                 self.key_of[record.params] = record.derived_key
 
-        # switches, each at no load; the data plane keeps a switch's packet
-        # state in its per-switch arrays, row j
-        self.switches = [
-            SwitchProfile(
-                switch_id=f"SW{j}",
-                service_capacity=sc.switch_service_capacity,
-                transmission_rate=sc.switch_transmission_rate,
-                loss_rate=sc.switch_loss_rate,
-            )
-            for j in range(sc.switches)
-        ]
-        self.switch_index = {sw.switch_id: j for j, sw in enumerate(self.switches)}
+        # switches; the data plane keeps a switch's packet state in its
+        # per-switch arrays, row j
+        self.switch_ids = [f"SW{j}" for j in range(sc.switches)]
+        self.switch_index = {switch_id: j for j, switch_id in enumerate(self.switch_ids)}
+        # the profile every switch has, at no load; a rebalance plan takes a
+        # copy per switch, named and loaded
+        self.switch_profile = SwitchProfile(
+            switch_id="",
+            service_capacity=sc.switch_service_capacity,
+            transmission_rate=sc.switch_transmission_rate,
+            loss_rate=sc.switch_loss_rate,
+        )
         # each switch's benign windows' entropy triples, the oldest dropped
         # past four baselines
         self.baselines: list[deque[tuple[float, float, float]]] = [
-            deque(maxlen=4 * sc.baseline_windows) for _ in self.switches
+            deque(maxlen=4 * sc.baseline_windows) for _ in self.switch_ids
         ]
 
         # per-column upper bounds of a position
@@ -456,12 +457,7 @@ class Engine:
             return
         self.auth_accepted += 1
         service = self.claimed[di]
-        request = SliceRequest(
-            origin=device_id,
-            service_type=service,
-            demand_slots=self.sc.demand_slots(service),
-            fair_sla=float(self.fair_slas[di]),
-        )
+        request = SliceRequest(origin=device_id, demand_slots=self.sc.demand_slots(service))
         # The AP classifies on the requested flow's parameters.
         cls = sched_mod.classify_flow(self._make_flow(di, service, self.sc.nominal_flow_rate))
         # A slot is pending exactly while the server is not idle.
@@ -508,15 +504,11 @@ class Engine:
         )
 
     def _make_flow(self, di: int, service: ServiceType, rate: float) -> Flow:
-        device_id = self.device_ids[di]
         return Flow(
-            flow_id=f"{device_id}-f",
-            origin=device_id,
+            flow_id=f"{self.device_ids[di]}-f",
             slice=service,
             rate=rate,
             packet_delay=self.sc.delay_bound(service),
-            packet_length=self.sc.packet_length,
-            protocol=self.sc.protocol(service),
         )
 
     def _on_slice_decide(self, di: int) -> None:
@@ -567,7 +559,7 @@ class Engine:
         if j is None:
             self._trace(ALLOCATE, device_id, service.slice_id, "", "unroutable")
             return
-        self._trace(ALLOCATE, device_id, service.slice_id, self.switches[j].switch_id, "granted")
+        self._trace(ALLOCATE, device_id, service.slice_id, self.switch_ids[j], "granted")
         remaining_s = (self.end_us - self.clock_us) / 1e6
         c.flow_active_bps_seconds += self.sc.nominal_flow_rate * remaining_s
         phase = float(self.hub.substream("phase").uniform(0.0, self.sc.packet_interval))
@@ -583,8 +575,8 @@ class Engine:
         the same, and each distinct count is weighed once.
         """
         sw_of = self.dp.sw_of
-        counts = np.bincount(sw_of[sw_of >= 0], minlength=len(self.switches)).tolist()
-        profile, rate = self.switches[0], self.sc.nominal_flow_rate
+        counts = np.bincount(sw_of[sw_of >= 0], minlength=len(self.switch_ids)).tolist()
+        profile, rate = self.switch_profile, self.sc.nominal_flow_rate
         weight = {
             n: off_mod.edge_weight(profile.with_load(n * rate), self.coeffs)
             for n in set(counts)
@@ -605,7 +597,9 @@ class Engine:
         sc = self.sc
         window_us = to_us(sc.window_duration)
         start = seconds_text(self.clock_us - window_us)
-        for sw, baseline, window in zip(self.switches, self.baselines, self.dp.close_window()):
+        for switch_id, baseline, window in zip(
+            self.switch_ids, self.baselines, self.dp.close_window()
+        ):
             blocked: list[str] = []
             if window.packet_count < sc.min_packets:
                 verdict = ddos_mod.VERDICT_INCONCLUSIVE
@@ -635,7 +629,7 @@ class Engine:
                     baseline.append(triple)
             if self.detection_sink is not None:
                 self.detection_sink(
-                    f"{start},{sw.switch_id},"
+                    f"{start},{switch_id},"
                     f"{triple[0]:.6f},{triple[1]:.6f},{triple[2]:.6f},"
                     f"{verdict},{';'.join(blocked)}\n"
                 )
@@ -650,11 +644,10 @@ class Engine:
         # each switch's bits, the sum of its devices' (exact below 2**53)
         sw_of = self.dp.sw_of
         placed = sw_of >= 0
-        load = np.bincount(sw_of[placed], weights=bits_of[placed], minlength=len(self.switches))
+        load = np.bincount(sw_of[placed], weights=bits_of[placed], minlength=len(self.switch_ids))
         measured = (load / interval).tolist()
-        overloaded = [
-            j for j, sw in enumerate(self.switches) if measured[j] > sw.service_capacity
-        ]
+        capacity = self.switch_profile.service_capacity
+        overloaded = [j for j, rate in enumerate(measured) if rate > capacity]
         bits = bits_of.tolist()
         for trigger in overloaded:
             planned = self._plan_rebalance(trigger, measured, bits)
@@ -690,7 +683,7 @@ class Engine:
         flows = []
         current = {}
         device_of: dict[str, int] = {}
-        trigger_id = self.switches[trigger].switch_id
+        trigger_id = self.switch_ids[trigger]
         for di in np.flatnonzero(self.dp.sw_of == trigger).tolist():
             if self.dp.is_quarantined[di]:
                 continue
@@ -703,7 +696,10 @@ class Engine:
             device_of[flow.flow_id] = di
         if not flows:
             return None
-        profiles = [sw.with_load(load) for sw, load in zip(self.switches, measured)]
+        profiles = [
+            replace(self.switch_profile, switch_id=switch_id, current_load=load)
+            for switch_id, load in zip(self.switch_ids, measured)
+        ]
         plan = off_mod.rebalance(profiles, flows, current, trigger_id, self.coeffs)
         return plan, device_of
 

@@ -196,6 +196,14 @@ class Scenario:
                 "switch_transmission_rate must not exceed switch_service_capacity "
                 f"(got {self.switch_transmission_rate!r} > {self.switch_service_capacity!r})"
             )
+        # Mobility and SINR square coordinate differences, each bounded by the
+        # area, so its squared diagonal must be a finite double.
+        diagonal_sq = self.area_width * self.area_width + self.area_height * self.area_height
+        if not math.isfinite(diagonal_sq):
+            raise ScenarioError(
+                "area_width and area_height must keep area_width**2 + area_height**2 finite "
+                f"(got {self.area_width!r} and {self.area_height!r})"
+            )
         mix = self.mix_embb + self.mix_urllc + self.mix_mmtc
         if abs(mix - 1.0) > 1e-9:
             raise ScenarioError(f"traffic mix fractions must sum to 1 (got {mix!r})")

@@ -323,12 +323,7 @@ def test_criterion_8_scheduler():
     for slot in range(100_000):
         if arrival_rng.random() < 0.55:
             cls = sched.QueueClass.HP if arrival_rng.random() < 0.45 else sched.QueueClass.LP
-            request = SliceRequest(
-                origin=f"r{slot}",
-                service_type=ServiceType.MMTC,
-                demand_slots=int(arrival_rng.integers(1, 4)),
-                fair_sla=1.0,
-            )
+            request = SliceRequest(origin=f"r{slot}", demand_slots=int(arrival_rng.integers(1, 4)))
             sched.enqueue(state, request, cls, cfg)
         hp_before = len(state.hp)
         occupancy = hp_before / cfg.hp_capacity

@@ -397,7 +397,7 @@ def test_cli_import_leaves_scipy_unloaded():
         "import sys, ts3ra.cli\n"
         "from ts3ra.domain import Flow, ServiceType, SwitchProfile\n"
         "from ts3ra.offload import build_offload_graph, max_weight_assignment\n"
-        "flows = [Flow(f'f{i}', f'd{i}', ServiceType.EMBB, rate=1.0, packet_delay=0.1)"
+        "flows = [Flow(f'f{i}', ServiceType.EMBB, rate=1.0, packet_delay=0.1)"
         " for i in range(3)]\n"
         "switches = [SwitchProfile(f'SW{j}', 4.0, 4.0, 0.1) for j in range(2)]\n"
         "assert max_weight_assignment(build_offload_graph(flows, switches)).assignment\n"

@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 
 from ts3ra.domain import (
     Flow,
-    Protocol,
     QoSMeasurement,
     QoSProfile,
     ServiceType,
@@ -129,12 +128,7 @@ class TestValueObjects:
 
     def test_flow_invariants(self):
         with pytest.raises(ValueError):
-            Flow("f", "d", ServiceType.EMBB, rate=0.0, packet_delay=0.1)
-        with pytest.raises(ValueError):
-            Flow("f", "d", ServiceType.EMBB, rate=1.0, packet_delay=0.1, packet_length=0)
-        flow = Flow("f", "d", ServiceType.EMBB, rate=1.0, packet_delay=0.1)
-        assert flow.packet_length == 512
-        assert flow.protocol is Protocol.DATAGRAM
+            Flow("f", ServiceType.EMBB, rate=0.0, packet_delay=0.1)
 
     def test_stable_imsi_is_reproducible(self):
         assert stable_imsi("sub-001") == stable_imsi("sub-001")

@@ -263,7 +263,7 @@ class ScalarDataPlane(DataPlane):
             kind = "deliver" if code == OK else "drop"
             reason = {OK: "ok", LOSS: "loss", OVERFLOW: "overflow"}.get(code, "quarantined")
             j = self.sw_of[d]
-            switch_id = self.engine.switches[j].switch_id if j >= 0 else ""
+            switch_id = self.engine.switch_ids[j] if j >= 0 else ""
             tag = f"{self.device_ids[d]},{self.engine.decided[d].slice_id},{switch_id}"
             self.trace_sink(f"{time_us / 1e6:.6f},{kind},{tag},{reason}\n")
 
@@ -815,11 +815,11 @@ class TestDetectionIntegration:
         rows = [line.split(",") for line in detection[1:]]
         cap = 4 * sc.baseline_windows
         trimmed = 0
-        for sw, baseline in zip(engine.switches, engine.baselines):
+        for switch_id, baseline in zip(engine.switch_ids, engine.baselines):
             kept = [
                 [float(x) for x in row[2:5]]
                 for row in rows
-                if row[1] == sw.switch_id and row[5] in ("learning", "benign")
+                if row[1] == switch_id and row[5] in ("learning", "benign")
             ]
             trimmed += len(kept) > cap
             assert np.array(baseline) == pytest.approx(np.array(kept[-cap:]), abs=1e-6)
@@ -850,7 +850,7 @@ class TestDetectionIntegration:
         shapes = [a.shape for a in (dp.win_sent, dp.win_sizes, dp.win_gaps)]
         engine.run()
         assert dp.generated > 1000
-        n_sw, n_dev = len(engine.switches), len(engine.device_ids)
+        n_sw, n_dev = len(engine.switch_ids), len(engine.device_ids)
         assert shapes == [(n_dev,), (n_sw, 3), (n_sw, 16)]
         assert [a.shape for a in (dp.win_sent, dp.win_sizes, dp.win_gaps)] == shapes
         # at most one count per move for the switches devices left
@@ -955,7 +955,7 @@ class TestRebalanceIntegration:
             assert placed[device] == from_switch
             placed[device] = to_switch
         assert placed == {
-            d: engine.switches[j].switch_id
+            d: engine.switch_ids[j]
             for d, j in zip(engine.device_ids, engine.dp.sw_of.tolist())
             if j >= 0
         }

@@ -27,7 +27,7 @@ def make_switch(i, capacity=10.0, tx=None, loss=0.1, load=0.0):
 
 
 def make_flow(i, rate=1.0):
-    return Flow(f"f{i}", f"d{i}", ServiceType.EMBB, rate=rate, packet_delay=0.1)
+    return Flow(f"f{i}", ServiceType.EMBB, rate=rate, packet_delay=0.1)
 
 
 def brute_force_assignment(graph: OffloadGraph) -> float:

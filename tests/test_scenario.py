@@ -39,7 +39,8 @@ def test_negative_cost_weights_pass():
 
 # Each of these used to exhaust memory (or exit 2) while building the world or
 # building or training the model, or, for epochs, to train for months on data
-# that never converges; validation rejects them before anything is built.
+# that never converges, or, for the area, to overflow the squared distances so
+# that no device moved; validation rejects them before anything is built.
 @pytest.mark.parametrize(
     ("attr", "value"),
     [
@@ -56,6 +57,8 @@ def test_negative_cost_weights_pass():
         ("switches", 1000000000),
         ("aps", 1001),
         ("aps", 1000000000),
+        ("area_width", 1e200),
+        ("area_height", 1e200),
     ],
 )
 def test_above_upper_bound_names_the_key(attr, value):
@@ -65,5 +68,6 @@ def test_above_upper_bound_names_the_key(attr, value):
 
 def test_upper_bounds_pass():
     Scenario(
-        d_model=256, train_samples=1000000, epochs=1000, devices=10000, switches=256, aps=1000
+        d_model=256, train_samples=1000000, epochs=1000, devices=10000, switches=256, aps=1000,
+        area_width=9e153, area_height=9e153,
     ).validate()

@@ -18,16 +18,11 @@ from ts3ra.sched import (
 
 
 def make_request(i: int, demand: int = 1) -> SliceRequest:
-    return SliceRequest(
-        origin=f"d{i}",
-        service_type=ServiceType.MMTC,
-        demand_slots=demand,
-        fair_sla=1.0,
-    )
+    return SliceRequest(origin=f"d{i}", demand_slots=demand)
 
 
 def make_flow(service: ServiceType, delay: float) -> Flow:
-    return Flow("f", "d", service, rate=1e5, packet_delay=delay)
+    return Flow("f", service, rate=1e5, packet_delay=delay)
 
 
 class TestValidateConfig:

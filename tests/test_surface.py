@@ -8,18 +8,23 @@ tests call can sit in the package.
 The three services' order and per-service tables live in ``domain`` only,
 and every module but the package's ``__init__`` reads each name it imports
 at top level.  Every dataclass field is read in the package, written to an
-artifact, or allowlisted with the reader outside the package that keeps it.
+artifact, or allowlisted with the reader outside the package that keeps it;
+and every field of the flow and slice request the engine builds is read by
+package code on a run.
 """
 
 import ast
 import dataclasses
 import importlib
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
 
-from ts3ra.domain import ServiceType
+from ts3ra.domain import Flow, ServiceType, SliceRequest
+from ts3ra.engine import Engine
+from ts3ra.scenario_io import parse_scenario
 
 PACKAGE = Path(importlib.import_module("ts3ra").__file__).parent
 ROOT = Path(__file__).resolve().parent.parent
@@ -249,3 +254,29 @@ def test_allowlisted_field_is_read_by_its_reader(qualified):
     reader, _ = FIELD_READERS[qualified]
     tree = ast.parse((ROOT / reader).read_text())
     assert qualified.split(".")[1] in attributes_read(tree)
+
+
+def test_every_flow_and_request_field_is_read_in_a_run(monkeypatch):
+    # The ``ast`` guard above matches reads by name anywhere in a module, so
+    # a same-named attribute of another class passes it.  Here each field of
+    # the two value objects the engine builds for a plane must be read by
+    # package code on a smoke run, outside the class's own checks.  The smoke
+    # seed (7) migrates flows, so the offload plane reads its flows too.
+    read, fields = set(), set()
+    for cls in (Flow, SliceRequest):
+        names = {f.name for f in dataclasses.fields(cls)}
+        fields.update(f"{cls.__name__}.{name}" for name in names)
+
+        def getattribute(self, name, cls=cls, names=names):
+            if name in names:
+                caller = sys._getframe(1).f_code
+                if caller.co_name != "__post_init__" and Path(caller.co_filename).parent == PACKAGE:
+                    read.add(f"{cls.__name__}.{name}")
+            return object.__getattribute__(self, name)
+
+        monkeypatch.setattr(cls, "__getattribute__", getattribute)
+    scenario = parse_scenario((ROOT / "scenarios" / "smoke.cfg").read_text())
+    engine = Engine(scenario)
+    engine.run()
+    assert engine.migrations > 0
+    assert sorted(fields - read) == []
