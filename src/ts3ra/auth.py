@@ -174,7 +174,6 @@ class PufChallengeResponse:
 class RegistrationRecord:
     """Credential material the authority holds for one device."""
 
-    device_id: str
     derived_key: bytes
     params: KeyDerivationParams
 
@@ -246,7 +245,7 @@ def register_device(
     for lo in range(16, len(octets), 16):
         challenge = octets[lo : lo + 16]
         puf_enroll(va, PufChallengeResponse(device_id, challenge, puf.respond(challenge)))
-    record = RegistrationRecord(device_id=device_id, derived_key=derive_key(params), params=params)
+    record = RegistrationRecord(derived_key=derive_key(params), params=params)
     va.registered[device_id] = record
     return record
 

@@ -1,7 +1,6 @@
 """Command-line entry point: run scenarios, summarize metrics, train models.
 
 Exit codes: 0 success, 1 user/scenario error, 2 internal invariant breach.
-``TS3RA_LOG`` (error|info|debug) controls log verbosity.
 """
 
 from __future__ import annotations
@@ -9,9 +8,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
-import logging
 import math
-import os
 import sys
 import traceback
 from pathlib import Path
@@ -25,19 +22,9 @@ from .scenario import Scenario, ScenarioError
 from .scenario_io import apply_override, parse_scenario
 from .serialization import save_hopfield, save_slicenet
 
-log = logging.getLogger("ts3ra")
-
 EXIT_OK = 0
 EXIT_USER_ERROR = 1
 EXIT_INTERNAL = 2
-
-
-def _configure_logging() -> None:
-    level_name = os.environ.get("TS3RA_LOG", "error").lower()
-    level = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
-        level_name, logging.ERROR
-    )
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
 def _execute_run(scenario: Scenario, out_dir: str, label: str, trace: bool) -> str:
@@ -68,7 +55,6 @@ def _execute_run(scenario: Scenario, out_dir: str, label: str, trace: bool) -> s
         (out / f"loss_curve{suffix}.csv").write_text(
             "\n".join(engine.loss_curve.rows()) + "\n"
         )
-    log.info("run %s finished: %s", label or "default", metrics_path)
     return str(metrics_path)
 
 
@@ -334,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

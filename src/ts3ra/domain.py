@@ -15,7 +15,7 @@ __all__ = [
 ]
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -223,9 +223,6 @@ class SwitchProfile:
             raise ValueError("loss_rate must be in [0, 1]")
         if self.transmission_rate > self.service_capacity:
             raise ValueError("transmission_rate must not exceed service_capacity")
-
-    def with_load(self, load: float) -> "SwitchProfile":
-        return replace(self, current_load=load)
 
     @property
     def remaining_capacity(self) -> float:

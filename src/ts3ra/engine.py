@@ -355,9 +355,7 @@ class Engine:
                 computation=count * sc.pool_headroom,
                 caching=count * sc.pool_headroom,
             )
-        self.allocator = hop_mod.HopfieldAllocator(
-            demand_reference={st: self.sc.demand_slots(st) for st in ServiceType}
-        )
+        self.allocator = hop_mod.HopfieldAllocator()
         return np.array([i in illegit and i not in forged for i in range(n)], bool)
 
     def _seed_events(self) -> None:
@@ -482,7 +480,7 @@ class Engine:
         decide_us = self.clock_us + to_us(self.sc.decision_delay)
         for request in result.completions:
             self._push(decide_us, SLICE_DECIDE, self.index_of[request.origin])
-        if self.qstate.n_in_system > 0 or self.qstate.phase == sched_mod.GAMMA_VACANT:
+        if self.qstate.phase != sched_mod.GAMMA_IDLE:
             self._push(self.clock_us + self.slot_us, SCHEDULE_SLOT, None)
 
     def _features_for(self, di: int) -> sn_mod.SliceFeatureVector:
@@ -543,7 +541,6 @@ class Engine:
             slice_capacity=self.pool_initial[service],
             arrival_rate=self.auth_accepted / elapsed,
             slice_value=SLICE_VALUES[service],
-            demand_slots=self.sc.demand_slots(self.claimed[di]),
         )
         try:
             alloc = self.allocator.allocate_resources(request, self.pools[service])
@@ -578,7 +575,7 @@ class Engine:
         counts = np.bincount(sw_of[sw_of >= 0], minlength=len(self.switch_ids)).tolist()
         profile, rate = self.switch_profile, self.sc.nominal_flow_rate
         weight = {
-            n: off_mod.edge_weight(profile.with_load(n * rate), self.coeffs)
+            n: off_mod.edge_weight(replace(profile, current_load=n * rate), self.coeffs)
             for n in set(counts)
             if rate <= profile.service_capacity - n * rate
         }

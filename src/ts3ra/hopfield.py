@@ -4,7 +4,8 @@ A single-layer bipolar network stores the three service-indicator codes
 with the Storkey learning rule and recalls them from possibly corrupted
 probes via synchronous threshold updates.  The recalled slice identity
 selects a per-slice resource bundle (communication, computation, caching)
-which is scaled by request fairness/demand and drawn from a shared pool.
+which is scaled by request fairness and link/load quality and drawn from a
+shared pool.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ __all__ = [
 ]
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -164,7 +165,6 @@ class AllocationRequest:
     slice_capacity: float
     arrival_rate: float
     slice_value: float
-    demand_slots: int = 1
 
 
 @dataclass(frozen=True)
@@ -240,7 +240,7 @@ def grant_modifier(request: AllocationRequest) -> float:
 class HopfieldAllocator:
     """Trained recall network plus the grant policy around it."""
 
-    def __init__(self, *, demand_reference: Optional[dict[ServiceType, int]] = None):
+    def __init__(self):
         self.patterns = {st: encode_pattern(st.indicator) for st in ServiceType}
         self.we = train_patterns(list(self.patterns.values()))
         self.thresholds = np.zeros(PATTERN_LENGTH)
@@ -248,7 +248,6 @@ class HopfieldAllocator:
             st: ResourceBundle(qos_profile_of(st).min_bandwidth, computation=1.0, caching=1.0)
             for st in ServiceType
         }
-        self.demand_reference = demand_reference or {}
 
     def recall_slice(self, probe: Sequence[float]) -> tuple[ServiceType, RecallResult]:
         """Snap a (possibly corrupted) probe to the nearest stored slice."""
@@ -266,13 +265,13 @@ class HopfieldAllocator:
     def allocate_resources(
         self, request: AllocationRequest, pool: ResourcePool
     ) -> ResourceAllocation:
-        """Grant the recalled slice's bundle, scaled, or raise on exhaustion."""
+        """Grant the recalled slice's bundle scaled by the request's fairness
+        and its link/load quality (:func:`grant_modifier`), or raise on
+        exhaustion."""
         probe = encode_pattern(request.slice_indicator)
         service, _ = self.recall_slice(probe)
         base = self.bundles[service]
-        reference = self.demand_reference.get(service, 1)
-        demand_scale = request.demand_slots / max(reference, 1)
-        scale = request.fair_sla * demand_scale * grant_modifier(request)
+        scale = request.fair_sla * grant_modifier(request)
         comm = base.communication * scale
         comp = base.computation * scale
         cache = base.caching * scale

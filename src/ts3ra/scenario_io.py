@@ -31,10 +31,7 @@ def parse_scenario(text: str) -> Scenario:
         if attr is None:
             raise ScenarioError(f"line {lineno}: unknown key '{key}' in [{section}]")
         setattr(scenario, attr, _coerce(attr, value, f"line {lineno}: key '{key}'"))
-    try:
-        scenario.validate()
-    except ScenarioError as exc:
-        raise ScenarioError(str(exc)) from None
+    scenario.validate()
     return scenario
 
 

@@ -173,7 +173,7 @@ def per_challenge_registration(va, device_id, password, puf, rng):
     with the record stored before the challenges are enrolled."""
     salt = bytes(rng.integers(0, 256, size=16, dtype=np.uint8))
     params = KeyDerivationParams(password=password, salt=salt)
-    va.registered[device_id] = RegistrationRecord(device_id, derive_key(params), params)
+    va.registered[device_id] = RegistrationRecord(derive_key(params), params)
     for _ in range(CHALLENGES_PER_DEVICE):
         challenge = bytes(rng.integers(0, 256, size=16, dtype=np.uint8))
         puf_enroll(va, PufChallengeResponse(device_id, challenge, puf.respond(challenge)))

@@ -33,7 +33,7 @@ from ts3ra.dataplane import (
     rows_text,
     size_index,
 )
-from ts3ra.domain import SLICE_ORDER, Protocol, ServiceType
+from ts3ra.domain import SLICE_ORDER, Protocol, ServiceType, qos_profile_of
 from ts3ra.engine import (
     ALLOCATE,
     AUTH,
@@ -653,6 +653,25 @@ class TestPipelineSteps:
             engine.step_event((500, TRANSMIT, 0, (0, False, 0)))
 
 
+def decide_first_embb_claim_urllc(monkeypatch) -> tuple[list, list]:
+    """Make SliceNet decide URLLC for the first eMBB claimant it decides.
+
+    Returns the decided services in call order, and a list that holds the
+    moved decision's index once it is made."""
+    select_slice, calls, moved = engine_mod.sn_mod.select_slice, [], []
+
+    def decide(model, features):
+        decision = select_slice(model, features)
+        if features.service_type is ServiceType.EMBB and not moved:
+            moved.append(len(calls))
+            decision = replace(decision, service=ServiceType.URLLC)
+        calls.append(decision.service)
+        return decision
+
+    monkeypatch.setattr(engine_mod.sn_mod, "select_slice", decide)
+    return calls, moved
+
+
 class TestDecisionLeavingTheClaim:
     def test_device_decided_urllc_is_served_on_s2_reliably(self, monkeypatch):
         # The first eMBB claimant to be decided is decided URLLC.  Every packet
@@ -660,17 +679,7 @@ class TestDecisionLeavingTheClaim:
         # slice, a retransmit delay later on reliable-stream URLLC, which sends
         # a lost packet again.  The delay exceeds the packet interval, and
         # with it the phase of a device's first packet.
-        select_slice, calls, moved = engine_mod.sn_mod.select_slice, [], []
-
-        def decide_one_embb_claim_urllc(model, features):
-            decision = select_slice(model, features)
-            if features.service_type is ServiceType.EMBB and not moved:
-                moved.append(len(calls))
-                decision = replace(decision, service=ServiceType.URLLC)
-            calls.append(decision.service)
-            return decision
-
-        monkeypatch.setattr(engine_mod.sn_mod, "select_slice", decide_one_embb_claim_urllc)
+        calls, moved = decide_first_embb_claim_urllc(monkeypatch)
         sc = small_scenario(
             devices=12, duration=5.0, illegitimate_fraction=0.0, ddos_enabled=False,
             demand_embb=4, demand_urllc=2, demand_mmtc=3,
@@ -702,6 +711,33 @@ class TestDecisionLeavingTheClaim:
         assert datagram
         for d in datagram:
             assert first_drop[d] - allocated[d][0] < sc.packet_interval
+
+    def test_device_decided_urllc_is_granted_one_urllc_bundle(self, monkeypatch):
+        # The grant is the decided slice's bundle times the device's fairness
+        # and a link/load factor of at most 1.5, whatever the claimed slice's
+        # demand (120 eMBB slots against 30 URLLC ones here).  So the URLLC
+        # pool, sized for one bundle per expected device, grants every
+        # URLLC claimant as well as the moved device.
+        _, moved = decide_first_embb_claim_urllc(monkeypatch)
+        allocate, grants = engine_mod.hop_mod.HopfieldAllocator.allocate_resources, []
+
+        def record_grant(allocator, request, pool):
+            alloc = allocate(allocator, request, pool)
+            grants.append(alloc.communication)
+            return alloc
+
+        monkeypatch.setattr(engine_mod.hop_mod.HopfieldAllocator, "allocate_resources", record_grant)
+        trace = Lines()
+        engine = Engine(small_scenario(devices=12, duration=20.0), trace_sink=trace)
+        engine.run()
+        rows = [row.split(",") for row in trace[1:]]
+        device = [c[2] for c in rows if c[1] == "slice_decide"][moved[0]]
+        allocated = [c for c in rows if c[1] == "allocate"]
+        assert [c[2] for c in allocated if c[5] == "rejected:pool"] == []
+        grant = dict(zip((c[2] for c in allocated), grants))[device]
+        assert [c[3] for c in allocated if c[2] == device] == ["S2"]
+        bundle = qos_profile_of(ServiceType.URLLC).min_bandwidth
+        assert grant <= 1.5 * bundle * engine.fair_slas[engine.index_of[device]]
 
 
 class TestConservationAndAttribution:

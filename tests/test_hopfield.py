@@ -163,7 +163,7 @@ class TestAllocator:
     def make_pool(self):
         return ResourcePool(communication=1e6, computation=100.0, caching=100.0)
 
-    def make_request(self, indicator, demand=1):
+    def make_request(self, indicator):
         return AllocationRequest(
             slice_indicator=indicator,
             sinr=20.0,
@@ -172,7 +172,6 @@ class TestAllocator:
             slice_capacity=1e5,
             arrival_rate=2.0,
             slice_value=0.8,
-            demand_slots=demand,
         )
 
     def test_urllc_indicator_gets_s2_bundle(self):

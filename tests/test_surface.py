@@ -9,7 +9,7 @@ The three services' order and per-service tables live in ``domain`` only,
 and every module but the package's ``__init__`` reads each name it imports
 at top level.  Every dataclass field is read in the package, written to an
 artifact, or allowlisted with the reader outside the package that keeps it;
-and every field of the flow and slice request the engine builds is read by
+and every field of the value objects a run builds for its planes is read by
 package code on a run.
 """
 
@@ -22,9 +22,12 @@ from pathlib import Path
 
 import pytest
 
+from ts3ra.auth import KeyDerivationParams, PufChallengeResponse, RegistrationRecord
 from ts3ra.domain import Flow, ServiceType, SliceRequest
 from ts3ra.engine import Engine
+from ts3ra.hopfield import AllocationRequest
 from ts3ra.scenario_io import parse_scenario
+from ts3ra.slicenet import SliceFeatureVector
 
 PACKAGE = Path(importlib.import_module("ts3ra").__file__).parent
 ROOT = Path(__file__).resolve().parent.parent
@@ -256,14 +259,23 @@ def test_allowlisted_field_is_read_by_its_reader(qualified):
     assert qualified.split(".")[1] in attributes_read(tree)
 
 
-def test_every_flow_and_request_field_is_read_in_a_run(monkeypatch):
+# The value objects a run builds for its planes: registration and admission,
+# the scheduler queue and the AP's classifier, slice selection, allocation
+# and rebalancing.
+RUN_VALUE_OBJECTS = (
+    KeyDerivationParams, PufChallengeResponse, RegistrationRecord, SliceRequest, Flow,
+    SliceFeatureVector, AllocationRequest,
+)
+
+
+def test_every_value_object_field_is_read_in_a_run(monkeypatch):
     # The ``ast`` guard above matches reads by name anywhere in a module, so
     # a same-named attribute of another class passes it.  Here each field of
-    # the two value objects the engine builds for a plane must be read by
-    # package code on a smoke run, outside the class's own checks.  The smoke
-    # seed (7) migrates flows, so the offload plane reads its flows too.
+    # the value objects a run builds for a plane must be read by package code
+    # on a smoke run, outside the class's own checks.  The smoke seed (7)
+    # migrates flows, so the offload plane reads its flows too.
     read, fields = set(), set()
-    for cls in (Flow, SliceRequest):
+    for cls in RUN_VALUE_OBJECTS:
         names = {f.name for f in dataclasses.fields(cls)}
         fields.update(f"{cls.__name__}.{name}" for name in names)
 
