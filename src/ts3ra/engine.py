@@ -8,19 +8,22 @@ rebalancing.  The clock is integer microseconds; events are processed in
 (time, kind rank, sequence) order, so a fixed scenario and seed reproduce
 the run bit for bit.
 
-The event heap holds only control events.  The packets form the data plane,
-:class:`~ts3ra.dataplane.DataPlane`, which runs just before each event that
-reads packet state or writes trace rows, and at the end of the run;
-scheduler slots and mobility ticks do neither and pass it by.  The engine
-drives it through a few calls: run to a time, start a device's packets,
-place a device on a switch, quarantine a device, and close the detection
-window or the rebalance interval, each of which returns its counts.  It
-reads each device's switch (``sw_of``) and quarantine flag from the data
-plane, and writes none of its arrays.  Every flow runs at the scenario's
-nominal rate and every switch has the scenario's one profile
-(``Engine.switch_profile``), so a switch's nominal load is its devices in
-``sw_of`` at that rate; the engine keeps no per-switch ledger.  A switch is
-its index in ``Engine.switch_ids``.
+The event heap holds only control events that bring an input or make a
+read.  Scheduler slots are not on it: only an AUTH enqueues, and every AUTH
+time is fixed at set-up, so each AUTH runs the slots due before the next.
+Nor are mobility ticks: positions catch up at ALLOCATE, their one reader.
+The packets form the data plane, :class:`~ts3ra.dataplane.DataPlane`, which
+runs just before each event (in a run without a trace, each but ARRIVAL,
+AUTH and SLICE_DECIDE) and at the end of the run.  The engine drives it
+through a few calls: run to a time, start a device's packets, place a
+device on a switch, quarantine a device, and close the detection window or
+the rebalance interval, each of which returns its counts.  It reads each
+device's switch (``sw_of``) and quarantine flag from the data plane, and
+writes none of its arrays.  Every flow runs at the scenario's nominal rate
+and every switch has the scenario's one profile (``Engine.switch_profile``),
+so a switch's nominal load is its devices in ``sw_of`` at that rate; the
+engine keeps no per-switch ledger.  A switch is its index in
+``Engine.switch_ids``.
 
 The engine keeps each per-device fact once, in lists indexed by device:
 ``device_ids`` (the list the data plane takes), ``index_of`` (id to index),
@@ -52,6 +55,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -83,7 +87,10 @@ from .metrics import (
 from .rng import RngHub
 from .scenario import Scenario, ScenarioError, to_us
 
-# Event kinds, ranked for tie-breaking at equal timestamps.
+# Event kinds, ranked for tie-breaking at equal timestamps.  SCHEDULE_SLOT,
+# TRANSMIT, DELIVER, DROP and MOBILITY_TICK are never on the heap (see the
+# module docstring); they keep their rank and their name, which the
+# benchmark's per-layer metrics read.
 ARRIVAL = 0
 AUTH = 1
 SCHEDULE_SLOT = 2
@@ -115,11 +122,8 @@ DETECTION_HEADER = "window_start,switch_id,h_source,h_interarrival,h_size,verdic
 MIGRATION_HEADER = "time,flow_id,from_switch,to_switch,reason"
 
 
-# Kinds that neither read packet state nor write trace rows: the data plane
-# does not run before them (see ``Engine.step_event``).
-_BLIND_KINDS = frozenset({SCHEDULE_SLOT, MOBILITY_TICK})
-# Kinds that read no packet state but write trace rows: blind in a run
-# without a trace.
+# Kinds that read no packet state but write trace rows: in a run without a
+# trace the data plane does not run before them (see ``Engine.step_event``).
 _TRACE_ONLY_KINDS = frozenset({ARRIVAL, AUTH, SLICE_DECIDE})
 
 
@@ -209,23 +213,22 @@ class Engine:
             self.switch_ids,
             [self.counters[st] for st in SLICE_ORDER], trace_sink,
         )
-        # Devices not yet rejected, dropped at the queue or allocated; once
-        # none is left no allocation follows, so nothing reads positions.  At
-        # the end of a run, the pending count: devices not yet arrived, still
-        # queued, or waiting for a slice decision or an allocation.
+        # Devices not yet rejected, dropped at the queue or allocated: at the
+        # end of a run, the pending count (devices not yet arrived, still
+        # queued, or waiting for a slice decision or an allocation).
         self.unfinished = scenario.devices
         self._handlers = (
             self._on_arrival,
             self._on_auth,
-            self._on_schedule_slot,
+            partial(self._never_on_heap, SCHEDULE_SLOT),
             self._on_slice_decide,
             self._on_allocate,
-            self._packet_on_event_heap,
-            self._packet_on_event_heap,
-            self._packet_on_event_heap,
+            partial(self._never_on_heap, TRANSMIT),
+            partial(self._never_on_heap, DELIVER),
+            partial(self._never_on_heap, DROP),
             self._on_window_close,
             self._on_rebalance,
-            self._on_mobility_tick,
+            partial(self._never_on_heap, MOBILITY_TICK),
         )
         self._seed_events()
 
@@ -303,8 +306,10 @@ class Engine:
             deque(maxlen=4 * sc.baseline_windows) for _ in self.switch_ids
         ]
 
-        # per-column upper bounds of a position
+        # per-column upper bounds of a position; positions have moved by
+        # every mobility tick before ``tick_due_us``
         self.area = np.array([sc.area_width, sc.area_height])
+        self.tick_due_us = to_us(sc.tick_interval)
 
         # access points, evenly spaced on the horizontal midline
         self.ap_positions = np.array(
@@ -314,10 +319,11 @@ class Engine:
             ]
         )
 
-        # scheduler
+        # scheduler; its next slot is due at ``slot_due_us`` unless it is idle
         self.qconfig = sc.scheduler_config()
         self.qstate = sched_mod.DualQueueState()
         self.slot_us = to_us(sc.slot_duration)
+        self.slot_due_us = 0
 
         if model is not None:
             self.model = model
@@ -362,10 +368,12 @@ class Engine:
         sc = self.sc
         rng_arrivals = self.hub.substream("arrivals")
         window = sc.arrival_window * sc.duration
-        for di in range(sc.devices):
-            self._push(to_us(float(rng_arrivals.uniform(0.0, window))), ARRIVAL, di)
-        if sc.devices:
-            self._push(to_us(sc.tick_interval), MOBILITY_TICK, None)
+        arrivals = [to_us(float(rng_arrivals.uniform(0.0, window))) for _ in range(sc.devices)]
+        for di, arrival_us in enumerate(arrivals):
+            self._push(arrival_us, ARRIVAL, di)
+        # the times of the AUTHs that run, in order, then one past the horizon
+        auths = (t + to_us(sc.auth_delay) for t in arrivals)
+        self.auth_times_us = sorted(t for t in auths if t <= self.end_us) + [self.end_us + 1]
         if sc.ddos_enabled:
             self._push(to_us(sc.window_duration), WINDOW_CLOSE, None)
         if sc.offload_enabled:
@@ -399,17 +407,16 @@ class Engine:
     def step_event(self, event: tuple) -> None:
         """Process a single (time_us, kind, seq, payload) control event.
 
-        Unless the event is one of ``_BLIND_KINDS``, which neither read packet
-        state nor write trace rows, or of ``_TRACE_ONLY_KINDS`` in a run
-        without a trace, the data plane first runs every packet that sorts
-        before it and applies every outcome that does.  At equal times,
+        Unless the event is one of ``_TRACE_ONLY_KINDS`` in a run without a
+        trace, the data plane first runs every packet that sorts before it
+        and applies every outcome that does.  At equal times,
         packets and outcomes sort after the kinds ranked below TRANSMIT and
         before those ranked above DROP.
         """
         time_us, kind, _, payload = event
         if time_us < self.clock_us:
             raise InvariantViolation("time regression in event stream")
-        if not (kind in _BLIND_KINDS or (kind in _TRACE_ONLY_KINDS and self.trace_sink is None)):
+        if self.trace_sink is not None or kind not in _TRACE_ONLY_KINDS:
             self.dp.run(time_us + 1 if kind > DROP else time_us)
         self.clock_us = time_us
         self._handlers[kind](payload)
@@ -422,8 +429,8 @@ class Engine:
 
     # -- handlers ---------------------------------------------------------------
 
-    def _packet_on_event_heap(self, payload) -> None:
-        raise InvariantViolation(f"packet event {payload!r} on the event heap")
+    def _never_on_heap(self, kind: int, payload) -> None:
+        raise InvariantViolation(f"{KIND_NAMES[kind]} event {payload!r} on the event heap")
 
     def _on_arrival(self, di: int) -> None:
         self.arrival_us[di] = self.clock_us
@@ -452,36 +459,40 @@ class Engine:
             self.auth_rejected += 1
             self.unfinished -= 1
             self._trace(AUTH, device_id, "", "", f"rejected:{verdict.reason.value}")
-            return
-        self.auth_accepted += 1
-        service = self.claimed[di]
-        request = SliceRequest(origin=device_id, demand_slots=self.sc.demand_slots(service))
-        # The AP classifies on the requested flow's parameters.
-        cls = sched_mod.classify_flow(self._make_flow(di, service, self.sc.nominal_flow_rate))
-        # A slot is pending exactly while the server is not idle.
-        was_idle = self.qstate.phase == sched_mod.GAMMA_IDLE
-        accepted = sched_mod.enqueue(self.qstate, request, cls, self.qconfig)
-        self._trace(
-            AUTH,
-            device_id,
-            service.slice_id,
-            "",
-            f"accepted:{cls.value}" if accepted else "queue_full",
-        )
-        if not accepted:
-            self.queue_dropped += 1
-            self.unfinished -= 1
-            return
-        if was_idle:
-            self._push(self.clock_us + self.slot_us, SCHEDULE_SLOT, None)
+        else:
+            self.auth_accepted += 1
+            service = self.claimed[di]
+            request = SliceRequest(origin=device_id, demand_slots=self.sc.demand_slots(service))
+            # The AP classifies on the requested flow's parameters.
+            cls = sched_mod.classify_flow(self._make_flow(di, service, self.sc.nominal_flow_rate))
+            was_idle = self.qstate.phase == sched_mod.GAMMA_IDLE
+            accepted = sched_mod.enqueue(self.qstate, request, cls, self.qconfig)
+            self._trace(
+                AUTH,
+                device_id,
+                service.slice_id,
+                "",
+                f"accepted:{cls.value}" if accepted else "queue_full",
+            )
+            if not accepted:
+                self.queue_dropped += 1
+                self.unfinished -= 1
+            elif was_idle:
+                self.slot_due_us = self.clock_us + self.slot_us
+        self._run_slots()
 
-    def _on_schedule_slot(self, _payload=None) -> None:
-        result = sched_mod.step_slot(self.qstate, self.qconfig, self._rng_sched)
-        decide_us = self.clock_us + to_us(self.sc.decision_delay)
-        for request in result.completions:
-            self._push(decide_us, SLICE_DECIDE, self.index_of[request.origin])
-        if self.qstate.phase != sched_mod.GAMMA_IDLE:
-            self._push(self.clock_us + self.slot_us, SCHEDULE_SLOT, None)
+    def _run_slots(self) -> None:
+        """Run the slots due before the next AUTH to run (it may be due now)
+        and by the horizon, until the scheduler is idle; each completion
+        pushes its SLICE_DECIDE."""
+        until = self.auth_times_us[self.auth_accepted + self.auth_rejected]
+        decision_us = to_us(self.sc.decision_delay)
+        while self.qstate.phase != sched_mod.GAMMA_IDLE and self.slot_due_us < until:
+            result = sched_mod.step_slot(self.qstate, self.qconfig, self._rng_sched)
+            for request in result.completions:
+                di = self.index_of[request.origin]
+                self._push(self.slot_due_us + decision_us, SLICE_DECIDE, di)
+            self.slot_due_us += self.slot_us
 
     def _features_for(self, di: int) -> sn_mod.SliceFeatureVector:
         service = self.claimed[di]
@@ -530,6 +541,10 @@ class Engine:
     def _on_allocate(self, di: int) -> None:
         device_id = self.device_ids[di]
         self.unfinished -= 1
+        # Positions catch up: a tick at this time ranks after ALLOCATE.
+        while self.tick_due_us < self.clock_us:
+            self._mobility_tick()
+            self.tick_due_us += to_us(self.sc.tick_interval)
         service = self.decided[di]
         elapsed = max(self.clock_us / 1e6, 1e-9)
         c = self.counters[service]
@@ -702,7 +717,9 @@ class Engine:
 
     # -- mobility ----------------------------------------------------------------
 
-    def _on_mobility_tick(self, _payload=None) -> None:
+    def _mobility_tick(self) -> None:
+        """Move every device one ``tick_interval`` toward its waypoint; a
+        device that reaches it draws a new one."""
         sc = self.sc
         dt = sc.tick_interval
         delta = self.waypoints - self.positions
@@ -724,8 +741,6 @@ class Engine:
                 ]
             )
         np.clip(self.positions, 0.0, self.area, out=self.positions)
-        if self.unfinished:
-            self._push(self.clock_us + to_us(dt), MOBILITY_TICK, None)
 
     # -- reporting ----------------------------------------------------------------
 

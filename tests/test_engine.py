@@ -23,6 +23,7 @@ from hypothesis import example, given, settings, strategies as st
 from ts3ra import auth as auth_mod
 from ts3ra import dataplane as dataplane_mod
 from ts3ra import engine as engine_mod
+from ts3ra import sched as sched_mod
 from ts3ra.dataplane import (
     LOSS,
     OK,
@@ -36,8 +37,14 @@ from ts3ra.dataplane import (
 from ts3ra.domain import SLICE_ORDER, Protocol, ServiceType, qos_profile_of
 from ts3ra.engine import (
     ALLOCATE,
+    ARRIVAL,
     AUTH,
+    DELIVER,
+    DROP,
+    KIND_NAMES,
     MOBILITY_TICK,
+    SCHEDULE_SLOT,
+    SLICE_DECIDE,
     TRANSMIT,
     WINDOW_CLOSE,
     Engine,
@@ -47,7 +54,7 @@ from ts3ra.engine import (
 )
 from ts3ra.metrics import SliceCounters, derive_slice_metrics
 from ts3ra.rng import RngHub
-from ts3ra.scenario import Scenario, ScenarioError
+from ts3ra.scenario import Scenario, ScenarioError, to_us
 from ts3ra.scenario_io import apply_override, parse_scenario
 from ts3ra.slicenet import TrainingDivergedError
 
@@ -1002,13 +1009,13 @@ class TestMobility:
         engine = Engine(small_scenario(devices=5, duration=5.0, train_samples=60, epochs=1, speed_min=0.0, speed_max=0.0))
         before = engine.positions.copy()
         for _ in range(100):
-            engine._on_mobility_tick()
+            engine._mobility_tick()
         assert np.array_equal(engine.positions, before)
 
     def test_positions_stay_in_bounds(self):
         engine = Engine(small_scenario(devices=25, duration=5.0, train_samples=60, epochs=1, speed_max=40.0))
         for _ in range(10_000):
-            engine._on_mobility_tick()
+            engine._mobility_tick()
         assert np.all(engine.positions[:, 0] >= 0.0)
         assert np.all(engine.positions[:, 0] <= engine.sc.area_width)
         assert np.all(engine.positions[:, 1] >= 0.0)
@@ -1038,17 +1045,58 @@ class TestMobility:
             arrivals += int(np.count_nonzero(
                 np.linalg.norm(waypoints - positions, axis=1) <= engine.speeds * sc.tick_interval
             ))
-            engine._on_mobility_tick()
+            engine._mobility_tick()
             masked_tick(positions, waypoints, engine.speeds, sc, oracle_rng)
             assert engine.positions.tobytes() == positions.tobytes()
             assert engine.waypoints.tobytes() == waypoints.tobytes()
         assert arrivals > 3000 // 7
 
+    def test_a_tick_at_the_allocation_time_waits_for_the_next_reader(self):
+        # A MOBILITY_TICK ranked after ALLOCATE: the ticks due at 0.1 s and
+        # 0.2 s move the devices before an allocation at 0.3 s; the one due
+        # at 0.3 s does not.
+        engine = Engine(small_scenario(devices=4, duration=5.0, train_samples=60, epochs=1))
+        engine.heap.clear()
+        engine.decided[0] = engine.claimed[0]
+        positions, waypoints = engine.positions.copy(), engine.waypoints.copy()
+        oracle_rng = copy.deepcopy(engine.hub.substream("waypoints"))
+        for _ in range(2):
+            masked_tick(positions, waypoints, engine.speeds, engine.sc, oracle_rng)
+        engine.step_event((300_000, ALLOCATE, 0, 0))
+        assert engine.tick_due_us == 300_000
+        assert engine.positions.tobytes() == positions.tobytes()
+
+    def test_positions_catch_up_as_one_tick_per_event_moves_them(self):
+        # Every position ALLOCATE reads equals that of a reference that moves
+        # the devices at each tick time, one tick per event as a MOBILITY_TICK
+        # ranked after ALLOCATE would.
+        engine = Engine(drain_scenario())
+        sc = engine.sc
+        oracle_rng = copy.deepcopy(engine.hub.substream("waypoints"))
+        positions, waypoints = engine.positions.copy(), engine.waypoints.copy()
+        read: list[tuple[int, bytes]] = []
+        sinr_db = engine._sinr_db
+
+        def record(di):
+            read.append((engine.clock_us, engine.positions.tobytes()))
+            return sinr_db(di)
+
+        engine._sinr_db = record
+        engine.run()
+        assert len(read) == sum(c.granted + c.rejected for c in engine.counters.values()) > 30
+        tick_us, ticks = to_us(sc.tick_interval), 0
+        for allocate_us, seen in read:
+            while (ticks + 1) * tick_us < allocate_us:
+                ticks += 1
+                masked_tick(positions, waypoints, engine.speeds, sc, oracle_rng)
+            assert seen == positions.tobytes()
+        assert ticks == 57  # the last allocation is at 5.7882 s
+
     def test_displacement_bounded_by_speed(self):
         engine = Engine(small_scenario(devices=25, duration=5.0, train_samples=60, epochs=1))
         for _ in range(200):
             before = engine.positions.copy()
-            engine._on_mobility_tick()
+            engine._mobility_tick()
             moved = np.linalg.norm(engine.positions - before, axis=1)
             assert np.all(moved <= engine.speeds * engine.sc.tick_interval + 1e-9)
 
@@ -1077,6 +1125,15 @@ def masked_tick(positions, waypoints, speeds, sc: Scenario, rng) -> None:
     np.clip(positions[:, 1], 0, sc.area_height, out=positions[:, 1])
 
 
+def drain_scenario() -> Scenario:
+    """``smoke.cfg`` with requests of 2 or 3 slots: the scheduler drains to
+    idle between arrivals, and the last device is allocated at 5.7882 s of 30."""
+    scenario = parse_scenario((ROOT / "scenarios" / "smoke.cfg").read_text())
+    for key, value in {"demand_embb": "3", "demand_urllc": "2", "demand_mmtc": "2"}.items():
+        apply_override(scenario, key, value)
+    return scenario
+
+
 def lossless_engine(trace: Lines, **overrides) -> Engine:
     """A 4-device engine with no event queued and no switch losing packets."""
     engine = Engine(
@@ -1094,9 +1151,9 @@ def lossless_engine(trace: Lines, **overrides) -> Engine:
 def cut_everywhere(batch_packets: int = 7):
     """Run the data plane before every event, in batches of at most
     ``batch_packets`` new transmits."""
-    with mock.patch.multiple(
-        engine_mod, _BLIND_KINDS=frozenset(), _TRACE_ONLY_KINDS=frozenset()
-    ), mock.patch.object(dataplane_mod, "BATCH_PACKETS", batch_packets):
+    with mock.patch.object(engine_mod, "_TRACE_ONLY_KINDS", frozenset()), mock.patch.object(
+        dataplane_mod, "BATCH_PACKETS", batch_packets
+    ):
         yield
 
 
@@ -1123,8 +1180,8 @@ class TestOutcomeOrdering:
         assert run_scenario(small_scenario()).to_csv_rows() == report.to_csv_rows()
 
     def test_outcomes_applied_before_every_event_give_the_same_run(self, small_run):
-        # The data plane runs before every event, slots and ticks included,
-        # in batches of at most 7 new transmits.
+        # The data plane runs before every event, in batches of at most 7
+        # new transmits.
         _, report, trace, detection = small_run
         eager_trace = Lines()
         eager_detection = Lines()
@@ -1271,33 +1328,40 @@ class TestOutcomeOrdering:
         assert engine.counters[decided].delivered == 2
 
     def test_no_outcome_due_is_held_after_a_reader(self):
-        # With a trace, every kind but slots and ticks reads the data plane.
+        # With a trace, every event reads the data plane.
         engine = Engine(small_scenario(), trace_sink=Lines())
         while engine.heap:
             event = heapq.heappop(engine.heap)
             engine.step_event(event)
-            if event[1] not in engine_mod._BLIND_KINDS:
-                due = event[0] + 1 if event[1] > engine_mod.DROP else event[0]
-                assert (engine.dp.held[:, 0] >= due).all()
-                assert all(r[0] >= due for r in engine.dp.retransmits)
-                assert (engine.dp.next_us >= due).all()
+            due = event[0] + 1 if event[1] > DROP else event[0]
+            assert (engine.dp.held[:, 0] >= due).all()
+            assert all(r[0] >= due for r in engine.dp.retransmits)
+            assert (engine.dp.next_us >= due).all()
         assert engine.dp.is_quarantined.any()
         engine.collect_metrics()
 
     def test_mobility_ticks_stop_once_every_device_finished(self):
+        # Ticks catch up at ALLOCATE, the one reader of positions: each one
+        # runs there, due before the reader's time, and none is due at or
+        # after the last allocation.
         engine = Engine(small_scenario(devices=12, duration=20.0, train_samples=60, epochs=1))
-        while engine.unfinished:
-            engine.step_event(heapq.heappop(engine.heap))
-        finished_us = engine.clock_us
-        assert finished_us < engine.end_us / 2
-        ticks = 0
+        tick, ticks, allocations = engine._mobility_tick, [], []
+
+        def record():
+            ticks.append((engine.tick_due_us, engine.clock_us))
+            tick()
+
+        engine._mobility_tick = record
         while engine.heap:
             event = heapq.heappop(engine.heap)
-            ticks += event[1] == MOBILITY_TICK
             engine.step_event(event)
-            if ticks:
-                assert all(e[1] != MOBILITY_TICK for e in engine.heap)
-        assert ticks <= 1  # the one armed before the last device finished
+            if event[1] == ALLOCATE:
+                allocations.append(event[0])
+        assert engine.unfinished == 0
+        assert allocations[-1] < engine.end_us / 2
+        tick_us = to_us(engine.sc.tick_interval)
+        assert [due for due, _ in ticks] == list(range(tick_us, allocations[-1], tick_us))
+        assert all(due < reader_us and reader_us in allocations for due, reader_us in ticks)
 
 
 class TestHorizon:
@@ -1321,54 +1385,125 @@ class TestHorizon:
 
 
 class TestSlotScheduling:
-    """One SCHEDULE_SLOT is pending exactly while the scheduler is busy."""
+    """Slots run ahead from each AUTH as one heap event per slot would run
+    them."""
 
     @staticmethod
-    def step_through(engine: Engine) -> tuple[int, list[int]]:
-        """Run ``engine`` event by event, checking the pending slots around
-        each; returns the busy periods started and the slot times run."""
-        slot_us = engine.slot_us
+    def slot_per_event(engine: Engine, enqueues: list, rng) -> tuple[int, list, list]:
+        """The slot-per-event reference: the engine's ``enqueues`` (time,
+        request, class) replayed into a queue of its own, with one event per
+        slot ranked after AUTH at equal times, none pushed past the horizon.
+        Returns the busy periods started, the slot times run and the
+        SLICE_DECIDEs pushed, each (time, device)."""
+        state = sched_mod.DualQueueState()
+        slot_us, end_us = engine.slot_us, engine.end_us
+        heap = [(t, AUTH, i, (request, cls)) for i, (t, request, cls) in enumerate(enqueues)]
+        heapq.heapify(heap)
+        seq, starts, slot_times, decides = len(heap), 0, [], []
+        while heap:
+            time_us, kind, _, payload = heapq.heappop(heap)
+            if kind == AUTH:
+                was_idle = state.phase == sched_mod.GAMMA_IDLE
+                if not (sched_mod.enqueue(state, *payload, engine.qconfig) and was_idle):
+                    continue
+                starts += 1
+            else:
+                slot_times.append(time_us)
+                result = sched_mod.step_slot(state, engine.qconfig, rng)
+                decide_us = time_us + to_us(engine.sc.decision_delay)
+                decides += [
+                    (decide_us, engine.index_of[r.origin])
+                    for r in result.completions
+                    if decide_us <= end_us
+                ]
+                if state.phase == sched_mod.GAMMA_IDLE:
+                    continue
+            if time_us + slot_us <= end_us:
+                seq += 1
+                heapq.heappush(heap, (time_us + slot_us, SCHEDULE_SLOT, seq, None))
+        return starts, slot_times, decides
 
-        def pending() -> list[int]:
-            return sorted(e[0] for e in engine.heap if e[1] == engine_mod.SCHEDULE_SLOT)
+    def run_against_reference(self, engine: Engine, monkeypatch) -> tuple[int, list]:
+        """Run ``engine`` event by event and check its slots and SLICE_DECIDEs
+        against the slot-per-event reference; returns the reference's busy
+        periods started and slot times."""
+        rng = copy.deepcopy(engine._rng_sched)
+        enqueue, step_slot = sched_mod.enqueue, sched_mod.step_slot
+        enqueues, slot_times, decides = [], [], []
 
-        def admitted() -> int:
-            return sum(c.enqueued - c.dropped for c in engine.qstate.counters.values())
+        def record_enqueue(state, request, cls, config):
+            enqueues.append((engine.clock_us, request, cls))
+            return enqueue(state, request, cls, config)
 
-        starts, slot_times = 0, []
+        def record_slot(state, config, rng):
+            slot_times.append(engine.slot_due_us)
+            return step_slot(state, config, rng)
+
+        monkeypatch.setattr(sched_mod, "enqueue", record_enqueue)
+        monkeypatch.setattr(sched_mod, "step_slot", record_slot)
         while engine.heap:
             event = heapq.heappop(engine.heap)
-            before, admitted_before = pending(), admitted()
-            was_idle = engine.qstate.phase == engine_mod.sched_mod.GAMMA_IDLE
+            assert event[1] not in (SCHEDULE_SLOT, MOBILITY_TICK)
             engine.step_event(event)
-            after = pending()
-            assert len(after) <= 1
-            assert all(t <= engine.end_us for t in after)
-            if event[1] == engine_mod.SCHEDULE_SLOT:
-                slot_times.append(event[0])
-                assert after in ([], [event[0] + slot_us])
-            elif event[1] == AUTH and admitted() > admitted_before and not before:
-                # An accepted request on an idle server opens a busy period.
-                assert was_idle
-                starts += 1
-                assert after == ([event[0] + slot_us] if event[0] + slot_us <= engine.end_us else [])
-            else:
-                assert after == before
+            if event[1] == SLICE_DECIDE:
+                decides.append(event[0::3])
+        monkeypatch.undo()
+        starts, ref_slot_times, ref_decides = self.slot_per_event(engine, enqueues, rng)
+        assert slot_times == ref_slot_times
+        assert decides == ref_decides
+        assert all(t <= engine.end_us for t in slot_times)
         return starts, slot_times
 
-    def test_each_busy_period_starts_one_slot_after_its_auth(self):
+    def test_each_busy_period_starts_one_slot_after_its_auth(self, monkeypatch):
         engine = Engine(
             small_scenario(
                 devices=12, duration=6.0, train_samples=60, epochs=1,
                 demand_embb=3, demand_urllc=2, demand_mmtc=2,
             )
         )
-        starts, _ = self.step_through(engine)
+        starts, _ = self.run_against_reference(engine, monkeypatch)
         # The queues drained to idle between arrivals and restarted each time.
         assert starts >= 3
         assert engine.qstate.n_in_system == 0
 
-    def test_no_slot_is_pushed_past_the_horizon(self):
+    def test_auths_at_one_time_all_enqueue_before_the_next_slot(self, monkeypatch):
+        # Every device arrives at 0, so all twelve AUTHs share one time.
+        engine = Engine(
+            small_scenario(
+                devices=12, duration=6.0, train_samples=60, epochs=1, arrival_window=0.0,
+                demand_embb=3, demand_urllc=2, demand_mmtc=2,
+            )
+        )
+        starts, slot_times = self.run_against_reference(engine, monkeypatch)
+        assert starts == 1
+        assert slot_times[0] == to_us(engine.sc.auth_delay) + engine.slot_us
+
+    def test_auths_at_a_slot_time_enqueue_before_that_slot(self, monkeypatch):
+        # d0's AUTH starts the scheduler; d1 and d2 authenticate at the time
+        # of its first slot and d3 later.  AUTH ranks before a slot at its
+        # time, so the slot finds three requests queued.
+        engine = Engine(
+            small_scenario(
+                devices=4, duration=2.0, train_samples=60, epochs=1, illegitimate_fraction=0.0,
+                demand_embb=1, demand_urllc=1, demand_mmtc=1,
+            )
+        )
+        engine.heap.clear()
+        delay_us, slot_us = to_us(engine.sc.auth_delay), engine.slot_us
+        arrivals = [0, slot_us, slot_us, 5 * slot_us]
+        for di, arrival_us in enumerate(arrivals):
+            engine._push(arrival_us, ARRIVAL, di)
+        engine.auth_times_us = [t + delay_us for t in arrivals] + [engine.end_us + 1]
+        queued = []
+        step_slot = sched_mod.step_slot
+        monkeypatch.setattr(
+            engine_mod.sched_mod, "step_slot",
+            lambda state, *args: queued.append(state.n_in_system) or step_slot(state, *args),
+        )
+        starts, slot_times = self.run_against_reference(engine, monkeypatch)
+        assert (starts, slot_times[0], queued[0]) == (2, delay_us + slot_us, 3)
+
+    def test_no_slot_is_pushed_past_the_horizon(self, monkeypatch):
         # Every request needs 10^4 slots of 10 ms: the queue outlasts a 2 s run.
         engine = Engine(
             small_scenario(
@@ -1376,10 +1511,23 @@ class TestSlotScheduling:
                 demand_embb=10**4, demand_urllc=10**4, demand_mmtc=10**4,
             )
         )
-        starts, slot_times = self.step_through(engine)
+        starts, slot_times = self.run_against_reference(engine, monkeypatch)
         assert starts == 1
         assert engine.qstate.n_in_system > 0
         assert engine.end_us - engine.slot_us < slot_times[-1] <= engine.end_us
+
+    def test_no_slot_or_tick_is_ever_on_the_heap_of_a_smoke_run(self):
+        engine = Engine(parse_scenario((ROOT / "scenarios" / "smoke.cfg").read_text()))
+        while engine.heap:
+            assert all(e[1] not in (SCHEDULE_SLOT, MOBILITY_TICK) for e in engine.heap)
+            engine.step_event(heapq.heappop(engine.heap))
+        assert engine.auth_accepted > 30
+
+    @pytest.mark.parametrize("kind", [SCHEDULE_SLOT, TRANSMIT, DELIVER, DROP, MOBILITY_TICK])
+    def test_a_kind_never_on_the_heap_is_named_when_popped(self, kind):
+        engine = lossless_engine(Lines())
+        with pytest.raises(InvariantViolation, match=f"^{KIND_NAMES[kind]} event None on"):
+            engine.step_event((1_000, kind, 0, None))
 
 
 class TestDataPlaneBoundary:

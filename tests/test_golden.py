@@ -1,5 +1,7 @@
-"""Golden artifact digests of the smoke scenario, and of a variant whose
-switches are under placement pressure.
+"""Golden artifact digests of the smoke scenario, of a variant whose switches
+are under placement pressure, and of two variants that move the scheduler:
+one whose queues drain between arrivals, and one whose devices all arrive
+at once.
 
 Criterion 11 only shows that two runs agree with each other; this test pins
 what they agree on, so a refactor or a speed-up that changes any artifact
@@ -61,17 +63,25 @@ def test_golden_digest(smoke_run, name):
     assert digest == GOLDEN_SHA256[name]
 
 
+def variant_run(tmp_path_factory, name: str, overrides: dict, seed=None) -> Path:
+    """The output directory of a traced run of ``smoke.cfg`` with
+    ``overrides``, at ``seed`` if one is given."""
+    out = tmp_path_factory.mktemp(name)
+    scenario = parse_scenario(SMOKE.read_text())
+    for key, value in overrides.items():
+        apply_override(scenario, key, value)
+    cfg = out / f"{name}.cfg"
+    cfg.write_text(serialize_scenario(scenario))
+    argv = ["run", "--scenario", str(cfg), "--trace", "--out", str(out / "run")]
+    if seed is not None:
+        argv += ["--seed", str(seed)]
+    assert main(argv) == 0
+    return out / "run"
+
+
 @pytest.fixture(scope="module")
 def pressure_run(tmp_path_factory):
-    out = tmp_path_factory.mktemp("pressure")
-    scenario = parse_scenario(SMOKE.read_text())
-    for key, value in PRESSURE.items():
-        apply_override(scenario, key, value)
-    cfg = out / "pressure.cfg"
-    cfg.write_text(serialize_scenario(scenario))
-    argv = ["run", "--scenario", str(cfg), "--seed", str(PRESSURE_SEED), "--trace"]
-    assert main(argv + ["--out", str(out / "run")]) == 0
-    return out / "run"
+    return variant_run(tmp_path_factory, "pressure", PRESSURE, PRESSURE_SEED)
 
 
 def test_pressure_run_places_after_migrations(pressure_run):
@@ -92,3 +102,55 @@ def test_pressure_run_places_after_migrations(pressure_run):
 def test_pressure_digest(pressure_run, name):
     digest = hashlib.sha256((pressure_run / name).read_bytes()).hexdigest()
     assert digest == PRESSURE_SHA256[name]
+
+
+# Requests of 2 or 3 slots: the queues drain to idle between arrivals and the
+# scheduler restarts 35 times; the last device is allocated at 5.7882 s of 30.
+DRAIN = {"flows.demand_embb": "3", "flows.demand_urllc": "2", "flows.demand_mmtc": "2"}
+DRAIN_SHA256 = {
+    "metrics.csv": "8b0d3a18b580734c11d684a1c61ff58d5ff04b3fb7c0a490b608970a876487ef",
+    "detection.csv": "738c9d06934cc30753140ae73dacd245b03d532a9e0d1c7a9ac47e6d5cff746b",
+    "migrations.csv": "b22947a1caa9fcc1f2e6b051a26f91bc5a4832b83ca80799ca7ea5b4cf640399",
+    "trace.csv": "c0219b8296d91a3d4073dd33b419be4a778114114a41efaf7394d6c39d552414",
+}
+# Every device arrives at time 0, so all 40 AUTHs share one time.
+BURST = {"flows.arrival_window": "0"}
+BURST_SHA256 = {
+    "metrics.csv": "c255282bcb2c0c1a90dfe65ad27482a598552062536e6ad2bad19a849e499cd1",
+    "detection.csv": "ed951842356cc60ac222d8ab5979e981682e837e98daf881ffc5d3e79de15e6d",
+    "migrations.csv": "ec9c9175772a37c22dd89fba09eb4398cbbb139e26574c7bb196cb45e36bcb8e",
+    "trace.csv": "7912952aad62d694a4611282d2020142590c7fc078132daf28ab56247c1e63e2",
+}
+# No ``flows`` key feeds training or the allocator's memory.
+TRAINED = ("loss_curve.csv", "model.bin", "hopfield.bin")
+
+
+@pytest.fixture(scope="module")
+def drain_run(tmp_path_factory):
+    return variant_run(tmp_path_factory, "drain", DRAIN)
+
+
+@pytest.fixture(scope="module")
+def burst_run(tmp_path_factory):
+    return variant_run(tmp_path_factory, "burst", BURST)
+
+
+def test_drain_run_allocates_its_last_device_early(drain_run):
+    allocations = [
+        row.split(",")[0]
+        for row in (drain_run / "trace.csv").read_text().splitlines()[1:]
+        if ",allocate," in row
+    ]
+    assert max(allocations, key=float) == "5.788200"
+
+
+@pytest.mark.parametrize("name", sorted(DRAIN_SHA256) + list(TRAINED))
+def test_drain_digest(drain_run, name):
+    digest = hashlib.sha256((drain_run / name).read_bytes()).hexdigest()
+    assert digest == {**GOLDEN_SHA256, **DRAIN_SHA256}[name]
+
+
+@pytest.mark.parametrize("name", sorted(BURST_SHA256) + list(TRAINED))
+def test_burst_digest(burst_run, name):
+    digest = hashlib.sha256((burst_run / name).read_bytes()).hexdigest()
+    assert digest == {**GOLDEN_SHA256, **BURST_SHA256}[name]
