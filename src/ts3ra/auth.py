@@ -3,7 +3,7 @@
 Implements PBKDF2 key stretching (parameter checks around the
 OpenSSL-backed :func:`hashlib.pbkdf2_hmac`), simulated
 challenge/response PUF enrollment and verification, the published Boolean
-admission gate, and the elastic virtual-authority pool that holds
+admission gate, and the virtual authority that holds every device's
 credential state.
 
 Two admission semantics coexist deliberately: :func:`boolean_gate_literal`
@@ -29,7 +29,7 @@ from __future__ import annotations
 __all__ = [
     "AuthError", "AuthVerdict", "KeyDerivationParams", "PufChallengeResponse",
     "RegistrationRecord", "SimulatedPuf", "TamperError", "UnknownDeviceError", "VerdictReason",
-    "VirtualAuthority", "VirtualAuthorityPool", "authenticate", "boolean_gate_literal",
+    "VirtualAuthority", "authenticate", "boolean_gate_literal",
     "derive_key", "pbkdf2_bytes", "puf_enroll", "puf_verify", "register_device",
 ]
 
@@ -37,7 +37,7 @@ import hashlib
 import hmac
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -45,7 +45,6 @@ DEFAULT_ITERATION_COUNT = 1000
 MIN_SALT_LENGTH = 8
 DEFAULT_PRF_HASH = "sha256"
 DEFAULT_FRESHNESS_WINDOW = 2.0  # seconds, mirrors the flow-timeout setting
-DEVICES_PER_AUTHORITY = 125
 CHALLENGES_PER_DEVICE = 8
 
 
@@ -180,7 +179,7 @@ class RegistrationRecord:
 
 @dataclass
 class VirtualAuthority:
-    """One elastic authentication worker: CRP store plus registrations."""
+    """The access point's authority: CRP store plus registrations, by device id."""
 
     crp_store: dict[str, dict[bytes, bytes]] = field(default_factory=dict)
     registered: dict[str, RegistrationRecord] = field(default_factory=dict)
@@ -251,7 +250,7 @@ def register_device(
 
 
 def authenticate(
-    va: Optional[VirtualAuthority],
+    va: VirtualAuthority,
     device_id: str,
     password: Union[bytes, KeyResponder],
     timestamp: float,
@@ -264,13 +263,12 @@ def authenticate(
     """Admit a device iff timestamp, PUF response and derived key all check.
 
     Failures are reported in fixed precedence: unknown device, stale
-    timestamp, bad PUF, bad key.  ``va`` is the authority that holds the
-    device, or None when none does.  ``password`` is either the presented
+    timestamp, bad PUF, bad key.  ``password`` is either the presented
     password, stretched here under the record's inputs, or a responder that
     is handed those inputs and returns the presented key derived from them;
     it is called only when the key is checked.
     """
-    record = va.registered.get(device_id) if va is not None else None
+    record = va.registered.get(device_id)
     if record is None or device_id not in va.crp_store:
         return AuthVerdict(False, VerdictReason.UNKNOWN_DEVICE)
 
@@ -288,36 +286,3 @@ def authenticate(
         return AuthVerdict(False, VerdictReason.BAD_KEY)
 
     return AuthVerdict(True, VerdictReason.OK)
-
-
-class VirtualAuthorityPool:
-    """Elastic pool of authorities audited by the access point.
-
-    Sizing follows demand: one authority per ``DEVICES_PER_AUTHORITY``
-    unverified devices, never fewer than one while any device is pending.
-    Devices map to authorities by enrollment order: :meth:`authority_for`
-    assigns, :meth:`holder_of` only looks up.
-    """
-
-    def __init__(self):
-        self.authorities: list[VirtualAuthority] = []
-        self._assignment: dict[str, int] = {}
-
-    def _ensure_size(self, n: int) -> None:
-        while len(self.authorities) < n:
-            self.authorities.append(VirtualAuthority())
-
-    def holder_of(self, device_id: str) -> Optional[VirtualAuthority]:
-        """The authority ``device_id`` was assigned, or None; assigns nothing."""
-        idx = self._assignment.get(device_id)
-        return None if idx is None else self.authorities[idx]
-
-    def authority_for(self, device_id: str) -> VirtualAuthority:
-        """The authority ``device_id`` was assigned, assigning the next place
-        in enrollment order (and creating its authority) to a new device."""
-        idx = self._assignment.get(device_id)
-        if idx is None:
-            idx = len(self._assignment) // DEVICES_PER_AUTHORITY
-            self._ensure_size(idx + 1)
-            self._assignment[device_id] = idx
-        return self.authorities[idx]

@@ -263,7 +263,7 @@ class Engine:
         mix = [sc.mix_fraction(st) for st in SLICE_ORDER]
         services = rng_world.choice(len(mix), size=n, p=mix)
 
-        self.vap = auth_mod.VirtualAuthorityPool()
+        self.va = auth_mod.VirtualAuthority()
         rng_puf = self.hub.substream("puf")
         self.fair_slas = fair_slas
         # per-device facts, indexed by device (see the module docstring)
@@ -282,9 +282,8 @@ class Engine:
             puf = auth_mod.SimulatedPuf(bytes(rng_puf.integers(0, 256, size=32, dtype=np.uint8)))
             self.pufs.append(puf)
             if i not in forged:
-                va = self.vap.authority_for(device_id)
                 record = auth_mod.register_device(
-                    va, device_id, _password(device_id), puf, rng_puf
+                    self.va, device_id, _password(device_id), puf, rng_puf
                 )
                 self.key_of[record.params] = record.derived_key
 
@@ -346,21 +345,16 @@ class Engine:
                 batch_size=32,
             )
 
-        # resource pools, sized to expected demand with headroom
+        # one communication pool per slice, sized to expected demand with
+        # headroom
         n_legit = n - n_illegit
         expected = {st: n_legit * sc.mix_fraction(st) for st in ServiceType}
         expected[ServiceType.MMTC] += n_illegit
-        self.pool_initial: dict[ServiceType, float] = {}
-        self.pools: dict[ServiceType, hop_mod.ResourcePool] = {}
-        for st in ServiceType:
-            count = max(expected[st], 1.0)
-            comm = count * qos_profile_of(st).min_bandwidth * sc.pool_headroom
-            self.pool_initial[st] = comm
-            self.pools[st] = hop_mod.ResourcePool(
-                communication=comm,
-                computation=count * sc.pool_headroom,
-                caching=count * sc.pool_headroom,
-            )
+        self.pool_initial = {
+            st: max(expected[st], 1.0) * qos_profile_of(st).min_bandwidth * sc.pool_headroom
+            for st in ServiceType
+        }
+        self.pools = {st: hop_mod.ResourcePool(comm) for st, comm in self.pool_initial.items()}
         self.allocator = hop_mod.HopfieldAllocator()
         return np.array([i in illegit and i not in forged for i in range(n)], bool)
 
@@ -446,7 +440,7 @@ class Engine:
             return self.key_of.get(presented) or auth_mod.derive_key(presented)
 
         verdict = auth_mod.authenticate(
-            self.vap.holder_of(device_id),
+            self.va,
             device_id,
             presented_key,
             timestamp=now_s,

@@ -3,16 +3,16 @@
 A single-layer bipolar network stores the three service-indicator codes
 with the Storkey learning rule and recalls them from possibly corrupted
 probes via synchronous threshold updates.  The recalled slice identity
-selects a per-slice resource bundle (communication, computation, caching)
-which is scaled by request fairness and link/load quality and drawn from a
-shared pool.
+selects a per-slice communication grant, the slice's minimum bandwidth,
+which is scaled by request fairness and link/load quality and drawn from
+the slice's pool.
 """
 
 from __future__ import annotations
 
 __all__ = [
     "AllocationRequest", "HopfieldAllocator", "PoolExhaustedError", "RecallResult",
-    "ResourceAllocation", "ResourceBundle", "ResourcePool", "decode_pattern", "encode_pattern",
+    "ResourceAllocation", "ResourcePool", "decode_pattern", "encode_pattern",
     "grant_modifier", "recall", "storkey_update", "train_patterns", "update_state",
     "zero_weights",
 ]
@@ -30,7 +30,7 @@ DEFAULT_MAX_ITERS = 10
 
 
 class PoolExhaustedError(Exception):
-    """The shared pool cannot cover a requested component."""
+    """A slice's pool holds less communication than a grant takes."""
 
 
 def zero_weights(n: int) -> np.ndarray:
@@ -168,51 +168,27 @@ class AllocationRequest:
 
 
 @dataclass(frozen=True)
-class ResourceBundle:
-    """Per-slice base grant: communication bps, computation and caching units."""
-
-    communication: float
-    computation: float
-    caching: float
-
-
-@dataclass(frozen=True)
 class ResourceAllocation:
-    """The resources granted to one request, in the recalled slice."""
+    """The communication (bps) granted to one request, in the recalled slice."""
 
     slice_id: str
     communication: float
-    computation: float
-    caching: float
 
     def __post_init__(self):
-        if min(self.communication, self.computation, self.caching) < 0:
-            raise ValueError("resource components must be >= 0")
+        if self.communication < 0:
+            raise ValueError("communication must be >= 0")
 
 
 @dataclass
 class ResourcePool:
-    """Mutable remaining capacity per resource class."""
+    """A slice's remaining communication capacity (bps)."""
 
     communication: float
-    computation: float
-    caching: float
 
-    def can_cover(self, comm: float, comp: float, cache: float) -> bool:
-        return (
-            self.communication >= comm
-            and self.computation >= comp
-            and self.caching >= cache
-        )
-
-    def consume(self, comm: float, comp: float, cache: float) -> None:
-        if not self.can_cover(comm, comp, cache):
-            raise PoolExhaustedError(
-                f"pool cannot cover grant (comm={comm:.1f}, comp={comp:.3f}, cache={cache:.3f})"
-            )
+    def consume(self, comm: float) -> None:
+        if not self.communication >= comm:  # a NaN grant is refused too
+            raise PoolExhaustedError(f"pool cannot cover grant (comm={comm:.1f})")
         self.communication -= comm
-        self.computation -= comp
-        self.caching -= cache
 
 
 # Normalization references for the multiplicative grant modifier.
@@ -244,10 +220,7 @@ class HopfieldAllocator:
         self.patterns = {st: encode_pattern(st.indicator) for st in ServiceType}
         self.we = train_patterns(list(self.patterns.values()))
         self.thresholds = np.zeros(PATTERN_LENGTH)
-        self.bundles = {
-            st: ResourceBundle(qos_profile_of(st).min_bandwidth, computation=1.0, caching=1.0)
-            for st in ServiceType
-        }
+        self.bundles = {st: qos_profile_of(st).min_bandwidth for st in ServiceType}
 
     def recall_slice(self, probe: Sequence[float]) -> tuple[ServiceType, RecallResult]:
         """Snap a (possibly corrupted) probe to the nearest stored slice."""
@@ -265,20 +238,11 @@ class HopfieldAllocator:
     def allocate_resources(
         self, request: AllocationRequest, pool: ResourcePool
     ) -> ResourceAllocation:
-        """Grant the recalled slice's bundle scaled by the request's fairness
-        and its link/load quality (:func:`grant_modifier`), or raise on
-        exhaustion."""
+        """Grant the recalled slice's minimum bandwidth scaled by the
+        request's fairness and its link/load quality (:func:`grant_modifier`),
+        or raise on exhaustion."""
         probe = encode_pattern(request.slice_indicator)
         service, _ = self.recall_slice(probe)
-        base = self.bundles[service]
-        scale = request.fair_sla * grant_modifier(request)
-        comm = base.communication * scale
-        comp = base.computation * scale
-        cache = base.caching * scale
-        pool.consume(comm, comp, cache)  # raises PoolExhaustedError when short
-        return ResourceAllocation(
-            slice_id=service.slice_id,
-            communication=comm,
-            computation=comp,
-            caching=cache,
-        )
+        comm = self.bundles[service] * (request.fair_sla * grant_modifier(request))
+        pool.consume(comm)  # raises PoolExhaustedError when short
+        return ResourceAllocation(slice_id=service.slice_id, communication=comm)

@@ -207,12 +207,13 @@ class Scenario:
         mix = self.mix_embb + self.mix_urllc + self.mix_mmtc
         if abs(mix - 1.0) > 1e-9:
             raise ScenarioError(f"traffic mix fractions must sum to 1 (got {mix!r})")
-        # The engine sizes a slice's pools for at most max(devices, 1) devices,
-        # at pool_headroom times the slice's min_bandwidth (above 1) each.
+        # The engine sizes each slice's one pool for at most max(devices, 1)
+        # devices, at pool_headroom times the slice's min_bandwidth (above 1)
+        # each.
         most = max(self.devices, 1) * max(qos_profile_of(st).min_bandwidth for st in ServiceType)
         if not math.isfinite(most * self.pool_headroom):
             raise ScenarioError(
-                "pool_headroom must keep the largest resource pool, pool_headroom * "
+                "pool_headroom must keep the largest slice pool, pool_headroom * "
                 f"max(devices, 1) * the largest min_bandwidth ({most:.6g}), finite "
                 f"(got {self.pool_headroom!r})"
             )

@@ -16,7 +16,6 @@ from ts3ra.auth import (
     UnknownDeviceError,
     VerdictReason,
     VirtualAuthority,
-    VirtualAuthorityPool,
     authenticate,
     boolean_gate_literal,
     derive_key,
@@ -277,7 +276,8 @@ class TestAuthenticate:
         _, puf, _, rng = enrolled
         state = rng.bit_generator.state
         verdict = authenticate(
-            None, "dev-1", b"hunter2", timestamp=0.0, puf_response=puf.respond, now=0.0, rng=rng
+            VirtualAuthority(), "dev-1", b"hunter2", timestamp=0.0, puf_response=puf.respond,
+            now=0.0, rng=rng,
         )
         assert verdict == AuthVerdict(False, VerdictReason.UNKNOWN_DEVICE)
         assert rng.bit_generator.state == state
@@ -330,26 +330,3 @@ class TestPresentedKey:
             puf_response=puf.respond, now=0.0, rng=rng,
         )
         assert verdict.reason is VerdictReason.UNKNOWN_DEVICE and not handed
-
-
-class TestAuthorityPool:
-    def test_one_authority_per_125_devices(self):
-        pool = VirtualAuthorityPool()
-        for i in range(260):
-            pool.authority_for(f"d{i}")
-        assert len(pool.authorities) == 3
-
-    def test_assignment_is_stable(self):
-        pool = VirtualAuthorityPool()
-        first = pool.authority_for("d0")
-        for i in range(200):
-            pool.authority_for(f"d{i}")
-        assert pool.authority_for("d0") is first
-
-    def test_lookup_assigns_nothing(self):
-        pool = VirtualAuthorityPool()
-        first = pool.authority_for("d0")
-        assert pool.holder_of("d0") is first
-        assert pool.holder_of("ghost") is None
-        assert pool.authorities == [first]
-        assert pool.authority_for("d1") is first

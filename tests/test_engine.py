@@ -93,7 +93,7 @@ def place(engine: Engine, di: int, sw_id: str) -> None:
 
 def enrolled(engine: Engine, device_id: str) -> bool:
     """Whether set-up enrolled ``device_id``: every device but the forged ones."""
-    return engine.vap.holder_of(device_id) is not None
+    return device_id in engine.va.registered
 
 
 def start_transmits(engine: Engine, di: int, first_us: int) -> None:
@@ -398,16 +398,16 @@ class TestDeviceRegistration:
         assert 0 < len(registered) < len(engine.device_ids)
 
         rng_puf = RngHub(sc.seed).substream("puf")
-        pool = auth_mod.VirtualAuthorityPool()
+        va = auth_mod.VirtualAuthority()
         for device_id in engine.device_ids:
             puf = auth_mod.SimulatedPuf(bytes(rng_puf.integers(0, 256, size=32, dtype=np.uint8)))
             if enrolled(engine, device_id):
-                va = pool.authority_for(device_id)
                 auth_mod.register_device(va, device_id, f"pw-{device_id}".encode(), puf, rng_puf)
-        assert engine.vap.authorities == pool.authorities
+        assert engine.va.registered == va.registered
+        assert engine.va.crp_store == va.crp_store
         params = []
         for device_id in registered:
-            record = engine.vap.holder_of(device_id).registered[device_id]
+            record = engine.va.registered[device_id]
             assert record.derived_key == auth_mod.derive_key(record.params)
             # every device presents the password it enrolled with
             presented = engine_mod._password(device_id)
@@ -437,7 +437,7 @@ class TestDeviceRegistration:
         registered = [d for d in engine.device_ids if enrolled(engine, d)]
         assert registered
         # one derivation per enrolled device, in device order
-        assert calls == [engine.vap.holder_of(d).registered[d].params for d in registered]
+        assert calls == [engine.va.registered[d].params for d in registered]
 
     def test_one_register_device_call_per_enrolled_device(self, monkeypatch):
         register, registered = auth_mod.register_device, []
@@ -455,7 +455,7 @@ class TestDeviceRegistration:
         assert registered == ids and len(ids) == 9
         # each record's input derived once, by its registration; the run
         # looks every presented key up
-        assert calls == [engine.vap.holder_of(d).registered[d].params for d in ids]
+        assert calls == [engine.va.registered[d].params for d in ids]
         assert len(set(calls)) == len(calls)
 
     def test_training_divergence_raises_after_registration(self, monkeypatch):
@@ -586,15 +586,15 @@ class TestAuthentication:
         rejected = [row for row in trace if ",auth," in row and ",rejected:" in row]
         assert len(rejected) == report.auth_rejected == 1
         assert rejected[0].endswith(",auth,d0005,,,rejected:bad_key")
-        record = engine.vap.holder_of("d0005").registered["d0005"]
+        record = engine.va.registered["d0005"]
         assert record.params.password == b"another password"
         # each record's input in device order, then d0005's presented one
-        records = [engine.vap.holder_of(d).registered[d].params for d in engine.device_ids]
+        records = [engine.va.registered[d].params for d in engine.device_ids]
         assert calls == records + [replace(record.params, password=b"pw-d0005")]
 
-    def test_unknown_device_adds_no_authority(self):
-        # 125 devices fill the first authority; the one forged device, never
-        # enrolled, is rejected without being given a place in the pool.
+    def test_unknown_device_adds_no_record(self):
+        # 125 of 126 devices enroll; the one forged device, never enrolled,
+        # is rejected without being given a record or a challenge.
         scenario = parse_scenario((ROOT / "scenarios" / "smoke.cfg").read_text())
         for key, value in {
             "devices": "126", "duration": "10", "arrival_window": "0.2", "epochs": "1"
@@ -605,7 +605,9 @@ class TestAuthentication:
         engine.run()
         forged = [d for d in engine.device_ids if not enrolled(engine, d)]
         assert len(forged) == 1
-        assert [len(va.registered) for va in engine.vap.authorities] == [125]
+        enrolled_ids = set(engine.device_ids) - set(forged)
+        assert len(enrolled_ids) == 125
+        assert set(engine.va.registered) == set(engine.va.crp_store) == enrolled_ids
         # illegitimate, and not a flooder: it claims mMTC and floods not
         di = engine.index_of[forged[0]]
         assert engine.claimed[di] is ServiceType.MMTC and not engine.dp.floods[di]

@@ -161,7 +161,7 @@ class TestEncoding:
 
 class TestAllocator:
     def make_pool(self):
-        return ResourcePool(communication=1e6, computation=100.0, caching=100.0)
+        return ResourcePool(communication=1e6)
 
     def make_request(self, indicator):
         return AllocationRequest(
@@ -194,7 +194,7 @@ class TestAllocator:
 
     def test_pool_exhaustion_rejects(self):
         allocator = HopfieldAllocator()
-        pool = ResourcePool(communication=1.0, computation=100.0, caching=100.0)
+        pool = ResourcePool(communication=1.0)
         with pytest.raises(PoolExhaustedError):
             allocator.allocate_resources(self.make_request((0, 1, 0)), pool)
 
@@ -210,6 +210,34 @@ class TestAllocator:
         before = pool.communication
         alloc = allocator.allocate_resources(self.make_request((0, 0, 1)), pool)
         assert pool.communication == pytest.approx(before - alloc.communication)
+
+    def grant(self, indicator):
+        """The communication a grant of ``indicator``'s request takes."""
+        return HopfieldAllocator().allocate_resources(
+            self.make_request(indicator), self.make_pool()
+        ).communication
+
+    @pytest.mark.parametrize("indicator", INDICATORS)
+    def test_pool_holding_exactly_the_grant_grants_it(self, indicator):
+        grant = self.grant(indicator)
+        pool = ResourcePool(communication=grant)
+        alloc = HopfieldAllocator().allocate_resources(self.make_request(indicator), pool)
+        assert alloc.communication == grant
+        assert pool.communication == 0.0
+
+    @pytest.mark.parametrize("indicator", INDICATORS)
+    def test_pool_one_ulp_short_of_the_grant_refuses_it(self, indicator):
+        short = float(np.nextafter(self.grant(indicator), 0))
+        pool = ResourcePool(communication=short)
+        with pytest.raises(PoolExhaustedError):
+            HopfieldAllocator().allocate_resources(self.make_request(indicator), pool)
+        assert pool.communication == short
+
+    def test_nan_grant_refused(self):
+        pool = ResourcePool(communication=1.0)
+        with pytest.raises(PoolExhaustedError):
+            pool.consume(float("nan"))
+        assert pool.communication == 1.0
 
     def test_stored_patterns_are_fixed_points(self):
         allocator = HopfieldAllocator()
