@@ -5,6 +5,9 @@ entropies summarize each window: the per-source packet share, the
 inter-arrival-time profile, and the packet-size profile.  Flooding
 concentrates traffic (few sources, metronome timing, constant sizes), so
 an attack shows up as an entropy collapse against a benign baseline.
+:func:`classify_window` states the whole rule for one window: too few
+packets is inconclusive, too short a baseline is learning, and otherwise a
+source or size entropy below its baseline floor is an attack.
 
 The per-window statistics are plain Python: a window holds a few dozen
 counts, where NumPy's cost per call outweighs the arithmetic.  Every sum
@@ -15,8 +18,8 @@ terms.
 from __future__ import annotations
 
 __all__ = [
-    "VERDICT_ATTACK", "VERDICT_BENIGN", "VERDICT_INCONCLUSIVE", "BandwidthPrediction",
-    "BaselineStats", "EntropyReport", "WindowCounts", "classify_window", "entropy_of_counts",
+    "VERDICT_ATTACK", "VERDICT_BENIGN", "VERDICT_INCONCLUSIVE", "VERDICT_LEARNING",
+    "EntropyReport", "WindowCounts", "classify_window", "entropy_of_counts",
     "interarrival_inner_edges", "predict_bandwidth", "quarantine", "renyi_entropy",
     "shannon_entropy", "window_entropies",
 ]
@@ -38,6 +41,7 @@ _SIGMA_FLOOR = 1e-9
 VERDICT_BENIGN = "benign"
 VERDICT_ATTACK = "attack"
 VERDICT_INCONCLUSIVE = "inconclusive"
+VERDICT_LEARNING = "learning"
 
 
 def _validated_distribution(distribution: Sequence[float]) -> np.ndarray:
@@ -158,74 +162,47 @@ def window_entropies(
     return src, ia, size_h
 
 
-@dataclass
-class BaselineStats:
-    """Mean/stddev of the source and size entropies over a set of benign
-    windows, the two that :func:`classify_window` judges."""
-
-    mean_source: float
-    std_source: float
-    mean_size: float
-    std_size: float
-    n_windows: int
-
-    @classmethod
-    def from_triples(
-        cls, triples: Sequence[tuple[float, float, float]]
-    ) -> "BaselineStats":
-        """Source and size statistics of (source, inter-arrival, size)
-        entropy triples."""
-        if len(triples) < MIN_BASELINE_WINDOWS:
-            raise ValueError(
-                f"baseline needs at least {MIN_BASELINE_WINDOWS} benign windows"
-            )
-        n = len(triples)
-        sources, _, sizes = zip(*triples)
-        stats = []
-        for col in (sources, sizes):
-            m = math.fsum(col) / n
-            stats += [m, math.sqrt(math.fsum((x - m) ** 2 for x in col) / n)]
-        return cls(*stats, n_windows=n)
+def _floor(column: Sequence[float], k_sigma: float) -> float:
+    """Mean less ``k_sigma`` population standard deviations (at least
+    ``_SIGMA_FLOOR``) of one entropy over the baseline windows."""
+    n = len(column)
+    m = math.fsum(column) / n
+    sd = math.sqrt(math.fsum((x - m) ** 2 for x in column) / n)
+    return m - k_sigma * max(sd, _SIGMA_FLOOR)
 
 
 def classify_window(
     window: WindowCounts,
-    baseline: BaselineStats,
+    baseline: Sequence[tuple[float, float, float]],
     alpha: float = DEFAULT_ALPHA,
     k_sigma: float = DEFAULT_K_SIGMA,
     min_packets: int = DEFAULT_MIN_PACKETS,
+    learn: int = MIN_BASELINE_WINDOWS,
 ) -> EntropyReport:
-    """Flag a window whose source or size entropy collapses below baseline.
+    """Judge one window against ``baseline``, the (source, inter-arrival,
+    size) entropy triples of earlier benign windows.
 
-    Windows with fewer than ``min_packets`` packets are inconclusive.
+    A window of fewer than ``min_packets`` packets is inconclusive.  Else,
+    while the baseline holds fewer than ``learn`` windows, it is learning.
+    Else it is an attack when its source or size entropy falls below that
+    entropy's baseline mean less ``k_sigma`` standard deviations, and
+    benign otherwise.
     """
-    if baseline.n_windows < MIN_BASELINE_WINDOWS:
-        raise ValueError("baseline too small to classify against")
+    if learn < MIN_BASELINE_WINDOWS:
+        raise ValueError(f"baseline needs at least {MIN_BASELINE_WINDOWS} benign windows")
     h_src, h_ia, h_size = window_entropies(window, alpha)
     if window.packet_count < min_packets:
-        return EntropyReport(h_src, h_ia, h_size, VERDICT_INCONCLUSIVE)
-
-    src_floor = baseline.mean_source - k_sigma * max(baseline.std_source, _SIGMA_FLOOR)
-    size_floor = baseline.mean_size - k_sigma * max(baseline.std_size, _SIGMA_FLOOR)
-    attack = h_src < src_floor or h_size < size_floor
-    return EntropyReport(h_src, h_ia, h_size, VERDICT_ATTACK if attack else VERDICT_BENIGN)
-
-
-@dataclass(frozen=True)
-class BandwidthPrediction:
-    """A predicted usage and the smoothing that produced it."""
-
-    predicted_usage: float
-    smoothing: float
-
-    def __post_init__(self):
-        if self.predicted_usage < 0:
-            raise ValueError("predicted_usage must be >= 0")
-        if not (0.0 < self.smoothing <= 1.0):
-            raise ValueError("smoothing must be in (0, 1]")
+        verdict = VERDICT_INCONCLUSIVE
+    elif len(baseline) < learn:
+        verdict = VERDICT_LEARNING
+    else:
+        sources, _, sizes = zip(*baseline)
+        attack = h_src < _floor(sources, k_sigma) or h_size < _floor(sizes, k_sigma)
+        verdict = VERDICT_ATTACK if attack else VERDICT_BENIGN
+    return EntropyReport(h_src, h_ia, h_size, verdict)
 
 
-def predict_bandwidth(history: Sequence[float], smoothing: float = 0.3) -> BandwidthPrediction:
+def predict_bandwidth(history: Sequence[float], smoothing: float = 0.3) -> float:
     """Exponentially weighted moving average of a usage series."""
     if len(history) == 0:
         raise ValueError("history must be nonempty")
@@ -234,7 +211,9 @@ def predict_bandwidth(history: Sequence[float], smoothing: float = 0.3) -> Bandw
     pred = float(history[0])
     for x in history[1:]:
         pred = smoothing * float(x) + (1.0 - smoothing) * pred
-    return BandwidthPrediction(predicted_usage=pred, smoothing=smoothing)
+    if pred < 0:
+        raise ValueError("predicted usage must be >= 0")
+    return pred
 
 
 def quarantine(

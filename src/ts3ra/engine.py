@@ -25,6 +25,12 @@ so a switch's nominal load is its devices in ``sw_of`` at that rate; the
 engine keeps no per-switch ledger.  A switch is its index in
 ``Engine.switch_ids``.
 
+Each switch's detection window is judged by one
+:func:`~ts3ra.ddos.classify_window` call against that switch's baseline,
+the entropy triples of its last ``4 * baseline_windows`` learning and
+benign windows.  The engine quarantines an attack's dominant sources and
+appends a learning or benign window's triple to the baseline.
+
 The engine keeps each per-device fact once, in lists indexed by device:
 ``device_ids`` (the list the data plane takes), ``index_of`` (id to index),
 ``pufs``, ``claimed``, ``decided`` (None before SLICE_DECIDE) and
@@ -557,6 +563,12 @@ class Engine:
             c.rejected += 1
             self._trace(ALLOCATE, device_id, service.slice_id, "", "rejected:pool")
             return
+        if alloc.slice_id != service.slice_id:
+            # The grant was sized for the recalled slice but charged to the
+            # decided one's pool and counters.
+            raise InvariantViolation(
+                f"{device_id}: granted in {alloc.slice_id}, decided {service.slice_id}"
+            )
         c.granted += 1
         c.granted_comm += alloc.communication
         c.response_sum += (self.clock_us - self.arrival_us[di]) / 1e6
@@ -606,38 +618,23 @@ class Engine:
         for switch_id, baseline, window in zip(
             self.switch_ids, self.baselines, self.dp.close_window()
         ):
+            report = ddos_mod.classify_window(
+                window, baseline, sc.ddos_alpha, sc.k_sigma, sc.min_packets, sc.baseline_windows
+            )
+            triple = (report.h_source, report.h_interarrival, report.h_size)
             blocked: list[str] = []
-            if window.packet_count < sc.min_packets:
-                verdict = ddos_mod.VERDICT_INCONCLUSIVE
-                triple = ddos_mod.window_entropies(window, sc.ddos_alpha)
-            elif len(baseline) < sc.baseline_windows:
-                verdict = "learning"
-                triple = ddos_mod.window_entropies(window, sc.ddos_alpha)
+            if report.verdict == ddos_mod.VERDICT_ATTACK:
+                self.attack_windows += 1
+                blocked = ddos_mod.quarantine(report, window.source_counts, sc.dominance_factor)
+                for dev_id in blocked:
+                    self.dp.quarantine(self.index_of[dev_id])
+            elif report.verdict != ddos_mod.VERDICT_INCONCLUSIVE:
                 baseline.append(triple)
-            else:
-                report = ddos_mod.classify_window(
-                    window,
-                    ddos_mod.BaselineStats.from_triples(baseline),
-                    alpha=sc.ddos_alpha,
-                    k_sigma=sc.k_sigma,
-                    min_packets=sc.min_packets,
-                )
-                verdict = report.verdict
-                triple = (report.h_source, report.h_interarrival, report.h_size)
-                if verdict == ddos_mod.VERDICT_ATTACK:
-                    self.attack_windows += 1
-                    blocked = ddos_mod.quarantine(
-                        report, window.source_counts, sc.dominance_factor
-                    )
-                    for dev_id in blocked:
-                        self.dp.quarantine(self.index_of[dev_id])
-                else:
-                    baseline.append(triple)
             if self.detection_sink is not None:
                 self.detection_sink(
                     f"{start},{switch_id},"
                     f"{triple[0]:.6f},{triple[1]:.6f},{triple[2]:.6f},"
-                    f"{verdict},{';'.join(blocked)}\n"
+                    f"{report.verdict},{';'.join(blocked)}\n"
                 )
         self._push(self.clock_us + window_us, WINDOW_CLOSE, None)
 

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import Any
 
+from .ddos import MIN_BASELINE_WINDOWS
 from .domain import Protocol, ServiceType, qos_profile_of
 from .sched import SchedulerConfig, SchedulerConfigError, validate_config
 from .slicenet import LEARNING_RATE_RANGE, MAX_D_MODEL, MAX_EPOCHS
@@ -85,8 +86,8 @@ RANGE_RULES = (
         ("train_samples",),
     ),
     (
-        f"in [10, {MAX_BASELINE_WINDOWS}]",
-        lambda v: 10 <= v <= MAX_BASELINE_WINDOWS,
+        f"in [{MIN_BASELINE_WINDOWS}, {MAX_BASELINE_WINDOWS}]",
+        lambda v: MIN_BASELINE_WINDOWS <= v <= MAX_BASELINE_WINDOWS,
         ("baseline_windows",),
     ),
     (

@@ -2,7 +2,6 @@ import itertools
 import math
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import astuple
 from fractions import Fraction
 
 import mpmath
@@ -11,12 +10,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ts3ra.ddos import (
+    MIN_BASELINE_WINDOWS,
     N_INTERARRIVAL_BINS,
-    BaselineStats,
     WindowCounts,
     VERDICT_ATTACK,
     VERDICT_BENIGN,
     VERDICT_INCONCLUSIVE,
+    VERDICT_LEARNING,
     classify_window,
     entropy_of_counts,
     interarrival_inner_edges,
@@ -128,8 +128,8 @@ def window_of(counts, gaps, sizes, duration=1.0):
 
 
 def baseline_of(windows):
-    """Baseline statistics of the entropies of ``windows``."""
-    return BaselineStats.from_triples([window_entropies(w) for w in windows])
+    """The entropy triples of ``windows``, a baseline to classify against."""
+    return [window_entropies(w) for w in windows]
 
 
 def benign_traffic(rng, n_sources=32, rate=10):
@@ -176,11 +176,22 @@ class TestClassifyWindow:
     def test_small_window_inconclusive(self, baseline):
         window = window_of({"a": 3, "b": 2}, (0.1, 0.2), (512,) * 5)
         assert classify_window(window, baseline).verdict == VERDICT_INCONCLUSIVE
+        # too few packets is inconclusive while the baseline learns, too
+        assert classify_window(window, []).verdict == VERDICT_INCONCLUSIVE
+        assert classify_window(window, [], min_packets=5).verdict == VERDICT_LEARNING
 
     def test_baseline_too_small_rejected(self):
+        # A baseline shorter than ``learn`` windows is still learning, and
+        # ``learn`` itself may not fall below the minimum.
         rng = np.random.default_rng(34)
-        with pytest.raises(ValueError):
-            baseline_of([benign_window(rng, i) for i in range(5)])
+        short = baseline_of([benign_window(rng, i) for i in range(MIN_BASELINE_WINDOWS - 1)])
+        window = benign_window(rng, 0)
+        assert classify_window(window, short).verdict == VERDICT_LEARNING
+        full = short + baseline_of([benign_window(rng, 1)])
+        assert classify_window(window, full).verdict == VERDICT_BENIGN
+        assert classify_window(window, full, learn=11).verdict == VERDICT_LEARNING
+        with pytest.raises(ValueError, match="at least 10"):
+            classify_window(window, full, learn=MIN_BASELINE_WINDOWS - 1)
 
     def test_entropies_nonnegative(self, baseline):
         rng = np.random.default_rng(35)
@@ -214,13 +225,13 @@ def numpy_window_entropies(window, alpha=2.0):
     return src, ia, numpy_entropy_of_counts(size_counts, alpha)
 
 
-def numpy_baseline(triples):
-    """:meth:`BaselineStats.from_triples` in its NumPy form."""
+def numpy_baseline(triples, k_sigma):
+    """The (source, size) floors of :func:`classify_window` in NumPy form,
+    kept as the oracle: each column's mean less ``k_sigma`` standard
+    deviations, at least 1e-9."""
     arr = np.asarray(triples)
-    means, stds = arr.mean(axis=0), arr.std(axis=0)
-    return BaselineStats(
-        float(means[0]), float(stds[0]), float(means[2]), float(stds[2]), len(triples)
-    )
+    floors = arr.mean(axis=0) - k_sigma * np.maximum(arr.std(axis=0), 1e-9)
+    return float(floors[0]), float(floors[2])
 
 
 def list_window_entropies(counts, gaps, sizes, duration, alpha=2.0):
@@ -375,36 +386,46 @@ class TestNumpyOracles:
     @given(
         triples=st.lists(
             st.tuples(*[st.floats(0.0, 12.0) | st.just(-0.0)] * 3), min_size=10, max_size=200
-        )
+        ),
+        window=window_counts(),
+        k_sigma=st.sampled_from([0.0, 0.5, 3.0]),
+        # how far above (> 0) or below (< 0) each entropy its floor is put
+        margins=st.tuples(*[st.sampled_from([-1.0, -1e-6, 1e-6, 1.0])] * 2),
     )
-    def test_baseline_bit_identical(self, triples):
-        ours = astuple(BaselineStats.from_triples(triples))
-        assert ours == pytest.approx(astuple(numpy_baseline(triples)), rel=0.0, abs=1e-12)
+    def test_baseline_bit_identical(self, triples, window, k_sigma, margins):
+        # Shift the source and size columns so that each floor lands at the
+        # drawn margin from the window's entropy: both sides of both floors.
+        h = window_entropies(window)
+        src_floor, size_floor = numpy_baseline(triples, k_sigma)
+        shift_src, shift_size = h[0] + margins[0] - src_floor, h[2] + margins[1] - size_floor
+        shifted = [(a + shift_src, b, c + shift_size) for a, b, c in triples]
+        report = classify_window(window, shifted, k_sigma=k_sigma, min_packets=0)
+        assert (report.h_source, report.h_interarrival, report.h_size) == h
+        src_floor, size_floor = numpy_baseline(shifted, k_sigma)
+        attack = h[0] < src_floor or h[2] < size_floor
+        assert report.verdict == (VERDICT_ATTACK if attack else VERDICT_BENIGN)
+        assert attack == (max(margins) > 0)
 
 
 class TestPredictBandwidth:
     def test_constant_series_fixed_point(self):
-        pred = predict_bandwidth([7.5] * 20, smoothing=0.3)
-        assert pred.predicted_usage == pytest.approx(7.5)
+        assert predict_bandwidth([7.5] * 20, smoothing=0.3) == pytest.approx(7.5)
 
     def test_degenerate_smoothing_tracks_last(self):
-        pred = predict_bandwidth([1.0, 5.0, 9.0], smoothing=1.0)
-        assert pred.predicted_usage == 9.0
+        assert predict_bandwidth([1.0, 5.0, 9.0], smoothing=1.0) == 9.0
 
     def test_step_convergence_bound(self):
         lam = 0.3
         n = math.ceil(math.log(0.01) / math.log(1 - lam))
         series = [0.0] + [100.0] * n
-        pred = predict_bandwidth(series, smoothing=lam)
-        assert abs(pred.predicted_usage - 100.0) <= 1.0  # within 1%
-        shorter = predict_bandwidth(series[:-2], smoothing=lam)
-        assert abs(shorter.predicted_usage - 100.0) > 1.0
+        assert abs(predict_bandwidth(series, smoothing=lam) - 100.0) <= 1.0  # within 1%
+        assert abs(predict_bandwidth(series[:-2], smoothing=lam) - 100.0) > 1.0
 
     def test_monotone_approach(self):
         lam = 0.3
         values = [0.0] + [10.0] * 30
         preds = [
-            predict_bandwidth(values[: i + 1], smoothing=lam).predicted_usage
+            predict_bandwidth(values[: i + 1], smoothing=lam)
             for i in range(1, len(values))
         ]
         for lo, hi in zip(preds, preds[1:]):
@@ -413,6 +434,16 @@ class TestPredictBandwidth:
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError):
             predict_bandwidth([], smoothing=0.3)
+
+    @pytest.mark.parametrize("smoothing", [0.0, -0.1, 1.5, math.nan])
+    def test_smoothing_outside_unit_interval_rejected(self, smoothing):
+        with pytest.raises(ValueError, match="smoothing"):
+            predict_bandwidth([1.0, 2.0], smoothing=smoothing)
+
+    def test_negative_prediction_rejected(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            predict_bandwidth([1.0, -5.0], smoothing=0.5)
+        assert predict_bandwidth([-1.0, 3.0], smoothing=0.5) == 1.0
 
 
 class TestQuarantine:

@@ -23,9 +23,10 @@ from pathlib import Path
 import pytest
 
 from ts3ra.auth import KeyDerivationParams, PufChallengeResponse, RegistrationRecord
+from ts3ra.ddos import EntropyReport, WindowCounts
 from ts3ra.domain import Flow, ServiceType, SliceRequest
 from ts3ra.engine import Engine
-from ts3ra.hopfield import AllocationRequest
+from ts3ra.hopfield import AllocationRequest, ResourceAllocation
 from ts3ra.scenario_io import parse_scenario
 from ts3ra.slicenet import SliceFeatureVector
 
@@ -259,12 +260,12 @@ def test_allowlisted_field_is_read_by_its_reader(qualified):
     assert qualified.split(".")[1] in attributes_read(tree)
 
 
-# The value objects a run builds for its planes: registration and admission,
-# the scheduler queue and the AP's classifier, slice selection, allocation
-# and rebalancing.
+# The value objects a run builds for its planes, or a plane returns to it:
+# registration and admission, the scheduler queue and the AP's classifier,
+# slice selection, allocation, detection and rebalancing.
 RUN_VALUE_OBJECTS = (
     KeyDerivationParams, PufChallengeResponse, RegistrationRecord, SliceRequest, Flow,
-    SliceFeatureVector, AllocationRequest,
+    SliceFeatureVector, AllocationRequest, ResourceAllocation, WindowCounts, EntropyReport,
 )
 
 
